@@ -27,7 +27,6 @@ from .corpus import (
 )
 from .decoder import (
     DecodeConfig,
-    Hypothesis,
     beam_search,
     constrained_logprob,
     permutation_decode,

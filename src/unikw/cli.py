@@ -2,8 +2,8 @@
 
 Conventions shared by every command:
 
-  * global flags ``--seed``, ``--threads`` and ``--config`` (a JSON file
-    whose keys override built-in defaults; explicit flags win over both);
+  * global flags ``--seed`` and ``--config`` (a JSON file whose keys
+    override built-in defaults; explicit flags win over both);
   * deterministic outputs under a fixed seed;
   * a metadata block (tool version, seed, effective config and its hash)
     embedded in JSON outputs and written to ``<out>.meta.json`` next to
@@ -24,7 +24,7 @@ import hashlib
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -65,7 +65,6 @@ def _meta(args: argparse.Namespace, command: str) -> dict:
         "version": __version__,
         "command": command,
         "seed": getattr(args, "seed", 0),
-        "threads": getattr(args, "threads", 1),
         "config": settings,
         "config_hash": hashlib.sha256(canonical.encode()).hexdigest()[:16],
     }
@@ -87,12 +86,23 @@ def _read_queries(path) -> list[str]:
 
 
 def _read_results_jsonl(path) -> list[dict]:
+    """Rows written by ``retrieve``: a query and its results, each with id and keyword."""
     rows = []
     with open(path, encoding="utf-8") as f:
         for line in f:
             line = line.strip()
             if line:
                 rows.append(json.loads(line))
+    for n, row in enumerate(rows, 1):
+        results = row.get("results") if isinstance(row, dict) else None
+        if (
+            not isinstance(results, list)
+            or "query" not in row
+            or not all(isinstance(r, dict) and {"id", "keyword"} <= r.keys() for r in results)
+        ):
+            raise ValidationError(
+                f"{path}: row {n} needs a query and a results list of objects with id and keyword"
+            )
     return rows
 
 
@@ -116,8 +126,7 @@ def cmd_build_trie(args) -> int:
         for kid, text in enumerate(keywords)
     ]
     trie = build_trie(entries, direction, vocab.checksum())
-    serialize(trie, args.out)
-    stats = memory_stats(trie)
+    stats = memory_stats(trie, serialized_bytes=serialize(trie, args.out))
     _write_json(str(args.out) + ".stats.json", {"meta": _meta(args, "build-trie"), "stats": stats})
     print(f"wrote {direction} trie: {stats['nodes']} nodes, {stats['serialized_bytes']} bytes")
     return EXIT_OK
@@ -229,8 +238,7 @@ def cmd_retrieve(args) -> int:
         dense_k=args.topk,
     )
     queries = _read_queries(args.queries)
-    with ThreadPoolExecutor(max_workers=args.threads) as pool:
-        all_results = list(pool.map(lambda q: retrieve(bundle, q), queries))
+    all_results = [retrieve(bundle, q) for q in queries]
     with open(args.out, "w", encoding="utf-8") as f:
         for query, results in zip(queries, all_results):
             f.write(results_to_jsonl_line(query, results) + "\n")
@@ -267,7 +275,7 @@ def cmd_bench(args) -> int:
         for q in queries
     ]
     for beam in beams:
-        bundle = load_bundle(args.bundle_dir, beam_size=beam, orders=orders)
+        bundle = replace(base, decode=replace(base.decode, beam_size=beam, orders=orders))
         end_to_end: list[float] = []
         decode_only: list[float] = []
         forwards_before = bundle.params.forward_counter.count
@@ -337,7 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--config", default=None, help="JSON file overriding flag defaults")
 
     p = sub.add_parser("build-vocab", help="build a vocabulary file")
@@ -425,7 +432,10 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> None
     """Let a --config JSON override subcommand defaults (flags still win)."""
     if "--config" not in argv:
         return
-    path = argv[argv.index("--config") + 1]
+    at = argv.index("--config") + 1
+    if at == len(argv):
+        raise ValidationError("--config needs a JSON file path")
+    path = argv[at]
     with open(path, encoding="utf-8") as f:
         overrides = json.load(f)
     if not isinstance(overrides, dict):

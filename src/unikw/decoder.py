@@ -19,18 +19,31 @@ different ends.
 Pruning.  A finite ``prune_threshold`` drops any expansion whose single
 token log-probability falls below it, shrinking the beam early without
 changing surviving scores.
+
+Frontier step.  One loop serves both orders over four arrays: trie node,
+score, next table row and prefix rank.  Left to right starts at the root
+on row 0 (row step +1); right to left starts at every partition root with
+m <= M on row m-1 (row step -1).  A step gathers every frontier edge from
+the CSR offsets, adds ``prob_table[row, label]``, drops labels outside the
+table and pruned tokens, moves completed keywords to the results and keeps
+the best ``beam_size`` of the rest with one stable ``np.lexsort`` on
+(-score, parent prefix rank, label).  The rank is the dense lexicographic
+rank of each frontier prefix, so this is a stable (-score, prefix) sort;
+equal prefixes (across reversed partitions) keep their beam order.  Node
+ids cannot stand in for the rank: the reversed trie numbers partitions
+first.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .corpus import TokenSeq
 from .errors import ConsistencyError, ValidationError
-from .trie import FORWARD, REVERSED, KeywordTrie, length_partitions, step, terminal_id, walk
+from .trie import FORWARD, REVERSED, KeywordTrie, length_partitions, step, walk
+from .trie import terminal_id  # noqa: F401  kept so perfbench/tracing.py can patch it here
 
 NEG_INF = float("-inf")
 
@@ -59,17 +72,6 @@ class DecodeConfig:
                 raise ValidationError(f"unknown decoding order: {order!r}")
 
 
-@dataclass
-class Hypothesis:
-    """A partial (or just-completed) path through the trie."""
-
-    prefix: tuple[int, ...]
-    node: int
-    score: float
-    min_logprob: float = math.inf
-    target_len: int = 0  # reversed order only: keyword length of the partition
-
-
 def constrained_logprob(
     prob_table: np.ndarray, trie: KeywordTrie, prefix: TokenSeq, token: int
 ) -> float:
@@ -94,35 +96,15 @@ def constrained_logprob(
     return float(prob_table[len(prefix), token])
 
 
-def _initial_hypotheses(trie: KeywordTrie, max_len: int) -> list[Hypothesis]:
-    if trie.direction == FORWARD:
-        return [Hypothesis(prefix=(), node=0, score=0.0)]
-    # Partition selection is structural, not scored: one starting hypothesis
-    # per keyword length that fits the table.
-    hyps = []
-    for length, node in length_partitions(trie):
-        if length <= max_len:
-            hyps.append(Hypothesis(prefix=(), node=node, score=0.0, target_len=length))
-    return hyps
-
-
-def _row_for(hyp: Hypothesis, direction: str) -> int:
-    depth = len(hyp.prefix)
-    if direction == FORWARD:
-        return depth
-    return hyp.target_len - 1 - depth
-
-
 def beam_search(
     prob_table: np.ndarray, trie: KeywordTrie, config: DecodeConfig
 ) -> list[tuple[int, float]]:
     """Single-order beam search; up to ``beam_size`` completed keywords.
 
-    Completed hypotheses leave the active beam immediately and are
-    collected on the side, so the beam always holds the best incomplete
-    prefixes.  Results are sorted by cumulative log-probability, ties
-    broken by smaller keyword id.  Scores carry no length normalization:
-    the EOW position already prices sequence length.
+    Completed keywords leave the beam at once, so it always holds the best
+    incomplete prefixes.  Results are sorted by cumulative log-probability,
+    ties broken by smaller keyword id.  Scores carry no length
+    normalization: the EOW position already prices sequence length.
     """
     if len(config.orders) != 1:
         raise ValidationError("beam_search takes a config with exactly one order")
@@ -133,45 +115,50 @@ def beam_search(
             f"got {trie.direction}"
         )
     max_len, vocab_size = prob_table.shape
-    threshold = config.prune_threshold
-
-    active = _initial_hypotheses(trie, max_len)
-    completed: list[tuple[float, int]] = []
     offsets, labels = trie.offsets, trie.labels
 
-    while active:
-        candidates: list[Hypothesis] = []
-        for hyp in active:
-            row = _row_for(hyp, trie.direction)
-            if not 0 <= row < max_len:
-                continue
-            table_row = prob_table[row]
-            start, end = int(offsets[hyp.node]), int(offsets[hyp.node + 1])
-            for e in range(start, end):
-                label = int(labels[e])
-                if label >= vocab_size:
-                    continue
-                logprob = float(table_row[label])
-                if logprob < threshold:
-                    continue  # early pruning on the single-token bound
-                child = e + 1
-                nxt = Hypothesis(
-                    prefix=hyp.prefix + (label,),
-                    node=child,
-                    score=hyp.score + logprob,
-                    min_logprob=min(hyp.min_logprob, logprob),
-                    target_len=hyp.target_len,
-                )
-                keyword_id = terminal_id(trie, child)
-                if keyword_id is not None:
-                    completed.append((nxt.score, keyword_id))
-                else:
-                    candidates.append(nxt)
-        candidates.sort(key=lambda h: (-h.score, h.prefix))
-        active = candidates[: config.beam_size]
+    # Frontier in beam order; partition selection is structural, not scored.
+    if trie.direction == FORWARD:
+        node, row, row_step = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64), 1
+    else:
+        parts = np.array(length_partitions(trie), dtype=np.int64).reshape(-1, 2)
+        parts = parts[parts[:, 0] <= max_len]
+        node, row, row_step = parts[:, 1], parts[:, 0] - 1, -1
+    score = np.zeros(len(node))
+    rank = np.zeros(len(node), dtype=np.int64)
+    done_ids, done_scores = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
 
-    completed.sort(key=lambda item: (-item[0], item[1]))
-    return [(kid, score) for score, kid in completed[: config.beam_size]]
+    while len(node):
+        fits = (row >= 0) & (row < max_len)
+        node, score, row, rank = node[fits], score[fits], row[fits], rank[fits]
+        # Every edge of the frontier, parent by parent in beam order.
+        degree = offsets[node + 1] - offsets[node]
+        parent = np.repeat(np.arange(len(node)), degree)
+        edge = np.repeat(offsets[node] - np.cumsum(degree) + degree, degree) + np.arange(len(parent))
+        label = labels[edge]
+        in_vocab = label < vocab_size
+        parent, edge, label = parent[in_vocab], edge[in_vocab], label[in_vocab]
+        logprob = prob_table[row[parent], label].astype(np.float64)
+        keep = ~(logprob < config.prune_threshold)  # early pruning on the single-token bound
+        parent, label = parent[keep], label[keep]
+        child, child_score = edge[keep] + 1, score[parent] + logprob[keep]
+
+        keyword = trie.node_keyword[child]
+        done = keyword >= 0
+        done_ids.append(keyword[done])
+        done_scores.append(child_score[done])
+
+        # The best incomplete prefixes by (-score, prefix); see "Frontier step".
+        live = np.flatnonzero(~done)
+        live = live[np.lexsort((label[live], rank[parent[live]], -child_score[live]))]
+        live = live[: config.beam_size]
+        parent, label = parent[live], label[live]
+        _, rank = np.unique(rank[parent] * vocab_size + label, return_inverse=True)
+        node, score, row = child[live], child_score[live], row[parent] + row_step
+
+    ids, scores = np.concatenate(done_ids), np.concatenate(done_scores)
+    best = np.lexsort((ids, -scores))[: config.beam_size]
+    return list(zip(ids[best].tolist(), scores[best].tolist()))
 
 
 def permutation_decode(

@@ -9,7 +9,8 @@ Because BFS emits each node's children consecutively, the child of edge
 ``e`` is always node ``e + 1``; only a CSR offsets array and the edge
 labels need to be stored.  Edge labels at every node are strictly
 increasing, so child lookup is a binary search.  Terminals (end of a full
-keyword path) map node -> keyword id via two parallel sorted arrays.
+keyword path) live in one dense array holding the keyword id of every
+node, -1 where no keyword ends, so ``terminal_id`` is a single index.
 
 Directions.  A forward trie stores each keyword's token path as-is,
 ending with the EOW sentinel.  A reversed trie partitions keywords by
@@ -56,10 +57,9 @@ _VERSION = 1
 class KeywordTrie:
     """Read-only trie; safe for concurrent readers after construction."""
 
-    offsets: np.ndarray      # int64 (n+1,); edges of node i at offsets[i]:offsets[i+1]
-    labels: np.ndarray       # int32 (n-1,); edge e leads to node e+1
-    term_nodes: np.ndarray   # int64, sorted; nodes that complete a keyword
-    term_ids: np.ndarray     # int64, keyword id per terminal node
+    offsets: np.ndarray       # int64 (n+1,); edges of node i at offsets[i]:offsets[i+1]
+    labels: np.ndarray        # int32 (n-1,); edge e leads to node e+1
+    node_keyword: np.ndarray  # int64 (n,); keyword id completed at each node, -1 if none
     direction: str
     vocab_checksum: int
 
@@ -73,7 +73,15 @@ class KeywordTrie:
 
     @property
     def keyword_count(self) -> int:
-        return len(self.term_nodes)
+        return int(np.count_nonzero(self.node_keyword >= 0))
+
+    @property
+    def term_nodes(self) -> np.ndarray:  # sorted nodes that complete a keyword
+        return np.flatnonzero(self.node_keyword >= 0)
+
+    @property
+    def term_ids(self) -> np.ndarray:  # keyword id per entry of term_nodes
+        return self.node_keyword[self.term_nodes]
 
 
 def _keyword_path(tokens: TokenSeq, direction: str) -> tuple[int, ...]:
@@ -101,6 +109,8 @@ def build_trie(keywords, direction: str = FORWARD, vocab_checksum: int = 0) -> K
             raise ValidationError(
                 f"keyword {keyword_id}: token sequence must end with a single EOW"
             )
+        if keyword_id < 0:
+            raise ValidationError(f"keyword id {keyword_id} is negative")
         if keyword_id in seen_ids:
             raise ValidationError(f"duplicate keyword id {keyword_id}")
         seen_ids.add(keyword_id)
@@ -135,14 +145,12 @@ def build_trie(keywords, direction: str = FORWARD, vocab_checksum: int = 0) -> K
             order.append(children[old][label])
     offsets[n] = edge
 
-    term = sorted((int(remap[node]), kid) for node, kid in terminal.items())
-    term_nodes = np.array([t[0] for t in term], dtype=np.int64)
-    term_ids = np.array([t[1] for t in term], dtype=np.int64)
+    node_keyword = np.full(n, -1, dtype=np.int64)
+    node_keyword[remap[list(terminal)]] = list(terminal.values())
     return KeywordTrie(
         offsets=offsets,
         labels=labels,
-        term_nodes=term_nodes,
-        term_ids=term_ids,
+        node_keyword=node_keyword,
         direction=direction,
         vocab_checksum=vocab_checksum,
     )
@@ -177,10 +185,10 @@ def walk(trie: KeywordTrie, labels, node: int = 0) -> int | None:
 
 def terminal_id(trie: KeywordTrie, node: int) -> int | None:
     """Keyword id completed at ``node``, or None if non-terminal."""
-    i = int(np.searchsorted(trie.term_nodes, node))
-    if i < len(trie.term_nodes) and trie.term_nodes[i] == node:
-        return int(trie.term_ids[i])
-    return None
+    if not 0 <= node < trie.node_count:
+        raise ValidationError(f"invalid node reference: {node}")
+    keyword_id = int(trie.node_keyword[node])
+    return keyword_id if keyword_id >= 0 else None
 
 
 def lookup(trie: KeywordTrie, tokens: TokenSeq) -> int | None:
@@ -264,42 +272,45 @@ def from_bytes(data: bytes) -> KeywordTrie:
             labels[e] = prev
             e += 1
 
-    term_nodes = np.zeros(term_count, dtype=np.int64)
-    term_ids = np.zeros(term_count, dtype=np.int64)
-    prev = 0
-    for t in range(term_count):
+    node_keyword = np.full(node_count, -1, dtype=np.int64)
+    node = 0
+    for _ in range(term_count):
         delta, pos = read_uvarint(payload, pos)
-        prev += delta
-        term_nodes[t] = prev
-        term_ids[t], pos = read_uvarint(payload, pos)
+        node += delta
+        if delta == 0 or node >= node_count:
+            raise ValidationError("corrupt trie: terminal nodes out of order or range")
+        node_keyword[node], pos = read_uvarint(payload, pos)
     if pos != len(payload):
         raise ValidationError("corrupt trie: trailing bytes after terminals")
 
     return KeywordTrie(
         offsets=offsets,
         labels=labels,
-        term_nodes=term_nodes,
-        term_ids=term_ids,
+        node_keyword=node_keyword,
         direction=FORWARD if direction_flag == 0 else REVERSED,
         vocab_checksum=vocab_checksum,
     )
 
 
-def serialize(trie: KeywordTrie, path) -> None:
-    write_file(path, to_bytes(trie))
+def serialize(trie: KeywordTrie, path) -> int:
+    """Write the trie file; returns its size in bytes."""
+    data = to_bytes(trie)
+    write_file(path, data)
+    return len(data)
 
 
 def deserialize(path) -> KeywordTrie:
     return from_bytes(read_file(path))
 
 
-def memory_stats(trie: KeywordTrie) -> dict:
-    """Size accounting, JSON-friendly."""
-    serialized = len(to_bytes(trie))
+def memory_stats(trie: KeywordTrie, serialized_bytes: int | None = None) -> dict:
+    """Size accounting, JSON-friendly; pass ``serialize``'s result to skip re-encoding."""
+    if serialized_bytes is None:
+        serialized_bytes = len(to_bytes(trie))
     count = trie.keyword_count
     return {
         "nodes": trie.node_count,
         "edges": trie.edge_count,
-        "serialized_bytes": serialized,
-        "bytes_per_keyword": serialized / count if count else None,
+        "serialized_bytes": serialized_bytes,
+        "bytes_per_keyword": serialized_bytes / count if count else None,
     }

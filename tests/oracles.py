@@ -56,6 +56,56 @@ def brute_force_ranking(prob_table: np.ndarray, entries):
     return scored
 
 
+def scalar_beam_search(prob_table: np.ndarray, entries, beam_size: int,
+                       prune_threshold=float("-inf"), reverse=False):
+    """Trie-free beam search, one hypothesis and one token at a time.
+
+    Completed keywords leave the beam; the beam keeps the best
+    ``beam_size`` incomplete prefixes by a stable sort on (-score, prefix),
+    children visited in token order.  Left to right, depth t consumes row
+    t.  Right to left, keywords are grouped by token count m (EOW
+    included), one start per m that fits the table in increasing m, the
+    prefix is the reversed token path and depth j consumes row m-1-j.
+    Tokens outside the table and tokens scoring below the threshold are
+    never consumed.  Returns up to ``beam_size`` (id, score), sorted by
+    (-score, id).
+    """
+    max_len, vocab_size = prob_table.shape
+    paths = {}  # (group, token path) -> keyword id; group is m right to left, else 0
+    for tokens, keyword_id in entries:
+        tokens = tuple(tokens)
+        paths[(len(tokens), tokens[::-1]) if reverse else (0, tokens)] = keyword_id
+    starts = sorted({m for m, _ in paths if m <= max_len}) if reverse else [0]
+    active = [(m, (), 0.0) for m in starts]
+    completed = []
+    while active:
+        candidates = []
+        for m, prefix, score in active:
+            depth = len(prefix)
+            row = m - 1 - depth if reverse else depth
+            if not 0 <= row < max_len:
+                continue
+            tokens = sorted({
+                path[depth] for group, path in paths
+                if group == m and len(path) > depth and path[:depth] == prefix
+            })
+            for token in tokens:
+                if token >= vocab_size:
+                    continue
+                logprob = float(prob_table[row, token])
+                if logprob < prune_threshold:
+                    continue
+                key = (m, prefix + (token,))
+                if key in paths:
+                    completed.append((score + logprob, paths[key]))
+                else:
+                    candidates.append((m, key[1], score + logprob))
+        candidates.sort(key=lambda h: (-h[2], h[1]))
+        active = candidates[:beam_size]
+    completed.sort(key=lambda item: (-item[0], item[1]))
+    return [(keyword_id, score) for score, keyword_id in completed[:beam_size]]
+
+
 def keyword_token_logprobs(prob_table: np.ndarray, tokens) -> list[float]:
     return [float(prob_table[t, tok]) for t, tok in enumerate(tokens)]
 

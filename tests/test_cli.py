@@ -99,18 +99,6 @@ class TestPipeline:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
-    def test_retrieve_threaded_order_matches_input(self, pipeline):
-        serial = pipeline["root"] / "serial.jsonl"
-        threaded = pipeline["root"] / "threaded.jsonl"
-        for out, threads in ((serial, "1"), (threaded, "4")):
-            assert main([
-                "retrieve", "--bundle-dir", str(pipeline["bundle"]),
-                "--queries", str(pipeline["paths"]["queries"]),
-                "--beam", "10", "--topk", "5", "--threads", threads,
-                "--out", str(out),
-            ]) == 0
-        assert serial.read_bytes() == threaded.read_bytes()
-
     def test_eval_on_results(self, pipeline):
         results = pipeline["root"] / "results.jsonl"
         if not results.exists():
@@ -241,3 +229,22 @@ class TestErrorHandling:
         assert code == 2
         err = json.loads(capsys.readouterr().err.strip())
         assert "warp_speed" in err["error"]["message"]
+
+    def test_config_without_value_is_validation_error(self, capsys):
+        code = main(["retrieve", "--bundle-dir", "b", "--queries", "q", "--out", "o", "--config"])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"]["kind"] == "validation" and "--config" in err["error"]["message"]
+
+    def test_eval_row_without_results_is_validation_error(self, tmp_path, capsys):
+        results = tmp_path / "results.jsonl"
+        results.write_text(json.dumps({"query": "red shoes"}) + "\n", encoding="utf-8")
+        labels = tmp_path / "labels.tsv"
+        labels.write_text("red shoes\t0\n", encoding="utf-8")
+        code = main([
+            "eval", "--results", str(results), "--labels", str(labels),
+            "--out", str(tmp_path / "m.json"),
+        ])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"]["kind"] == "validation" and "row 1" in err["error"]["message"]

@@ -21,6 +21,7 @@ from oracles import (
     keyword_token_logprobs,
     random_catalog,
     random_prob_table,
+    scalar_beam_search,
 )
 
 EOW, A, B, C, D = 2, 3, 4, 5, 6
@@ -167,6 +168,27 @@ class TestBeamSearch:
         )
         results = beam_search(table, trie, DecodeConfig(beam_size=2, orders=("l2r",)))
         assert [kid for kid, _ in results] == [1, 5]
+
+    def test_matches_scalar_reference_on_ties(self, rng):
+        # Tables rounded to 0.5 over small alphabets make equal scores
+        # common, so the beam cut often splits a tie and the prefix
+        # tie-break decides which hypotheses survive.
+        for _ in range(1000):
+            entries, vocab_size = random_catalog(
+                rng, max_keywords=30, max_tokens=4, alphabet=int(rng.integers(2, 6))
+            )
+            tries = {"l2r": build_trie(entries, FORWARD), "r2l": build_trie(entries, REVERSED)}
+            max_len = int(rng.integers(2, 7))
+            width = vocab_size - int(rng.integers(0, 2))  # sometimes drops a token
+            table = np.round(random_prob_table(rng, max_len, width) * 2) / 2
+            for order, trie in tries.items():
+                for beam in (1, 2, 3, 7):
+                    for threshold in (NEG_INF, -2.0):
+                        config = DecodeConfig(beam, threshold, (order,))
+                        want = scalar_beam_search(
+                            table, entries, beam, threshold, reverse=order == "r2l"
+                        )
+                        assert beam_search(table, trie, config) == want
 
 
 class TestPermutationDecode:

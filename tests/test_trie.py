@@ -18,6 +18,7 @@ from unikw import (
     terminal_id,
     walk,
 )
+from unikw.fileio import append_checksum, split_checksummed, write_uvarint
 from unikw.trie import from_bytes, to_bytes
 
 from oracles import random_catalog
@@ -174,6 +175,33 @@ class TestSerialization:
         data[len(data) // 2] ^= 0xFF
         with pytest.raises(ValidationError, match="checksum mismatch"):
             from_bytes(bytes(data))
+
+    @pytest.mark.parametrize(
+        "nodes",
+        [
+            pytest.param(lambda ns, n: [ns[0], ns[0]] + ns[2:], id="repeated"),
+            pytest.param(lambda ns, n: [0] + ns[1:], id="root"),
+            pytest.param(lambda ns, n: ns[:-1] + [n], id="past-last-node"),
+        ],
+    )
+    def test_corrupt_terminal_nodes(self, nodes):
+        trie = build_trie([((A, EOW_ID), 0), ((A, B, EOW_ID), 1), ((C, EOW_ID), 2)])
+
+        def terminal_section(node_list):
+            buf, prev = bytearray(), 0
+            for node, kid in zip(node_list, trie.term_ids.tolist()):
+                write_uvarint(buf, node - prev)
+                write_uvarint(buf, kid)
+                prev = node
+            return bytes(buf)
+
+        payload = split_checksummed(to_bytes(trie))
+        original = terminal_section(trie.term_nodes.tolist())
+        assert payload.endswith(original)
+        corrupt = terminal_section(nodes(trie.term_nodes.tolist(), trie.node_count))
+        data = append_checksum(bytearray(payload[: -len(original)] + corrupt))
+        with pytest.raises(ValidationError, match="terminal nodes"):
+            from_bytes(data)
 
     @settings(max_examples=25, deadline=None)
     @given(st.data())
