@@ -430,12 +430,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> None:
     """Let a --config JSON override subcommand defaults (flags still win)."""
-    if "--config" not in argv:
+    path = None  # the last of `--config PATH` and `--config=PATH` wins, as in argparse
+    for i, arg in enumerate(argv):
+        if arg == "--config":
+            path = argv[i + 1] if i + 1 < len(argv) else ""
+        elif arg.startswith("--config="):
+            path = arg[len("--config="):]
+    if path is None:
         return
-    at = argv.index("--config") + 1
-    if at == len(argv):
+    if not path:
         raise ValidationError("--config needs a JSON file path")
-    path = argv[at]
     with open(path, encoding="utf-8") as f:
         overrides = json.load(f)
     if not isinstance(overrides, dict):

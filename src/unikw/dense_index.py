@@ -29,14 +29,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .fileio import append_checksum, check_magic, read_file, split_checksummed, take, unpack_at, write_file
+from .fileio import frame, read_file, take, unframe, unpack_at, write_file
 
 EXACT = "exact"
 GRAPH = "graph"
 
 _EMB_MAGIC = b"KEMB"
 _GRAPH_MAGIC = b"KGRA"
-_VERSION = 1
+_VERSION = 2
 
 DEFAULT_MAX_DEGREE = 32
 DEFAULT_BUILD_WIDTH = 64
@@ -301,25 +301,17 @@ def cluster_keywords(vectors, ids, similarity_threshold: float) -> dict[int, int
 
 
 def save_embeddings(path, vectors: np.ndarray, ids: np.ndarray) -> None:
-    """KEMB file: header, float32 row-major vectors, u64 ids, CRC-64."""
+    """KEMB file: a ``fileio`` frame (version 2, BLAKE2b-64 footer) around
+    u64 row count, u32 width, float32 row-major vectors and u64 ids."""
     vectors = np.ascontiguousarray(vectors, dtype="<f4")
     ids = np.ascontiguousarray(ids, dtype="<u8")
-    buf = bytearray()
-    buf += _EMB_MAGIC
-    buf += struct.pack("<IQI", _VERSION, vectors.shape[0], vectors.shape[1])
-    buf += vectors.tobytes()
-    buf += ids.tobytes()
-    write_file(path, append_checksum(buf))
+    body = struct.pack("<QI", *vectors.shape) + vectors.tobytes() + ids.tobytes()
+    write_file(path, frame(_EMB_MAGIC, _VERSION, body))
 
 
 def load_embeddings(path) -> tuple[np.ndarray, np.ndarray]:
-    data = read_file(path)
-    check_magic(data, _EMB_MAGIC)
-    payload = split_checksummed(data)
-    pos = len(_EMB_MAGIC)
-    (version, n, dim), pos = unpack_at("<IQI", payload, pos)
-    if version != _VERSION:
-        raise ValidationError(f"unsupported embeddings version {version}")
+    payload = unframe(read_file(path), _EMB_MAGIC, _VERSION, "embeddings")
+    (n, dim), pos = unpack_at("<QI", payload, 0)
     raw, pos = take(payload, pos, n * dim * 4)
     vectors = np.frombuffer(raw, dtype="<f4").reshape(n, dim).copy()
     raw, pos = take(payload, pos, n * 8)
@@ -330,44 +322,39 @@ def load_embeddings(path) -> tuple[np.ndarray, np.ndarray]:
 
 
 def save_graph(path, index: DenseIndex) -> None:
-    """KGRA file: build params, entry point, adjacency CSR, CRC-64."""
+    """KGRA file: a ``fileio`` frame (version 2, BLAKE2b-64 footer) around
+    build params, entry point and the adjacency CSR."""
     if index.kind != GRAPH:
         raise ValidationError("only graph indexes have a graph file")
-    buf = bytearray()
-    buf += _GRAPH_MAGIC
-    buf += struct.pack(
-        "<IQIIdQ",
-        _VERSION,
-        len(index),
-        index.max_degree,
-        index.build_width,
-        index.prune_slack,
-        index.entry,
+    header = struct.pack(
+        "<QIIdQ", len(index), index.max_degree, index.build_width, index.prune_slack, index.entry
     )
-    buf += np.ascontiguousarray(index.offsets, dtype="<i8").tobytes()
-    buf += np.ascontiguousarray(index.neighbors, dtype="<i4").tobytes()
-    write_file(path, append_checksum(buf))
+    offsets = np.ascontiguousarray(index.offsets, dtype="<i8").tobytes()
+    neighbors = np.ascontiguousarray(index.neighbors, dtype="<i4").tobytes()
+    write_file(path, frame(_GRAPH_MAGIC, _VERSION, header + offsets + neighbors))
 
 
 def load_graph(path, vectors: np.ndarray, ids: np.ndarray) -> DenseIndex:
     """Rehydrate a graph index from its file plus the embeddings it indexes."""
-    data = read_file(path)
-    check_magic(data, _GRAPH_MAGIC)
-    payload = split_checksummed(data)
-    pos = len(_GRAPH_MAGIC)
-    (version, n, max_degree, build_width, prune_slack, entry), pos = unpack_at(
-        "<IQIIdQ", payload, pos
-    )
-    if version != _VERSION:
-        raise ValidationError(f"unsupported graph version {version}")
+    payload = unframe(read_file(path), _GRAPH_MAGIC, _VERSION, "graph")
+    (n, max_degree, build_width, prune_slack, entry), pos = unpack_at("<QIIdQ", payload, 0)
     if n != len(vectors):
         raise ValidationError("graph file does not match embeddings")
     raw, pos = take(payload, pos, (n + 1) * 8)
     offsets = np.frombuffer(raw, dtype="<i8").astype(np.int64)
+    degrees = np.diff(offsets)
+    if offsets[0] != 0 or np.any(degrees < 0):
+        raise ValidationError("corrupt graph file: offsets must start at 0 and not decrease")
+    if len(degrees) and degrees.max() > max_degree:
+        raise ValidationError(f"corrupt graph file: a node has more than {max_degree} neighbors")
+    if entry >= max(n, 1):  # an empty graph keeps entry 0
+        raise ValidationError(f"corrupt graph file: entry point {entry} outside {n} nodes")
     raw, pos = take(payload, pos, int(offsets[-1]) * 4)
     neighbors = np.frombuffer(raw, dtype="<i4").astype(np.int32)
     if pos != len(payload):
         raise ValidationError("corrupt graph file: trailing bytes")
+    if len(neighbors) and (neighbors.min() < 0 or neighbors.max() >= n):
+        raise ValidationError(f"corrupt graph file: neighbor id outside [0, {n})")
     return DenseIndex(
         kind=GRAPH,
         vectors=np.asarray(vectors, dtype=np.float32),

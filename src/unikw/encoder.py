@@ -39,13 +39,13 @@ import numpy as np
 
 from .corpus import TokenSeq, Vocab
 from .errors import TrainingDiverged, ValidationError
-from .fileio import append_checksum, check_magic, read_file, split_checksummed, take, unpack_at, write_file
+from .fileio import frame, read_file, take, unframe, unpack_at, write_file
 
 COSINE = "cosine"
 DOT = "dot"
 
 _MAGIC = b"KENC"
-_VERSION = 1
+_VERSION = 2
 
 #: Parameter tensors in canonical (checkpoint and gradient) order.
 PARAM_NAMES = (
@@ -563,10 +563,9 @@ def train(config: TrainConfig, pairs, vocab: Vocab) -> TrainResult:
 
 
 def save_params(params: EncoderParams, path) -> None:
-    """Checkpoint: KENC header, float64 row-major tensors, CRC-64 footer."""
+    """Checkpoint: a ``fileio`` frame (magic KENC, version 2, BLAKE2b-64
+    footer) around the shape header and float64 row-major tensors."""
     buf = bytearray()
-    buf += _MAGIC
-    buf += struct.pack("<I", _VERSION)
     buf += struct.pack(
         "<QIIII",
         params.vocab_size,
@@ -578,18 +577,12 @@ def save_params(params: EncoderParams, path) -> None:
     for name in PARAM_NAMES:
         arr = np.ascontiguousarray(getattr(params, name), dtype="<f8")
         buf += arr.tobytes()
-    write_file(path, append_checksum(buf))
+    write_file(path, frame(_MAGIC, _VERSION, buf))
 
 
 def load_params(path) -> EncoderParams:
-    data = read_file(path)
-    check_magic(data, _MAGIC)
-    payload = split_checksummed(data)
-    pos = len(_MAGIC)
-    (version,), pos = unpack_at("<I", payload, pos)
-    if version != _VERSION:
-        raise ValidationError(f"unsupported checkpoint version {version}")
-    (v, d, d_dr, h, m), pos = unpack_at("<QIIII", payload, pos)
+    payload = unframe(read_file(path), _MAGIC, _VERSION, "checkpoint")
+    (v, d, d_dr, h, m), pos = unpack_at("<QIIII", payload, 0)
     shapes = {
         "token_emb": (v, d),
         "pos_emb": (m, d),

@@ -86,6 +86,11 @@ class EngineBundle:
             raise ValidationError("trie keyword id outside the catalog")
         if len(self.index.ids) and int(self.index.ids.max()) >= len(self.catalog):
             raise ValidationError("index keyword id outside the catalog")
+        if self.index.vectors.shape[1] != self.params.dense_dim:
+            raise ValidationError(
+                f"index vector width {self.index.vectors.shape[1]} != encoder dense_dim "
+                f"{self.params.dense_dim}"
+            )
 
 
 def retrieve_channels(

@@ -19,11 +19,12 @@ fully reversed path beneath it: EOW first, then content tokens right to
 left.  The length partition lets a right-to-left decoder know which
 absolute position each depth corresponds to.
 
-Serialization.  Little-endian: magic ``KTRI``, version u32, vocab
-checksum u64, node count u64, direction u8, terminal count u64; then
-per-node degrees as varints, per-node delta-encoded edge labels, sorted
-delta-encoded terminal node ids with their keyword ids; CRC-64 footer.
-The byte stream is a pure function of the trie contents.
+Serialization.  One ``fileio`` frame (magic ``KTRI``, version u32 = 2,
+body, BLAKE2b-64 footer) whose little-endian body is: vocab checksum u64,
+node count u64, direction u8, terminal count u64; then per-node degrees
+as varints, per-node delta-encoded edge labels, sorted delta-encoded
+terminal node ids with their keyword ids.  The byte stream is a pure
+function of the trie contents.
 """
 
 from __future__ import annotations
@@ -35,22 +36,13 @@ import numpy as np
 
 from .corpus import EOW_ID, TokenSeq
 from .errors import ValidationError
-from .fileio import (
-    append_checksum,
-    check_magic,
-    read_file,
-    read_uvarint,
-    split_checksummed,
-    unpack_at,
-    write_file,
-    write_uvarint,
-)
+from .fileio import frame, read_file, read_uvarint, unframe, unpack_at, write_file, write_uvarint
 
 FORWARD = "forward"
 REVERSED = "reversed"
 
 _MAGIC = b"KTRI"
-_VERSION = 1
+_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -215,13 +207,10 @@ def length_partitions(trie: KeywordTrie) -> list[tuple[int, int]]:
 
 def to_bytes(trie: KeywordTrie) -> bytes:
     """Deterministic binary serialization (see module docstring)."""
-    buf = bytearray()
-    buf += _MAGIC
-    buf += struct.pack("<I", _VERSION)
-    buf += struct.pack("<Q", trie.vocab_checksum)
-    buf += struct.pack("<Q", trie.node_count)
-    buf += struct.pack("<B", 0 if trie.direction == FORWARD else 1)
-    buf += struct.pack("<Q", trie.keyword_count)
+    direction_flag = 0 if trie.direction == FORWARD else 1
+    buf = bytearray(
+        struct.pack("<QQBQ", trie.vocab_checksum, trie.node_count, direction_flag, trie.keyword_count)
+    )
 
     offsets = trie.offsets
     labels = trie.labels
@@ -238,20 +227,12 @@ def to_bytes(trie: KeywordTrie) -> bytes:
         write_uvarint(buf, int(node) - prev)
         write_uvarint(buf, int(kid))
         prev = int(node)
-    return append_checksum(buf)
+    return frame(_MAGIC, _VERSION, buf)
 
 
 def from_bytes(data: bytes) -> KeywordTrie:
-    check_magic(data, _MAGIC)  # header first: corrupt magic beats bad checksum
-    payload = split_checksummed(data)
-    pos = len(_MAGIC)
-    (version,), pos = unpack_at("<I", payload, pos)
-    if version != _VERSION:
-        raise ValidationError(f"unsupported trie version {version}")
-    (vocab_checksum,), pos = unpack_at("<Q", payload, pos)
-    (node_count,), pos = unpack_at("<Q", payload, pos)
-    (direction_flag,), pos = unpack_at("<B", payload, pos)
-    (term_count,), pos = unpack_at("<Q", payload, pos)
+    payload = unframe(data, _MAGIC, _VERSION, "trie")
+    (vocab_checksum, node_count, direction_flag, term_count), pos = unpack_at("<QQBQ", payload, 0)
 
     degrees = np.zeros(node_count, dtype=np.int64)
     for i in range(node_count):

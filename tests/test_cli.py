@@ -1,10 +1,12 @@
 """End-to-end command-line pipeline on a small synthetic corpus."""
 
 import json
+import shutil
 
 import pytest
 
 from unikw.cli import main
+from unikw.fileio import frame
 
 from synthdata import make_training_corpus, write_corpus_files
 
@@ -143,6 +145,22 @@ class TestPipeline:
         assert payload["overlap"]["jaccard"] == 1.0
         assert payload["overlap"]["unique_to_a_fraction"] == 0.0
 
+    @pytest.mark.parametrize(
+        "name", ["trie.fwd.ktri", "trie.rev.ktri", "encoder.kenc", "embeddings.kemb", "graph.kgra"]
+    )
+    def test_version_1_file_is_validation_error(self, pipeline, tmp_path, capsys, name):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(pipeline["bundle"], bundle)
+        data = (bundle / name).read_bytes()
+        (bundle / name).write_bytes(frame(data[:4], 1, data[8:-8]))
+        code = main([
+            "retrieve", "--bundle-dir", str(bundle),
+            "--queries", str(pipeline["paths"]["queries"]), "--out", str(tmp_path / "r.jsonl"),
+        ])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"]["kind"] == "validation" and "version 1" in err["error"]["message"]
+
 
 class TestEvalFixture:
     def test_metrics_match_hand_values(self, tmp_path):
@@ -232,6 +250,26 @@ class TestErrorHandling:
 
     def test_config_without_value_is_validation_error(self, capsys):
         code = main(["retrieve", "--bundle-dir", "b", "--queries", "q", "--out", "o", "--config"])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"]["kind"] == "validation" and "--config" in err["error"]["message"]
+
+    def test_config_equals_form_overrides_defaults(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"min_count": 2}), encoding="utf-8")
+        kw = tmp_path / "kw.txt"
+        kw.write_text("a a\nb\n", encoding="utf-8")
+        pairs = tmp_path / "p.tsv"
+        pairs.write_text("a\ta\n", encoding="utf-8")
+        out = tmp_path / "vocab.txt"
+        assert main([
+            "build-vocab", "--keywords", str(kw), "--pairs", str(pairs),
+            f"--config={config}", "--out", str(out),
+        ]) == 0
+        assert out.read_text(encoding="utf-8").splitlines() == ["a"]
+
+    def test_config_equals_without_value_is_validation_error(self, capsys):
+        code = main(["retrieve", "--bundle-dir", "b", "--queries", "q", "--out", "o", "--config="])
         assert code == 2
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"]["kind"] == "validation" and "--config" in err["error"]["message"]

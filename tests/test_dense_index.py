@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -193,3 +195,26 @@ class TestPersistence:
         save_graph(tmp_path / "g.kgra", index)
         with pytest.raises(ValidationError, match="match"):
             load_graph(tmp_path / "g.kgra", v[:5], np.arange(5))
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            pytest.param(lambda g: {"neighbors": np.r_[len(g), g.neighbors[1:]]}, "neighbor id",
+                         id="neighbor-n"),
+            pytest.param(lambda g: {"neighbors": np.r_[-1, g.neighbors[1:]]}, "neighbor id",
+                         id="neighbor-negative"),
+            pytest.param(lambda g: {"entry": len(g)}, "entry point", id="entry-n"),
+            pytest.param(lambda g: {"offsets": g.offsets + 1}, "offsets", id="offsets-start"),
+            pytest.param(
+                lambda g: {"offsets": np.r_[0, g.offsets[2], g.offsets[1], g.offsets[3:]]},
+                "offsets", id="offsets-decrease",
+            ),
+            pytest.param(lambda g: {"max_degree": 1}, "more than 1 neighbors", id="degree"),
+        ],
+    )
+    def test_corrupt_graph_rejected_at_load(self, tmp_path, rng, corrupt, message):
+        v = unit_vectors(rng, 20, 4)
+        index = build_graph(v, np.arange(20), max_degree=4, build_width=8)
+        save_graph(tmp_path / "g.kgra", replace(index, **corrupt(index)))
+        with pytest.raises(ValidationError, match=message):
+            load_graph(tmp_path / "g.kgra", v, np.arange(20))

@@ -114,6 +114,14 @@ class TestBundleValidation:
         with pytest.raises(ValidationError):
             bad.validate()
 
+    def test_dense_width_mismatch_detected(self, bundle):
+        from dataclasses import replace
+
+        narrower = replace(bundle.index, vectors=bundle.index.vectors[:, :-1])
+        bad = replace(bundle, index=narrower)
+        with pytest.raises(ValidationError, match="dense_dim"):
+            bad.validate()
+
 
 class TestOverlapStats:
     def test_half_overlap(self):
