@@ -40,6 +40,7 @@ from .dense_index import (
     load_graph,
     save_embeddings,
     save_graph,
+    search,
 )
 from .encoder import TrainConfig, embed_batch, encode, load_params, save_params, train
 from .errors import ConsistencyError, ValidationError
@@ -173,6 +174,9 @@ def cmd_index(args) -> int:
         vectors, ids = vectors[reps], reps
         rep_note = f" ({len(reps)} representatives of {len(keywords)})"
 
+    # load_bundle serves graph.kgra whenever it exists, so drop one that
+    # an earlier graph index left behind before writing the new embeddings.
+    (out_dir / "graph.kgra").unlink(missing_ok=True)
     save_embeddings(out_dir / "embeddings.kemb", vectors, ids)
     if args.kind == "graph":
         index = build_graph(
@@ -270,6 +274,7 @@ def cmd_bench(args) -> int:
     report = {"meta": _meta(args, "bench"), "queries": len(queries), "beams": []}
 
     base = load_bundle(args.bundle_dir)
+    dense_k = min(base.dense_k, len(base.index))
     encoded = [
         encode(base.params, tokenize(q, base.vocab, "query", base.params.max_len))
         for q in queries
@@ -278,6 +283,7 @@ def cmd_bench(args) -> int:
         bundle = replace(base, decode=replace(base.decode, beam_size=beam, orders=orders))
         end_to_end: list[float] = []
         decode_only: list[float] = []
+        dense_only: list[float] = []
         forwards_before = bundle.params.forward_counter.count
         for _ in range(args.repeat):
             for query in queries:
@@ -290,6 +296,9 @@ def cmd_bench(args) -> int:
                     out.nar_logprobs, bundle.forward_trie, bundle.reversed_trie, bundle.decode
                 )
                 decode_only.append((time.perf_counter() - t0) * 1e3)
+                t0 = time.perf_counter()
+                search(bundle.index, out.dr_embedding, dense_k, bundle.search_width)
+                dense_only.append((time.perf_counter() - t0) * 1e3)
         forwards = bundle.params.forward_counter.count - forwards_before
         per_query = forwards / (len(queries) * args.repeat)
 
@@ -308,6 +317,7 @@ def cmd_bench(args) -> int:
                 "forward_passes_per_query": per_query,
                 "end_to_end": stats(end_to_end),
                 "decode": stats(decode_only),
+                "dense": stats(dense_only),
             }
         )
     if args.out:
@@ -377,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--keywords", required=True)
     p.add_argument("--vocab", required=True)
-    p.add_argument("--kind", choices=("exact", "graph"), default="graph")
+    p.add_argument("--kind", choices=("exact", "graph"), default="exact")
     p.add_argument("--cluster-threshold", type=float, default=None)
     p.add_argument("--max-degree", type=int, default=32)
     p.add_argument("--build-width", type=int, default=64)

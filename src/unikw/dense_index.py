@@ -228,6 +228,42 @@ def build_graph(
     )
 
 
+def _float32_dot_error(dim: int) -> float:
+    """Bound on ``|fl32(x . q) - x . q|`` for unit rows ``x`` and unit ``q``.
+
+    With unit roundoff ``u = 2**-24`` and ``gamma_m = m*u / (1 - m*u)``
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 3.1): a
+    float32 dot product of length ``d``, summed in any order, with or
+    without fused multiply-adds, is off by at most ``gamma_d * |x| |q32|``.
+    Rounding the float64 query to float32 moves each product by at most
+    ``u |x_i q_i|``, so by at most ``u |x| |q|`` in all.  With ``|x|`` and
+    ``|q|`` unit to within float rounding, the two sum to at most
+    ``gamma_{d+1}`` to first order.  Taking ``gamma_{d+2}`` leaves ``2u``
+    of slack in ``search``'s margin of twice this bound: ``u`` for the
+    float32 rounding of the threshold ``kth - margin``, the rest for the
+    second-order terms and the float64 rounding of the rescored scores,
+    which is below ``d * 2**-53``.
+    """
+    m = (dim + 2) * 2.0**-24
+    return m / (1.0 - m)
+
+
+def _rescore(
+    index: DenseIndex, rows: np.ndarray, query: np.ndarray, k: int
+) -> list[tuple[int, float]]:
+    """The best ``k`` of ``rows`` by float64 score, ties broken by id.
+
+    ``einsum`` scores each row with the same sequence of operations
+    wherever it sits, so identical rows get identical scores.  A BLAS
+    matrix-vector product does not promise that: it treats the last few
+    rows of a matrix with other kernels, whose sums round differently.
+    """
+    scores = np.einsum("ij,j->i", index.vectors[rows].astype(np.float64), query)
+    ids = index.ids[rows]
+    top = np.lexsort((ids, -scores))[:k]
+    return list(zip(ids[top].tolist(), scores[top].tolist()))
+
+
 def search(
     index: DenseIndex,
     query: np.ndarray,
@@ -239,6 +275,14 @@ def search(
     Empty indexes return no results; otherwise ``k`` may not exceed the
     index size.  For graph indexes ``search_width`` (default 100) bounds
     the best-first candidate list and must be at least ``k``.
+
+    Both kinds report float64 scores from ``_rescore``.  The exact kind
+    finds its candidates with one float32 scan: every row whose float32
+    score is within ``2 * _float32_dot_error(d)`` of the k-th best float32
+    score is rescored, so no row of the float64 top k is missed.  If row
+    ``j`` is dropped, its float32 score is more than twice the error bound
+    below that of each of the k best float32 rows, so its true score is
+    below each of theirs, and by more than the float64 rounding of either.
     """
     n = len(index)
     if n == 0:
@@ -247,14 +291,15 @@ def search(
         raise ValidationError(f"k={k} out of range for index of {n}")
     query = np.asarray(query, dtype=np.float64).ravel()
     norm = np.linalg.norm(query)
-    if norm < 1e-12:
-        raise ValidationError("zero query vector")
+    if not 1e-12 <= norm < np.inf:
+        raise ValidationError("query vector must be non-zero and finite")
     query = query / norm
 
     if index.kind == EXACT:
-        scores = index.vectors.astype(np.float64) @ query
-        top = np.lexsort((index.ids, -scores))[:k]
-        return [(int(index.ids[i]), float(scores[i])) for i in top]
+        scores = index.vectors @ query.astype(np.float32)
+        kth = np.partition(scores, n - k)[n - k]
+        margin = 2 * _float32_dot_error(index.vectors.shape[1])
+        return _rescore(index, np.flatnonzero(scores >= kth - margin), query, k)
 
     width = DEFAULT_SEARCH_WIDTH if search_width is None else search_width
     width = max(width, k)
@@ -264,10 +309,7 @@ def search(
         return index.neighbors[s:e]
 
     result, _ = _greedy_search(index.vectors, adjacency, index.entry, query, width)
-    rows = [r for _, r in result[:k]]
-    scored = [(int(index.ids[r]), float(index.vectors[r].astype(np.float64) @ query)) for r in rows]
-    scored.sort(key=lambda item: (-item[1], item[0]))
-    return scored
+    return _rescore(index, np.array([r for _, r in result[:k]], dtype=np.int64), query, k)
 
 
 def cluster_keywords(vectors, ids, similarity_threshold: float) -> dict[int, int]:

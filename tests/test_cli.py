@@ -5,7 +5,7 @@ import shutil
 
 import pytest
 
-from unikw.cli import main
+from unikw.cli import load_bundle, main
 from unikw.fileio import frame
 
 from synthdata import make_training_corpus, write_corpus_files
@@ -133,6 +133,32 @@ class TestPipeline:
         for row in report["beams"]:
             assert row["forward_passes_per_query"] == 1.0
             assert row["decode"]["mean_ms"] > 0
+
+    def test_bench_times_dense_search(self, pipeline):
+        out = pipeline["root"] / "bench-dense.json"
+        assert main([
+            "bench", "--bundle-dir", str(pipeline["bundle"]),
+            "--queries", str(pipeline["paths"]["queries"]),
+            "--beams", "5,10", "--repeat", "2", "--out", str(out),
+        ]) == 0
+        report = json.loads(out.read_text(encoding="utf-8"))
+        for row in report["beams"]:
+            dense = row["dense"]
+            assert set(dense) == {"mean_ms", "p50_ms", "p90_ms", "p99_ms"}
+            assert 0 < dense["p50_ms"] <= dense["p90_ms"] <= dense["p99_ms"]
+            assert dense["mean_ms"] > 0
+
+    def test_exact_reindex_removes_stale_graph(self, pipeline, tmp_path):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(pipeline["bundle"], bundle)
+        assert load_bundle(bundle).index.kind == "graph"
+        assert main([
+            "index", "--checkpoint", str(bundle / "encoder.kenc"),
+            "--keywords", str(pipeline["paths"]["keywords"]), "--vocab", str(bundle / "vocab.txt"),
+            "--kind", "exact", "--out", str(bundle),
+        ]) == 0
+        assert not (bundle / "graph.kgra").exists()
+        assert load_bundle(bundle).index.kind == "exact"
 
     def test_overlap_identical_files_json(self, pipeline):
         results = pipeline["root"] / "results.jsonl"

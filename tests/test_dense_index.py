@@ -56,9 +56,50 @@ class TestExact:
         with pytest.raises(ValidationError, match="k="):
             search(index, np.ones(4), 4)
 
+    @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
+    def test_degenerate_query_rejected(self, rng, bad):
+        index = build_exact(unit_vectors(rng, 3, 4), np.arange(3))
+        with pytest.raises(ValidationError, match="non-zero and finite"):
+            search(index, np.full(4, bad), 1)
+
     def test_zero_vector_rejected(self):
         with pytest.raises(ValidationError, match="zero vector"):
             build_exact(np.zeros((2, 4)), [0, 1])
+
+    @pytest.mark.parametrize("dim", [16, 17, 33])
+    def test_duplicate_rows_return_in_id_order(self, dim):
+        # 203 rows: a BLAS matrix-vector product scores the last rows of an
+        # odd-sized matrix with other kernels, so copies of one row there
+        # can score a few ulps apart from the copies elsewhere.
+        rng = np.random.default_rng(dim)
+        n, copies = 203, 40
+        for _ in range(25):
+            v = rng.normal(size=(n, dim))
+            rows = np.r_[rng.choice(n - 1, copies - 1, replace=False), n - 1]
+            v[rows] = v[rows[0]]
+            ids = rng.permutation(n) * 3 + 1
+            index = build_exact(v, ids)
+            got = search(index, v[rows[0]] + rng.normal(0, 0.05, dim), copies)
+            assert [kid for kid, _ in got] == sorted(ids[rows].tolist())
+            assert len({score for _, score in got}) == 1
+
+    @pytest.mark.parametrize("k", [1, 10, 2000])
+    def test_candidate_margin_keeps_the_float64_top_k(self, k):
+        # Rows a few float32 ulps apart: float64 scores sit ~1e-9 apart around
+        # the k-th, well inside float32 rounding, so the float32 order is noise.
+        rng = np.random.default_rng(5)
+        dim = 16
+        base = unit_vectors(rng, 1, dim)[0]
+        nudges = rng.integers(-8, 9, size=(2000, dim)) * 2.0**-23
+        index = build_exact(base * (1 + nudges), np.arange(2000))
+        for offset in unit_vectors(rng, 20, dim):
+            query = base + offset
+            got = search(index, query, k)
+            want = naive_topk(index.vectors, index.ids, query, k)
+            assert [kid for kid, _ in got] == [kid for kid, _ in want]
+            np.testing.assert_allclose(
+                [s for _, s in got], [s for _, s in want], rtol=0, atol=1e-12
+            )
 
 
 class TestGraph:
