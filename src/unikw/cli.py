@@ -164,6 +164,10 @@ def cmd_index(args) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # Drop what an earlier index run wrote and this one may not rewrite:
+    # load_bundle serves graph.kgra whenever it exists.
+    for stale in ("reps.tsv", "graph.kgra"):
+        (out_dir / stale).unlink(missing_ok=True)
     rep_note = ""
     if args.cluster_threshold is not None:
         mapping = cluster_keywords(vectors, ids, args.cluster_threshold)
@@ -174,9 +178,6 @@ def cmd_index(args) -> int:
         vectors, ids = vectors[reps], reps
         rep_note = f" ({len(reps)} representatives of {len(keywords)})"
 
-    # load_bundle serves graph.kgra whenever it exists, so drop one that
-    # an earlier graph index left behind before writing the new embeddings.
-    (out_dir / "graph.kgra").unlink(missing_ok=True)
     save_embeddings(out_dir / "embeddings.kemb", vectors, ids)
     if args.kind == "graph":
         index = build_graph(

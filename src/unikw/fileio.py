@@ -5,13 +5,16 @@ frame: a 4-byte magic, a little-endian u32 version, the format's body,
 and a u64 footer holding the BLAKE2b-64 digest of every byte before it.
 ``frame`` writes it and ``unframe`` reads it, checking magic, then
 version, then checksum, so an old file reports its version rather than a
-checksum mismatch.
+checksum mismatch.  Varints are written one at a time (``write_uvarint``)
+or as arrays (``encode_uvarints``, ``decode_uvarints``), with the same bytes.
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
+
+import numpy as np
 
 from .errors import ValidationError
 
@@ -34,22 +37,53 @@ def write_uvarint(buf: bytearray, value: int) -> None:
     buf.append(value)
 
 
-def read_uvarint(data: bytes, pos: int) -> tuple[int, int]:
-    """Decode an unsigned LEB128 varint at ``pos``; return (value, next pos)."""
-    value = 0
-    shift = 0
-    n = len(data)
-    while True:
-        if pos >= n:
-            raise ValidationError("truncated file: varint runs past end of data")
-        byte = data[pos]
-        pos += 1
-        value |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return value, pos
-        shift += 7
-        if shift > 63:
-            raise ValidationError("varint too long")
+# 2**7, 2**14, ..., 2**56: a value needs one byte more than the steps it reaches.
+_SEVEN_BIT_STEPS = np.left_shift(1, np.arange(7, 63, 7, dtype=np.int64))
+
+
+def encode_uvarints(values) -> bytes:
+    """LEB128 varints of non-negative int64 ``values``, back to back: the
+    bytes ``write_uvarint`` appends one value at a time."""
+    values = np.asarray(values, dtype=np.int64)
+    if values.size and values.min() < 0:
+        raise ValidationError("varint value must be non-negative")
+    sizes = 1 + np.searchsorted(_SEVEN_BIT_STEPS, values, side="right")
+    ends = np.cumsum(sizes)
+    owner = np.repeat(np.arange(len(values)), sizes)
+    shift = 7 * (np.arange(len(owner)) - np.repeat(ends - sizes, sizes))
+    out = ((values[owner] >> shift) & 0x7F | 0x80).astype(np.uint8)
+    out[ends - 1] &= 0x7F  # the last byte of a varint has no continuation bit
+    return out.tobytes()
+
+
+def decode_uvarints(data, outs) -> None:
+    """Fill the int64 arrays ``outs``, in order, with the LEB128 varints that
+    make up ``data`` exactly; a varint of over nine bytes (63 bits) is an error.
+    Only multi-byte varints get int64 temporaries, one pass per byte position."""
+    raw = np.frombuffer(data, dtype=np.uint8)
+    last = raw < 0x80
+    bounds = np.cumsum([0] + [len(out) for out in outs])
+    found, count = np.count_nonzero(last), bounds[-1]
+    if found < count:
+        raise ValidationError("truncated file: varint runs past end of data")
+    if found > count or (raw.size and not last[-1]):
+        raise ValidationError("corrupt file: trailing bytes after the last varint")
+    follows = np.concatenate(([False], ~last))[:-1]  # the byte before continues into this one
+    at = np.flatnonzero(last & follows) - 1  # each multi-byte varint's last continuation byte
+    multi = np.flatnonzero(follows[last])  # and its index among the varints
+    tops = raw[last]
+    values = tops[multi].astype(np.int64)
+    rows = np.arange(len(multi))
+    for _ in range(8):  # raw[-1] ends a varint, so raw[at - 1] is safe at 0
+        values[rows] = values[rows] << 7 | raw[at] & 0x7F
+        more = raw[at - 1] >= 0x80
+        rows, at = rows[more], at[more] - 1
+    if rows.size:
+        raise ValidationError("varint too long")
+    for out, start, end in zip(outs, bounds, bounds[1:]):
+        out[:] = tops[start:end]
+        lo, hi = np.searchsorted(multi, (start, end))
+        out[multi[lo:hi] - start] = values[lo:hi]
 
 
 def take(data: bytes, pos: int, count: int) -> tuple[bytes, int]:

@@ -11,6 +11,8 @@ labels need to be stored.  Edge labels at every node are strictly
 increasing, so child lookup is a binary search.  Terminals (end of a full
 keyword path) live in one dense array holding the keyword id of every
 node, -1 where no keyword ends, so ``terminal_id`` is a single index.
+``build_trie`` sorts the padded keyword paths; each adds the nodes past
+its longest common prefix with the one before, numbered in BFS order.
 
 Directions.  A forward trie stores each keyword's token path as-is,
 ending with the EOW sentinel.  A reversed trie partitions keywords by
@@ -21,9 +23,10 @@ absolute position each depth corresponds to.
 
 Serialization.  One ``fileio`` frame (magic ``KTRI``, version u32 = 2,
 body, BLAKE2b-64 footer) whose little-endian body is: vocab checksum u64,
-node count u64, direction u8, terminal count u64; then per-node degrees
-as varints, per-node delta-encoded edge labels, sorted delta-encoded
-terminal node ids with their keyword ids.  The byte stream is a pure
+node count u64, direction u8, terminal count u64; then one stream of
+LEB128 varints: per-node degrees, per-node delta-encoded edge labels,
+sorted delta-encoded terminal node ids each followed by its keyword id.
+Each direction is one ``fileio`` array call; the bytes are a pure
 function of the trie contents.
 """
 
@@ -31,18 +34,20 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .corpus import EOW_ID, TokenSeq
 from .errors import ValidationError
-from .fileio import frame, read_file, read_uvarint, unframe, unpack_at, write_file, write_uvarint
+from .fileio import decode_uvarints, encode_uvarints, frame, read_file, unframe, unpack_at, write_file
 
 FORWARD = "forward"
 REVERSED = "reversed"
 
 _MAGIC = b"KTRI"
 _VERSION = 2
+_MAX_LABEL = 2**31 - 1  # labels are int32
 
 
 @dataclass(frozen=True)
@@ -60,10 +65,6 @@ class KeywordTrie:
         return len(self.offsets) - 1
 
     @property
-    def edge_count(self) -> int:
-        return len(self.labels)
-
-    @property
     def keyword_count(self) -> int:
         return int(np.count_nonzero(self.node_keyword >= 0))
 
@@ -76,76 +77,65 @@ class KeywordTrie:
         return self.node_keyword[self.term_nodes]
 
 
-def _keyword_path(tokens: TokenSeq, direction: str) -> tuple[int, ...]:
-    if direction == FORWARD:
-        return tuple(tokens)
-    return (len(tokens),) + tuple(reversed(tokens))
-
-
 def build_trie(keywords, direction: str = FORWARD, vocab_checksum: int = 0) -> KeywordTrie:
     """Build from an iterable of ``(token_seq, keyword_id)``.
 
-    Every sequence must end with exactly one EOW; ids must be unique; and
-    two entries may not share one token sequence (the catalog has to be
-    deduplicated before tokenization).
+    Every sequence must end with exactly one EOW; ids must be unique and
+    non-negative; and two entries may not share one token sequence (the
+    catalog has to be deduplicated before tokenization).
     """
     if direction not in (FORWARD, REVERSED):
         raise ValidationError(f"unknown trie direction: {direction!r}")
+    entries = list(keywords)
+    seqs, ids = zip(*entries) if entries else ((), ())
+    ids = np.fromiter(ids, dtype=np.int64, count=len(ids))
+    lengths = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
+    tokens = np.fromiter(chain.from_iterable(seqs), dtype=np.int64, count=int(lengths.sum()))
+    if not np.array_equal(np.flatnonzero(tokens == EOW_ID), np.cumsum(lengths) - 1):
+        bad = next(k for s, k in entries if list(s)[-1:] != [EOW_ID] or list(s).count(EOW_ID) > 1)
+        raise ValidationError(f"keyword {bad}: token sequence must end with a single EOW")
+    if ids.size and ids.min() < 0:
+        raise ValidationError(f"keyword id {ids.min()} is negative")
+    unique, counts = np.unique(ids, return_counts=True)
+    if (counts > 1).any():
+        raise ValidationError(f"duplicate keyword id {unique[counts > 1][0]}")
 
-    children: list[dict[int, int]] = [{}]
-    terminal: dict[int, int] = {}
-    seen_ids: set[int] = set()
-    for tokens, keyword_id in keywords:
-        tokens = tuple(tokens)
-        if not tokens or tokens[-1] != EOW_ID or tokens.count(EOW_ID) != 1:
-            raise ValidationError(
-                f"keyword {keyword_id}: token sequence must end with a single EOW"
-            )
-        if keyword_id < 0:
-            raise ValidationError(f"keyword id {keyword_id} is negative")
-        if keyword_id in seen_ids:
-            raise ValidationError(f"duplicate keyword id {keyword_id}")
-        seen_ids.add(keyword_id)
-        node = 0
-        for label in _keyword_path(tokens, direction):
-            nxt = children[node].get(label)
-            if nxt is None:
-                nxt = len(children)
-                children.append({})
-                children[node][label] = nxt
-            node = nxt
-        if node in terminal:
-            raise ValidationError(
-                f"duplicate keyword token sequence (ids {terminal[node]} and {keyword_id})"
-            )
-        terminal[node] = keyword_id
+    # Sorted rows of paths padded with -1.  No path is a prefix of another
+    # (one EOW each, and the length leads a reversed path), so each row adds
+    # the nodes past its longest common prefix (LCP) with the row above.
+    reverse = direction == REVERSED
+    depth = lengths + reverse
+    paths = np.full((len(ids), int(depth.max(initial=1))), -1, dtype=np.int64)
+    filled = np.arange(paths.shape[1] - reverse) < lengths[:, None]
+    if reverse:  # (m, EOW, ..., first token): the token list backwards, rows bottom-up
+        paths[:, 0] = lengths
+        paths[::-1, 1:][filled[::-1]] = tokens[::-1]
+    else:
+        paths[filled] = tokens
+    order = np.lexsort(paths.T[::-1])
+    paths, depth, ids = paths[order], depth[order], ids[order]
+    lcp = np.zeros(len(ids), dtype=np.int64)
+    lcp[1:] = np.logical_and.accumulate(paths[1:] == paths[:-1], axis=1).sum(axis=1)
+    if (lcp >= depth).any():
+        i = np.argmax(lcp >= depth)
+        raise ValidationError(f"duplicate keyword token sequence (ids {ids[i - 1]} and {ids[i]})")
 
-    # BFS renumber with per-node children sorted by label: the result is
-    # independent of insertion order.
-    n = len(children)
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    labels = np.zeros(max(n - 1, 0), dtype=np.int32)
-    remap = np.zeros(n, dtype=np.int64)
-    order = [0]
-    edge = 0
-    for new_id, old in enumerate(order):
-        remap[old] = new_id
-        offsets[new_id] = edge
-        for label in sorted(children[old]):
-            labels[edge] = label
-            edge += 1
-            order.append(children[old][label])
-    offsets[n] = edge
-
+    # BFS numbers the new cells by (depth, row); every cell's node is the
+    # last one numbered above it in its column, its parent the one to its left.
+    column = np.arange(paths.shape[1])
+    new = (column >= lcp[:, None]) & (column < depth[:, None])
+    node = np.zeros(paths.shape, dtype=np.int64)
+    node.T[new.T] = np.arange(1, 1 + np.count_nonzero(new))
+    node = np.maximum.accumulate(node, axis=0)
+    parent = np.pad(node[:, :-1], ((0, 0), (1, 0)))
+    labels = paths.T[new.T]
+    if labels.size and (labels.min() < 0 or labels.max() > _MAX_LABEL):
+        raise ValidationError("token id out of the int32 label range")
+    n = 1 + len(labels)
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(parent.T[new.T], minlength=n))))
     node_keyword = np.full(n, -1, dtype=np.int64)
-    node_keyword[remap[list(terminal)]] = list(terminal.values())
-    return KeywordTrie(
-        offsets=offsets,
-        labels=labels,
-        node_keyword=node_keyword,
-        direction=direction,
-        vocab_checksum=vocab_checksum,
-    )
+    node_keyword[node[np.arange(len(ids)), depth - 1]] = ids
+    return KeywordTrie(offsets, labels.astype(np.int32), node_keyword, direction, vocab_checksum)
 
 
 def children(trie: KeywordTrie, node: int) -> list[tuple[int, int]]:
@@ -184,18 +174,13 @@ def terminal_id(trie: KeywordTrie, node: int) -> int | None:
 
 
 def lookup(trie: KeywordTrie, tokens: TokenSeq) -> int | None:
-    """Keyword id of an exact (forward-order, EOW-terminated) token sequence.
-
-    Works on both directions: for reversed tries the matching length
-    partition and reversed path are consulted internally.
-    """
+    """Keyword id of an exact (forward-order, EOW-terminated) token sequence,
+    in either direction (a reversed trie walks its length partition)."""
     tokens = tuple(tokens)
     if not tokens or tokens[-1] != EOW_ID:
         raise ValidationError("lookup requires an EOW-terminated token sequence")
-    node = walk(trie, _keyword_path(tokens, trie.direction))
-    if node is None:
-        return None
-    return terminal_id(trie, node)
+    node = walk(trie, tokens if trie.direction == FORWARD else (len(tokens),) + tokens[::-1])
+    return None if node is None else terminal_id(trie, node)
 
 
 def length_partitions(trie: KeywordTrie) -> list[tuple[int, int]]:
@@ -207,70 +192,50 @@ def length_partitions(trie: KeywordTrie) -> list[tuple[int, int]]:
 
 def to_bytes(trie: KeywordTrie) -> bytes:
     """Deterministic binary serialization (see module docstring)."""
-    direction_flag = 0 if trie.direction == FORWARD else 1
-    buf = bytearray(
-        struct.pack("<QQBQ", trie.vocab_checksum, trie.node_count, direction_flag, trie.keyword_count)
-    )
-
-    offsets = trie.offsets
-    labels = trie.labels
-    for i in range(trie.node_count):
-        write_uvarint(buf, int(offsets[i + 1] - offsets[i]))
-    for i in range(trie.node_count):
-        prev = 0
-        for e in range(int(offsets[i]), int(offsets[i + 1])):
-            label = int(labels[e])
-            write_uvarint(buf, label - prev)  # strictly increasing per node
-            prev = label
-    prev = 0
-    for node, kid in zip(trie.term_nodes, trie.term_ids):
-        write_uvarint(buf, int(node) - prev)
-        write_uvarint(buf, int(kid))
-        prev = int(node)
-    return frame(_MAGIC, _VERSION, buf)
+    flag = int(trie.direction == REVERSED)
+    header = struct.pack("<QQBQ", trie.vocab_checksum, trie.node_count, flag, trie.keyword_count)
+    degrees = np.diff(trie.offsets)
+    deltas = np.diff(trie.labels, prepend=0)
+    firsts = trie.offsets[:-1][degrees > 0]
+    deltas[firsts] = trie.labels[firsts]  # each node's labels count up from 0
+    terminals = np.stack([np.diff(trie.term_nodes, prepend=0), trie.term_ids], axis=1)
+    body = encode_uvarints(np.concatenate([degrees, deltas, terminals.ravel()]))
+    return frame(_MAGIC, _VERSION, header + body)
 
 
 def from_bytes(data: bytes) -> KeywordTrie:
     payload = unframe(data, _MAGIC, _VERSION, "trie")
-    (vocab_checksum, node_count, direction_flag, term_count), pos = unpack_at("<QQBQ", payload, 0)
-
-    degrees = np.zeros(node_count, dtype=np.int64)
-    for i in range(node_count):
-        degrees[i], pos = read_uvarint(payload, pos)
-    offsets = np.zeros(node_count + 1, dtype=np.int64)
-    np.cumsum(degrees, out=offsets[1:])
-    edge_count = int(offsets[-1])
-    if edge_count != node_count - 1 and node_count > 0:
+    (vocab_checksum, n, flag, term_count), pos = unpack_at("<QQBQ", payload, 0)
+    # Degrees, label deltas and terminal pairs take one byte each at least.
+    if flag > 1 or n == 0 or 2 * n - 1 + 2 * term_count > len(payload) - pos:
+        raise ValidationError(f"corrupt trie header: flag {flag}, {n} nodes, {term_count} terminals")
+    # Kept arrays first, so the temporaries sit above them in the heap (peak
+    # RSS).  An int64 sum that wraps turns negative; the range checks see it.
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    labels = np.empty(n - 1, dtype=np.int32)
+    node_keyword = np.full(n, -1, dtype=np.int64)
+    deltas = np.empty(n - 1, dtype=np.int64)
+    terminals = np.empty(2 * term_count, dtype=np.int64)
+    decode_uvarints(payload[pos:], (offsets[1:], deltas, terminals))
+    inner = offsets[1:] > 0
+    np.cumsum(offsets[1:], out=offsets[1:])
+    if offsets[-1] != n - 1 or offsets.min() < 0:
         raise ValidationError("corrupt trie: edge count does not match node count")
 
-    labels = np.zeros(edge_count, dtype=np.int32)
-    e = 0
-    for i in range(node_count):
-        prev = 0
-        for _ in range(int(degrees[i])):
-            delta, pos = read_uvarint(payload, pos)
-            prev += delta
-            labels[e] = prev
-            e += 1
+    firsts = offsets[:-1][inner]  # each inner node's first edge
+    rising = deltas > 0
+    rising[firsts] = True  # a first label may be 0
+    deltas[firsts[1:]] -= np.add.reduceat(deltas, firsts)[:-1]  # restart the sum per node
+    np.cumsum(deltas, out=deltas)
+    if not rising.all() or (deltas.size and (deltas.min() < 0 or deltas.max() > _MAX_LABEL)):
+        raise ValidationError("corrupt trie: edge labels not increasing or out of int32 range")
+    labels[:] = deltas
 
-    node_keyword = np.full(node_count, -1, dtype=np.int64)
-    node = 0
-    for _ in range(term_count):
-        delta, pos = read_uvarint(payload, pos)
-        node += delta
-        if delta == 0 or node >= node_count:
-            raise ValidationError("corrupt trie: terminal nodes out of order or range")
-        node_keyword[node], pos = read_uvarint(payload, pos)
-    if pos != len(payload):
-        raise ValidationError("corrupt trie: trailing bytes after terminals")
-
-    return KeywordTrie(
-        offsets=offsets,
-        labels=labels,
-        node_keyword=node_keyword,
-        direction=FORWARD if direction_flag == 0 else REVERSED,
-        vocab_checksum=vocab_checksum,
-    )
+    nodes = np.cumsum(terminals[0::2])
+    if term_count and (terminals[0::2].min() < 1 or nodes.min() < 1 or nodes[-1] >= n):
+        raise ValidationError("corrupt trie: terminal nodes out of order or range")
+    node_keyword[nodes] = terminals[1::2]
+    return KeywordTrie(offsets, labels, node_keyword, REVERSED if flag else FORWARD, vocab_checksum)
 
 
 def serialize(trie: KeywordTrie, path) -> int:
@@ -291,7 +256,7 @@ def memory_stats(trie: KeywordTrie, serialized_bytes: int | None = None) -> dict
     count = trie.keyword_count
     return {
         "nodes": trie.node_count,
-        "edges": trie.edge_count,
+        "edges": len(trie.labels),
         "serialized_bytes": serialized_bytes,
         "bytes_per_keyword": serialized_bytes / count if count else None,
     }

@@ -6,6 +6,9 @@ arithmetic) and never calls into the code paths it is checking.
 
 from __future__ import annotations
 
+import hashlib
+import struct
+
 import numpy as np
 
 EOW = 2
@@ -33,6 +36,57 @@ def random_catalog(rng: np.random.Generator, max_keywords=200, max_tokens=5, alp
         seen.add(tokens)
         entries.append((tokens, len(entries)))
     return entries, FIRST_TOKEN_ID + alphabet
+
+
+def scalar_trie(entries, reverse=False):
+    """The trie built one node at a time: per-node child dicts, then a
+    breadth-first renumbering with children in label order.
+
+    A forward path is the token sequence; a reversed one is its length
+    followed by the tokens right to left.  Returns (offsets, labels,
+    node_keyword) as lists, node_keyword -1 where no keyword ends.
+    """
+    children, terminal = [{}], {}
+    for tokens, keyword_id in entries:
+        path = (len(tokens),) + tuple(reversed(tokens)) if reverse else tuple(tokens)
+        node = 0
+        for label in path:
+            if label not in children[node]:
+                children[node][label] = len(children)
+                children.append({})
+            node = children[node][label]
+        terminal[node] = keyword_id
+    order, offsets, labels = [0], [0], []
+    for old in order:  # grows while it is read: breadth-first
+        for label in sorted(children[old]):
+            labels.append(label)
+            order.append(children[old][label])
+        offsets.append(len(labels))
+    return offsets, labels, [terminal.get(old, -1) for old in order]
+
+
+def scalar_ktri_bytes(entries, reverse=False, vocab_checksum=0) -> bytes:
+    """A KTRI version-2 file of ``scalar_trie``, written one varint at a time."""
+
+    def uvarint(value):
+        out = bytearray()
+        while value >= 0x80:
+            out.append(value & 0x7F | 0x80)
+            value >>= 7
+        return bytes(out + bytes([value]))
+
+    offsets, labels, node_keyword = scalar_trie(entries, reverse)
+    terminals = [(node, kid) for node, kid in enumerate(node_keyword) if kid >= 0]
+    body = struct.pack("<QQBQ", vocab_checksum, len(node_keyword), int(reverse), len(terminals))
+    body += b"".join(uvarint(end - start) for start, end in zip(offsets, offsets[1:]))
+    for start, end in zip(offsets, offsets[1:]):
+        body += b"".join(uvarint(b - a) for a, b in zip([0] + labels[start:end], labels[start:end]))
+    previous = 0
+    for node, kid in terminals:
+        body += uvarint(node - previous) + uvarint(kid)
+        previous = node
+    data = b"KTRI" + struct.pack("<I", 2) + body
+    return data + hashlib.blake2b(data, digest_size=8).digest()
 
 
 def random_prob_table(rng: np.random.Generator, max_len: int, vocab_size: int) -> np.ndarray:

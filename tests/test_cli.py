@@ -160,6 +160,19 @@ class TestPipeline:
         assert not (bundle / "graph.kgra").exists()
         assert load_bundle(bundle).index.kind == "exact"
 
+    def test_plain_reindex_removes_stale_reps(self, pipeline, tmp_path):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(pipeline["bundle"], bundle)
+        index = [
+            "index", "--checkpoint", str(bundle / "encoder.kenc"),
+            "--keywords", str(pipeline["paths"]["keywords"]), "--vocab", str(bundle / "vocab.txt"),
+            "--out", str(bundle),
+        ]
+        assert main(index + ["--cluster-threshold", "0.3"]) == 0
+        assert (bundle / "reps.tsv").exists()
+        assert main(index) == 0
+        assert not (bundle / "reps.tsv").exists()
+
     def test_overlap_identical_files_json(self, pipeline):
         results = pipeline["root"] / "results.jsonl"
         out = pipeline["root"] / "overlap.json"

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,12 +18,15 @@ from unikw import (
     serialize,
     deserialize,
     terminal_id,
+    tokenize,
+    Vocab,
     walk,
 )
-from unikw.fileio import append_checksum, split_checksummed, write_uvarint
+from unikw.fileio import append_checksum, checksum64, frame, split_checksummed, write_uvarint
 from unikw.trie import from_bytes, to_bytes
 
-from oracles import random_catalog
+from oracles import random_catalog, scalar_ktri_bytes, scalar_trie
+from synthdata import make_prefix_heavy_catalog
 
 A, B, C = 3, 4, 5
 
@@ -51,6 +56,15 @@ class TestBuild:
     def test_duplicate_id_rejected(self):
         with pytest.raises(ValidationError, match="duplicate keyword id"):
             build_trie([((A, EOW_ID), 7), ((B, EOW_ID), 7)])
+
+    @pytest.mark.parametrize("token", [-1, 2**31], ids=["negative", "2^31"])
+    def test_token_outside_int32_rejected(self, token):
+        with pytest.raises(ValidationError, match="label range"):
+            build_trie([((A, EOW_ID), 0), ((token, EOW_ID), 1)])
+
+    def test_negative_id_rejected(self):
+        with pytest.raises(ValidationError, match="negative"):
+            build_trie([((A, EOW_ID), 0), ((B, EOW_ID), -3)])
 
     def test_insertion_order_invariance(self):
         entries = [((A, B, EOW_ID), 0), ((A, C, EOW_ID), 1), ((B, EOW_ID), 2)]
@@ -232,3 +246,128 @@ class TestMemoryStats:
         stats = memory_stats(build_trie([]))
         assert stats["nodes"] == 1 and stats["edges"] == 0
         assert stats["bytes_per_keyword"] is None
+
+
+def crafted_ktri(node_count, flag, term_count, varints=(), tail=b"") -> bytes:
+    """A KTRI file with a good checksum around any header and varint body."""
+    body = bytearray(struct.pack("<QQBQ", 0, node_count, flag, term_count))
+    for value in varints:
+        write_uvarint(body, value)
+    return frame(b"KTRI", 2, bytes(body + tail))
+
+
+class TestCraftedFiles:
+    def test_boundary_values_load(self):
+        # root -> node 1 along label 2**31 - 1, keyword id 2**63 - 1 ends there
+        trie = from_bytes(crafted_ktri(2, 0, 1, [1, 0, 2**31 - 1, 1, 2**63 - 1]))
+        assert trie.labels.tolist() == [2**31 - 1]
+        assert terminal_id(trie, 1) == 2**63 - 1
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            pytest.param(crafted_ktri(2, 7, 1, [1, 0, 5, 1, 0]), id="direction-flag-7"),
+            pytest.param(crafted_ktri(0, 0, 0), id="no-nodes"),
+            pytest.param(crafted_ktri(2**50, 0, 0, [0]), id="nodes-beyond-body"),
+        ],
+    )
+    def test_bad_header_rejected_before_allocating(self, data):
+        with pytest.raises(ValidationError, match="corrupt trie header"):
+            from_bytes(data)
+
+    @pytest.mark.parametrize(
+        "varints, nodes, terms",
+        [
+            pytest.param([1, 0, 2**31, 1, 0], 2, 1, id="label-2^31"),
+            pytest.param([1, 0, 5, 1, 2**63], 2, 1, id="keyword-id-2^63"),
+            pytest.param([2, 0, 0, 5, 0, 1, 0, 1, 1], 3, 2, id="repeated-label"),
+        ],
+    )
+    def test_out_of_range_values_rejected(self, varints, nodes, terms):
+        with pytest.raises(ValidationError, match="label|varint too long"):
+            from_bytes(crafted_ktri(nodes, 0, terms, varints))
+
+    @pytest.mark.parametrize(
+        "varints, nodes, terms, message",
+        [
+            # int64 sums that wrap back into range
+            pytest.param([2**63 - 1, 2**63 - 1, 5, 0, 1, 2, 3], 4, 0, "edge count",
+                         id="degrees-wrap"),
+            pytest.param([4, 0, 0, 0, 0, 5, 2**63 - 1, 2**63 - 1, 4], 5, 0, "label",
+                         id="labels-wrap"),
+            pytest.param([3, 0, 0, 0, 3, 1, 1, 2**63 - 1, 0, 2**63 - 1, 1, 4, 2], 4, 3,
+                         "terminal nodes", id="terminals-wrap"),
+            pytest.param([2, 0, 0, 5, 6, 1, 0, 300], 3, 2, "truncated", id="missing-varint"),
+            pytest.param([1, 0, 5, 1, 0, 9], 2, 1, "trailing", id="extra-varint"),
+            pytest.param([1, 1, 5, 1, 0], 2, 1, "edge count", id="edge-count"),
+        ],
+    )
+    def test_corrupt_varint_stream_rejected(self, varints, nodes, terms, message):
+        with pytest.raises(ValidationError, match=message):
+            from_bytes(crafted_ktri(nodes, 0, terms, varints))
+
+    @pytest.mark.parametrize(
+        "varints, message",
+        [([1, 0, 5, 1], "truncated"), ([1, 0, 5, 1, 0], "trailing")],
+        ids=["in-last-varint", "after-last-varint"],
+    )
+    def test_unterminated_varint_rejected(self, varints, message):
+        with pytest.raises(ValidationError, match=message):
+            from_bytes(crafted_ktri(2, 0, 1, varints, tail=b"\x80"))
+
+
+# Keyword ids where varints grow a byte, up to the largest int64 (nine bytes).
+BOUNDARY_IDS = [0, 127, 128, 16383, 16384, 2**21, 2**28, 2**35, 2**42, 2**49, 2**56, 2**63 - 1]
+
+
+class TestScalarOracle:
+    @pytest.mark.parametrize("direction", [FORWARD, REVERSED])
+    def test_random_catalogs(self, rng, direction):
+        for _ in range(30):
+            entries, _ = random_catalog(rng, max_keywords=60)
+            ids = rng.permutation(np.array(BOUNDARY_IDS + list(range(1000, 1000 + len(entries)))))
+            entries = [(tokens, int(kid)) for (tokens, _), kid in zip(entries, ids)]
+            self.check(entries, direction)
+
+    @pytest.mark.parametrize("direction", [FORWARD, REVERSED])
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            pytest.param([], id="empty"),
+            pytest.param([((A, EOW_ID), 0)], id="single"),
+            pytest.param([((A, B, EOW_ID), kid) for kid in BOUNDARY_IDS[:1]]
+                         + [((C,) * (i + 1) + (EOW_ID,), kid)
+                            for i, kid in enumerate(BOUNDARY_IDS[1:])], id="boundary-ids"),
+        ],
+    )
+    def test_edge_catalogs(self, entries, direction):
+        self.check(entries, direction)
+
+    @staticmethod
+    def check(entries, direction):
+        reverse = direction == REVERSED
+        trie = build_trie(entries, direction, vocab_checksum=99)
+        offsets, labels, node_keyword = scalar_trie(entries, reverse)
+        assert trie.offsets.tolist() == offsets
+        assert trie.labels.tolist() == labels
+        assert trie.node_keyword.tolist() == node_keyword
+        data = to_bytes(trie)
+        assert data == scalar_ktri_bytes(entries, reverse, vocab_checksum=99)
+        back = from_bytes(data)
+        assert back.offsets.tolist() == offsets
+        assert back.labels.tolist() == labels
+        assert back.node_keyword.tolist() == node_keyword
+
+
+def test_ktri_format_pinned():
+    """The KTRI bytes of test_10's 100k prefix catalog are fixed: a change
+    to the format must show here, not pass through round trips."""
+    catalog = make_prefix_heavy_catalog()
+    vocab = Vocab.from_tokens(sorted({t for text in catalog for t in text.split()}))
+    entries = [(tokenize(text, vocab, "keyword", max_len=8), kid) for kid, text in enumerate(catalog)]
+    for direction, size, digest in (
+        (FORWARD, 793_632, 0x7D582DEA269812F8),
+        (REVERSED, 587_575, 0x0C4A5526B7D2BBF0),
+    ):
+        data = to_bytes(build_trie(entries, direction, vocab.checksum()))
+        assert (len(data), checksum64(data)) == (size, digest), direction
