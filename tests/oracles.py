@@ -73,7 +73,8 @@ def scalar_ktri_bytes(entries, reverse=False, vocab_checksum=0) -> bytes:
         while value >= 0x80:
             out.append(value & 0x7F | 0x80)
             value >>= 7
-        return bytes(out + bytes([value]))
+        out.append(value)
+        return bytes(out)
 
     offsets, labels, node_keyword = scalar_trie(entries, reverse)
     terminals = [(node, kid) for node, kid in enumerate(node_keyword) if kid >= 0]
