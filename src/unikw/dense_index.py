@@ -60,17 +60,30 @@ class DenseIndex:
         return len(self.vectors)
 
 
+_NORMALIZE_BLOCK = 1 << 16  # values per float64 block: 512 KiB of temporaries
+
+
 def _normalize(vectors: np.ndarray) -> np.ndarray:
-    vectors = np.asarray(vectors, dtype=np.float64)
+    """Unit float32 rows, each divided by its float64 norm.
+
+    Rows are done a block at a time, so the float64 temporaries stay small
+    however many rows there are; each row's result does not depend on the
+    block it falls in."""
+    vectors = np.asarray(vectors)
     if vectors.ndim != 2:
         raise ValidationError("vectors must be a 2-d array")
-    norms = np.linalg.norm(vectors, axis=1)
-    if len(vectors) and (norms < 1e-12).any():
-        bad = int(np.flatnonzero(norms < 1e-12)[0])
-        raise ValidationError(f"zero vector at row {bad} cannot be normalized")
-    out = (vectors / norms[:, None]).astype(np.float32)
-    # Renormalize in float32 so stored rows are unit within float32 eps.
-    out /= np.linalg.norm(out, axis=1)[:, None]
+    out = np.empty(vectors.shape, dtype=np.float32)
+    step = max(1, _NORMALIZE_BLOCK // max(1, vectors.shape[1]))
+    for start in range(0, len(vectors), step):
+        block = np.asarray(vectors[start:start + step], dtype=np.float64)
+        norms = np.linalg.norm(block, axis=1)
+        if (norms < 1e-12).any():
+            bad = start + int(np.flatnonzero(norms < 1e-12)[0])
+            raise ValidationError(f"zero vector at row {bad} cannot be normalized")
+        rows = out[start:start + step]
+        rows[:] = block / norms[:, None]
+        # Renormalize in float32 so stored rows are unit within float32 eps.
+        rows /= np.linalg.norm(rows, axis=1)[:, None]
     return out
 
 

@@ -66,6 +66,24 @@ class TestExact:
         with pytest.raises(ValidationError, match="zero vector"):
             build_exact(np.zeros((2, 4)), [0, 1])
 
+    @pytest.mark.parametrize("dim", [16, 33])
+    def test_rows_normalized_as_one_float64_matrix(self, rng, dim):
+        # Enough rows for several blocks and a ragged last one: each row's
+        # bits match dividing the whole matrix by its float64 norms at once.
+        v = rng.normal(size=(3 * 65536 // dim + 7, dim)).astype(np.float32)
+        whole = v.astype(np.float64)
+        want = (whole / np.linalg.norm(whole, axis=1)[:, None]).astype(np.float32)
+        want /= np.linalg.norm(want, axis=1)[:, None]
+        got = build_exact(v, np.arange(len(v))).vectors
+        assert got.dtype == np.float32
+        assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+
+    def test_zero_vector_in_a_later_block_reports_its_row(self, rng):
+        v = unit_vectors(rng, 10000, 16)
+        v[9000] = 0
+        with pytest.raises(ValidationError, match="zero vector at row 9000 "):
+            build_exact(v, np.arange(10000))
+
     @pytest.mark.parametrize("dim", [16, 17, 33])
     def test_duplicate_rows_return_in_id_order(self, dim):
         # 203 rows: a BLAS matrix-vector product scores the last rows of an
