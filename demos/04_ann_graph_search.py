@@ -1,9 +1,11 @@
 """Graph-based approximate nearest neighbor search vs the exact oracle.
 
-Builds the navigable graph (greedy search + robust pruning, reciprocal
-edges), measures recall and per-query time against the exhaustive scan
-at several search widths, and shows leader clustering collapsing
-near-duplicate vectors into representatives.
+Builds the navigable graph (batched beam search + robust pruning,
+reciprocal edges), measures recall and per-query time against the
+exhaustive scan at several search widths, times build and search against
+the exact scan at several catalog sizes to find where the graph starts to
+pay, and shows leader clustering collapsing near-duplicate vectors into
+representatives.  Runs in about a minute on a 2-vCPU machine.
 """
 
 import time
@@ -41,6 +43,30 @@ for width in (20, 50, 100, 200):
     print(f"  search_width {width:4d}: recall {hits / (10 * len(queries)):.3f}  "
           f"graph {graph_s / len(queries) * 1e3:.2f} ms/query  "
           f"exact {exact_s / len(queries) * 1e3:.2f} ms/query")
+
+# Where does the graph pay?  Width 16, as the encoder's dense head; k = 10.
+# Each time is the best of three passes over the probes.
+def per_query_ms(index, probes, **kwargs):
+    best = float("inf")
+    for _ in range(3):
+        t0 = time.perf_counter()
+        for q in probes:
+            search(index, q, 10, **kwargs)
+        best = min(best, time.perf_counter() - t0)
+    return best / len(probes) * 1e3
+
+
+print("\nbuild and per-query time at width 16 (graph search width 100, k = 10):")
+print("      rows  graph build  graph ms/query  exact ms/query")
+for size in (2_000, 8_000, 32_000, 64_000):
+    rows = rng.normal(size=(size, 16))
+    t0 = time.perf_counter()
+    graph = build_graph(rows, np.arange(size), seed=0)
+    build_s = time.perf_counter() - t0
+    probes = rng.normal(size=(200, 16))
+    graph_ms = per_query_ms(graph, probes, search_width=100)
+    exact_ms = per_query_ms(build_exact(rows, np.arange(size)), probes)
+    print(f"  {size:8d}  {build_s:9.1f} s  {graph_ms:14.3f}  {exact_ms:14.3f}")
 
 # Leader clustering: plant 10% near-duplicates, watch the index shrink.
 dupes = vectors[:400] + rng.normal(0, 1e-4, (400, dim))

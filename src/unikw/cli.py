@@ -191,6 +191,20 @@ def cmd_index(args) -> int:
     return EXIT_OK
 
 
+def _load_groups(path) -> dict[int, tuple[int, ...]]:
+    """``reps.tsv``, one ``keyword id<TAB>representative id`` line per
+    keyword, as representative -> its keyword ids, ascending."""
+    groups: dict[int, list[int]] = {}
+    with open(path, encoding="utf-8") as f:
+        for n, line in enumerate(f, 1):
+            fields = line.rstrip("\n").split("\t")
+            if len(fields) != 2 or not all(field.isascii() and field.isdigit() for field in fields):
+                raise ValidationError(f"{path}: line {n} is not 'keyword id<TAB>representative id'")
+            kid, rep = int(fields[0]), int(fields[1])
+            groups.setdefault(rep, []).append(kid)
+    return {rep: tuple(sorted(members)) for rep, members in groups.items()}
+
+
 def load_bundle(
     bundle_dir,
     beam_size: int = 100,
@@ -212,6 +226,7 @@ def load_bundle(
         index = load_graph(graph_path, vectors, ids)
     else:
         index = build_exact(vectors, ids)
+    reps_path = d / "reps.tsv"
     bundle = EngineBundle(
         params=params,
         vocab=vocab,
@@ -222,6 +237,7 @@ def load_bundle(
         decode=DecodeConfig(beam_size=beam_size, prune_threshold=prune_threshold, orders=orders),
         dense_k=dense_k,
         search_width=search_width,
+        groups=_load_groups(reps_path) if reps_path.exists() else None,
     )
     bundle.validate()
     return bundle

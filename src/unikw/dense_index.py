@@ -3,17 +3,28 @@
 All vectors are unit-normalized, so inner product and cosine coincide and
 ``1 - dot`` is a monotone stand-in for Euclidean distance on the sphere.
 
-The graph index is a flat navigable graph: every point keeps at most
-``max_degree`` diverse out-neighbors chosen by greedy search plus robust
+The graph index is a flat navigable graph in the manner of Vamana/DiskANN
+(Subramanya et al., NeurIPS 2019): every point keeps at most
+``max_degree`` diverse out-neighbors chosen by beam search plus robust
 pruning, with reciprocal edges re-pruned on overflow.  Construction runs
-two passes over the data (slack 1.0, then the configured slack), which
-noticeably tightens recall.  Search is best-first expansion bounded by a
-candidate list of ``search_width`` entries.
+two passes over a seeded random order (slack 1.0, then the configured
+slack), which noticeably tightens recall.  Points are inserted in batches,
+as in ParlayANN (Manohar et al., PPoPP 2024): the first pass's batches
+double in size from 1 up to ``_MAX_BATCH_FRACTION`` of the rows, the
+second pass uses that cap throughout.  Every point of a batch searches the
+graph as it stood when the batch started, all of them in one array beam
+search; their candidate lists are pruned in one batched robust prune; the
+reverse edges are grouped by target with one sort, and only targets that
+overflow are pruned again.  Query search is best-first expansion bounded
+by a candidate list of ``search_width`` entries.
 
 The robust-prune rule keeps the closest remaining candidate ``c`` and
 then discards every candidate ``v`` with ``slack * dist(c, v) <=
 dist(point, v)``: neighbors must either be close to the point or point in
-a direction not already covered.
+a direction not already covered.  Rows with identical vectors cannot be
+told apart by that rule (a copy of the point covers every direction), so
+they form a group: a row never takes a row of its own group as a pruned
+neighbor, and instead keeps one edge to the next row of its group.
 
 Everything here fits in memory; keyword catalogs at this scale do not
 need external storage, and the algorithmic content is unchanged by
@@ -102,27 +113,23 @@ def build_exact(vectors, ids) -> DenseIndex:
     return DenseIndex(kind=EXACT, vectors=vectors, ids=_check_ids(vectors, ids))
 
 
-def _greedy_search(
-    vectors: np.ndarray,
-    adjacency,
-    entry: int,
-    query: np.ndarray,
-    width: int,
-) -> tuple[list[tuple[float, int]], list[int]]:
-    """Best-first search; returns (top-width [(dist, row)], visited rows)."""
+def _greedy_search(index: DenseIndex, query: np.ndarray, width: int) -> list[int]:
+    """Best-first search from the entry point over the CSR graph.
+
+    Returns the ``width`` closest rows it found, by (distance, row)."""
+    vectors, offsets, neighbors = index.vectors, index.offsets, index.neighbors
+    entry = index.entry
     dist0 = float(1.0 - vectors[entry] @ query)
     frontier = [(dist0, entry)]          # min-heap by distance
     best = [(-dist0, entry)]             # max-heap over kept candidates
     seen = np.zeros(len(vectors), dtype=bool)
     seen[entry] = True
-    visited: list[int] = []
     while frontier:
         dist, row = heapq.heappop(frontier)
         if len(best) >= width and dist > -best[0][0]:
             break
-        visited.append(row)
-        nbrs = np.asarray(adjacency(row))
-        fresh = nbrs[~seen[nbrs]] if len(nbrs) else nbrs
+        nbrs = neighbors[offsets[row]:offsets[row + 1]]
+        fresh = nbrs[~seen[nbrs]]
         if not len(fresh):
             continue
         seen[fresh] = True
@@ -133,43 +140,216 @@ def _greedy_search(
                 heapq.heappush(best, (-nd, n))
                 if len(best) > width:
                     heapq.heappop(best)
-    result = sorted((-d, r) for d, r in best)
-    return result, visited
+    return [row for _, row in sorted((-d, r) for d, r in best)]
+
+
+_BEAM_WIDTH = 4              # candidates each point expands per build search step
+_MAX_BATCH_FRACTION = 0.02   # the largest insertion batch, as a share of the rows
+_PRUNE_BLOCK = 1 << 21       # pairwise distances per prune chunk: 8 MiB of float32
+
+
+def _row_distances(vectors: np.ndarray, rows: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """``1 - vectors[rows[i]] . vectors[points[i]]`` for every i, in float32.
+
+    ``einsum`` does each pair with the same operations, so identical rows
+    are equally far from a point."""
+    return 1.0 - np.einsum("ij,ij->i", vectors[rows], vectors[points])
+
+
+_PAD = np.uint64(2**64 - 1)   # an empty slot of a build search list
+_ROW_MASK = np.uint64(2**31 - 1)
+
+
+def _list_keys(dists: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """One uint64 per (distance, row) that sorts as the pair does.
+
+    The high 32 bits are the float32 distance mapped to an unsigned integer
+    of the same order, the next 31 the row; the lowest bit is set while the
+    row is unexpanded."""
+    bits = np.ascontiguousarray(dists, dtype=np.float32).view(np.uint32)
+    ordered = np.where(bits >> 31, ~bits, bits | np.uint32(2**31)).astype(np.uint64)
+    return ordered << np.uint64(32) | rows.astype(np.uint64) << np.uint64(1) | np.uint64(1)
+
+
+def _search_batch(
+    vectors: np.ndarray, adj: np.ndarray, start: int, points: np.ndarray, width: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Beam search from ``start`` for every row of ``points`` at once.
+
+    ``adj`` is the build graph, one row of neighbours per node padded with
+    -1.  Each point keeps a list of its ``width`` closest rows found, by
+    (distance, row), as sorted ``_list_keys``.  A step expands up to
+    ``_BEAM_WIDTH`` of each point's closest unexpanded rows: one gather of
+    their neighbour rows, one distance call for the neighbours not yet in
+    the list, one sort to merge them in.  A point is done when every row in
+    its list is expanded.  Returns the expanded rows as ``(owner, row)``
+    pairs, ``owner`` an index into ``points``."""
+    degree = adj.shape[1]
+    lists = np.full((len(points), width), _PAD, dtype=np.uint64)
+    starts = np.full(len(points), start)
+    lists[:, 0] = _list_keys(_row_distances(vectors, starts, points), starts)
+    owners: list[np.ndarray] = []
+    expanded: list[np.ndarray] = []
+    live = np.arange(len(points))
+    while True:
+        keys = lists[live]
+        open_ = (keys & np.uint64(1) == 1) & (keys != _PAD)
+        rank = np.cumsum(open_, axis=1)
+        pick = open_ & (rank <= _BEAM_WIDTH)
+        busy = pick.any(axis=1)
+        if not busy.all():
+            live, keys, pick, rank = live[busy], keys[busy], pick[busy], rank[busy]
+        if not len(live):
+            break
+        r, c = np.nonzero(pick)
+        keys[r, c] -= np.uint64(1)
+        nodes = (keys[r, c] >> np.uint64(1) & _ROW_MASK).astype(np.int64)
+        owners.append(live[r])
+        expanded.append(nodes)
+
+        fresh = np.full((len(live), _BEAM_WIDTH, degree), -1, dtype=np.int64)
+        fresh[r, rank[r, c] - 1] = adj[nodes]
+        # Sort the rows in the list and the fresh ones together, a list row
+        # first: a fresh row is new if it is neither in the list nor repeated.
+        in_list = (keys >> np.uint64(1) & _ROW_MASK).astype(np.int64)
+        found = np.concatenate([in_list * 2, fresh.reshape(len(live), -1) * 2 + 1], axis=1)
+        found.sort(axis=1)
+        new = (found & 1 == 1) & (found >= 0)
+        new[:, 1:] &= found[:, 1:] >> 1 != found[:, :-1] >> 1
+        nr, nc = np.nonzero(new)
+        rows = found[nr, nc] >> 1
+        merged = np.full(found.shape, _PAD, dtype=np.uint64)
+        merged[nr, nc] = _list_keys(_row_distances(vectors, rows, points[live[nr]]), rows)
+        merged = np.concatenate([keys, merged], axis=1)
+        merged.sort(axis=1)
+        lists[live] = merged[:, :width]
+    if not owners:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    return np.concatenate(owners), np.concatenate(expanded)
 
 
 def _robust_prune(
     vectors: np.ndarray,
-    point: int,
+    points: np.ndarray,
+    owners: np.ndarray,
     candidates: np.ndarray,
-    max_degree: int,
     slack: float,
+    limits: np.ndarray,
+    groups: np.ndarray,
 ) -> np.ndarray:
-    """Keep at most ``max_degree`` diverse neighbors for ``point``.
+    """Robust prune for many points at once.
 
-    Iteratively adopts the closest surviving candidate c and discards
-    every v with slack * dist(c, v) <= dist(point, v); one pairwise
-    distance matrix up front keeps the loop allocation-free.
+    ``candidates[j]`` is offered as a neighbour of ``points[owners[j]]``;
+    offers may repeat and may include the point.  Row i of the result holds
+    at most ``limits[i]`` kept rows for ``points[i]``, padded with -1.  Per
+    point: drop repeats and every row whose ``groups`` label is the point's
+    (the point itself included), order the rest by (distance, row), then keep the
+    closest survivor ``c`` and drop every ``v`` with
+    ``slack * dist(c, v) <= dist(point, v)``, until none survive or the
+    limit is reached.  The candidate lists are padded to one width and
+    their pairwise distances come from one batched ``matmul``, a chunk of
+    points at a time, so each kill step is one array operation.
     """
-    candidates = np.unique(candidates)
-    candidates = candidates[candidates != point]
-    if not len(candidates):
-        return candidates.astype(np.int32)
-    dists = 1.0 - vectors[candidates] @ vectors[point]
-    order = np.lexsort((candidates, dists))
-    candidates = candidates[order]
-    dists = dists[order]
-    cand_vectors = vectors[candidates]
-    pairwise = 1.0 - cand_vectors @ cand_vectors.T
-    alive = np.ones(len(candidates), dtype=bool)
-    kept: list[int] = []
-    for i in range(len(candidates)):
-        if not alive[i]:
-            continue
-        kept.append(int(candidates[i]))
-        if len(kept) == max_degree:
-            break
-        alive &= slack * pairwise[i] > dists  # kills i itself: pairwise[i,i]=0
-    return np.array(sorted(kept), dtype=np.int32)
+    points = np.asarray(points, dtype=np.int64)
+    out = np.full((len(points), int(limits.max(initial=0))), -1, dtype=np.int64)
+    owners = np.asarray(owners, dtype=np.int64)
+    candidates = np.asarray(candidates, dtype=np.int64)
+    other = groups[candidates] != groups[points[owners]]
+    pairs = np.unique(owners[other] * len(vectors) + candidates[other])
+    owners, candidates = np.divmod(pairs, len(vectors))
+    if not len(pairs):
+        return out
+    dists = _row_distances(vectors, candidates, points[owners])
+    order = np.lexsort((candidates, dists, owners))
+    owners, candidates, dists = owners[order], candidates[order], dists[order]
+    counts = np.bincount(owners, minlength=len(points))
+    col = np.arange(len(owners)) - (np.cumsum(counts) - counts)[owners]
+    width = int(counts.max())
+    cand = np.full((len(points), width), -1, dtype=np.int64)
+    cand[owners, col] = candidates
+    dist = np.full((len(points), width), np.inf, dtype=np.float32)
+    dist[owners, col] = dists
+
+    chunk = max(1, _PRUNE_BLOCK // (width * width))
+    for lo in range(0, len(points), chunk):
+        rows = cand[lo:lo + chunk]
+        block = vectors[np.maximum(rows, 0)]
+        pairwise = 1.0 - block @ block.transpose(0, 2, 1)
+        alive = rows >= 0
+        kept = np.zeros(len(rows), dtype=np.int64)
+        for _ in range(out.shape[1]):
+            live = np.flatnonzero(alive.any(axis=1) & (kept < limits[lo:lo + chunk]))
+            if not len(live):
+                break
+            best = alive[live].argmax(axis=1)
+            out[lo + live, kept[live]] = rows[live, best]
+            kept[live] += 1
+            alive[live] &= slack * pairwise[live, best] > dist[lo + live]
+            alive[live, best] = False
+    return out
+
+
+def _set_rows(adj: np.ndarray, points: np.ndarray, rows: np.ndarray) -> None:
+    adj[points, :rows.shape[1]] = rows
+    adj[points, rows.shape[1]:] = -1
+
+
+def _add_reverse_edges(
+    vectors: np.ndarray,
+    adj: np.ndarray,
+    points: np.ndarray,
+    slack: float,
+    limits: np.ndarray,
+    groups: np.ndarray,
+) -> None:
+    """Link every new neighbour of ``points`` back to its point.
+
+    The (target, source) pairs are grouped by target with one sort.  A
+    target with room for its new sources gets them in one scatter; the
+    rest are re-pruned, all at once, over their old and new neighbours."""
+    rows = adj[points]
+    has = rows >= 0
+    targets = rows[has].astype(np.int64)
+    sources = np.broadcast_to(points[:, None], rows.shape)[has]
+    absent = ~(adj[targets] == sources[:, None]).any(axis=1)
+    targets, sources = targets[absent], sources[absent]
+    order = np.lexsort((sources, targets))
+    targets, sources = targets[order], sources[order]
+    uniq, first, count = np.unique(targets, return_index=True, return_counts=True)
+    degree = (adj[uniq] >= 0).sum(axis=1)
+    fits = degree + count <= limits[uniq]
+    pair_fits = np.repeat(fits, count)
+    col = np.repeat(degree, count) + np.arange(len(targets)) - np.repeat(first, count)
+    adj[targets[pair_fits], col[pair_fits]] = sources[pair_fits]
+
+    over = uniq[~fits]
+    if len(over):
+        old = adj[over]
+        keep = old >= 0
+        owner_of = np.repeat(np.arange(len(over)), count[~fits])
+        owners = np.concatenate([np.nonzero(keep)[0], owner_of])
+        cands = np.concatenate([old[keep], sources[~pair_fits]])
+        _set_rows(adj, over, _robust_prune(vectors, over, owners, cands, slack, limits[over], groups))
+
+
+def _batch_bounds(n: int, doubling: bool) -> list[int]:
+    """Batch boundaries over ``order``: sizes 1, 2, 4, ... up to the cap
+    when ``doubling``, else the cap throughout."""
+    cap = max(1, int(n * _MAX_BATCH_FRACTION))
+    bounds, size = [0], 1 if doubling else cap
+    while bounds[-1] < n:
+        bounds.append(min(n, bounds[-1] + size))
+        size = min(2 * size, cap)
+    return bounds
+
+
+def _check_graph_params(max_degree: int, build_width: int, prune_slack: float) -> None:
+    if max_degree < 2:
+        raise ValidationError("max_degree must be >= 2")
+    if build_width < max_degree:
+        raise ValidationError("build_width must be >= max_degree")
+    if not (prune_slack >= 1.0 and np.isfinite(prune_slack)):
+        raise ValidationError(f"prune_slack must be a finite number >= 1, not {prune_slack}")
 
 
 def build_graph(
@@ -180,17 +360,15 @@ def build_graph(
     prune_slack: float = DEFAULT_PRUNE_SLACK,
     seed: int = 0,
 ) -> DenseIndex:
-    """Two-pass incremental graph construction (see module docstring)."""
-    if max_degree < 2:
-        raise ValidationError("max_degree must be >= 2")
-    if build_width < max_degree:
-        raise ValidationError("build_width must be >= max_degree")
-    if prune_slack < 1.0:
-        raise ValidationError("prune_slack must be >= 1")
+    """Two-pass batched graph construction (see module docstring).
+
+    The same vectors, parameters and ``seed`` give the same graph.  Beyond
+    the graph itself, a batch's work arrays grow with the batch size times
+    ``build_width`` times ``max_degree``, never with the number of rows."""
+    _check_graph_params(max_degree, build_width, prune_slack)
     vectors = _normalize(vectors)
     ids = _check_ids(vectors, ids)
     n = len(vectors)
-    adj: list[np.ndarray] = [np.empty(0, dtype=np.int32) for _ in range(n)]
     if n == 0:
         return DenseIndex(
             kind=GRAPH, vectors=vectors, ids=ids,
@@ -201,39 +379,48 @@ def build_graph(
     rng = np.random.default_rng(seed)
     order = rng.permutation(n)
     medoid = int(np.argmax(vectors @ (vectors.mean(axis=0))))
+    # Rows with identical vectors form a group (+0.0 folds -0.0 into 0.0).
+    _, groups = np.unique(vectors + np.float32(0), axis=0, return_inverse=True)
+    groups = groups.ravel()
+    copies = np.bincount(groups)[groups] > 1
+    limits = max_degree - copies.astype(np.int64)  # a slot for the ring edge
 
-    def connect(point: int, candidates: np.ndarray, slack: float) -> None:
-        pruned = _robust_prune(vectors, point, candidates, max_degree, slack)
-        adj[point] = pruned
-        for nb in pruned.tolist():
-            if point not in adj[nb]:
-                merged = np.append(adj[nb], point)
-                if len(merged) > max_degree:
-                    adj[nb] = _robust_prune(vectors, nb, merged.astype(np.int64), max_degree, slack)
-                else:
-                    adj[nb] = np.sort(merged).astype(np.int32)
+    adj = np.full((n, max_degree), -1, dtype=np.int32)
+    for slack, start, doubling in ((1.0, int(order[0]), True), (prune_slack, medoid, False)):
+        bounds = _batch_bounds(n, doubling)
+        for lo, hi in zip(bounds, bounds[1:]):
+            points = order[lo:hi]
+            owners, expanded = _search_batch(vectors, adj, start, points, build_width)
+            current = adj[points]
+            has = current >= 0
+            owners = np.concatenate([owners, np.nonzero(has)[0]])
+            candidates = np.concatenate([expanded, current[has]])
+            kept = _robust_prune(vectors, points, owners, candidates, slack, limits[points], groups)
+            _set_rows(adj, points, kept)
+            _add_reverse_edges(vectors, adj, points, slack, limits, groups)
 
-    for pass_slack in (1.0, prune_slack):
-        for seen_count, point in enumerate(order):
-            point = int(point)
-            if pass_slack == 1.0 and seen_count == 0:
-                continue  # first inserted point has nothing to link to yet
-            start = int(order[0]) if pass_slack == 1.0 else medoid
-            _, visited = _greedy_search(
-                vectors, lambda r: adj[r], start, vectors[point].astype(np.float64), build_width
-            )
-            candidates = np.array(visited + adj[point].tolist(), dtype=np.int64)
-            connect(point, candidates, pass_slack)
+    # Each row of a group links to the next row of its group, cyclically.
+    by_group = np.argsort(groups, kind="stable")
+    group_of = groups[by_group]
+    successor = np.where(
+        np.roll(group_of, -1) == group_of,
+        np.roll(by_group, -1),
+        by_group[np.searchsorted(group_of, group_of)],
+    )
+    linked = copies[by_group]
+    rows = by_group[linked]
+    adj[rows, (adj[rows] >= 0).sum(axis=1)] = successor[linked]
 
+    adj = np.sort(np.where(adj < 0, n, adj), axis=1)
+    degrees = (adj < n).sum(axis=1)
     offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum([len(a) for a in adj], out=offsets[1:])
-    neighbors = np.concatenate(adj) if n else np.empty(0, dtype=np.int32)
+    np.cumsum(degrees, out=offsets[1:])
     return DenseIndex(
         kind=GRAPH,
         vectors=vectors,
         ids=ids,
         offsets=offsets,
-        neighbors=neighbors.astype(np.int32),
+        neighbors=adj[adj < n].astype(np.int32),
         entry=medoid,
         max_degree=max_degree,
         build_width=build_width,
@@ -315,14 +502,8 @@ def search(
         return _rescore(index, np.flatnonzero(scores >= kth - margin), query, k)
 
     width = DEFAULT_SEARCH_WIDTH if search_width is None else search_width
-    width = max(width, k)
-
-    def adjacency(row: int) -> np.ndarray:
-        s, e = int(index.offsets[row]), int(index.offsets[row + 1])
-        return index.neighbors[s:e]
-
-    result, _ = _greedy_search(index.vectors, adjacency, index.entry, query, width)
-    return _rescore(index, np.array([r for _, r in result[:k]], dtype=np.int64), query, k)
+    rows = _greedy_search(index, query, max(width, k))[:k]
+    return _rescore(index, np.array(rows, dtype=np.int64), query, k)
 
 
 def cluster_keywords(vectors, ids, similarity_threshold: float) -> dict[int, int]:
@@ -410,6 +591,7 @@ def load_graph(path, vectors: np.ndarray, ids: np.ndarray) -> DenseIndex:
         raise ValidationError("corrupt graph file: trailing bytes")
     if len(neighbors) and (neighbors.min() < 0 or neighbors.max() >= n):
         raise ValidationError(f"corrupt graph file: neighbor id outside [0, {n})")
+    _check_graph_params(max_degree, build_width, prune_slack)
     return DenseIndex(
         kind=GRAPH,
         vectors=np.asarray(vectors, dtype=np.float32),

@@ -65,6 +65,9 @@ class EngineBundle:
     search_width: int = 100
     nlg_floor: float | None = None
     dr_floor: float | None = None
+    # Representative id -> the ids of its group, ascending, when the index
+    # holds representatives only (``index --cluster-threshold``).
+    groups: dict[int, tuple[int, ...]] | None = None
 
     def validate(self) -> None:
         """Cross-check that all components describe the same catalog/vocab."""
@@ -91,6 +94,14 @@ class EngineBundle:
                 f"index vector width {self.index.vectors.shape[1]} != encoder dense_dim "
                 f"{self.params.dense_dim}"
             )
+        if self.groups is not None:
+            members = sorted(kid for group in self.groups.values() for kid in group)
+            if members != list(range(len(self.catalog))):
+                raise ValidationError("representative map must list every catalog id once")
+            if any(rep not in group for rep, group in self.groups.items()):
+                raise ValidationError("every representative must map to itself")
+            if sorted(self.groups) != sorted(self.index.ids.tolist()):
+                raise ValidationError("representatives must be exactly the index ids")
 
 
 def retrieve_channels(
@@ -100,7 +111,10 @@ def retrieve_channels(
 
     Returns ``(nlg, dr)`` lists of ``(keyword id, score)`` where the NLG
     score is a cumulative log-probability and the DR score an inner
-    product.  Channel floors from the bundle are applied here.
+    product.  With ``groups``, each representative the dense search finds
+    stands for its whole group: every member takes the representative's
+    score, and the expanded hits are ordered by (-score, id) and cut at
+    ``dense_k``.  Channel floors from the bundle are applied here.
     """
     tokens = tokenize(query_text, bundle.vocab, "query", bundle.params.max_len)
     output = encode(bundle.params, tokens)
@@ -109,6 +123,9 @@ def retrieve_channels(
     )
     k = min(bundle.dense_k, len(bundle.index))
     dr = search(bundle.index, output.dr_embedding, k, bundle.search_width) if k else []
+    if bundle.groups is not None:
+        members = [(kid, score) for rep, score in dr for kid in bundle.groups[rep]]
+        dr = sorted(members, key=lambda hit: (-hit[1], hit[0]))[: bundle.dense_k]
     if bundle.nlg_floor is not None:
         nlg = [(kid, s) for kid, s in nlg if s >= bundle.nlg_floor]
     if bundle.dr_floor is not None:

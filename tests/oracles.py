@@ -174,6 +174,34 @@ def naive_topk(vectors: np.ndarray, ids: np.ndarray, query: np.ndarray, k: int):
     return [(int(ids[i]), float(scores[i])) for i in order]
 
 
+def scalar_robust_prune(vectors: np.ndarray, point: int, candidates, max_degree: int,
+                        slack: float) -> list[int]:
+    """Robust prune for one point: drop repeats and the point, order the
+    rest by (distance, row), then keep the closest survivor c and discard
+    every v with slack * dist(c, v) <= dist(point, v), until ``max_degree``
+    are kept.  Returns the kept rows, sorted."""
+    candidates = np.unique(np.asarray(candidates, dtype=np.int64))
+    candidates = candidates[candidates != point]
+    if not len(candidates):
+        return []
+    dists = 1.0 - vectors[candidates] @ vectors[point]
+    order = np.lexsort((candidates, dists))
+    candidates = candidates[order]
+    dists = dists[order]
+    cand_vectors = vectors[candidates]
+    pairwise = 1.0 - cand_vectors @ cand_vectors.T
+    alive = np.ones(len(candidates), dtype=bool)
+    kept: list[int] = []
+    for i in range(len(candidates)):
+        if not alive[i]:
+            continue
+        kept.append(int(candidates[i]))
+        if len(kept) == max_degree:
+            break
+        alive &= slack * pairwise[i] > dists  # kills i itself: pairwise[i,i]=0
+    return sorted(kept)
+
+
 def finite_difference_grads(loss_fn, arrays: dict, eps: float = 1e-6) -> dict:
     """Central finite differences of a scalar loss over every component.
 

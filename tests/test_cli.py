@@ -65,6 +65,21 @@ def read_jsonl(path):
     return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
 
 
+@pytest.fixture(scope="module")
+def clustered(pipeline, tmp_path_factory):
+    """The pipeline's bundle re-indexed exactly over cluster representatives."""
+    bundle = tmp_path_factory.mktemp("clustered") / "bundle"
+    shutil.copytree(pipeline["bundle"], bundle)
+    assert main([
+        "index", "--checkpoint", str(bundle / "encoder.kenc"),
+        "--keywords", str(pipeline["paths"]["keywords"]), "--vocab", str(bundle / "vocab.txt"),
+        "--cluster-threshold", "0.3", "--out", str(bundle),
+    ]) == 0
+    lines = (bundle / "reps.tsv").read_text(encoding="utf-8").splitlines()
+    reps = dict(tuple(int(x) for x in line.split("\t")) for line in lines)
+    return {"bundle": bundle, "reps": reps}
+
+
 class TestPipeline:
     def test_artifacts_exist(self, pipeline):
         bundle = pipeline["bundle"]
@@ -172,6 +187,64 @@ class TestPipeline:
         assert (bundle / "reps.tsv").exists()
         assert main(index) == 0
         assert not (bundle / "reps.tsv").exists()
+
+    def test_clustered_bundle_returns_every_keyword_by_its_own_text(self, clustered, tmp_path):
+        bundle, reps = clustered["bundle"], clustered["reps"]
+        others = sorted(kid for kid, rep in reps.items() if kid != rep)
+        assert others
+        keywords = (bundle / "keywords.txt").read_text(encoding="utf-8").splitlines()
+        queries = tmp_path / "own.txt"
+        queries.write_text("".join(keywords[kid] + "\n" for kid in others), encoding="utf-8")
+        out = tmp_path / "own.jsonl"
+        assert main([
+            "retrieve", "--bundle-dir", str(bundle), "--queries", str(queries),
+            "--out", str(out),
+        ]) == 0
+        rows = read_jsonl(out)
+        assert len(rows) == len(others)
+        for kid, row in zip(others, rows):
+            dense = {r["id"] for r in row["results"] if r["source"] in ("DR", "BOTH")}
+            assert kid in dense, row["query"]
+
+    @pytest.mark.parametrize("edit, message", [
+        pytest.param(lambda reps, rep, member: {k: v for k, v in reps.items() if k != member},
+                     "every catalog id once", id="id-missing"),
+        pytest.param(lambda reps, rep, member: {**reps, rep: member},
+                     "map to itself", id="representative-elsewhere"),
+        pytest.param(lambda reps, rep, member: {**reps, member: member},
+                     "exactly the index ids", id="not-an-index-id"),
+        pytest.param(lambda reps, rep, member: {**reps, member: "x"},
+                     "is not 'keyword id<TAB>representative id'", id="malformed-line"),
+    ])
+    def test_bad_representative_map_is_validation_error(
+        self, clustered, pipeline, tmp_path, capsys, edit, message
+    ):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(clustered["bundle"], bundle)
+        reps = clustered["reps"]
+        member = min(kid for kid, rep in reps.items() if kid != rep)
+        edited = edit(reps, reps[member], member)
+        (bundle / "reps.tsv").write_text(
+            "".join(f"{kid}\t{rep}\n" for kid, rep in sorted(edited.items())), encoding="utf-8"
+        )
+        code = main([
+            "retrieve", "--bundle-dir", str(bundle),
+            "--queries", str(pipeline["paths"]["queries"]), "--out", str(tmp_path / "r.jsonl"),
+        ])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"]["kind"] == "validation" and message in err["error"]["message"]
+
+    def test_prune_slack_nan_is_validation_error(self, pipeline, tmp_path, capsys):
+        code = main([
+            "index", "--checkpoint", str(pipeline["bundle"] / "encoder.kenc"),
+            "--keywords", str(pipeline["paths"]["keywords"]),
+            "--vocab", str(pipeline["bundle"] / "vocab.txt"),
+            "--kind", "graph", "--prune-slack", "nan", "--out", str(tmp_path / "bundle"),
+        ])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"]["kind"] == "validation" and "prune_slack" in err["error"]["message"]
 
     def test_overlap_identical_files_json(self, pipeline):
         results = pipeline["root"] / "results.jsonl"

@@ -15,7 +15,9 @@ from unikw import (
     search,
 )
 
-from oracles import naive_topk
+from unikw.dense_index import _robust_prune
+
+from oracles import naive_topk, scalar_robust_prune
 
 
 def unit_vectors(rng, n, dim):
@@ -192,6 +194,96 @@ class TestGraph:
         with pytest.raises(ValidationError, match="build_width"):
             build_graph(v, np.arange(10), max_degree=8, build_width=4)
 
+    @pytest.mark.parametrize("slack", [np.nan, np.inf, 0.99])
+    def test_slack_not_finite_and_at_least_one_rejected(self, rng, slack):
+        v = unit_vectors(rng, 10, 4)
+        with pytest.raises(ValidationError, match="prune_slack"):
+            build_graph(v, np.arange(10), max_degree=4, build_width=8, prune_slack=slack)
+
+
+def assert_graph_invariants(index):
+    """Rows sorted and unique, no self-loop, at most max_degree neighbours,
+    every node reachable from the entry point."""
+    n = len(index)
+    rows = [index.neighbors[index.offsets[r]:index.offsets[r + 1]] for r in range(n)]
+    for row, nbrs in enumerate(rows):
+        assert np.all(np.diff(nbrs) > 0), row
+        assert row not in nbrs
+        assert len(nbrs) <= index.max_degree
+    reached = {index.entry}
+    stack = [index.entry]
+    while stack:
+        for nb in rows[stack.pop()].tolist():
+            if nb not in reached:
+                reached.add(nb)
+                stack.append(nb)
+    assert len(reached) == n
+
+
+class TestGraphInvariants:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_tiny_catalogs(self, rng, n):
+        index = build_graph(unit_vectors(rng, n, 8), np.arange(n), max_degree=4, build_width=8)
+        assert_graph_invariants(index)
+
+    def test_catalog_of_twenty_identical_rows(self, rng):
+        v = np.tile(unit_vectors(rng, 1, 8), (20, 1))
+        index = build_graph(v, np.arange(20), max_degree=8, build_width=16)
+        assert_graph_invariants(index)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_twenty_identical_rows_among_distinct_ones(self, rng, seed):
+        v = unit_vectors(rng, 220, 8)
+        copies = rng.choice(220, 20, replace=False)
+        v[copies] = v[copies[0]]
+        index = build_graph(v, np.arange(220) * 2, max_degree=8, build_width=16, seed=seed)
+        assert_graph_invariants(index)
+        # The graph search finds every copy, in id order.
+        got = search(index, v[copies[0]] + rng.normal(0, 1e-3, 8), 20, search_width=40)
+        assert [kid for kid, _ in got] == sorted((copies * 2).tolist())
+
+    def test_more_rows_than_one_full_batch(self, rng):
+        index = build_graph(unit_vectors(rng, 700, 8), np.arange(700), max_degree=8,
+                            build_width=16, seed=5)
+        assert_graph_invariants(index)
+
+
+class TestBatchedPrune:
+    @pytest.mark.parametrize("slack", [1.0, 1.2])
+    def test_keeps_the_scalar_oracles_neighbours(self, slack):
+        rng = np.random.default_rng(17)
+        vectors = build_exact(unit_vectors(rng, 400, 6), np.arange(400)).vectors
+        max_degree = 6
+        points = rng.choice(400, 60, replace=False)
+        lists = []
+        for i, point in enumerate(points):
+            # Ragged, with repeats, sometimes empty, sometimes holding the point.
+            offered = rng.integers(0, 400, int(rng.integers(0, 90)))
+            offered = np.r_[offered, offered[: len(offered) // 4]]
+            if i % 3 == 0:
+                offered = np.r_[point, offered, point]
+            lists.append(rng.permutation(offered))
+        owners = np.repeat(np.arange(len(points)), [len(c) for c in lists])
+        got = _robust_prune(vectors, points, owners, np.concatenate(lists), slack,
+                            np.full(len(points), max_degree), np.arange(400))
+        sizes = []
+        for point, offered, row in zip(points, lists, got):
+            want = scalar_robust_prune(vectors, int(point), offered, max_degree, slack)
+            assert sorted(row[row >= 0].tolist()) == want
+            assert np.all(row[len(want):] == -1)
+            sizes.append(len(want))
+        assert max_degree in sizes and min(sizes) < max_degree
+
+    @pytest.mark.parametrize("slack, kept", [(1.0, [1]), (1.2, [1, 2])])
+    def test_exact_tie_is_killed(self, slack, kept):
+        # Row 2 is orthogonal to the point and to row 1, so dist(1, 2) and
+        # dist(0, 2) are both exactly 1: slack 1.0 drops row 2, 1.2 keeps it.
+        vectors = np.array([[1, 0, 0], [0.6, 0.8, 0], [0, 0, 1]], dtype=np.float32)
+        got = _robust_prune(vectors, np.array([0]), np.zeros(3, dtype=np.int64),
+                            np.array([2, 1, 0]), slack, np.array([3]), np.arange(3))
+        assert got.tolist() == [kept + [-1] * (3 - len(kept))]
+        assert scalar_robust_prune(vectors, 0, [2, 1, 0], 3, slack) == kept
+
 
 class TestClustering:
     def test_threshold_one_keeps_distinct_vectors_apart(self, rng):
@@ -277,3 +369,20 @@ class TestPersistence:
         save_graph(tmp_path / "g.kgra", replace(index, **corrupt(index)))
         with pytest.raises(ValidationError, match=message):
             load_graph(tmp_path / "g.kgra", v, np.arange(20))
+
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            pytest.param({"max_degree": 1}, "max_degree must be >= 2", id="max-degree"),
+            pytest.param({"build_width": 1}, "build_width", id="build-width"),
+            pytest.param({"prune_slack": float("nan")}, "prune_slack", id="slack-nan"),
+            pytest.param({"prune_slack": 0.5}, "prune_slack", id="slack-below-one"),
+        ],
+    )
+    def test_bad_build_parameters_rejected_at_load(self, tmp_path, rng, header, message):
+        # Two rows: one neighbour each, so a max_degree of 1 fits the rows.
+        v = unit_vectors(rng, 2, 4)
+        index = build_graph(v, np.arange(2), max_degree=2, build_width=2)
+        save_graph(tmp_path / "g.kgra", replace(index, **header))
+        with pytest.raises(ValidationError, match=message):
+            load_graph(tmp_path / "g.kgra", v, np.arange(2))

@@ -1,10 +1,13 @@
 import json
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from unikw import (
     ValidationError,
     Vocab,
+    build_exact,
     build_trie,
     overlap_stats,
     retrieve,
@@ -157,3 +160,40 @@ class TestJsonOutput:
             assert obj["source"] in ("NLG", "DR", "BOTH")
             if obj["source"] == "BOTH":
                 assert "nlg_score" in obj and "dr_score" in obj
+
+
+class TestRepresentativeGroups:
+    # Representatives 0, 1 and 4; 0 and 1 share a vector, so their groups
+    # tie and their members interleave by id.
+    GROUPS = {0: (0, 3), 1: (1, 2), 4: (4, 5)}
+
+    def clustered(self, bundle, dense_k):
+        reps = np.array(sorted(self.GROUPS))
+        vectors = bundle.index.vectors[reps]
+        vectors[1] = vectors[0]
+        index = build_exact(vectors, reps)
+        return replace(bundle, index=index, groups=self.GROUPS, dense_k=dense_k)
+
+    @pytest.mark.parametrize("dense_k", [1, 2, 5, 20])
+    def test_members_take_their_representatives_score(self, bundle, dense_k):
+        clustered = self.clustered(bundle, dense_k)
+        clustered.validate()
+        _, reps_dr = retrieve_channels(replace(clustered, groups=None), "red shoes")
+        _, dr = retrieve_channels(clustered, "red shoes")
+        scores = dict(reps_dr)
+        want = {(kid, scores[rep]) for rep in scores for kid in self.GROUPS[rep]}
+        assert len(dr) == min(dense_k, 6) and set(dr) <= want
+        assert dr == sorted(dr, key=lambda hit: (-hit[1], hit[0]))
+        # The cut keeps the best: nothing left out scores above what was kept.
+        assert all(score <= dr[-1][1] for kid, score in want - set(dr))
+
+    @pytest.mark.parametrize("groups, message", [
+        ({0: (0, 3), 1: (1, 2), 4: (4,)}, "every catalog id once"),
+        ({0: (0, 3), 1: (1, 2, 2), 4: (4, 5)}, "every catalog id once"),
+        ({0: (0, 3), 1: (2,), 4: (1, 4, 5)}, "map to itself"),
+        ({0: (0, 3), 1: (1,), 2: (2,), 4: (4, 5)}, "exactly the index ids"),
+    ])
+    def test_inconsistent_groups_rejected(self, bundle, groups, message):
+        clustered = replace(self.clustered(bundle, 20), groups=groups)
+        with pytest.raises(ValidationError, match=message):
+            clustered.validate()
