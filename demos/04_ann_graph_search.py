@@ -6,13 +6,22 @@ exhaustive scan at several search widths, times build and search against
 the exact scan at several catalog sizes to find where the graph starts to
 pay, and shows leader clustering collapsing near-duplicate vectors into
 representatives.  Runs in about a minute on a 2-vCPU machine.
+
+BLAS runs on one thread, as in the benchmark: with threaded OpenBLAS the
+exact scan of 32,000 rows was seen to run some 60x slower in some
+processes.
 """
 
-import time
+import os
 
-import numpy as np
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")  # before numpy is imported
 
-from unikw import build_exact, build_graph, cluster_keywords, search
+import time  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+from unikw import build_exact, build_graph, cluster_keywords, search  # noqa: E402
 
 rng = np.random.default_rng(0)
 n, dim = 4000, 32

@@ -15,8 +15,8 @@ second pass uses that cap throughout.  Every point of a batch searches the
 graph as it stood when the batch started, all of them in one array beam
 search; their candidate lists are pruned in one batched robust prune; the
 reverse edges are grouped by target with one sort, and only targets that
-overflow are pruned again.  Query search is best-first expansion bounded
-by a candidate list of ``search_width`` entries.
+overflow are pruned again.  Query search is best-first and expands up to
+``_SEARCH_BEAM`` rows per step, the beam width W of DiskANN's search.
 
 The robust-prune rule keeps the closest remaining candidate ``c`` and
 then discards every candidate ``v`` with ``slack * dist(c, v) <=
@@ -33,7 +33,6 @@ residency.
 
 from __future__ import annotations
 
-import heapq
 import struct
 from dataclasses import dataclass
 
@@ -113,37 +112,8 @@ def build_exact(vectors, ids) -> DenseIndex:
     return DenseIndex(kind=EXACT, vectors=vectors, ids=_check_ids(vectors, ids))
 
 
-def _greedy_search(index: DenseIndex, query: np.ndarray, width: int) -> list[int]:
-    """Best-first search from the entry point over the CSR graph.
-
-    Returns the ``width`` closest rows it found, by (distance, row)."""
-    vectors, offsets, neighbors = index.vectors, index.offsets, index.neighbors
-    entry = index.entry
-    dist0 = float(1.0 - vectors[entry] @ query)
-    frontier = [(dist0, entry)]          # min-heap by distance
-    best = [(-dist0, entry)]             # max-heap over kept candidates
-    seen = np.zeros(len(vectors), dtype=bool)
-    seen[entry] = True
-    while frontier:
-        dist, row = heapq.heappop(frontier)
-        if len(best) >= width and dist > -best[0][0]:
-            break
-        nbrs = neighbors[offsets[row]:offsets[row + 1]]
-        fresh = nbrs[~seen[nbrs]]
-        if not len(fresh):
-            continue
-        seen[fresh] = True
-        dists = 1.0 - vectors[fresh] @ query
-        for n, nd in zip(fresh.tolist(), dists.tolist()):
-            if len(best) < width or nd < -best[0][0]:
-                heapq.heappush(frontier, (nd, n))
-                heapq.heappush(best, (-nd, n))
-                if len(best) > width:
-                    heapq.heappop(best)
-    return [row for _, row in sorted((-d, r) for d, r in best)]
-
-
 _BEAM_WIDTH = 4              # candidates each point expands per build search step
+_SEARCH_BEAM = 32            # candidates a query expands per search step
 _MAX_BATCH_FRACTION = 0.02   # the largest insertion batch, as a share of the rows
 _PRUNE_BLOCK = 1 << 21       # pairwise distances per prune chunk: 8 MiB of float32
 
@@ -428,6 +398,36 @@ def build_graph(
     )
 
 
+def _greedy_search(
+    index: DenseIndex, query: np.ndarray, width: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Best-first search from the entry point over the CSR graph.
+
+    The list holds the ``width`` closest rows found as sorted ``_list_keys``;
+    each step expands its first ``_SEARCH_BEAM`` unexpanded rows, until none
+    is left.  ``einsum`` makes identical rows equally far from the query.
+    Returns the rows of the list and the rows expanded, in order."""
+    query, keys = query.astype(np.float32), np.empty(0, dtype=np.uint64)
+    fresh, unseen = np.array([index.entry]), np.ones(len(index), dtype=bool)
+    expanded: list[np.ndarray] = []
+    while True:
+        unseen[fresh] = False
+        dists = 1.0 - np.einsum("ij,j->i", index.vectors.take(fresh, axis=0), query)
+        keys = np.sort(np.concatenate([keys, _list_keys(dists, fresh)]))[:width]
+        pick = np.nonzero(keys & np.uint64(1))[0][:_SEARCH_BEAM]
+        if not len(pick):
+            return (keys >> np.uint64(1) & _ROW_MASK).astype(np.int64), np.concatenate(expanded)
+        keys[pick] -= np.uint64(1)
+        nodes = (keys[pick] >> np.uint64(1) & _ROW_MASK).astype(np.int64)
+        expanded.append(nodes)
+        lo, deg = index.offsets[nodes], index.offsets[nodes + 1] - index.offsets[nodes]
+        fresh = index.neighbors[np.repeat(lo - np.cumsum(deg) + deg, deg) + np.arange(deg.sum())]
+        fresh = np.sort(fresh[unseen[fresh]])
+        first = np.ones(len(fresh), dtype=bool)  # drop repeats: keep a row's first copy
+        np.not_equal(fresh[1:], fresh[:-1], out=first[1:])
+        fresh = fresh[first]
+
+
 def _float32_dot_error(dim: int) -> float:
     """Bound on ``|fl32(x . q) - x . q|`` for unit rows ``x`` and unit ``q``.
 
@@ -474,9 +474,10 @@ def search(
 
     Empty indexes return no results; otherwise ``k`` may not exceed the
     index size.  For graph indexes ``search_width`` (default 100) bounds
-    the best-first candidate list and must be at least ``k``.
+    the best-first candidate list, and is widened to ``k`` if smaller.
 
-    Both kinds report float64 scores from ``_rescore``.  The exact kind
+    Both kinds report float64 scores from ``_rescore``, the graph kind for
+    its whole candidate list, so both break ties by id.  The exact kind
     finds its candidates with one float32 scan: every row whose float32
     score is within ``2 * _float32_dot_error(d)`` of the k-th best float32
     score is rescored, so no row of the float64 top k is missed.  If row
@@ -501,9 +502,8 @@ def search(
         margin = 2 * _float32_dot_error(index.vectors.shape[1])
         return _rescore(index, np.flatnonzero(scores >= kth - margin), query, k)
 
-    width = DEFAULT_SEARCH_WIDTH if search_width is None else search_width
-    rows = _greedy_search(index, query, max(width, k))[:k]
-    return _rescore(index, np.array(rows, dtype=np.int64), query, k)
+    width = max(DEFAULT_SEARCH_WIDTH if search_width is None else search_width, k)
+    return _rescore(index, _greedy_search(index, query, width)[0], query, k)
 
 
 def cluster_keywords(vectors, ids, similarity_threshold: float) -> dict[int, int]:

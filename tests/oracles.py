@@ -7,6 +7,7 @@ arithmetic) and never calls into the code paths it is checking.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import struct
 
 import numpy as np
@@ -172,6 +173,44 @@ def naive_topk(vectors: np.ndarray, ids: np.ndarray, query: np.ndarray, k: int):
     scores = vectors.astype(np.float64) @ q
     order = sorted(range(len(ids)), key=lambda i: (-scores[i], ids[i]))[:k]
     return [(int(ids[i]), float(scores[i])) for i in order]
+
+
+def scalar_greedy_search(vectors: np.ndarray, offsets, neighbors, entry: int,
+                         query: np.ndarray, width: int) -> tuple[list[int], list[int]]:
+    """Best-first graph search one row at a time, driven by two heaps.
+
+    A min-heap holds the rows still to expand and a max-heap the ``width``
+    closest rows found, both ordered by the pair (distance, row).  Each
+    step pops the closest row left to expand and stops once that row is
+    farther than every row of a full list; each neighbour not seen before
+    joins both heaps if it beats the farthest kept row, which then leaves
+    the list.  Distances are ``1 - row . query`` in float32 by ``einsum``.
+    Returns the kept rows by (distance, row) and the rows expanded, in
+    order."""
+    query = np.asarray(query, dtype=np.float32)
+
+    def distances(rows):
+        return (1.0 - np.einsum("ij,j->i", vectors[rows], query)).tolist()
+
+    dist0 = distances([entry])[0]
+    frontier = [(dist0, entry)]          # min-heap by (distance, row)
+    best = [(-dist0, -entry)]            # max-heap by (distance, row)
+    seen = {entry}
+    expanded: list[int] = []
+    while frontier:
+        dist, row = heapq.heappop(frontier)
+        if len(best) >= width and (dist, row) > (-best[0][0], -best[0][1]):
+            break
+        expanded.append(row)
+        fresh = [n for n in neighbors[offsets[row]:offsets[row + 1]].tolist() if n not in seen]
+        seen.update(fresh)
+        for n, nd in zip(fresh, distances(fresh) if fresh else []):
+            if len(best) < width or (nd, n) < (-best[0][0], -best[0][1]):
+                heapq.heappush(frontier, (nd, n))
+                heapq.heappush(best, (-nd, -n))
+                if len(best) > width:
+                    heapq.heappop(best)
+    return [row for _, row in sorted((-d, -r) for d, r in best)], expanded
 
 
 def scalar_robust_prune(vectors: np.ndarray, point: int, candidates, max_degree: int,

@@ -15,9 +15,10 @@ from unikw import (
     search,
 )
 
-from unikw.dense_index import _robust_prune
+from unikw import dense_index
+from unikw.dense_index import GRAPH, _greedy_search, _robust_prune
 
-from oracles import naive_topk, scalar_robust_prune
+from oracles import naive_topk, scalar_greedy_search, scalar_robust_prune
 
 
 def unit_vectors(rng, n, dim):
@@ -179,6 +180,19 @@ class TestGraph:
         assert all(a <= b + 3 for a, b in zip(recalls, recalls[1:]))  # noise margin
         assert recalls[-1] >= recalls[0]
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_cut_inside_identical_rows_follows_ids(self, seed):
+        # 20 copies of one row under shuffled ids: when k falls inside the
+        # copies, graph search returns the copies with the smallest ids.
+        rng = np.random.default_rng(seed)
+        v = np.vstack([unit_vectors(rng, 200, 8), np.tile(unit_vectors(rng, 1, 8), (20, 1))])
+        ids = rng.permutation(220)
+        exact = build_exact(v, ids)
+        graph = build_graph(v, ids, max_degree=8, build_width=16, seed=seed)
+        query = v[-1] + rng.normal(0, 1e-3, 8)
+        for k in (5, 10, 15):
+            assert search(graph, query, k, search_width=40) == search(exact, query, k)
+
     def test_build_determinism(self, rng):
         v = unit_vectors(rng, 200, 8)
         a = build_graph(v, np.arange(200), max_degree=8, build_width=16, seed=9)
@@ -246,6 +260,77 @@ class TestGraphInvariants:
         index = build_graph(unit_vectors(rng, 700, 8), np.arange(700), max_degree=8,
                             build_width=16, seed=5)
         assert_graph_invariants(index)
+
+
+def random_graph_index(rng, n, dim, max_degree=8):
+    """Random rows, the first third of them copies of row 0, joined by a
+    random CSR graph of up to ``max_degree`` neighbours per row."""
+    v = unit_vectors(rng, n, dim)
+    v[:n // 3] = v[0]
+    rows = []
+    for row in range(n):
+        degree = int(rng.integers(0, min(max_degree, n - 1) + 1))
+        nbrs = rng.choice(n - 1, degree, replace=False)
+        rows.append(np.sort(nbrs + (nbrs >= row)))
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum([len(r) for r in rows], out=offsets[1:])
+    neighbors = np.concatenate(rows).astype(np.int32)
+    return replace(build_exact(v, np.arange(n)), kind=GRAPH, offsets=offsets,
+                   neighbors=neighbors, entry=int(rng.integers(n)), max_degree=max_degree)
+
+
+class TestGraphSearch:
+    def test_one_row_per_step_matches_the_heap_oracle(self, monkeypatch):
+        monkeypatch.setattr(dense_index, "_SEARCH_BEAM", 1)
+        rng = np.random.default_rng(17)
+        for _ in range(300):
+            index = random_graph_index(rng, int(rng.integers(1, 120)), dim=4)
+            # Half the queries sit on row 0, whose copies tie at distance 0.
+            query = rng.normal(size=4) if rng.random() < 0.5 else index.vectors[0].astype(float)
+            query /= np.linalg.norm(query)
+            width = int(rng.integers(1, 30))
+            rows, expanded = _greedy_search(index, query, width)
+            want_rows, want_expanded = scalar_greedy_search(
+                index.vectors, index.offsets, index.neighbors, index.entry, query, width
+            )
+            assert expanded.tolist() == want_expanded
+            assert rows.tolist() == want_rows
+
+    def test_list_wider_than_the_graph_holds_every_reachable_row_once(self):
+        # At the shipping beam a step expands many rows, whose neighbours
+        # repeat; a list as wide as the graph ends holding all rows reached.
+        rng = np.random.default_rng(18)
+        for _ in range(200):
+            n = int(rng.integers(1, 200))
+            index = random_graph_index(rng, n, dim=4, max_degree=int(rng.integers(2, 40)))
+            query = rng.normal(size=4)
+            query /= np.linalg.norm(query)
+            rows, expanded = _greedy_search(index, query, n)
+            want_rows, want_expanded = scalar_greedy_search(
+                index.vectors, index.offsets, index.neighbors, index.entry, query, n
+            )
+            assert rows.tolist() == want_rows
+            assert sorted(expanded.tolist()) == sorted(want_expanded)
+
+    def test_recall_not_below_the_heap_oracle(self, rng):
+        # The data of TestGraph.test_recall_against_exact_oracle; the
+        # oracle's list is cut at k by float64 score, as search cuts.
+        v = unit_vectors(rng, 2000, 16)
+        ids = np.arange(2000)
+        exact = build_exact(v, ids)
+        graph = build_graph(v, ids, max_degree=16, build_width=32, seed=1)
+        hits = oracle_hits = 0
+        for _ in range(50):
+            q = rng.normal(size=16)
+            want = {kid for kid, _ in search(exact, q, 10)}
+            got = {kid for kid, _ in search(graph, q, 10, search_width=64)}
+            rows, _ = scalar_greedy_search(
+                graph.vectors, graph.offsets, graph.neighbors, graph.entry, q / np.linalg.norm(q), 64
+            )
+            found = naive_topk(graph.vectors[rows], graph.ids[rows], q, 10)
+            hits += len(want & got)
+            oracle_hits += len(want & {kid for kid, _ in found})
+        assert hits >= oracle_hits
 
 
 class TestBatchedPrune:
