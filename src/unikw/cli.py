@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from dataclasses import replace
@@ -259,10 +260,17 @@ def cmd_retrieve(args) -> int:
         dense_k=args.topk,
     )
     queries = _read_queries(args.queries)
-    all_results = [retrieve(bundle, q) for q in queries]
-    with open(args.out, "w", encoding="utf-8") as f:
-        for query, results in zip(queries, all_results):
-            f.write(results_to_jsonl_line(query, results) + "\n")
+    # Each line is written as its query completes, into a temporary file
+    # beside --out that replaces it only once every query has succeeded.
+    out = Path(args.out)
+    partial = out.with_name(f".{out.name}.{os.getpid()}.partial")
+    try:
+        with open(partial, "w", encoding="utf-8") as f:
+            for query in queries:
+                f.write(results_to_jsonl_line(query, retrieve(bundle, query)) + "\n")
+        os.replace(partial, out)
+    finally:
+        partial.unlink(missing_ok=True)
     _write_sidecar_meta(args.out, _meta(args, "retrieve"))
     print(f"retrieved for {len(queries)} queries -> {args.out}")
     return EXIT_OK

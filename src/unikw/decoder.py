@@ -26,12 +26,22 @@ on row 0 (row step +1); right to left starts at every partition root with
 m <= M on row m-1 (row step -1).  A step gathers every frontier edge from
 the CSR offsets, adds ``prob_table[row, label]``, drops labels outside the
 table and pruned tokens, moves completed keywords to the results and keeps
-the best ``beam_size`` of the rest with one stable ``np.lexsort`` on
-(-score, parent prefix rank, label).  The rank is the dense lexicographic
-rank of each frontier prefix, so this is a stable (-score, prefix) sort;
-equal prefixes (across reversed partitions) keep their beam order.  Node
-ids cannot stand in for the rank: the reversed trie numbers partitions
-first.
+the best ``beam_size`` (B) of the rest by a stable (-score, parent prefix
+rank, label) order.  The cut costs about what it keeps, not the thousands
+of edges a wide beam gathers: ``np.partition`` finds the B-th best score,
+the edges scoring at least that survive (every tie at the cut included),
+and one ``np.lexsort`` orders only those survivors.  An edge below the
+B-th score could never reach the first B of the full sort, because -score
+is its primary key, so the beam is that of a sort over every edge.  The
+completed keywords are cut the same way before the final (-score, id)
+sort.  A frontier prefix's rank is the number of beam prefixes that sort
+before it lexicographically (one ``np.searchsorted`` into their sorted
+keys), so the order is a stable (-score, prefix) sort; equal prefixes
+(across reversed partitions) share a rank and keep their beam order.
+Node ids cannot stand in for the rank: the reversed trie numbers
+partitions first.  The partition has no place for NaN, so a table
+holding NaN (or +inf, which meets -inf on a path as NaN) is rejected;
+-inf entries are ordinary scores.
 """
 
 from __future__ import annotations
@@ -115,7 +125,13 @@ def beam_search(
             f"got {trie.direction}"
         )
     max_len, vocab_size = prob_table.shape
+    if not np.all(prob_table < np.inf):
+        # NaN would poison the partition at the beam cut, and +inf turns
+        # into NaN beside a -inf entry on the same path.
+        raise ValidationError("prob_table entries must be finite or -inf (no NaN, no +inf)")
     offsets, labels = trie.offsets, trie.labels
+    cells = np.asarray(prob_table, dtype=np.float64).ravel()
+    prunes = config.prune_threshold > NEG_INF
 
     # Frontier in beam order; partition selection is structural, not scored.
     if trie.direction == FORWARD:
@@ -136,12 +152,14 @@ def beam_search(
         parent = np.repeat(np.arange(len(node)), degree)
         edge = np.repeat(offsets[node] - np.cumsum(degree) + degree, degree) + np.arange(len(parent))
         label = labels[edge]
-        in_vocab = label < vocab_size
-        parent, edge, label = parent[in_vocab], edge[in_vocab], label[in_vocab]
-        logprob = prob_table[row[parent], label].astype(np.float64)
-        keep = ~(logprob < config.prune_threshold)  # early pruning on the single-token bound
-        parent, label = parent[keep], label[keep]
-        child, child_score = edge[keep] + 1, score[parent] + logprob[keep]
+        if len(label) and label.max() >= vocab_size:
+            in_vocab = label < vocab_size
+            parent, edge, label = parent[in_vocab], edge[in_vocab], label[in_vocab]
+        logprob = cells[row[parent] * vocab_size + label]
+        if prunes:  # early pruning on the single-token bound
+            keep = ~(logprob < config.prune_threshold)
+            parent, edge, label, logprob = parent[keep], edge[keep], label[keep], logprob[keep]
+        child, child_score = edge + 1, score[parent] + logprob
 
         keyword = trie.node_keyword[child]
         done = keyword >= 0
@@ -149,16 +167,28 @@ def beam_search(
         done_scores.append(child_score[done])
 
         # The best incomplete prefixes by (-score, prefix); see "Frontier step".
-        live = np.flatnonzero(~done)
+        live = _best_scores(np.flatnonzero(~done), child_score, config.beam_size)
         live = live[np.lexsort((label[live], rank[parent[live]], -child_score[live]))]
         live = live[: config.beam_size]
         parent, label = parent[live], label[live]
-        _, rank = np.unique(rank[parent] * vocab_size + label, return_inverse=True)
+        prefix = rank[parent] * vocab_size + label
+        rank = np.searchsorted(np.sort(prefix), prefix)  # equal prefixes share a rank
         node, score, row = child[live], child_score[live], row[parent] + row_step
 
     ids, scores = np.concatenate(done_ids), np.concatenate(done_scores)
-    best = np.lexsort((ids, -scores))[: config.beam_size]
+    best = _best_scores(np.arange(len(ids)), scores, config.beam_size)
+    best = best[np.lexsort((ids[best], -scores[best]))][: config.beam_size]
     return list(zip(ids[best].tolist(), scores[best].tolist()))
+
+
+def _best_scores(entries: np.ndarray, scores: np.ndarray, count: int) -> np.ndarray:
+    """The ``entries`` whose score is at least the ``count``-th best of
+    ``scores[entries]``: every entry a (-score, ...) sort could place in
+    its first ``count``, ties at the cut included, in their given order."""
+    if len(entries) <= count:
+        return entries
+    kept = scores[entries]
+    return entries[kept >= np.partition(kept, len(kept) - count)[len(kept) - count]]
 
 
 def permutation_decode(

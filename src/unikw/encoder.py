@@ -598,6 +598,8 @@ def load_params(path) -> EncoderParams:
         count = int(np.prod(shape))
         raw, pos = take(payload, pos, count * 8)
         arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+        if not np.isfinite(arrays[name]).all():
+            raise ValidationError(f"corrupt checkpoint: {name} holds a non-finite weight")
     if pos != len(payload):
         raise ValidationError("corrupt checkpoint: trailing bytes")
     return EncoderParams(**arrays)

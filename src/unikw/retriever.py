@@ -8,10 +8,14 @@ keyword id; the merged set is exactly the union of the two channels, so
 its recall can never fall below either channel's.
 
 Merged ordering is a convention, not a model output: keywords found by
-both channels come first (by dense score), then dense-only results, then
-generative-only results.  Callers that want channel-specific quality
-thresholds should use ``retrieve_channels`` and apply their own floors,
-or set ``nlg_floor`` / ``dr_floor`` on the bundle.
+both channels come first, then dense-only results, both by (-dense score,
+id), then generative-only results by (-generative score, id).  Since
+``retrieve_channels`` returns each channel already sorted by (-score, id),
+the merge sorts nothing: it is a stable partition of the dense list into
+BOTH and DR-only by lookup in the generative scores, followed by the
+generative hits the dense list lacks.  Callers that want channel-specific
+quality thresholds should use ``retrieve_channels`` and apply their own
+floors, or set ``nlg_floor`` / ``dr_floor`` on the bundle.
 """
 
 from __future__ import annotations
@@ -87,7 +91,8 @@ class EngineBundle:
             raise ValidationError("forward and reversed tries cover different keywords")
         if len(fwd_ids) and int(fwd_ids[-1]) >= len(self.catalog):
             raise ValidationError("trie keyword id outside the catalog")
-        if len(self.index.ids) and int(self.index.ids.max()) >= len(self.catalog):
+        ids = self.index.ids
+        if len(ids) and (int(ids.min()) < 0 or int(ids.max()) >= len(self.catalog)):
             raise ValidationError("index keyword id outside the catalog")
         if self.index.vectors.shape[1] != self.params.dense_dim:
             raise ValidationError(
@@ -115,6 +120,11 @@ def retrieve_channels(
     stands for its whole group: every member takes the representative's
     score, and the expanded hits are ordered by (-score, id) and cut at
     ``dense_k``.  Channel floors from the bundle are applied here.
+
+    Ordering contract, which ``retrieve`` relies on: each list is sorted
+    by (-score, id) and holds each keyword id at most once.
+    ``permutation_decode`` and ``search`` return their hits in that order,
+    the group expansion sorts into it, and the floors only filter.
     """
     tokens = tokenize(query_text, bundle.vocab, "query", bundle.params.max_len)
     output = encode(bundle.params, tokens)
@@ -134,32 +144,28 @@ def retrieve_channels(
 
 
 def retrieve(bundle: EngineBundle, query_text: str) -> list[RetrievalResult]:
-    """Merged results of both channels; exactly one encoder evaluation."""
+    """Merged results of both channels; exactly one encoder evaluation.
+
+    Both channel lists arrive sorted by (-score, id), so the merged order
+    is a stable partition of them: one pass over the dense hits splits
+    BOTH from DR-only, then the generative hits the dense channel lacks.
+    """
     nlg, dr = retrieve_channels(bundle, query_text)
-    nlg_scores = dict(nlg)
-    dr_scores = dict(dr)
-    results = []
-    for kid in set(nlg_scores) | set(dr_scores):
-        in_nlg, in_dr = kid in nlg_scores, kid in dr_scores
-        source = SOURCE_BOTH if (in_nlg and in_dr) else (SOURCE_NLG if in_nlg else SOURCE_DR)
-        results.append(
-            RetrievalResult(
-                keyword_id=kid,
-                text=bundle.catalog[kid],
-                nlg_score=nlg_scores.get(kid),
-                dr_score=dr_scores.get(kid),
-                source=source,
-            )
-        )
-
-    rank = {SOURCE_BOTH: 0, SOURCE_DR: 1, SOURCE_NLG: 2}
-
-    def sort_key(r: RetrievalResult):
-        primary = r.dr_score if r.dr_score is not None else r.nlg_score
-        return (rank[r.source], -primary, r.keyword_id)
-
-    results.sort(key=sort_key)
-    return results
+    catalog, nlg_scores, dr_scores = bundle.catalog, dict(nlg), dict(dr)
+    merged, dr_only = [], []
+    for kid, score in dr:
+        nlg_score = nlg_scores.get(kid)
+        if nlg_score is None:
+            dr_only.append(RetrievalResult(kid, catalog[kid], None, score, SOURCE_DR))
+        else:
+            merged.append(RetrievalResult(kid, catalog[kid], nlg_score, score, SOURCE_BOTH))
+    merged += dr_only
+    merged += (
+        RetrievalResult(kid, catalog[kid], score, None, SOURCE_NLG)
+        for kid, score in nlg
+        if kid not in dr_scores
+    )
+    return merged
 
 
 def overlap_stats(results_a, results_b) -> dict[str, float]:

@@ -162,6 +162,25 @@ def scalar_beam_search(prob_table: np.ndarray, entries, beam_size: int,
     return [(keyword_id, score) for score, keyword_id in completed[:beam_size]]
 
 
+def sorted_merge(nlg, dr, catalog):
+    """The two channels' union, labelled and ordered by one sort.
+
+    ``nlg`` and ``dr`` are (id, score) lists in any order.  Each id in
+    either becomes (id, catalog text, generative score or None, dense
+    score or None, source), source BOTH, DR or NLG; rows are sorted by
+    (BOTH < DR < NLG, -(dense score, else generative score), id).
+    """
+    nlg_scores, dr_scores = dict(nlg), dict(dr)
+    rank = {"BOTH": 0, "DR": 1, "NLG": 2}
+    rows = []
+    for kid in set(nlg_scores) | set(dr_scores):
+        in_nlg, in_dr = kid in nlg_scores, kid in dr_scores
+        source = "BOTH" if in_nlg and in_dr else "NLG" if in_nlg else "DR"
+        rows.append((kid, catalog[kid], nlg_scores.get(kid), dr_scores.get(kid), source))
+    rows.sort(key=lambda r: (rank[r[4]], -(r[3] if r[3] is not None else r[2]), r[0]))
+    return rows
+
+
 def keyword_token_logprobs(prob_table: np.ndarray, tokens) -> list[float]:
     return [float(prob_table[t, tok]) for t, tok in enumerate(tokens)]
 

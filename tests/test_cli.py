@@ -3,8 +3,10 @@
 import json
 import shutil
 
+import numpy as np
 import pytest
 
+from unikw import ConsistencyError, load_embeddings, save_embeddings
 from unikw.cli import load_bundle, main
 from unikw.fileio import frame
 
@@ -227,6 +229,50 @@ class TestPipeline:
         (bundle / "reps.tsv").write_text(
             "".join(f"{kid}\t{rep}\n" for kid, rep in sorted(edited.items())), encoding="utf-8"
         )
+        code = main([
+            "retrieve", "--bundle-dir", str(bundle),
+            "--queries", str(pipeline["paths"]["queries"]), "--out", str(tmp_path / "r.jsonl"),
+        ])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"]["kind"] == "validation" and message in err["error"]["message"]
+
+    def test_failing_query_leaves_no_out_file(self, pipeline, tmp_path, capsys, monkeypatch):
+        from unikw import cli
+
+        served, retrieve = [], cli.retrieve
+
+        def fail_on_second(bundle, query):
+            served.append(query)
+            if len(served) == 2:
+                raise ConsistencyError("decoding orders disagree")
+            return retrieve(bundle, query)
+
+        monkeypatch.setattr(cli, "retrieve", fail_on_second)
+        code = main([
+            "retrieve", "--bundle-dir", str(pipeline["bundle"]),
+            "--queries", str(pipeline["paths"]["queries"]), "--out", str(tmp_path / "r.jsonl"),
+        ])
+        assert code == 4 and len(served) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"]["kind"] == "consistency"
+        assert list(tmp_path.iterdir()) == []  # neither --out nor its partial file
+
+    @pytest.mark.parametrize("case, message", [
+        ("duplicate", "duplicate ids"), ("u64-max", "outside the catalog"),
+    ])
+    def test_bad_embedding_ids_are_validation_error(
+        self, pipeline, tmp_path, capsys, case, message
+    ):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(pipeline["bundle"], bundle)  # a graph bundle
+        vectors, ids = load_embeddings(bundle / "embeddings.kemb")
+        ids = ids.astype(np.uint64)
+        if case == "duplicate":
+            ids[1] = ids[0]
+        else:
+            ids[-1] = 2**64 - 1  # loads as id -1
+        save_embeddings(bundle / "embeddings.kemb", vectors, ids)
         code = main([
             "retrieve", "--bundle-dir", str(bundle),
             "--queries", str(pipeline["paths"]["queries"]), "--out", str(tmp_path / "r.jsonl"),

@@ -191,6 +191,58 @@ class TestBeamSearch:
                         assert beam_search(table, trie, config) == want
 
 
+def _length_ladder_catalog(rng, count=300, alphabet=6):
+    """``count`` distinct keywords of 1-4 tokens, ids shuffled so that id
+    order is not token order."""
+    paths = [
+        tuple(int(t) for t in rng.integers(A, A + alphabet, int(rng.integers(1, 5))))
+        for _ in range(20 * count)
+    ]
+    unique = list(dict.fromkeys(paths))[:count]
+    ids = rng.permutation(len(unique))
+    return [(path + (EOW,), int(kid)) for path, kid in zip(unique, ids)], A + alphabet
+
+
+class TestBeamCut:
+    """The partition cut keeps every tie at the B-th score, so it matches
+    the scalar reference however many edges tie there."""
+
+    @pytest.mark.parametrize("order", ["l2r", "r2l"])
+    @pytest.mark.parametrize("beam", [1, 7, 50])
+    def test_all_equal_table_matches_scalar_reference(self, rng, order, beam):
+        entries, vocab_size = _length_ladder_catalog(rng)
+        assert len(entries) >= 200
+        trie = build_trie(entries, FORWARD if order == "l2r" else REVERSED)
+        table = np.full((5, vocab_size), -1.0)  # every keyword of a length ties
+        want = scalar_beam_search(table, entries, beam, reverse=order == "r2l")
+        assert beam_search(table, trie, DecodeConfig(beam, orders=(order,))) == want
+
+    @pytest.mark.parametrize("order", ["l2r", "r2l"])
+    def test_neg_inf_entries_at_the_cut(self, rng, order):
+        # Most cells are -inf, so the B-th best live score and the B-th
+        # best completed score are often -inf themselves.
+        for _ in range(40):
+            entries, vocab_size = random_catalog(rng, max_keywords=80, max_tokens=4, alphabet=5)
+            trie = build_trie(entries, FORWARD if order == "l2r" else REVERSED)
+            table = np.round(random_prob_table(rng, 5, vocab_size) * 2) / 2
+            table[rng.random(table.shape) < 0.6] = NEG_INF
+            for beam in (1, 3, 10):
+                for threshold in (NEG_INF, -3.0):
+                    want = scalar_beam_search(
+                        table, entries, beam, threshold, reverse=order == "r2l"
+                    )
+                    config = DecodeConfig(beam, threshold, (order,))
+                    assert beam_search(table, trie, config) == want
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nan_or_pos_inf_table_rejected(self, two_keyword_instance, bad):
+        trie, table = two_keyword_instance
+        table = table.copy()
+        table[1, 3] = bad
+        with pytest.raises(ValidationError, match="NaN"):
+            beam_search(table, trie, DecodeConfig(beam_size=1, orders=("l2r",)))
+
+
 class TestPermutationDecode:
     def test_single_order_degenerates_to_beam_search(self, two_keyword_instance):
         trie, table = two_keyword_instance

@@ -8,6 +8,7 @@ import pytest
 from unikw import (
     EOW_ID,
     ValidationError,
+    build_exact,
     build_graph,
     build_trie,
     deserialize,
@@ -82,3 +83,23 @@ def test_frame_rejects(tmp_path, magic, what, write, read, case):
     path.write_bytes(corrupt)
     with pytest.raises(ValidationError, match=message):
         read(path)
+
+
+def test_duplicate_ids_rejected_by_graph_load_and_exact_build(tmp_path):
+    path = tmp_path / "graph"
+    _write_graph(path)
+    ids = _IDS[::-1].copy()
+    ids[3] = ids[20]  # neighbours neither in file order nor in id order
+    with pytest.raises(ValidationError, match="duplicate ids"):
+        load_graph(path, _VECTORS, ids)
+    with pytest.raises(ValidationError, match="duplicate ids"):
+        build_exact(_VECTORS, ids)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_checkpoint_with_non_finite_weight_rejected(tmp_path, bad):
+    params = init_params(16, 4, 3, 6, 4, seed=0)
+    params.hidden_w[2, 1] = bad
+    save_params(params, tmp_path / "encoder.kenc")
+    with pytest.raises(ValidationError, match="hidden_w holds a non-finite weight"):
+        load_params(tmp_path / "encoder.kenc")

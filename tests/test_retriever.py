@@ -1,5 +1,5 @@
 import json
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -16,7 +16,9 @@ from unikw import (
 )
 from unikw.retriever import SOURCE_BOTH, SOURCE_DR, SOURCE_NLG, results_to_jsonl_line
 
+import unikw.retriever as retriever_module
 from conftest import bundle_from_catalog
+from oracles import sorted_merge
 
 CATALOG = [
     "red shoes",
@@ -124,6 +126,66 @@ class TestBundleValidation:
         bad = replace(bundle, index=narrower)
         with pytest.raises(ValidationError, match="dense_dim"):
             bad.validate()
+
+
+    def test_negative_index_id_detected(self, bundle):
+        ids = bundle.index.ids.copy()
+        ids[-1] = -1  # what a u64 id of 2**64 - 1 reads as
+        bad = replace(bundle, index=build_exact(bundle.index.vectors, ids))
+        with pytest.raises(ValidationError, match="outside the catalog"):
+            bad.validate()
+
+
+def _sorted_hits(rng, ids, levels):
+    """An (id, score) list sorted by (-score, id), scores drawn from a few
+    levels so that ties are common."""
+    hits = [(int(kid), float(levels[rng.integers(len(levels))])) for kid in ids]
+    return sorted(hits, key=lambda hit: (-hit[1], hit[0]))
+
+
+class TestMergeOrder:
+    """``retrieve`` merges without sorting; the one-sort merge is the oracle."""
+
+    @pytest.mark.parametrize("query", ["red shoes", "ink", "blue running kettle", ""])
+    def test_real_channels_match_sorted_merge(self, bundle, query):
+        nlg, dr = retrieve_channels(bundle, query)
+        got = [astuple(r) for r in retrieve(bundle, query)]
+        assert got == sorted_merge(nlg, dr, bundle.catalog)
+
+    @pytest.mark.parametrize("grouped", [False, True])
+    def test_random_channels_match_sorted_merge(self, monkeypatch, rng, grouped):
+        catalog = [f"kw{i}" for i in range(40)]
+        base = bundle_from_catalog(catalog)
+        groups, index = None, base.index
+        if grouped:
+            cuts = np.sort(rng.choice(np.arange(1, 40), size=11, replace=False))
+            chunks = np.split(rng.permutation(40), cuts)
+            groups = {int(chunk[0]): tuple(sorted(chunk.tolist())) for chunk in chunks}
+            reps = np.array(sorted(groups))
+            index = build_exact(base.index.vectors[reps], reps)
+        pool = sorted(groups) if grouped else list(range(40))
+        nlg, dr = [], []
+        monkeypatch.setattr(retriever_module, "permutation_decode", lambda *args: nlg)
+        monkeypatch.setattr(retriever_module, "search", lambda index, query, k, width: dr[:k])
+        sources = set()
+        for _ in range(60):
+            nlg_ids = rng.choice(40, size=int(rng.integers(0, 25)), replace=False)
+            dr_ids = rng.choice(pool, size=int(rng.integers(0, len(pool) + 1)), replace=False)
+            nlg[:] = _sorted_hits(rng, nlg_ids, [-3.0, -2.5, -2.0, -1.5])
+            dr[:] = _sorted_hits(rng, dr_ids, [0.1, 0.4, 0.7])
+            b = replace(
+                base, index=index, groups=groups, dense_k=int(rng.integers(1, 30)),
+                nlg_floor=[None, -2.5, -2.0][rng.integers(3)],
+                dr_floor=[None, 0.4][rng.integers(2)],
+            )
+            b.validate()
+            got_nlg, got_dr = retrieve_channels(b, "kw1")
+            for hits in (got_nlg, got_dr):  # the contract the merge rests on
+                assert hits == sorted(hits, key=lambda hit: (-hit[1], hit[0]))
+            got = [astuple(r) for r in retrieve(b, "kw1")]
+            assert got == sorted_merge(got_nlg, got_dr, b.catalog)
+            sources.update(r[4] for r in got)
+        assert sources == {SOURCE_BOTH, SOURCE_DR, SOURCE_NLG}
 
 
 class TestOverlapStats:
