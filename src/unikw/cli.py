@@ -8,8 +8,9 @@ Conventions shared by every command:
   * a metadata block (tool version, seed, effective config and its hash)
     embedded in JSON outputs and written to ``<out>.meta.json`` next to
     JSONL outputs;
-  * exit codes: 0 ok, 2 validation, 3 I/O, 4 internal consistency, with a
-    machine-readable error JSON on stderr.
+  * exit codes: 0 ok, 2 validation (a diverged training run included), 3
+    I/O, 4 internal consistency, with a machine-readable error JSON on
+    stderr.
 
 Bundle directories use fixed file names: ``vocab.txt``, ``keywords.txt``,
 ``encoder.kenc``, ``trie.fwd.ktri``, ``trie.rev.ktri``,
@@ -44,7 +45,7 @@ from .dense_index import (
     search,
 )
 from .encoder import TrainConfig, embed_batch, encode, load_params, save_params, train
-from .errors import ConsistencyError, ValidationError
+from .errors import ConsistencyError, TrainingDiverged, ValidationError
 from .evaluation import compute_metrics, load_labels, token_overlap_scorer
 from .retriever import EngineBundle, overlap_stats, results_to_jsonl_line, retrieve
 from .trie import FORWARD, REVERSED, build_trie, deserialize, memory_stats, serialize
@@ -503,6 +504,9 @@ def main(argv=None) -> int:
         return args.handler(args)
     except (ValidationError, ValueError) as exc:  # malformed inputs included
         _emit_error(EXIT_VALIDATION, "validation", exc)
+        return EXIT_VALIDATION
+    except TrainingDiverged as exc:  # the settings, usually the learning rate, do not train
+        _emit_error(EXIT_VALIDATION, "diverged", exc)
         return EXIT_VALIDATION
     except ConsistencyError as exc:
         _emit_error(EXIT_CONSISTENCY, "consistency", exc)

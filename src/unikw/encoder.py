@@ -26,14 +26,30 @@ single source of truth checked against finite differences in the tests.
 Subgradient conventions at kinks: an inactive hinge (margin <= 0)
 contributes zero; ties in the hardest-negative max resolve to the first
 negative; relu'(0) = 0.
+
+Training runs on arrays.  A batch's sequences are checked and pooled once,
+over one flat id array.  The token term needs the table only at the
+positions each gold keyword fills, so ``joint_loss`` computes just those
+rows, packed into blocks of ``max_len`` rows: every vocabulary-wide GEMM
+has the shape of one sequence's table, ``(max_len x h) @ (h x V)``, however
+large the batch.  Such calls are small enough for OpenBLAS to run on one
+thread, and trained weights are then the same bytes at any BLAS thread
+count (checked at V = 403, h = 64, max_len = 8).  One GEMM over the whole
+batch would cross that size and round differently with the thread count.
+The log-sum-exp is shifted by each row's max.  Negative mining ranks a
+batch's keyword pool with one row-wise sort, and the balanced k-means
+assigns points in at most k + 1 array passes.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 import threading
 from dataclasses import dataclass, field, fields
+from itertools import chain
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -114,6 +130,22 @@ class EncoderOutput:
     nar_logprobs: np.ndarray
 
 
+#: Least legal value of each integer field of :class:`TrainConfig`.  A
+#: keyword needs one token plus EOW, hence ``max_len`` >= 2; numpy's
+#: generators take no negative seed.
+_INTEGER_MINIMUMS = {
+    "epochs": 1,
+    "batch_size": 1,
+    "cluster_count": 1,
+    "negatives_per_positive": 1,
+    "seed": 0,
+    "dim": 1,
+    "dense_dim": 1,
+    "hidden_dim": 1,
+    "max_len": 2,
+}
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     margin: float = 0.3
@@ -132,12 +164,22 @@ class TrainConfig:
     max_len: int = 16
 
     def __post_init__(self):
+        for name, least in _INTEGER_MINIMUMS.items():
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+                raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
+        for name in ("margin", "nlg_weight", "learning_rate", "momentum"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
+                raise ValidationError(f"{name} must be a finite number, got {value!r}")
         if self.margin < 0:
             raise ValidationError("margin must be >= 0")
         if self.nlg_weight < 0:
             raise ValidationError("nlg_weight must be >= 0")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValidationError("epochs and batch_size must be >= 1")
+        if self.learning_rate <= 0:
+            raise ValidationError("learning_rate must be > 0")
+        if not 0 <= self.momentum < 1:
+            raise ValidationError("momentum must be in [0, 1)")
         if self.similarity not in (COSINE, DOT):
             raise ValidationError(f"unknown similarity mode: {self.similarity!r}")
 
@@ -191,25 +233,38 @@ def params_from_config(vocab_size: int, config: TrainConfig) -> EncoderParams:
     )
 
 
-def _check_tokens(params: EncoderParams, tokens: TokenSeq) -> None:
-    if not tokens:
+def _flatten(seqs) -> tuple[np.ndarray, np.ndarray]:
+    """Token sequences as one flat id array plus per-sequence lengths."""
+    lengths = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
+    flat_ids = np.fromiter(chain.from_iterable(seqs), dtype=np.int64, count=int(lengths.sum()))
+    return flat_ids, lengths
+
+
+def _check_tokens(params: EncoderParams, flat_ids: np.ndarray, lengths: np.ndarray) -> None:
+    """Reject an empty or over-long sequence, or a token outside the vocabulary."""
+    if (lengths < 1).any():
         raise ValidationError("cannot encode an empty token sequence")
-    if len(tokens) > params.max_len:
-        raise ValidationError(f"sequence length {len(tokens)} exceeds {params.max_len}")
-    for t in tokens:
-        if not 0 <= t < params.vocab_size:
-            raise ValidationError(f"token id {t} outside vocabulary of {params.vocab_size}")
+    too_long = lengths > params.max_len
+    if too_long.any():
+        raise ValidationError(f"sequence length {lengths[too_long][0]} exceeds {params.max_len}")
+    bad = (flat_ids < 0) | (flat_ids >= params.vocab_size)
+    if bad.any():
+        raise ValidationError(f"token id {flat_ids[bad][0]} outside vocabulary of {params.vocab_size}")
 
 
-def _pool_batch(token_emb: np.ndarray, seqs) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Ragged mean-pool. Returns (pooled, flat_ids, owners, lengths)."""
-    lengths = np.array([len(s) for s in seqs], dtype=np.int64)
-    flat_ids = np.fromiter((t for s in seqs for t in s), dtype=np.int64, count=int(lengths.sum()))
-    owners = np.repeat(np.arange(len(seqs)), lengths)
-    pooled = np.zeros((len(seqs), token_emb.shape[1]))
-    np.add.at(pooled, owners, token_emb[flat_ids])
-    pooled /= lengths[:, None]
-    return pooled, flat_ids, owners, lengths
+def _pool(token_emb: np.ndarray, flat_ids: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Mean of each sequence's token embeddings (every length >= 1).
+
+    Summed one position at a time, so each sum runs in token order: a
+    pooled vector is the same bits in any batch.  ``np.add.reduceat``
+    would associate the terms differently.
+    """
+    starts = np.cumsum(lengths) - lengths
+    total = token_emb[flat_ids[starts]]
+    for t in range(1, int(lengths.max(initial=0))):
+        longer = np.flatnonzero(lengths > t)
+        total[longer] += token_emb[flat_ids[starts[longer] + t]]
+    return total / lengths[:, None]
 
 
 def _normalize_rows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -218,22 +273,26 @@ def _normalize_rows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return z / safe[:, None], safe
 
 
-def _logprob_table(params: EncoderParams, pooled: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Position-head forward for a batch of pooled vectors.
+def _log_softmax(logits: np.ndarray) -> np.ndarray:
+    """Log-softmax over the last axis, shifted by each row's max."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
-    Returns (logprobs (B,M,V), hidden activations, pre-activations); the
-    latter two feed backprop.
-    """
+
+def _logprob_table(params: EncoderParams, pooled: np.ndarray) -> np.ndarray:
+    """Position-head forward for a batch of pooled vectors: (B, M, V) logprobs."""
     d = params.dim
-    token_half = params.hidden_w[:, :d]
-    pos_half = params.hidden_w[:, d:]
-    pre = pooled @ token_half.T
-    pre = pre[:, None, :] + (params.pos_emb @ pos_half.T)[None, :, :] + params.hidden_b
+    pre = (pooled @ params.hidden_w[:, :d].T)[:, None, :]
+    pre = pre + params.pos_emb @ params.hidden_w[:, d:].T + params.hidden_b
     hidden = np.maximum(pre, 0.0)
-    logits = hidden @ params.out_w.T + params.out_b
-    lse = np.logaddexp.reduce(logits, axis=2)
-    logprobs = logits - lse[:, :, None]
-    return logprobs, hidden, pre
+    return _log_softmax(hidden @ params.out_w.T + params.out_b)
+
+
+def _blocks(rows: np.ndarray, size: int) -> np.ndarray:
+    """``rows`` zero-padded to a multiple of ``size`` and cut into
+    ``(n, size, width)`` blocks, one BLAS call each in a stacked matmul."""
+    pad = np.zeros((-len(rows) % size, rows.shape[1]))
+    return np.concatenate([rows, pad]).reshape(-1, size, rows.shape[1])
 
 
 def encode(params: EncoderParams, tokens: TokenSeq) -> EncoderOutput:
@@ -243,12 +302,12 @@ def encode(params: EncoderParams, tokens: TokenSeq) -> EncoderOutput:
     multiset only.  Each table row log-sum-exps to 0 and the dense
     embedding is unit-norm.
     """
-    _check_tokens(params, tokens)
+    flat_ids, lengths = _flatten([tokens])
+    _check_tokens(params, flat_ids, lengths)
     params.forward_counter.increment()
-    pooled = params.token_emb[list(tokens)].mean(axis=0, keepdims=True)
+    pooled = params.token_emb[flat_ids].mean(axis=0, keepdims=True)
     emb, _ = _normalize_rows(pooled @ params.dense_proj.T)
-    logprobs, _, _ = _logprob_table(params, pooled)
-    return EncoderOutput(dr_embedding=emb[0], nar_logprobs=logprobs[0])
+    return EncoderOutput(dr_embedding=emb[0], nar_logprobs=_logprob_table(params, pooled)[0])
 
 
 def embed_batch(params: EncoderParams, seqs) -> np.ndarray:
@@ -257,10 +316,9 @@ def embed_batch(params: EncoderParams, seqs) -> np.ndarray:
     Training utility for negative mining and index construction; it is not
     a full dual-head pass and does not touch the forward counter.
     """
-    for s in seqs:
-        _check_tokens(params, s)
-    pooled, _, _, _ = _pool_batch(params.token_emb, seqs)
-    emb, _ = _normalize_rows(pooled @ params.dense_proj.T)
+    flat_ids, lengths = _flatten(seqs)
+    _check_tokens(params, flat_ids, lengths)
+    emb, _ = _normalize_rows(_pool(params.token_emb, flat_ids, lengths) @ params.dense_proj.T)
     return emb
 
 
@@ -283,20 +341,17 @@ def joint_loss(
     if not batch:
         raise ValidationError("empty batch")
     n_pairs = len(batch)
-    queries = [tuple(item[0]) for item in batch]
-    golds = [tuple(item[1]) for item in batch]
     neg_counts = np.array([len(item[2]) for item in batch], dtype=np.int64)
     if (neg_counts < 1).any():
         raise ValidationError("every pair needs at least one negative")
-    negatives = [tuple(neg) for item in batch for neg in item[2]]
-    for seq in (*queries, *golds, *negatives):
-        _check_tokens(params, seq)
-
-    all_seqs = queries + golds + negatives
-    pooled, flat_ids, owners, lengths = _pool_batch(params.token_emb, all_seqs)
-    q_rows = np.arange(n_pairs)
-    g_rows = n_pairs + np.arange(n_pairs)
-    neg_rows = 2 * n_pairs + np.arange(len(negatives))
+    # Rows: queries, then gold keywords, then every pair's negatives in order.
+    flat_ids, lengths = _flatten(
+        [item[0] for item in batch] + [item[1] for item in batch]
+        + [neg for item in batch for neg in item[2]]
+    )
+    _check_tokens(params, flat_ids, lengths)
+    pooled = _pool(params.token_emb, flat_ids, lengths)
+    n_neg = len(lengths) - 2 * n_pairs
     neg_owner = np.repeat(np.arange(n_pairs), neg_counts)
 
     # ---- dense head ----
@@ -305,31 +360,33 @@ def joint_loss(
         emb, norms = _normalize_rows(z)
     else:
         emb, norms = z, None
+    e_q, e_g = emb[:n_pairs], emb[n_pairs : 2 * n_pairs]
 
-    s_pos = np.einsum("ij,ij->i", emb[q_rows], emb[g_rows])
-    s_neg = np.einsum("ij,ij->i", emb[q_rows[neg_owner]], emb[neg_rows])
+    s_pos = np.sum(e_q * e_g, axis=1)
+    s_neg = np.sum(e_q[neg_owner] * emb[2 * n_pairs :], axis=1)
     seg_starts = np.zeros(n_pairs, dtype=np.int64)
     np.cumsum(neg_counts[:-1], out=seg_starts[1:])
     s_neg_max = np.maximum.reduceat(s_neg, seg_starts)
-    hardest = np.array(
-        [seg_starts[i] + int(np.argmax(s_neg[seg_starts[i] : seg_starts[i] + neg_counts[i]]))
-         for i in range(n_pairs)],
-        dtype=np.int64,
+    # Each pair's first negative reaching its max, as argmax picks (NaN wins).
+    reaches = (s_neg == s_neg_max[neg_owner]) | np.isnan(s_neg)
+    hardest_rows = 2 * n_pairs + np.minimum.reduceat(
+        np.where(reaches, np.arange(n_neg), n_neg), seg_starts
     )
     margins = s_neg_max - s_pos + config.margin
     active = margins > 0
     loss_dr = float(np.maximum(margins, 0.0).mean())
 
+    # d loss / d s_pos = -coeff ; d loss / d s_neg[hardest] = +coeff.  The
+    # three row sets are disjoint, so plain assignment scatters.
+    coeff = (active / n_pairs)[:, None]
     d_emb = np.zeros_like(emb)
-    coeff = active.astype(float) / n_pairs
-    # d loss / d s_pos = -coeff ; d loss / d s_neg[hardest] = +coeff
-    np.add.at(d_emb, q_rows, coeff[:, None] * (emb[neg_rows[hardest]] - emb[g_rows]))
-    np.add.at(d_emb, g_rows, -coeff[:, None] * emb[q_rows])
-    np.add.at(d_emb, neg_rows[hardest], coeff[:, None] * emb[q_rows])
+    d_emb[:n_pairs] = coeff * (emb[hardest_rows] - e_g)
+    d_emb[n_pairs : 2 * n_pairs] = -coeff * e_q
+    d_emb[hardest_rows] = coeff * e_q
 
     if config.similarity == COSINE:
         # Through row normalization: dz = (de - e * <e, de>) / ||z||.
-        inner = np.einsum("ij,ij->i", emb, d_emb)
+        inner = np.sum(emb * d_emb, axis=1)
         d_z = (d_emb - emb * inner[:, None]) / norms[:, None]
     else:
         d_z = d_emb
@@ -337,43 +394,47 @@ def joint_loss(
     grads["dense_proj"] += d_z.T @ pooled
     d_pooled = d_z @ params.dense_proj
 
-    # ---- position head (queries only) ----
-    pooled_q = pooled[q_rows]
-    logprobs, hidden, pre = _logprob_table(params, pooled_q)
-    max_len = params.max_len
-    gold_lens = np.array([len(g) for g in golds], dtype=np.int64)
-    targets = np.zeros((n_pairs, max_len), dtype=np.int64)
-    for i, gold in enumerate(golds):
-        targets[i, : len(gold)] = gold
-    mask = np.arange(max_len)[None, :] < gold_lens[:, None]
+    # ---- position head: queries only, at the positions their gold fills ----
+    # One row per (pair, position) the loss reads, pair-major.  The
+    # vocabulary-wide products run on blocks of max_len rows, so each BLAS
+    # call has the shape of one pair's table whatever the batch size.
+    d, block = params.dim, params.max_len
+    token_half, pos_half = params.hidden_w[:, :d], params.hidden_w[:, d:]
+    gold_lens = lengths[n_pairs : 2 * n_pairs]
+    n_rows = int(gold_lens.sum())
+    rows_i = np.repeat(np.arange(n_pairs), gold_lens)
+    rows_t = np.arange(n_rows) - np.repeat(np.cumsum(gold_lens) - gold_lens, gold_lens)
+    gold_start = int(lengths[:n_pairs].sum())
+    targets = flat_ids[gold_start : gold_start + n_rows]
+    pooled_q = pooled[:n_pairs]
 
-    rows_i, rows_t = np.nonzero(mask)
-    nll_per_pair = np.zeros(n_pairs)
-    np.add.at(nll_per_pair, rows_i, -logprobs[rows_i, rows_t, targets[rows_i, rows_t]])
-    loss_nlg = float(nll_per_pair.mean())
+    pre = (pooled_q @ token_half.T)[rows_i] + (params.pos_emb @ pos_half.T)[rows_t] + params.hidden_b
+    hidden = _blocks(np.maximum(pre, 0.0), block)
+    logprobs = _log_softmax(hidden @ params.out_w.T + params.out_b).reshape(-1, params.vocab_size)
+    on_target = (np.arange(n_rows), targets)
+    loss_nlg = float(-logprobs[on_target].sum() / n_pairs)
 
-    scale = config.nlg_weight / n_pairs
-    d_logits = np.where(mask[:, :, None], np.exp(logprobs), 0.0)
-    np.subtract.at(d_logits, (rows_i, rows_t, targets[rows_i, rows_t]), 1.0)
-    d_logits *= scale
-
-    grads["out_w"] += np.einsum("btv,bth->vh", d_logits, hidden)
+    d_logits = np.exp(logprobs)
+    d_logits[on_target] -= 1.0
+    d_logits[n_rows:] = 0.0  # the last block's padding rows
+    d_logits *= config.nlg_weight / n_pairs
+    d_logits = d_logits.reshape(hidden.shape[:2] + (-1,))
+    for d_block, h_block in zip(d_logits, hidden):
+        grads["out_w"] += d_block.T @ h_block
     grads["out_b"] += d_logits.sum(axis=(0, 1))
-    d_hidden = d_logits @ params.out_w
-    d_pre = d_hidden * (pre > 0)
-    grads["hidden_b"] += d_pre.sum(axis=(0, 1))
-    d = params.dim
-    grads["hidden_w"][:, :d] += np.einsum("bth,bd->hd", d_pre, pooled_q)
-    grads["hidden_w"][:, d:] += np.einsum("bth,td->hd", d_pre, params.pos_emb)
-    grads["pos_emb"] += np.einsum("bth,hd->td", d_pre, params.hidden_w[:, d:])
-    np.add.at(d_pooled, q_rows, np.einsum("bth,hd->bd", d_pre, params.hidden_w[:, :d]))
+    d_hidden = (d_logits @ params.out_w).reshape(-1, params.hidden_dim)[:n_rows]
+    d_pre = np.zeros((n_pairs, params.max_len, params.hidden_dim))
+    d_pre[rows_i, rows_t] = d_hidden * (pre > 0)
+    d_pre_pair, d_pre_pos = d_pre.sum(axis=1), d_pre.sum(axis=0)
+    grads["hidden_b"] += d_pre_pos.sum(axis=0)
+    grads["hidden_w"][:, :d] += d_pre_pair.T @ pooled_q
+    grads["hidden_w"][:, d:] += d_pre_pos.T @ params.pos_emb
+    grads["pos_emb"] += d_pre_pos @ pos_half
+    d_pooled[:n_pairs] += d_pre_pair @ token_half
 
     # ---- shared token embeddings ----
-    np.add.at(
-        grads["token_emb"],
-        flat_ids,
-        d_pooled[owners] / lengths[owners, None],
-    )
+    owners = np.repeat(np.arange(len(lengths)), lengths)
+    np.add.at(grads["token_emb"], flat_ids, (d_pooled / lengths[:, None])[owners])
 
     return loss_dr + config.nlg_weight * loss_nlg, grads
 
@@ -388,22 +449,36 @@ class MiningPlan:
 
 
 def _balanced_kmeans(points: np.ndarray, k: int, rng: np.random.Generator, iters: int = 8) -> np.ndarray:
-    """Spherical k-means with per-cluster capacity ceil(n/k)."""
+    """Spherical k-means with per-cluster capacity ceil(n/k).
+
+    Assignment is greedy: points in decreasing order of confidence (their
+    best similarity, ties by index) each take their most similar open
+    cluster (ties by cluster index), and a cluster closes when full.  It
+    runs in passes: every remaining point takes its best open cluster, a
+    per-cluster running count finds the first point that would overflow
+    one, the points before it keep their choice, full clusters close and
+    the next pass starts at that point.  Each pass but the last closes a
+    cluster, so there are at most k + 1.
+    """
     n = len(points)
     capacity = -(-n // k)
     centers = points[rng.choice(n, size=k, replace=False)].copy()
     labels = np.zeros(n, dtype=np.int64)
     for _ in range(iters):
         dots = points @ centers.T
-        # Confident points (largest best-similarity) pick first.
         order = np.argsort(-dots.max(axis=1), kind="stable")
+        prefs = np.argsort(-dots[order], axis=1, kind="stable")  # clusters, best first
         load = np.zeros(k, dtype=np.int64)
-        for i in order:
-            for c in np.argsort(-dots[i], kind="stable"):
-                if load[c] < capacity:
-                    labels[i] = c
-                    load[c] += 1
-                    break
+        start = 0
+        while start < n:
+            rest = prefs[start:]
+            choice = rest[np.arange(len(rest)), np.argmax((load < capacity)[rest], axis=1)]
+            seen = np.cumsum(choice[:, None] == np.arange(k), axis=0)  # running count per cluster
+            over = np.flatnonzero(load[choice] + seen[np.arange(len(rest)), choice] > capacity)
+            stop = over[0] if len(over) else len(rest)
+            labels[order[start : start + stop]] = choice[:stop]
+            load += np.bincount(choice[:stop], minlength=k)
+            start += stop
         for c in range(k):
             members = points[labels == c]
             if len(members):
@@ -429,10 +504,11 @@ def mine_negatives(
     Queries are grouped by balanced k-means on their dense embeddings and
     batches are drawn within a cluster, so each batch's keywords are
     already semantically close to its queries.  A pair's negatives are the
-    highest-inner-product keywords among its batch's gold keywords,
-    excluding every true positive of that query (``positive_sets``,
-    defaulting to just the pair's own gold).  Pairs whose batch offers no
-    legal negative fall back to a seeded random non-positive keyword.
+    highest-inner-product keywords among its batch's gold keywords (ties
+    by keyword id), excluding every true positive of that query
+    (``positive_sets``, defaulting to just the pair's own gold).  Pairs
+    whose batch offers no legal negative fall back to a seeded random
+    non-positive keyword, drawn in batch order.
     """
     n_pairs = len(query_embs)
     if cluster_count > n_pairs:
@@ -442,7 +518,6 @@ def mine_negatives(
     gold_ids = np.asarray(gold_ids, dtype=np.int64)
     if positive_sets is None:
         positive_sets = [{int(g)} for g in gold_ids]
-
     rng = np.random.default_rng(seed)
     if cluster_count == 1:
         labels = np.zeros(n_pairs, dtype=np.int64)
@@ -456,23 +531,36 @@ def mine_negatives(
         for start in range(0, len(members), batch_size):
             chunk = members[start : start + batch_size]
             if len(chunk):
-                batches.append(tuple(int(i) for i in chunk))
+                batches.append(tuple(chunk.tolist()))
 
     n_keywords = len(keyword_embs)
+    # Every (pair, positive keyword row) as one key, pair * n_keywords + row,
+    # sorted and closed by a key above them all.
+    positive_keys = np.append(np.sort(np.fromiter(
+        (i * n_keywords + k for i, keys in enumerate(positive_sets) for k in keys if 0 <= k < n_keywords),
+        dtype=np.int64,
+    )), n_pairs * n_keywords)
     negatives: list[tuple[int, ...]] = [()] * n_pairs
     for batch in batches:
-        pool = np.unique(gold_ids[list(batch)])
-        sims = query_embs[list(batch)] @ keyword_embs[pool].T
+        rows = np.array(batch, dtype=np.int64)
+        golds = np.sort(gold_ids[rows])
+        pool = golds[np.r_[True, golds[1:] != golds[:-1]]]  # the batch's distinct golds
+        sims = query_embs[rows] @ keyword_embs[pool].T
+        keys = rows[:, None] * n_keywords + pool
+        blocked = positive_keys[np.searchsorted(positive_keys, keys)] == keys
+        # Rank the pool per row by (-similarity, id): pool is sorted by id.
+        ranked = np.argsort(-sims, axis=1, kind="stable")
+        free = ~np.take_along_axis(blocked, ranked, axis=1)
+        picked = free & (np.cumsum(free, axis=1) <= negatives_per_positive)
+        picks = pool[ranked[picked]].tolist()
+        ends = np.cumsum(picked.sum(axis=1)).tolist()
         for row, i in enumerate(batch):
-            blocked = positive_sets[i]
-            ranked = pool[np.lexsort((pool, -sims[row]))]
-            picked = [int(kid) for kid in ranked if int(kid) not in blocked]
-            picked = picked[:negatives_per_positive]
-            if not picked:
-                candidates = np.setdiff1d(np.arange(n_keywords), np.fromiter(blocked, dtype=np.int64))
+            negatives[i] = tuple(picks[ends[row - 1] if row else 0 : ends[row]])
+            if not negatives[i]:
+                own = np.fromiter(positive_sets[i], dtype=np.int64)
+                candidates = np.setdiff1d(np.arange(n_keywords), own)
                 if len(candidates):
-                    picked = [int(rng.choice(candidates))]
-            negatives[i] = tuple(picked)
+                    negatives[i] = (int(rng.choice(candidates)),)
     return MiningPlan(
         batches=tuple(batches),
         negatives=tuple(negatives),

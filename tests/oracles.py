@@ -298,3 +298,165 @@ def max_relative_error(analytic: dict, numeric: dict) -> float:
         if rest.any():
             worst = max(worst, float((diff[rest] / denom[rest]).max()))
     return worst
+
+
+def einsum_joint_loss(params, batch, config):
+    """``encoder.joint_loss`` as per-sequence checks, ``np.add.at``
+    scatters, ``einsum`` contractions over the full (pair, position,
+    vocabulary) table and a ``logaddexp`` log-sum-exp.
+
+    Returns ``(loss, grads)`` like the library function.  The hinge takes
+    each pair's first hardest negative (``argmax``), as documented there.
+    """
+    n_pairs = len(batch)
+    queries = [tuple(item[0]) for item in batch]
+    golds = [tuple(item[1]) for item in batch]
+    neg_counts = np.array([len(item[2]) for item in batch], dtype=np.int64)
+    negatives = [tuple(neg) for item in batch for neg in item[2]]
+
+    all_seqs = queries + golds + negatives
+    lengths = np.array([len(s) for s in all_seqs], dtype=np.int64)
+    flat_ids = np.array([t for s in all_seqs for t in s], dtype=np.int64)
+    owners = np.repeat(np.arange(len(all_seqs)), lengths)
+    pooled = np.zeros((len(all_seqs), params.dim))
+    np.add.at(pooled, owners, params.token_emb[flat_ids])
+    pooled /= lengths[:, None]
+    q_rows = np.arange(n_pairs)
+    g_rows = n_pairs + np.arange(n_pairs)
+    neg_rows = 2 * n_pairs + np.arange(len(negatives))
+    neg_owner = np.repeat(np.arange(n_pairs), neg_counts)
+
+    z = pooled @ params.dense_proj.T
+    if config.similarity == "cosine":
+        norms = np.maximum(np.linalg.norm(z, axis=1), 1e-30)
+        emb = z / norms[:, None]
+    else:
+        emb, norms = z, None
+    s_pos = np.einsum("ij,ij->i", emb[q_rows], emb[g_rows])
+    s_neg = np.einsum("ij,ij->i", emb[q_rows[neg_owner]], emb[neg_rows])
+    seg_starts = np.zeros(n_pairs, dtype=np.int64)
+    np.cumsum(neg_counts[:-1], out=seg_starts[1:])
+    s_neg_max = np.maximum.reduceat(s_neg, seg_starts)
+    hardest = np.array(
+        [seg_starts[i] + int(np.argmax(s_neg[seg_starts[i] : seg_starts[i] + neg_counts[i]]))
+         for i in range(n_pairs)],
+        dtype=np.int64,
+    )
+    margins = s_neg_max - s_pos + config.margin
+    active = margins > 0
+    loss_dr = float(np.maximum(margins, 0.0).mean())
+
+    d_emb = np.zeros_like(emb)
+    coeff = active.astype(float) / n_pairs
+    np.add.at(d_emb, q_rows, coeff[:, None] * (emb[neg_rows[hardest]] - emb[g_rows]))
+    np.add.at(d_emb, g_rows, -coeff[:, None] * emb[q_rows])
+    np.add.at(d_emb, neg_rows[hardest], coeff[:, None] * emb[q_rows])
+    if config.similarity == "cosine":
+        inner = np.einsum("ij,ij->i", emb, d_emb)
+        d_z = (d_emb - emb * inner[:, None]) / norms[:, None]
+    else:
+        d_z = d_emb
+    grads = {name: np.zeros_like(arr) for name, arr in params.arrays().items()}
+    grads["dense_proj"] += d_z.T @ pooled
+    d_pooled = d_z @ params.dense_proj
+
+    d = params.dim
+    pooled_q = pooled[q_rows]
+    pre = pooled_q @ params.hidden_w[:, :d].T
+    pre = pre[:, None, :] + (params.pos_emb @ params.hidden_w[:, d:].T)[None, :, :] + params.hidden_b
+    hidden = np.maximum(pre, 0.0)
+    logits = hidden @ params.out_w.T + params.out_b
+    logprobs = logits - np.logaddexp.reduce(logits, axis=2)[:, :, None]
+    max_len = params.max_len
+    gold_lens = np.array([len(g) for g in golds], dtype=np.int64)
+    targets = np.zeros((n_pairs, max_len), dtype=np.int64)
+    for i, gold in enumerate(golds):
+        targets[i, : len(gold)] = gold
+    mask = np.arange(max_len)[None, :] < gold_lens[:, None]
+    rows_i, rows_t = np.nonzero(mask)
+    nll_per_pair = np.zeros(n_pairs)
+    np.add.at(nll_per_pair, rows_i, -logprobs[rows_i, rows_t, targets[rows_i, rows_t]])
+    loss_nlg = float(nll_per_pair.mean())
+
+    scale = config.nlg_weight / n_pairs
+    d_logits = np.where(mask[:, :, None], np.exp(logprobs), 0.0)
+    np.subtract.at(d_logits, (rows_i, rows_t, targets[rows_i, rows_t]), 1.0)
+    d_logits *= scale
+    grads["out_w"] += np.einsum("btv,bth->vh", d_logits, hidden)
+    grads["out_b"] += d_logits.sum(axis=(0, 1))
+    d_pre = (d_logits @ params.out_w) * (pre > 0)
+    grads["hidden_b"] += d_pre.sum(axis=(0, 1))
+    grads["hidden_w"][:, :d] += np.einsum("bth,bd->hd", d_pre, pooled_q)
+    grads["hidden_w"][:, d:] += np.einsum("bth,td->hd", d_pre, params.pos_emb)
+    grads["pos_emb"] += np.einsum("bth,hd->td", d_pre, params.hidden_w[:, d:])
+    np.add.at(d_pooled, q_rows, np.einsum("bth,hd->bd", d_pre, params.hidden_w[:, :d]))
+    np.add.at(grads["token_emb"], flat_ids, d_pooled[owners] / lengths[owners, None])
+    return loss_dr + config.nlg_weight * loss_nlg, grads
+
+
+def scalar_balanced_kmeans(points: np.ndarray, k: int, rng: np.random.Generator, iters: int = 8):
+    """Spherical k-means with capacity ceil(n/k), assigned one point at a
+    time: in decreasing order of best similarity (stable), each point
+    walks its clusters from most to least similar (stable) and takes the
+    first that is not full.  Centers update as in ``encoder``."""
+    n = len(points)
+    capacity = -(-n // k)
+    centers = points[rng.choice(n, size=k, replace=False)].copy()
+    labels = np.zeros(n, dtype=np.int64)
+    for _ in range(iters):
+        dots = points @ centers.T
+        order = np.argsort(-dots.max(axis=1), kind="stable")
+        load = np.zeros(k, dtype=np.int64)
+        for i in order:
+            for c in np.argsort(-dots[i], kind="stable"):
+                if load[c] < capacity:
+                    labels[i] = c
+                    load[c] += 1
+                    break
+        for c in range(k):
+            members = points[labels == c]
+            if len(members):
+                center = members.mean(axis=0)
+                norm = np.linalg.norm(center)
+                if norm > 1e-12:
+                    centers[c] = center / norm
+    return labels
+
+
+def scalar_mine_negatives(query_embs, keyword_embs, gold_ids, cluster_count,
+                          negatives_per_positive, batch_size, seed=0, positive_sets=None):
+    """``encoder.mine_negatives`` one pair at a time, over
+    ``scalar_balanced_kmeans``.  Returns (batches, negatives, labels)."""
+    n_pairs = len(query_embs)
+    gold_ids = np.asarray(gold_ids, dtype=np.int64)
+    if positive_sets is None:
+        positive_sets = [{int(g)} for g in gold_ids]
+    rng = np.random.default_rng(seed)
+    if cluster_count == 1:
+        labels = np.zeros(n_pairs, dtype=np.int64)
+    else:
+        labels = scalar_balanced_kmeans(query_embs, cluster_count, rng)
+    batches = []
+    for c in range(cluster_count):
+        members = np.flatnonzero(labels == c)
+        rng.shuffle(members)
+        for start in range(0, len(members), batch_size):
+            chunk = members[start : start + batch_size]
+            if len(chunk):
+                batches.append(tuple(int(i) for i in chunk))
+    n_keywords = len(keyword_embs)
+    negatives = [()] * n_pairs
+    for batch in batches:
+        pool = np.unique(gold_ids[list(batch)])
+        sims = query_embs[list(batch)] @ keyword_embs[pool].T
+        for row, i in enumerate(batch):
+            blocked = positive_sets[i]
+            ranked = pool[np.lexsort((pool, -sims[row]))]
+            picked = [int(kid) for kid in ranked if int(kid) not in blocked]
+            picked = picked[:negatives_per_positive]
+            if not picked:
+                candidates = np.setdiff1d(np.arange(n_keywords), np.fromiter(blocked, dtype=np.int64))
+                if len(candidates):
+                    picked = [int(rng.choice(candidates))]
+            negatives[i] = tuple(picked)
+    return tuple(batches), tuple(negatives), labels

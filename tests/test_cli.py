@@ -444,3 +444,54 @@ class TestErrorHandling:
         assert code == 2
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"]["kind"] == "validation" and "row 1" in err["error"]["message"]
+
+
+class TestTrainFailures:
+    @pytest.fixture
+    def tiny_inputs(self, tmp_path):
+        """A 24-token vocabulary and 60 pairs, as in the encoder's training tests."""
+        rng = np.random.default_rng(0)
+        vocab = tmp_path / "vocab.txt"
+        vocab.write_text("".join(f"t{i}\n" for i in range(24)), encoding="utf-8")
+        keywords = [f"t{2 * i} t{2 * i + 1}" for i in range(8)]
+        lines = []
+        for _ in range(60):
+            keyword = keywords[int(rng.integers(0, len(keywords)))]
+            lines.append(f"{keyword}\t{keyword}\n")
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text("".join(lines), encoding="utf-8")
+        return tmp_path, vocab, pairs
+
+    def run_train(self, tiny_inputs, config):
+        root, vocab, pairs = tiny_inputs
+        config_path = root / "train.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        return main([
+            "train", "--pairs", str(pairs), "--vocab", str(vocab),
+            "--config-file", str(config_path), "--out", str(root / "encoder.kenc"),
+        ])
+
+    @pytest.mark.parametrize("config", [
+        {"cluster_count": 0},          # was a ZeroDivisionError traceback
+        {"epochs": 1.5},               # was a TypeError traceback
+        {"dense_dim": 0},              # trained zero-width embeddings
+        {"margin": float("nan")},      # passed validation
+    ], ids=lambda c: next(iter(c)))
+    def test_bad_config_is_validation_error(self, tiny_inputs, capsys, config):
+        code = self.run_train(tiny_inputs, config)
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"]["kind"] == "validation" and next(iter(config)) in err["error"]["message"]
+        assert not (tiny_inputs[0] / "encoder.kenc").exists()
+
+    def test_divergence_is_exit_2(self, tiny_inputs, capsys):
+        # test_divergence_raises' settings.
+        config = {"epochs": 8, "batch_size": 16, "cluster_count": 1, "learning_rate": 1e12,
+                  "dim": 8, "dense_dim": 4, "hidden_dim": 12, "max_len": 4, "seed": 5}
+        with np.errstate(all="ignore"):
+            code = self.run_train(tiny_inputs, config)
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip())["error"]
+        assert err["code"] == 2 and err["kind"] == "diverged"
+        assert "epoch" in err["message"] and "learning_rate=1000000000000.0" in err["message"]
+        assert not (tiny_inputs[0] / "encoder.kenc").exists()

@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -17,8 +23,15 @@ from unikw import (
     train,
 )
 from unikw.corpus import TrainingPair
+from unikw.encoder import _balanced_kmeans
 
-from oracles import finite_difference_grads, max_relative_error
+from oracles import (
+    einsum_joint_loss,
+    finite_difference_grads,
+    max_relative_error,
+    scalar_balanced_kmeans,
+    scalar_mine_negatives,
+)
 
 
 def small_params(seed=0, vocab_size=16, dim=4, dense_dim=3, hidden_dim=6, max_len=4):
@@ -319,3 +332,204 @@ class TestTrainConfigJson:
             TrainConfig(margin=-1.0)
         with pytest.raises(ValidationError):
             TrainConfig(similarity="manhattan")
+
+
+class TestTrainConfigValidation:
+    @pytest.mark.parametrize("override", [
+        {"cluster_count": 0},
+        {"epochs": 0},
+        {"epochs": 1.5},
+        {"batch_size": 1.5},
+        {"negatives_per_positive": 0},
+        {"dim": 0},
+        {"hidden_dim": 0},
+        {"dense_dim": 0},
+        {"max_len": 1},
+        {"epochs": True},
+        {"seed": -1},
+        {"seed": "0"},
+        {"margin": float("nan")},
+        {"margin": float("inf")},
+        {"nlg_weight": float("nan")},
+        {"learning_rate": float("nan")},
+        {"learning_rate": 0.0},
+        {"learning_rate": -0.1},
+        {"momentum": float("nan")},
+        {"momentum": 1.0},
+        {"momentum": -0.5},
+        {"momentum": False},
+        {"margin": "0.3"},
+    ], ids=repr)
+    def test_rejected(self, override):
+        with pytest.raises(ValidationError, match=next(iter(override))):
+            TrainConfig(**override)
+
+    def test_edges_accepted(self):
+        TrainConfig(max_len=2, seed=0, momentum=0.0, margin=0.0, nlg_weight=0.0,
+                    learning_rate=1e-9, epochs=np.int64(1), dim=1, dense_dim=1, hidden_dim=1)
+        TrainConfig(momentum=0.999, margin=1, learning_rate=2)
+
+
+def ragged_batch(rng, params, n_pairs, tie_every=3):
+    """Random triples with 1-3 negatives of ragged lengths; every
+    ``tie_every``-th pair repeats its first negative, so its hardest
+    negative is tied."""
+    batch = random_batch(rng, params, n_pairs=n_pairs, n_negatives=3)
+    out = []
+    for i, (query, gold, negatives) in enumerate(batch):
+        negatives = negatives[: int(rng.integers(1, 4))]
+        if i % tie_every == 0:
+            negatives = (negatives[0],) + negatives
+        out.append((query, gold, negatives))
+    return out
+
+
+def assert_grads_close(grads, reference, rel=1e-12):
+    assert grads.keys() == reference.keys()
+    for name, ref in reference.items():
+        scale = np.abs(ref).max()
+        assert np.abs(grads[name] - ref).max() <= rel * scale, name
+
+
+class TestJointLossMatchesOracle:
+    @pytest.mark.parametrize("similarity", ["cosine", "dot"])
+    @pytest.mark.parametrize("nlg_weight", [0.0, 2.0])
+    def test_gradients_match_einsum_oracle(self, similarity, nlg_weight):
+        rng = np.random.default_rng(31)
+        for trial in range(12):
+            params = small_params(seed=trial, vocab_size=int(rng.integers(5, 40)),
+                                  max_len=int(rng.integers(2, 7)))
+            batch = ragged_batch(rng, params, n_pairs=int(rng.integers(1, 20)))
+            config = TrainConfig(nlg_weight=nlg_weight, margin=float(rng.uniform(0.0, 1.5)),
+                                 similarity=similarity)
+            loss, grads = joint_loss(params, batch, config)
+            ref_loss, ref_grads = einsum_joint_loss(params, batch, config)
+            assert loss == pytest.approx(ref_loss, rel=1e-12, abs=1e-15)
+            assert_grads_close(grads, ref_grads)
+
+    def test_tied_hardest_negative_takes_the_first(self):
+        # Pair 0's two negatives are the same sequence: both score the
+        # maximum, and only the first may receive the hinge gradient.
+        params = small_params(seed=4)
+        batch = [((3, 4), (5, EOW_ID), ((6, 7, EOW_ID), (6, 7, EOW_ID), (8, EOW_ID)))]
+        config = TrainConfig(margin=5.0, nlg_weight=0.0)
+        loss, grads = joint_loss(params, batch, config)
+        ref_loss, ref_grads = einsum_joint_loss(params, batch, config)
+        assert loss == pytest.approx(ref_loss, rel=1e-12)
+        assert_grads_close(grads, ref_grads)
+
+    def test_wide_batch_matches_oracle(self):
+        # The shape the training loop runs: 64 pairs, a 400-token vocabulary.
+        rng = np.random.default_rng(5)
+        params = init_params(403, dim=8, dense_dim=4, hidden_dim=16, max_len=8, seed=2)
+        batch = ragged_batch(rng, params, n_pairs=64)
+        loss, grads = joint_loss(params, batch, TrainConfig())
+        ref_loss, ref_grads = einsum_joint_loss(params, batch, TrainConfig())
+        assert loss == pytest.approx(ref_loss, rel=1e-12)
+        assert_grads_close(grads, ref_grads)
+
+
+def unit_rows(rng, n, width):
+    rows = rng.normal(size=(n, width))
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
+class TestBalancedKmeansMatchesOracle:
+    @pytest.mark.parametrize("k", [2, 3, 4, 7])
+    def test_labels_identical(self, k):
+        rng = np.random.default_rng(k)
+        for trial in range(25):
+            n = int(rng.integers(k, 150))
+            points = unit_rows(rng, n, int(rng.integers(2, 5)))
+            copies = rng.integers(0, n, n // 2)  # duplicate points tie exactly
+            points[rng.integers(0, n, n // 2)] = points[copies]
+            labels = _balanced_kmeans(points, k, np.random.default_rng(trial))
+            expected = scalar_balanced_kmeans(points, k, np.random.default_rng(trial))
+            np.testing.assert_array_equal(labels, expected)
+            assert np.bincount(labels, minlength=k).max() <= -(-n // k)
+
+    def test_all_points_identical(self):
+        points = np.tile(unit_rows(np.random.default_rng(0), 1, 3), (10, 1))
+        labels = _balanced_kmeans(points, 3, np.random.default_rng(1))
+        np.testing.assert_array_equal(labels, scalar_balanced_kmeans(points, 3, np.random.default_rng(1)))
+
+
+class TestMiningMatchesOracle:
+    def test_plans_identical(self):
+        fallbacks = 0
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            n_pairs, n_keywords = int(rng.integers(4, 120)), int(rng.integers(2, 30))
+            queries = unit_rows(rng, n_pairs, 4)
+            keywords = unit_rows(rng, n_keywords, 4)
+            keywords[1] = keywords[0]  # tied similarities break by keyword id
+            gold = rng.integers(0, n_keywords, n_pairs)
+            positives = None
+            if seed % 4 == 1:  # extra positives, some outside the catalog
+                positives = [
+                    {int(g)} | set(rng.integers(0, n_keywords + 2, int(rng.integers(0, 4))).tolist())
+                    for g in gold
+                ]
+            elif seed % 4 == 3:  # some pairs block nothing, not even their gold
+                positives = [set() if rng.random() < 0.3 else {int(g)} for g in gold]
+            kwargs = dict(
+                cluster_count=int(rng.integers(1, 5)),
+                negatives_per_positive=int(rng.integers(1, 4)),
+                batch_size=int(rng.integers(1, 24)),
+                seed=seed,
+                positive_sets=positives,
+            )
+            plan = mine_negatives(queries, keywords, gold, **kwargs)
+            batches, negatives, labels = scalar_mine_negatives(queries, keywords, gold, **kwargs)
+            assert plan.batches == batches
+            assert plan.negatives == negatives
+            np.testing.assert_array_equal(plan.cluster_labels, labels)
+            pools = {i: set(gold[list(b)].tolist()) for b in batches for i in b}
+            fallbacks += sum(1 for i, neg in enumerate(negatives)
+                             if len(neg) == 1 and neg[0] not in pools[i])
+        assert fallbacks > 0  # the seeded random draws were exercised
+
+    def test_no_legal_keyword_leaves_pair_without_negatives(self):
+        plan = mine_negatives(
+            np.eye(2), np.eye(2), gold_ids=np.array([0, 1]),
+            cluster_count=1, negatives_per_positive=1, batch_size=2,
+            positive_sets=[{0, 1}, {1}],
+        )
+        assert plan.negatives == ((), (0,))
+
+
+_TRAIN_AND_SAVE = textwrap.dedent("""
+    import sys
+    import numpy as np
+    from unikw import EOW_ID, TrainConfig, Vocab, save_params, train
+    from unikw.corpus import TrainingPair
+
+    rng = np.random.default_rng(0)
+    vocab = Vocab.from_tokens([f"w{i:03d}" for i in range(400)])
+    pairs = []
+    for kid in range(300):
+        ids = tuple(int(t) for t in rng.choice(np.arange(3, len(vocab)), int(rng.integers(1, 5)), replace=False))
+        for _ in range(2):
+            query = tuple(t for t in ids if rng.random() < 0.7) or ids[:1]
+            pairs.append(TrainingPair(query_text=str(query), query_ids=query, keyword_text=str(ids),
+                                      keyword_ids=ids + (EOW_ID,), keyword_id=kid))
+    config = TrainConfig(epochs=1, batch_size=64, cluster_count=2, max_len=8, momentum=0.5, seed=3)
+    save_params(train(config, pairs, vocab).params, sys.argv[1])
+""")
+
+
+def test_checkpoint_independent_of_blas_threads(tmp_path):
+    """Each BLAS call in training is small enough that OpenBLAS runs it on
+    one thread, so the trained weights do not depend on the thread count.
+    A 400-token vocabulary at batch 64 and max_len 8 would cross that size
+    in a single (batch x positions) GEMM."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    digests = []
+    for threads in ("1", "2", "1"):
+        path = tmp_path / f"threads{threads}-{len(digests)}.kenc"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        subprocess.run([sys.executable, "-c", _TRAIN_AND_SAVE, str(path)], env=env,
+                       check=True, timeout=120)
+        digests.append(path.read_bytes())
+    assert digests[0] == digests[1] == digests[2]
