@@ -24,6 +24,7 @@ from .corpus import (
     load_vocab,
     save_vocab,
     tokenize,
+    tokenize_batch,
 )
 from .decoder import (
     DecodeConfig,
@@ -49,6 +50,7 @@ from .encoder import (
     TrainConfig,
     TrainResult,
     embed_batch,
+    embed_flat,
     encode,
     init_params,
     joint_loss,
@@ -84,6 +86,7 @@ from .trie import (
     REVERSED,
     KeywordTrie,
     build_trie,
+    build_trie_arrays,
     children,
     deserialize,
     length_partitions,

@@ -6,6 +6,15 @@ terminates every keyword token sequence.  Length selection during decoding
 is therefore probabilistic (the model has to predict EOW) and keyword
 terminals in the trie are ordinary edges.
 
+``tokenize`` maps one text (a served query) to a tuple of ids.
+``tokenize_batch`` maps a whole catalog at once to one flat int64 id array
+plus per-text lengths, equal to ``tokenize`` text by text, concatenated;
+``build-trie`` and ``index`` feed those arrays to the trie and the encoder
+without building a tuple per keyword.  Splitting and id lookup run as
+C-level passes (``map`` over ``str`` methods and the vocabulary dict), the
+reserved forms, cuts and EOW as array operations.  ``build_vocab`` counts
+each file with one ``Counter`` over its lowercased, split text.
+
 File formats:
   * keyword catalog — UTF-8, one keyword per line, 0-based line number is
     the keyword id;
@@ -18,6 +27,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, compress, repeat
+
+import numpy as np
 
 from .errors import ValidationError
 from .fileio import checksum64
@@ -79,8 +91,11 @@ class TrainingPair:
     keyword_id: int
 
 
-def _split(text: str) -> list[str]:
-    return text.lower().split()
+def _check_tokenize_args(role: str, max_len: int) -> None:
+    if role not in ("query", "keyword"):
+        raise ValidationError(f"unknown tokenize role: {role!r}")
+    if max_len < 1:
+        raise ValidationError(f"max_len must be >= 1, got {max_len}")
 
 
 def tokenize(text: str, vocab: Vocab, role: str, max_len: int = DEFAULT_MAX_LEN) -> TokenSeq:
@@ -92,13 +107,12 @@ def tokenize(text: str, vocab: Vocab, role: str, max_len: int = DEFAULT_MAX_LEN)
     (empty or whitespace-only) maps to a single UNK so downstream pooling
     always has at least one token.
     """
-    if role not in ("query", "keyword"):
-        raise ValidationError(f"unknown tokenize role: {role!r}")
+    _check_tokenize_args(role, max_len)
     # Reserved surface forms are never legitimate corpus tokens; mapping
     # them to UNK keeps EOW/PAD out of query sequences.
     ids = [
         UNK_ID if tok in RESERVED_TOKENS else vocab.id_of(tok)
-        for tok in _split(text)
+        for tok in text.lower().split()
     ]
     if not ids:
         ids = [UNK_ID]
@@ -107,16 +121,59 @@ def tokenize(text: str, vocab: Vocab, role: str, max_len: int = DEFAULT_MAX_LEN)
     return tuple(ids[: max_len - 1]) + (EOW_ID,)
 
 
+def tokenize_batch(
+    texts, vocab: Vocab, role: str, max_len: int = DEFAULT_MAX_LEN
+) -> tuple[np.ndarray, np.ndarray]:
+    """``tokenize`` over many texts: ``(flat_ids, lengths)``, int64.
+
+    ``flat_ids`` holds every text's ids end to end, exactly what
+    ``tokenize`` gives text by text, concatenated; ``lengths[i]`` is the
+    length of text i's sequence.  No Python code runs per token: the texts
+    are lowercased, split and looked up by C-level ``map`` passes, and
+    the reserved forms, cuts, blank texts' UNK and keywords' EOW are
+    array operations.
+    """
+    _check_tokenize_args(role, max_len)
+    words = list(map(str.split, map(str.lower, texts)))
+    counts = np.fromiter(map(len, words), dtype=np.int64, count=len(words))
+    ids = np.fromiter(
+        map(vocab.token_to_id.get, chain.from_iterable(words), repeat(UNK_ID)),
+        dtype=np.int64,
+        count=int(counts.sum()),
+    )
+    ids[ids <= EOW_ID] = UNK_ID  # every reserved surface form maps to UNK
+    keyword = role == "keyword"
+    keep = max_len - keyword  # content tokens a sequence holds at most
+    if counts.max(initial=0) > keep:
+        position = np.arange(len(ids)) - np.repeat(np.cumsum(counts) - counts, counts)
+        ids = ids[position < keep]
+        counts = np.minimum(counts, keep)
+    # Two kinds of slot hold no looked-up id: the UNK that stands for a
+    # blank text's tokens (absent when nothing fits) and a keyword's EOW.
+    blank = (counts == 0) & (keep > 0)
+    lengths = counts + blank + keyword
+    ends = np.cumsum(lengths)
+    flat_ids = np.full(int(lengths.sum()), UNK_ID, dtype=np.int64)
+    looked_up = np.ones(len(flat_ids), dtype=bool)
+    looked_up[(ends - lengths)[blank]] = False
+    if keyword:
+        looked_up[ends - 1] = False
+        flat_ids[ends - 1] = EOW_ID
+    flat_ids[looked_up] = ids
+    return flat_ids, lengths
+
+
 def detokenize(ids: TokenSeq, vocab: Vocab) -> str:
     """Inverse of tokenize for in-vocabulary text; EOW/PAD are dropped."""
     return " ".join(vocab.token_of(i) for i in ids if i not in (PAD_ID, EOW_ID))
 
 
-def _count_tokens(counter: Counter, text: str) -> None:
-    for tok in _split(text):
-        if tok in RESERVED_TOKENS:
-            raise ValidationError(f"reserved token {tok!r} appears in corpus")
-        counter[tok] += 1
+def _reject_reserved(counts: Counter) -> None:
+    """Name the first reserved surface form counted, in file order."""
+    found = [tok for tok in RESERVED_TOKENS if tok in counts]
+    if found:
+        order = list(counts)  # a Counter keeps first-seen order
+        raise ValidationError(f"reserved token {min(found, key=order.index)!r} appears in corpus")
 
 
 def build_vocab(keyword_path, pairs_path, min_count: int = 1) -> Vocab:
@@ -124,21 +181,22 @@ def build_vocab(keyword_path, pairs_path, min_count: int = 1) -> Vocab:
 
     Id assignment is deterministic: tokens sorted by descending count, ties
     broken lexicographically.  Shuffling the corpus lines does not change
-    the result.
+    the result.  Pair lines without exactly two tab-separated fields are
+    skipped (``load_pairs`` accounts for them).
     """
     if min_count < 1:
         raise ValidationError("min_count must be >= 1")
     counts: Counter = Counter()
     with open(keyword_path, encoding="utf-8") as f:
-        for line in f:
-            _count_tokens(counts, line)
+        counts.update(f.read().lower().split())
+    _reject_reserved(counts)
     with open(pairs_path, encoding="utf-8") as f:
-        for line in f:
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 2:
-                continue  # load_pairs owns malformed-line accounting
-            _count_tokens(counts, parts[0])
-            _count_tokens(counts, parts[1])
+        lines = f.read().split("\n")  # the lines iterating the file yields
+    # Lines holding exactly one tab, picked in C; a tab is whitespace, so
+    # they split into both columns' tokens.
+    two_fields = compress(lines, map((1).__eq__, map(str.count, lines, repeat("\t"))))
+    counts.update("\n".join(two_fields).lower().split())
+    _reject_reserved(counts)
     if not counts:
         raise ValidationError("empty corpus")
     kept = sorted(
@@ -152,9 +210,9 @@ def load_keywords(path) -> list[str]:
     """Read the keyword catalog; 0-based line number is the keyword id."""
     with open(path, encoding="utf-8") as f:
         lines = f.read().splitlines()
-    for i, line in enumerate(lines):
-        if not line.strip():
-            raise ValidationError(f"blank keyword at line {i}")
+    if not all(map(str.strip, lines)):
+        blank = next(i for i, line in enumerate(lines) if not line.strip())
+        raise ValidationError(f"blank keyword at line {blank}")
     return lines
 
 

@@ -228,10 +228,11 @@ def _robust_prune(
     owners = np.asarray(owners, dtype=np.int64)
     candidates = np.asarray(candidates, dtype=np.int64)
     other = groups[candidates] != groups[points[owners]]
-    pairs = np.unique(owners[other] * len(vectors) + candidates[other])
-    owners, candidates = np.divmod(pairs, len(vectors))
+    pairs = np.sort(owners[other] * len(vectors) + candidates[other])
     if not len(pairs):
         return out
+    pairs = pairs[np.r_[True, pairs[1:] != pairs[:-1]]]  # drop repeats
+    owners, candidates = np.divmod(pairs, len(vectors))
     dists = _row_distances(vectors, candidates, points[owners])
     order = np.lexsort((candidates, dists, owners))
     owners, candidates, dists = owners[order], candidates[order], dists[order]

@@ -257,14 +257,20 @@ def _pool(token_emb: np.ndarray, flat_ids: np.ndarray, lengths: np.ndarray) -> n
 
     Summed one position at a time, so each sum runs in token order: a
     pooled vector is the same bits in any batch.  ``np.add.reduceat``
-    would associate the terms differently.
+    would associate the terms differently.  The rows are sorted by
+    length, longest first, so the rows still summing at position t are
+    a leading slice: each step is one ``take`` and one in-place add.
     """
-    starts = np.cumsum(lengths) - lengths
-    total = token_emb[flat_ids[starts]]
-    for t in range(1, int(lengths.max(initial=0))):
-        longer = np.flatnonzero(lengths > t)
-        total[longer] += token_emb[flat_ids[starts[longer] + t]]
-    return total / lengths[:, None]
+    order = np.argsort(-lengths, kind="stable")
+    starts = (np.cumsum(lengths) - lengths)[order]
+    total = token_emb.take(flat_ids[starts], axis=0)
+    longer = len(lengths) - np.cumsum(np.bincount(lengths))  # rows longer than t
+    for t in range(1, len(longer) - 1):
+        m = longer[t]
+        total[:m] += token_emb.take(flat_ids[starts[:m] + t], axis=0)
+    pooled = np.empty_like(total)
+    pooled[order] = total
+    return pooled / lengths[:, None]
 
 
 def _normalize_rows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -316,7 +322,12 @@ def embed_batch(params: EncoderParams, seqs) -> np.ndarray:
     Training utility for negative mining and index construction; it is not
     a full dual-head pass and does not touch the forward counter.
     """
-    flat_ids, lengths = _flatten(seqs)
+    return embed_flat(params, *_flatten(seqs))
+
+
+def embed_flat(params: EncoderParams, flat_ids: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """:func:`embed_batch` over sequences given as one flat id array plus
+    per-sequence lengths (as ``corpus.tokenize_batch`` returns them)."""
     _check_tokens(params, flat_ids, lengths)
     emb, _ = _normalize_rows(_pool(params.token_emb, flat_ids, lengths) @ params.dense_proj.T)
     return emb
@@ -601,11 +612,14 @@ def train(config: TrainConfig, pairs, vocab: Vocab) -> TrainResult:
     # Row-index the positive sets so mining works in embedding-row space.
     positive_rows = [{kw_row[k] for k in s if k in kw_row} for s in positive_sets]
 
+    query_flat = _flatten([p.query_ids for p in pairs])
+    kw_flat = _flatten(kw_seqs)
+
     velocity = {name: np.zeros_like(arr) for name, arr in params.arrays().items()}
     epoch_losses: list[float] = []
     for epoch in range(config.epochs):
-        query_embs = embed_batch(params, [p.query_ids for p in pairs])
-        keyword_embs = embed_batch(params, kw_seqs)
+        query_embs = embed_flat(params, *query_flat)
+        keyword_embs = embed_flat(params, *kw_flat)
         plan = mine_negatives(
             query_embs,
             keyword_embs,

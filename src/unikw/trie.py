@@ -11,8 +11,11 @@ labels need to be stored.  Edge labels at every node are strictly
 increasing, so child lookup is a binary search.  Terminals (end of a full
 keyword path) live in one dense array holding the keyword id of every
 node, -1 where no keyword ends, so ``terminal_id`` is a single index.
-``build_trie`` sorts the padded keyword paths; each adds the nodes past
-its longest common prefix with the one before, numbered in BFS order.
+``build_trie_arrays`` sorts the padded keyword paths; each adds the nodes
+past its longest common prefix with the one before, numbered in BFS order.
+It reads the keywords as one flat token array plus lengths;
+``build_trie`` flattens a list of ``(token_seq, keyword_id)`` entries
+into that form.
 
 Directions.  A forward trie stores each keyword's token path as-is,
 ending with the EOW sentinel.  A reversed trie partitions keywords by
@@ -78,7 +81,22 @@ class KeywordTrie:
 
 
 def build_trie(keywords, direction: str = FORWARD, vocab_checksum: int = 0) -> KeywordTrie:
-    """Build from an iterable of ``(token_seq, keyword_id)``.
+    """Build from an iterable of ``(token_seq, keyword_id)``: the entries
+    flattened for :func:`build_trie_arrays`, which states the rules."""
+    entries = list(keywords)
+    seqs, ids = zip(*entries) if entries else ((), ())
+    lengths = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
+    tokens = np.fromiter(chain.from_iterable(seqs), dtype=np.int64, count=int(lengths.sum()))
+    ids = np.fromiter(ids, dtype=np.int64, count=len(ids))
+    return build_trie_arrays(tokens, lengths, ids, direction, vocab_checksum)
+
+
+def build_trie_arrays(
+    tokens, lengths, ids, direction: str = FORWARD, vocab_checksum: int = 0
+) -> KeywordTrie:
+    """Build from flat token ids: keyword ``ids[i]`` is the next
+    ``lengths[i]`` entries of ``tokens`` (as ``corpus.tokenize_batch``
+    returns them).
 
     Every sequence must end with exactly one EOW; ids must be unique and
     non-negative; and two entries may not share one token sequence (the
@@ -86,19 +104,23 @@ def build_trie(keywords, direction: str = FORWARD, vocab_checksum: int = 0) -> K
     """
     if direction not in (FORWARD, REVERSED):
         raise ValidationError(f"unknown trie direction: {direction!r}")
-    entries = list(keywords)
-    seqs, ids = zip(*entries) if entries else ((), ())
-    ids = np.fromiter(ids, dtype=np.int64, count=len(ids))
-    lengths = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
-    tokens = np.fromiter(chain.from_iterable(seqs), dtype=np.int64, count=int(lengths.sum()))
-    if not np.array_equal(np.flatnonzero(tokens == EOW_ID), np.cumsum(lengths) - 1):
-        bad = next(k for s, k in entries if list(s)[-1:] != [EOW_ID] or list(s).count(EOW_ID) > 1)
-        raise ValidationError(f"keyword {bad}: token sequence must end with a single EOW")
+    tokens = np.asarray(tokens, dtype=np.int64)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    ids = np.asarray(ids, dtype=np.int64)
+    if len(ids) != len(lengths) or (lengths < 0).any() or lengths.sum() != len(tokens):
+        raise ValidationError("keyword ids, lengths and tokens disagree")
+    ends = np.cumsum(lengths)
+    if not np.array_equal(np.flatnonzero(tokens == EOW_ID), ends - 1):
+        eows = np.concatenate(([0], np.cumsum(tokens == EOW_ID)))
+        last = np.append(tokens, -1)[ends - 1]  # -1 past an empty first sequence
+        bad = (eows[ends] - eows[ends - lengths] != 1) | (last != EOW_ID)
+        raise ValidationError(f"keyword {ids[bad][0]}: token sequence must end with a single EOW")
     if ids.size and ids.min() < 0:
         raise ValidationError(f"keyword id {ids.min()} is negative")
-    unique, counts = np.unique(ids, return_counts=True)
-    if (counts > 1).any():
-        raise ValidationError(f"duplicate keyword id {unique[counts > 1][0]}")
+    ordered = np.sort(ids)
+    repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+    if repeated.size:
+        raise ValidationError(f"duplicate keyword id {repeated[0]}")
 
     # Sorted rows of paths padded with -1.  No path is a prefix of another
     # (one EOW each, and the length leads a reversed path), so each row adds

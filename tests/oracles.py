@@ -9,11 +9,13 @@ from __future__ import annotations
 import hashlib
 import heapq
 import struct
+from collections import Counter
 
 import numpy as np
 
 EOW = 2
 FIRST_TOKEN_ID = 3
+RESERVED_TOKENS = ("<pad>", "<unk>", "</kw>")
 
 
 def random_catalog(rng: np.random.Generator, max_keywords=200, max_tokens=5, alphabet=12):
@@ -460,3 +462,44 @@ def scalar_mine_negatives(query_embs, keyword_embs, gold_ids, cluster_count,
                     picked = [int(rng.choice(candidates))]
             negatives[i] = tuple(picked)
     return tuple(batches), tuple(negatives), labels
+
+
+def scalar_pool(token_emb: np.ndarray, flat_ids: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``encoder._pool`` in original row order: each position adds into the
+    rows still that long through a fancy-indexed read-modify-write."""
+    starts = np.cumsum(lengths) - lengths
+    total = token_emb[flat_ids[starts]]
+    for t in range(1, int(lengths.max(initial=0))):
+        longer = np.flatnonzero(lengths > t)
+        total[longer] += token_emb[flat_ids[starts[longer] + t]]
+    return total / lengths[:, None]
+
+
+def scalar_vocab_tokens(keyword_path, pairs_path, min_count: int = 1) -> tuple[str, ...]:
+    """``corpus.build_vocab``'s token list (ids 3 on), counted one line and
+    one token at a time.  Raises ValueError with ``build_vocab``'s message
+    at the first reserved surface form read, in file order."""
+
+    def count_tokens(text):
+        for tok in text.lower().split():
+            if tok in RESERVED_TOKENS:
+                raise ValueError(f"reserved token {tok!r} appears in corpus")
+            counts[tok] += 1
+
+    if min_count < 1:
+        raise ValueError("min_count must be >= 1")
+    counts = Counter()
+    with open(keyword_path, encoding="utf-8") as f:
+        for line in f:
+            count_tokens(line)
+    with open(pairs_path, encoding="utf-8") as f:
+        for line in f:
+            parts = line.rstrip("\n").split("\t")
+            if len(parts) != 2:
+                continue
+            count_tokens(parts[0])
+            count_tokens(parts[1])
+    if not counts:
+        raise ValueError("empty corpus")
+    return tuple(sorted((tok for tok, c in counts.items() if c >= min_count),
+                        key=lambda tok: (-counts[tok], tok)))

@@ -6,7 +6,26 @@ import shutil
 import numpy as np
 import pytest
 
-from unikw import ConsistencyError, load_embeddings, save_embeddings
+from unikw import (
+    FORWARD,
+    REVERSED,
+    ConsistencyError,
+    TrainConfig,
+    build_graph,
+    build_trie,
+    build_vocab,
+    embed_batch,
+    load_embeddings,
+    load_keywords,
+    load_pairs,
+    save_embeddings,
+    save_graph,
+    save_params,
+    save_vocab,
+    serialize,
+    tokenize,
+    train,
+)
 from unikw.cli import load_bundle, main
 from unikw.fileio import frame
 
@@ -320,6 +339,31 @@ class TestPipeline:
         assert err["error"]["kind"] == "validation" and "version 1" in err["error"]["message"]
 
 
+class TestLibraryParity:
+    def test_cli_bundle_has_the_bytes_of_the_entry_list_path(self, pipeline, tmp_path):
+        """The CLI tokenizes the catalog into flat arrays; building every
+        file from per-keyword ``tokenize`` entries gives the same bytes."""
+        paths = pipeline["paths"]
+        vocab = build_vocab(paths["keywords"], paths["pairs"])
+        save_vocab(vocab, tmp_path / "vocab.txt")
+        catalog = load_keywords(paths["keywords"])
+        entries = [(tokenize(text, vocab, "keyword", 4), kid) for kid, text in enumerate(catalog)]
+        for direction, name in ((FORWARD, "trie.fwd.ktri"), (REVERSED, "trie.rev.ktri")):
+            serialize(build_trie(entries, direction, vocab.checksum()), tmp_path / name)
+        config = TrainConfig(**TRAIN_CONFIG)
+        pairs, _ = load_pairs(paths["pairs"], vocab, max_len=config.max_len)
+        params = train(config, pairs, vocab).params
+        save_params(params, tmp_path / "encoder.kenc")
+        vectors = embed_batch(params, [seq for seq, _ in entries])
+        ids = np.arange(len(catalog))
+        save_embeddings(tmp_path / "embeddings.kemb", vectors, ids)
+        save_graph(tmp_path / "graph.kgra", build_graph(
+            vectors, ids, max_degree=8, build_width=16, prune_slack=1.2, seed=0))
+        for name in ("vocab.txt", "trie.fwd.ktri", "trie.rev.ktri", "encoder.kenc",
+                     "embeddings.kemb", "graph.kgra"):
+            assert (tmp_path / name).read_bytes() == (pipeline["bundle"] / name).read_bytes(), name
+
+
 class TestEvalFixture:
     def test_metrics_match_hand_values(self, tmp_path):
         # Same two-query fixture as the evaluation unit tests.
@@ -362,6 +406,20 @@ class TestErrorHandling:
         assert code == 3
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"]["code"] == 3 and err["error"]["kind"] == "io"
+
+    @pytest.mark.parametrize("max_len", ["0", "-3"])
+    def test_max_len_below_one_is_validation_error(self, tmp_path, capsys, max_len):
+        (tmp_path / "kw.txt").write_text("a b\nb\n", encoding="utf-8")
+        (tmp_path / "vocab.txt").write_text("a\nb\n", encoding="utf-8")
+        code = main([
+            "build-trie", "--keywords", str(tmp_path / "kw.txt"),
+            "--vocab", str(tmp_path / "vocab.txt"), "--max-len", max_len,
+            "--out", str(tmp_path / "t.ktri"),
+        ])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip())["error"]
+        assert err["kind"] == "validation" and "max_len" in err["message"]
+        assert not (tmp_path / "t.ktri").exists()
 
     def test_unknown_flag_rejected(self):
         with pytest.raises(SystemExit) as exc:

@@ -1,5 +1,10 @@
+import tempfile
+from itertools import chain
+from pathlib import Path
+
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unikw import (
@@ -14,7 +19,10 @@ from unikw import (
     load_vocab,
     save_vocab,
     tokenize,
+    tokenize_batch,
 )
+
+from oracles import scalar_vocab_tokens
 
 
 def _write(path, text):
@@ -104,6 +112,112 @@ class TestTokenize:
         assert tokenize(detokenize(ids, vocab), vocab, "query") == ids
 
 
+#: Pieces of text that stress splitting and casing: vocabulary words, case
+#: variants (final sigma, dotted capital I), unknown words, reserved forms
+#: in either case, and whitespace that ``str.split`` splits at (some of
+#: it, like ``\x85``, also a line break to ``splitlines``).
+PIECES = [
+    "a", "B", "c", "σ", "Σ", "ΑΣ", "ας", "İ", "i̇", "zz", "Zz",
+    "<pad>", "<unk>", "</kw>", "</KW>", "<PAD>",
+    " ", "  ", "\t", "\n", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\u3000", "",
+]
+texts_strategy = st.lists(
+    st.one_of(st.lists(st.sampled_from(PIECES), max_size=40).map("".join), st.text(max_size=12)),
+    max_size=12,
+)
+BATCH_VOCAB = Vocab.from_tokens(["a", "b", "c", "σ", "ασ", "ας", "i̇", "zz"])
+
+
+class TestTokenizeBatch:
+    @settings(max_examples=150, deadline=None)
+    @given(texts_strategy)
+    def test_equals_tokenize_concatenated(self, texts):
+        for role in ("query", "keyword"):
+            for max_len in (1, 2, 3, 16):
+                flat_ids, lengths = tokenize_batch(texts, BATCH_VOCAB, role, max_len)
+                want = [tokenize(t, BATCH_VOCAB, role, max_len) for t in texts]
+                assert flat_ids.dtype == lengths.dtype == np.int64
+                assert lengths.tolist() == list(map(len, want))
+                assert flat_ids.tolist() == list(chain.from_iterable(want))
+
+    def test_fixed_cases(self, tiny_vocab):
+        texts = ["A b", "", "   ", "</kw> a <pad>", " ".join(["a"] * 20), "zzz"]
+        flat_ids, lengths = tokenize_batch(texts, tiny_vocab, "keyword", 4)
+        a, b = tiny_vocab.id_of("a"), tiny_vocab.id_of("b")
+        assert lengths.tolist() == [3, 2, 2, 4, 4, 2]
+        assert flat_ids.tolist() == [
+            a, b, EOW_ID, UNK_ID, EOW_ID, UNK_ID, EOW_ID, UNK_ID, a, UNK_ID, EOW_ID,
+            a, a, a, EOW_ID, UNK_ID, EOW_ID,
+        ]
+
+    def test_no_texts(self, tiny_vocab):
+        flat_ids, lengths = tokenize_batch([], tiny_vocab, "keyword")
+        assert flat_ids.shape == lengths.shape == (0,)
+
+    def test_unknown_role_rejected(self, tiny_vocab):
+        with pytest.raises(ValidationError, match="role"):
+            tokenize_batch(["a"], tiny_vocab, "title")
+
+    @pytest.mark.parametrize("role", ["query", "keyword"])
+    @pytest.mark.parametrize("max_len", [0, -1])
+    def test_max_len_below_one_rejected(self, tiny_vocab, role, max_len):
+        with pytest.raises(ValidationError, match="max_len"):
+            tokenize_batch(["a b"], tiny_vocab, role, max_len)
+        with pytest.raises(ValidationError, match="max_len"):
+            tokenize("a b", tiny_vocab, role, max_len)
+
+
+#: Lines of a pairs file: two fields, or pieces holding any number of tabs
+#: (blank lines included).
+PAIR_LINES = st.lists(
+    st.one_of(
+        st.tuples(texts_strategy.map(" ".join), texts_strategy.map(" ".join)).map("\t".join),
+        st.lists(st.sampled_from(PIECES + ["\t"]), max_size=12).map("".join),
+    ),
+    max_size=8,
+)
+
+
+class TestBuildVocabMatchesOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.lists(st.sampled_from(PIECES), max_size=10).map("".join), max_size=8),
+        PAIR_LINES,
+        st.sampled_from(["\n", "\r\n"]),
+        st.integers(1, 3),
+    )
+    def test_equal_vocab_or_equal_error(self, keyword_lines, pair_lines, newline, min_count):
+        with tempfile.TemporaryDirectory() as tmp:
+            kw = Path(tmp) / "kw.txt"
+            pairs = Path(tmp) / "p.tsv"
+            kw.write_bytes(newline.join(keyword_lines).encode("utf-8"))
+            pairs.write_bytes(newline.join(pair_lines).encode("utf-8"))
+            try:
+                want = scalar_vocab_tokens(kw, pairs, min_count)
+            except ValueError as exc:
+                with pytest.raises(ValidationError) as info:
+                    build_vocab(kw, pairs, min_count)
+                assert str(info.value) == str(exc)
+            else:
+                assert build_vocab(kw, pairs, min_count) == Vocab.from_tokens(want)
+
+    def test_malformed_pair_lines_are_not_counted(self, tmp_path):
+        kw = _write(tmp_path / "kw.txt", "x\n")
+        pairs = _write(tmp_path / "p.tsv", "one\ttwo\nthree\nfour\tfive\tsix\n\tseven\n")
+        vocab = build_vocab(kw, pairs)
+        assert vocab.id_to_token[3:] == scalar_vocab_tokens(kw, pairs)
+        assert set(vocab.id_to_token[3:]) == {"x", "one", "two", "seven"}
+
+    def test_first_reserved_token_is_named(self, tmp_path):
+        kw = _write(tmp_path / "kw.txt", "fine\n")
+        pairs = _write(tmp_path / "p.tsv", "a </kw>\tb\nc\t<pad> <unk>\n")
+        with pytest.raises(ValidationError, match="'</kw>'"):
+            build_vocab(kw, pairs)
+        kw = _write(tmp_path / "kw.txt", "fine <unk>\n<pad>\n")
+        with pytest.raises(ValidationError, match="'<unk>'"):
+            build_vocab(kw, pairs)
+
+
 class TestLoadPairs:
     def test_basic(self, tmp_path, tiny_vocab):
         path = _write(tmp_path / "p.tsv", "a\tb c\na b\tc\n")
@@ -152,4 +266,9 @@ class TestLoadKeywords:
     def test_blank_line_rejected(self, tmp_path):
         path = _write(tmp_path / "kw.txt", "one\n\ntwo\n")
         with pytest.raises(ValidationError, match="blank"):
+            load_keywords(path)
+
+    def test_first_blank_line_is_named(self, tmp_path):
+        path = _write(tmp_path / "kw.txt", "one\ntwo\n \t\nthree\n\n")
+        with pytest.raises(ValidationError, match="^blank keyword at line 2$"):
             load_keywords(path)

@@ -359,6 +359,12 @@ class TestBatchedPrune:
             sizes.append(len(want))
         assert max_degree in sizes and min(sizes) < max_degree
 
+    def test_offers_of_the_point_alone_keep_nothing(self, rng):
+        vectors = unit_vectors(rng, 5, 4).astype(np.float32)
+        got = _robust_prune(vectors, np.array([1, 3]), np.array([0, 0, 1]), np.array([1, 1, 3]),
+                            1.2, np.array([2, 2]), np.arange(5))
+        assert got.tolist() == [[-1, -1], [-1, -1]]
+
     @pytest.mark.parametrize("slack, kept", [(1.0, [1]), (1.2, [1, 2])])
     def test_exact_tie_is_killed(self, slack, kept):
         # Row 2 is orthogonal to the point and to row 1, so dist(1, 2) and

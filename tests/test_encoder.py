@@ -23,7 +23,7 @@ from unikw import (
     train,
 )
 from unikw.corpus import TrainingPair
-from unikw.encoder import _balanced_kmeans
+from unikw.encoder import _balanced_kmeans, _flatten, _pool
 
 from oracles import (
     einsum_joint_loss,
@@ -31,6 +31,7 @@ from oracles import (
     max_relative_error,
     scalar_balanced_kmeans,
     scalar_mine_negatives,
+    scalar_pool,
 )
 
 
@@ -105,6 +106,28 @@ class TestEncode:
         batch = embed_batch(params, seqs)
         for row, seq in zip(batch, seqs):
             np.testing.assert_allclose(row, encode(params, seq).dr_embedding, atol=1e-12)
+
+
+class TestPool:
+    @pytest.mark.parametrize(
+        "lengths",
+        [[1], [3, 3, 3, 3], [1, 4, 2, 4, 1, 3, 2], list(range(1, 17)) * 3 + [16, 1, 7]],
+        ids=["one-row", "uniform", "ragged", "wide"],
+    )
+    def test_bit_equal_to_scalar_loop(self, rng, lengths):
+        token_emb = rng.normal(size=(50, 7))
+        lengths = np.array(lengths, dtype=np.int64)
+        flat_ids = rng.integers(0, 50, int(lengths.sum()))
+        assert np.array_equal(
+            _pool(token_emb, flat_ids, lengths), scalar_pool(token_emb, flat_ids, lengths)
+        )
+
+    def test_row_is_same_bits_in_any_batch(self, rng):
+        params = small_params(max_len=6)
+        seqs = [tuple(int(t) for t in rng.integers(3, 16, n)) for n in (5, 1, 6, 2, 2)]
+        whole = _pool(params.token_emb, *_flatten(seqs))
+        for row, seq in zip(whole, seqs):
+            assert np.array_equal(row, _pool(params.token_emb, *_flatten([seq]))[0])
 
 
 class TestJointLoss:

@@ -11,6 +11,7 @@ from unikw import (
     REVERSED,
     ValidationError,
     build_trie,
+    build_trie_arrays,
     children,
     length_partitions,
     lookup,
@@ -31,6 +32,33 @@ from synthdata import make_prefix_heavy_catalog
 A, B, C = 3, 4, 5
 
 
+class TestBuildFromArrays:
+    @pytest.mark.parametrize("direction", [FORWARD, REVERSED])
+    def test_matches_scalar_trie(self, direction):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            entries, _ = random_catalog(rng, max_keywords=60)
+            entries = [(seq, 3 * kid + 1) for seq, kid in reversed(entries)]
+            lengths = np.array([len(seq) for seq, _ in entries], dtype=np.int64)
+            tokens = np.array([t for seq, _ in entries for t in seq], dtype=np.int64)
+            ids = np.array([kid for _, kid in entries], dtype=np.int64)
+            got = build_trie_arrays(tokens, lengths, ids, direction, 77)
+            assert to_bytes(got) == scalar_ktri_bytes(entries, direction == REVERSED, 77)
+
+    @pytest.mark.parametrize(
+        "tokens, lengths, ids",
+        [
+            ([A, EOW_ID], [2], [0, 1]),        # more ids than lengths
+            ([A, EOW_ID], [3], [0]),           # lengths run past the tokens
+            ([A, EOW_ID, B, EOW_ID], [2], [0]),  # tokens left over
+            ([A, EOW_ID], [4, -2], [0, 1]),    # a negative length
+        ],
+    )
+    def test_mismatched_arrays_rejected(self, tokens, lengths, ids):
+        with pytest.raises(ValidationError, match="disagree"):
+            build_trie_arrays(tokens, lengths, ids)
+
+
 class TestBuild:
     def test_prefix_sharing(self):
         trie = build_trie([((A, EOW_ID), 0), ((A, B, EOW_ID), 1)])
@@ -49,6 +77,21 @@ class TestBuild:
         with pytest.raises(ValidationError, match="EOW"):
             build_trie([((A, B), 0)])
 
+    @pytest.mark.parametrize(
+        "seq", [(A, B), (A, EOW_ID, B, EOW_ID), (EOW_ID, EOW_ID), (A, EOW_ID, B), ()],
+        ids=["no-eow", "two-eows", "eow-twice-at-end", "eow-inside", "empty"],
+    )
+    def test_bad_eow_layout_names_the_keyword(self, seq):
+        entries = [((A, EOW_ID), 5), ((B, EOW_ID), 6), (seq, 9), ((C, EOW_ID), 4)]
+        with pytest.raises(ValidationError, match="^keyword 9: .*single EOW"):
+            build_trie(entries)
+
+    def test_empty_first_sequence_names_the_keyword(self):
+        with pytest.raises(ValidationError, match="^keyword 8: "):
+            build_trie([((), 8), ((A, EOW_ID), 1)])
+        with pytest.raises(ValidationError, match="^keyword 8: "):
+            build_trie([((), 8)])
+
     def test_duplicate_sequence_rejected(self):
         with pytest.raises(ValidationError, match="duplicate keyword token sequence"):
             build_trie([((A, EOW_ID), 0), ((A, EOW_ID), 1)])
@@ -56,6 +99,11 @@ class TestBuild:
     def test_duplicate_id_rejected(self):
         with pytest.raises(ValidationError, match="duplicate keyword id"):
             build_trie([((A, EOW_ID), 7), ((B, EOW_ID), 7)])
+
+    def test_smallest_duplicate_id_is_named(self):
+        entries = [((A, EOW_ID), 7), ((B, EOW_ID), 3), ((C, EOW_ID), 7), ((A, B, EOW_ID), 3)]
+        with pytest.raises(ValidationError, match="^duplicate keyword id 3$"):
+            build_trie(entries)
 
     @pytest.mark.parametrize("token", [-1, 2**31], ids=["negative", "2^31"])
     def test_token_outside_int32_rejected(self, token):
