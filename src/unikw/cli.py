@@ -167,6 +167,7 @@ def cmd_train(args) -> int:
     result = train(config, pairs, vocab)
     save_params(result.params, args.out)
     meta = _meta(args, "train")
+    meta["seed"] = config.seed  # a --config-file's seed overrides --seed
     meta["train_config"] = json.loads(config.to_json())
     meta["epoch_losses"] = result.epoch_losses
     meta["malformed_pairs"] = malformed
@@ -315,7 +316,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.repeat < 1:
+        raise ValidationError(f"--repeat must be >= 1, got {args.repeat}")
     queries = _read_queries(args.queries)
+    if not queries:
+        raise ValidationError(f"{args.queries}: no queries to bench")
     beams = [int(b) for b in args.beams.split(",") if b]
     orders = _parse_orders(args.orders)
     report = {"meta": _meta(args, "bench"), "queries": len(queries), "beams": []}
@@ -512,8 +517,21 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> None
     if unknown:
         raise ValidationError(f"unknown config keys: {sorted(unknown)}")
     for sp in subparsers:
-        dests = {a.dest for a in sp._actions}  # noqa: SLF001
-        sp.set_defaults(**{k: v for k, v in overrides.items() if k in dests})
+        sp.set_defaults(**{a.dest: _config_value(sp, a, overrides[a.dest])
+                           for a in sp._actions if a.dest in overrides})  # noqa: SLF001
+
+
+def _config_value(parser: argparse.ArgumentParser, action: argparse.Action, value):
+    """A --config value parsed as its text on the command line would be;
+    null only where the flag's default is None."""
+    if value is None and action.default is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, (str, int, float) if action.type else str):
+        raise ValidationError(f"--config {action.dest}: {json.dumps(value)} is not a valid value")
+    try:
+        return parser._get_values(action, [str(value)])  # noqa: SLF001
+    except argparse.ArgumentError as exc:
+        raise ValidationError(f"--config {action.dest}: {exc}") from exc
 
 
 def main(argv=None) -> int:

@@ -163,6 +163,14 @@ def tokenize_batch(
     return flat_ids, lengths
 
 
+def _flatten(seqs) -> tuple[np.ndarray, np.ndarray]:
+    """Token sequences as one flat id array plus per-sequence lengths: the
+    ``tokenize_batch`` layout, for sequences already tokenized."""
+    lengths = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
+    flat_ids = np.fromiter(chain.from_iterable(seqs), dtype=np.int64, count=int(lengths.sum()))
+    return flat_ids, lengths
+
+
 def detokenize(ids: TokenSeq, vocab: Vocab) -> str:
     """Inverse of tokenize for in-vocabulary text; EOW/PAD are dropped."""
     return " ".join(vocab.token_of(i) for i in ids if i not in (PAD_ID, EOW_ID))

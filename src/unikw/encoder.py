@@ -48,12 +48,11 @@ import math
 import struct
 import threading
 from dataclasses import dataclass, field, fields
-from itertools import chain
 from numbers import Integral, Real
 
 import numpy as np
 
-from .corpus import TokenSeq, Vocab
+from .corpus import TokenSeq, Vocab, _flatten
 from .errors import TrainingDiverged, ValidationError
 from .fileio import frame, read_file, take, unframe, unpack_at, write_file
 
@@ -189,6 +188,8 @@ class TrainConfig:
     @classmethod
     def from_json(cls, text: str) -> "TrainConfig":
         data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ValidationError("train config must be a JSON object")
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:
@@ -220,24 +221,6 @@ def init_params(
         out_w=rng.normal(0.0, 1.0 / np.sqrt(hidden_dim), (vocab_size, hidden_dim)),
         out_b=np.zeros(vocab_size),
     )
-
-
-def params_from_config(vocab_size: int, config: TrainConfig) -> EncoderParams:
-    return init_params(
-        vocab_size,
-        dim=config.dim,
-        dense_dim=config.dense_dim,
-        hidden_dim=config.hidden_dim,
-        max_len=config.max_len,
-        seed=config.seed,
-    )
-
-
-def _flatten(seqs) -> tuple[np.ndarray, np.ndarray]:
-    """Token sequences as one flat id array plus per-sequence lengths."""
-    lengths = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
-    flat_ids = np.fromiter(chain.from_iterable(seqs), dtype=np.int64, count=int(lengths.sum()))
-    return flat_ids, lengths
 
 
 def _check_tokens(params: EncoderParams, flat_ids: np.ndarray, lengths: np.ndarray) -> None:
@@ -595,7 +578,8 @@ def train(config: TrainConfig, pairs, vocab: Vocab) -> TrainResult:
     pairs = list(pairs)
     if not pairs:
         raise ValidationError("no training pairs")
-    params = params_from_config(len(vocab), config)
+    params = init_params(len(vocab), dim=config.dim, dense_dim=config.dense_dim,
+                         hidden_dim=config.hidden_dim, max_len=config.max_len, seed=config.seed)
 
     keyword_seq_by_id: dict[int, TokenSeq] = {}
     for p in pairs:
@@ -652,13 +636,10 @@ def train(config: TrainConfig, pairs, vocab: Vocab) -> TrainResult:
                     f"non-finite loss {loss!r} at epoch {epoch}, "
                     f"batch of {len(triples)} (learning_rate={config.learning_rate})"
                 )
-            for name, arr in params.arrays().items():
-                if config.momentum:
-                    velocity[name] *= config.momentum
-                    velocity[name] -= config.learning_rate * grads[name]
-                    arr += velocity[name]
-                else:
-                    arr -= config.learning_rate * grads[name]
+            for name, arr in params.arrays().items():  # plain SGD, to the bit, at momentum 0
+                velocity[name] *= config.momentum
+                velocity[name] -= config.learning_rate * grads[name]
+                arr += velocity[name]
             batch_losses.append(loss)
         epoch_losses.append(float(np.mean(batch_losses)) if batch_losses else 0.0)
     return TrainResult(params=params, epoch_losses=epoch_losses)

@@ -18,7 +18,10 @@ Ranked metrics follow the usual conventions:
 
 Queries with no labels are excluded from R@k / nDCG@k / PSP@k / PSN@k
 averages (their count is reported by ``compute_metrics``); P@k keeps them
-since its denominator does not involve labels.
+since its denominator does not involve labels.  One per-query loop serves
+every ranked metric: it averages a per-query score over the (labeled)
+queries, and nDCG@k, PSP@k and PSN@k share one gain sum, run once on the
+top k and once on the ideal ranking.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from .errors import ValidationError
@@ -100,57 +104,55 @@ def good_keyword_density(retrievals, scorer: Scorer, threshold: float) -> float:
     return good / len(retrievals)
 
 
-def _check_k(k: int) -> None:
+def _query_mean(queries, labels: LabeledSet, k: int, per_query, labeled_only=True) -> float:
+    """Mean of ``per_query(top k ids, relevant ids)`` over the labeled
+    queries, or over every query when not ``labeled_only``."""
     if k < 1:
         raise ValidationError("k must be >= 1")
+    values = []
+    for query, ranked in queries:
+        relevant = labels.relevant(query)
+        if relevant or not labeled_only:
+            values.append(per_query(ranked[:k], relevant))
+    if not values:
+        raise ValidationError(f"no {'labeled ' if labeled_only else ''}queries to evaluate")
+    return sum(values) / len(values)
+
+
+def _dcg(gains, discounted: bool) -> float:
+    """Sum of ``gains`` in rank order, each over log2(rank + 2) if ``discounted``."""
+    total = 0.0
+    for rank, gain in enumerate(gains):
+        total += gain / math.log2(rank + 2) if discounted else gain
+    return total
+
+
+def _ideal_normalized(queries, labels: LabeledSet, k: int, gain, discounted: bool) -> float:
+    """Mean over labeled queries of the top k's summed ``gain`` (0 for a
+    miss) over the most the query's relevant ids could reach in k ranks."""
+
+    def per_query(top, relevant):
+        found = _dcg([gain(kid) if kid in relevant else 0.0 for kid in top], discounted)
+        return found / _dcg(sorted(map(gain, relevant), reverse=True)[:k], discounted)
+
+    return _query_mean(queries, labels, k, per_query)
 
 
 def precision_at_k(ranked_ids_per_query, labels: LabeledSet, k: int) -> float:
     """Mean over all queries of |top-k ∩ relevant| / k."""
-    _check_k(k)
-    values = []
-    for query, ranked in ranked_ids_per_query:
-        relevant = labels.relevant(query)
-        hits = sum(1 for kid in ranked[:k] if kid in relevant)
-        values.append(hits / k)
-    if not values:
-        raise ValidationError("no queries to evaluate")
-    return sum(values) / len(values)
+    per_query = lambda top, relevant: sum(kid in relevant for kid in top) / k  # noqa: E731
+    return _query_mean(ranked_ids_per_query, labels, k, per_query, labeled_only=False)
 
 
 def recall_at_k(ranked_ids_per_query, labels: LabeledSet, k: int) -> float:
     """Mean over labeled queries of |top-k ∩ relevant| / |relevant|."""
-    _check_k(k)
-    values = []
-    for query, ranked in ranked_ids_per_query:
-        relevant = labels.relevant(query)
-        if not relevant:
-            continue
-        hits = sum(1 for kid in ranked[:k] if kid in relevant)
-        values.append(hits / len(relevant))
-    if not values:
-        raise ValidationError("no labeled queries to evaluate")
-    return sum(values) / len(values)
+    per_query = lambda top, relevant: sum(kid in relevant for kid in top) / len(relevant)  # noqa: E731
+    return _query_mean(ranked_ids_per_query, labels, k, per_query)
 
 
 def ndcg_at_k(ranked_ids_per_query, labels: LabeledSet, k: int) -> float:
     """Binary-gain nDCG with log2(rank+1) discounts, per-query normalized."""
-    _check_k(k)
-    values = []
-    for query, ranked in ranked_ids_per_query:
-        relevant = labels.relevant(query)
-        if not relevant:
-            continue
-        dcg = sum(
-            1.0 / math.log2(rank + 2)
-            for rank, kid in enumerate(ranked[:k])
-            if kid in relevant
-        )
-        ideal = sum(1.0 / math.log2(rank + 2) for rank in range(min(k, len(relevant))))
-        values.append(dcg / ideal)
-    if not values:
-        raise ValidationError("no labeled queries to evaluate")
-    return sum(values) / len(values)
+    return _ideal_normalized(ranked_ids_per_query, labels, k, lambda kid: 1.0, True)
 
 
 def _inverse_propensity(labels: LabeledSet, keyword_id: int) -> float:
@@ -164,36 +166,14 @@ def _inverse_propensity(labels: LabeledSet, keyword_id: int) -> float:
     return 1.0 / p
 
 
-def _ps_at_k(ranked_ids_per_query, labels: LabeledSet, k: int, discounted: bool) -> float:
-    _check_k(k)
-    values = []
-    for query, ranked in ranked_ids_per_query:
-        relevant = labels.relevant(query)
-        if not relevant:
-            continue
-        gain = 0.0
-        for rank, kid in enumerate(ranked[:k]):
-            if kid in relevant:
-                g = _inverse_propensity(labels, kid)
-                gain += g / math.log2(rank + 2) if discounted else g
-        ideal_gains = sorted((_inverse_propensity(labels, kid) for kid in relevant), reverse=True)
-        ideal = 0.0
-        for rank, g in enumerate(ideal_gains[:k]):
-            ideal += g / math.log2(rank + 2) if discounted else g
-        values.append(gain / ideal)
-    if not values:
-        raise ValidationError("no labeled queries to evaluate")
-    return sum(values) / len(values)
-
-
 def psp_at_k(ranked_ids_per_query, labels: LabeledSet, k: int) -> float:
     """Propensity-scored precision, normalized by the per-query ideal at k."""
-    return _ps_at_k(ranked_ids_per_query, labels, k, discounted=False)
+    return _ideal_normalized(ranked_ids_per_query, labels, k, partial(_inverse_propensity, labels), False)
 
 
 def psn_at_k(ranked_ids_per_query, labels: LabeledSet, k: int) -> float:
     """Propensity-scored nDCG, normalized by the per-query ideal at k."""
-    return _ps_at_k(ranked_ids_per_query, labels, k, discounted=True)
+    return _ideal_normalized(ranked_ids_per_query, labels, k, partial(_inverse_propensity, labels), True)
 
 
 def length_distribution(results) -> dict[str, dict[int, int]]:

@@ -5,8 +5,8 @@ frame: a 4-byte magic, a little-endian u32 version, the format's body,
 and a u64 footer holding the BLAKE2b-64 digest of every byte before it.
 ``frame`` writes it and ``unframe`` reads it, checking magic, then
 version, then checksum, so an old file reports its version rather than a
-checksum mismatch.  Varints are written one at a time (``write_uvarint``)
-or as arrays (``encode_uvarints``, ``decode_uvarints``), with the same bytes.
+checksum mismatch.  Varints are written and read as whole arrays
+(``encode_uvarints``, ``decode_uvarints``).
 """
 
 from __future__ import annotations
@@ -27,23 +27,12 @@ def checksum64(data: bytes) -> int:
 crc64 = checksum64  # kept only so the benchmark's tracer can find it by name
 
 
-def write_uvarint(buf: bytearray, value: int) -> None:
-    """Append ``value`` as an unsigned LEB128 varint."""
-    if value < 0:
-        raise ValidationError("varint value must be non-negative")
-    while value >= 0x80:
-        buf.append((value & 0x7F) | 0x80)
-        value >>= 7
-    buf.append(value)
-
-
 # 2**7, 2**14, ..., 2**56: a value needs one byte more than the steps it reaches.
 _SEVEN_BIT_STEPS = np.left_shift(1, np.arange(7, 63, 7, dtype=np.int64))
 
 
 def encode_uvarints(values) -> bytes:
-    """LEB128 varints of non-negative int64 ``values``, back to back: the
-    bytes ``write_uvarint`` appends one value at a time."""
+    """LEB128 varints of non-negative int64 ``values``, back to back."""
     values = np.asarray(values, dtype=np.int64)
     if values.size and values.min() < 0:
         raise ValidationError("varint value must be non-negative")
@@ -101,29 +90,10 @@ def unpack_at(fmt: str, data: bytes, pos: int) -> tuple[tuple, int]:
     return struct.unpack(fmt, raw), pos
 
 
-def split_checksummed(data: bytes) -> bytes:
-    """Verify and strip the checksum footer; returns a slice of ``data``'s type."""
-    if len(data) < 8:
-        raise ValidationError("truncated file: missing checksum footer")
-    payload, footer = data[:-8], data[-8:]
-    (expected,) = struct.unpack("<Q", footer)
-    if checksum64(payload) != expected:
-        raise ValidationError("checksum mismatch")
-    return payload
-
-
-def append_checksum(buf: bytearray) -> bytes:
-    """Append the checksum footer and return immutable bytes."""
-    buf += struct.pack("<Q", checksum64(buf))
-    return bytes(buf)
-
-
 def frame(magic: bytes, version: int, body: bytes) -> bytes:
     """One file: ``magic``, u32 ``version``, ``body``, checksum footer."""
-    buf = bytearray(magic)
-    buf += struct.pack("<I", version)
-    buf += body
-    return append_checksum(buf)
+    data = b"".join((magic, struct.pack("<I", version), body))
+    return data + struct.pack("<Q", checksum64(data))
 
 
 def unframe(data: bytes, magic: bytes, version: int, what: str) -> memoryview:
@@ -134,7 +104,10 @@ def unframe(data: bytes, magic: bytes, version: int, what: str) -> memoryview:
     (found,), pos = unpack_at("<I", view, len(magic))
     if found != version:
         raise ValidationError(f"unsupported {what} version {found}")
-    return split_checksummed(view)[pos:]
+    (expected,) = struct.unpack("<Q", view[-8:])  # the header just read holds 8 bytes
+    if checksum64(view[:-8]) != expected:  # hashes the view in place, no copy
+        raise ValidationError("checksum mismatch")
+    return view[pos:-8]
 
 
 def read_file(path) -> bytes:

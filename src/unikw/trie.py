@@ -37,11 +37,10 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
-from .corpus import EOW_ID, TokenSeq
+from .corpus import EOW_ID, TokenSeq, _flatten
 from .errors import ValidationError
 from .fileio import decode_uvarints, encode_uvarints, frame, read_file, unframe, unpack_at, write_file
 
@@ -85,10 +84,8 @@ def build_trie(keywords, direction: str = FORWARD, vocab_checksum: int = 0) -> K
     flattened for :func:`build_trie_arrays`, which states the rules."""
     entries = list(keywords)
     seqs, ids = zip(*entries) if entries else ((), ())
-    lengths = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
-    tokens = np.fromiter(chain.from_iterable(seqs), dtype=np.int64, count=int(lengths.sum()))
     ids = np.fromiter(ids, dtype=np.int64, count=len(ids))
-    return build_trie_arrays(tokens, lengths, ids, direction, vocab_checksum)
+    return build_trie_arrays(*_flatten(seqs), ids, direction, vocab_checksum)
 
 
 def build_trie_arrays(

@@ -8,10 +8,13 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import math
 import struct
 from collections import Counter
 
 import numpy as np
+
+from unikw.errors import ValidationError
 
 EOW = 2
 FIRST_TOKEN_ID = 3
@@ -68,17 +71,18 @@ def scalar_trie(entries, reverse=False):
     return offsets, labels, [terminal.get(old, -1) for old in order]
 
 
+def uvarint(value: int) -> bytes:
+    """One non-negative integer, of any size, as an unsigned LEB128 varint."""
+    out = bytearray()
+    while value >= 0x80:
+        out.append(value & 0x7F | 0x80)
+        value >>= 7
+    out.append(value)
+    return bytes(out)
+
+
 def scalar_ktri_bytes(entries, reverse=False, vocab_checksum=0) -> bytes:
     """A KTRI version-2 file of ``scalar_trie``, written one varint at a time."""
-
-    def uvarint(value):
-        out = bytearray()
-        while value >= 0x80:
-            out.append(value & 0x7F | 0x80)
-            value >>= 7
-        out.append(value)
-        return bytes(out)
-
     offsets, labels, node_keyword = scalar_trie(entries, reverse)
     terminals = [(node, kid) for node, kid in enumerate(node_keyword) if kid >= 0]
     body = struct.pack("<QQBQ", vocab_checksum, len(node_keyword), int(reverse), len(terminals))
@@ -503,3 +507,98 @@ def scalar_vocab_tokens(keyword_path, pairs_path, min_count: int = 1) -> tuple[s
         raise ValueError("empty corpus")
     return tuple(sorted((tok for tok, c in counts.items() if c >= min_count),
                         key=lambda tok: (-counts[tok], tok)))
+
+
+# Ranked metrics written as five separate per-query loops, one per metric,
+# raising the library's errors in the library's order.
+
+
+def _check_k(k):
+    if k < 1:
+        raise ValidationError("k must be >= 1")
+
+
+def loop_precision_at_k(ranked_ids_per_query, labels, k):
+    _check_k(k)
+    values = []
+    for query, ranked in ranked_ids_per_query:
+        relevant = labels.relevant(query)
+        hits = sum(1 for kid in ranked[:k] if kid in relevant)
+        values.append(hits / k)
+    if not values:
+        raise ValidationError("no queries to evaluate")
+    return sum(values) / len(values)
+
+
+def loop_recall_at_k(ranked_ids_per_query, labels, k):
+    _check_k(k)
+    values = []
+    for query, ranked in ranked_ids_per_query:
+        relevant = labels.relevant(query)
+        if not relevant:
+            continue
+        hits = sum(1 for kid in ranked[:k] if kid in relevant)
+        values.append(hits / len(relevant))
+    if not values:
+        raise ValidationError("no labeled queries to evaluate")
+    return sum(values) / len(values)
+
+
+def loop_ndcg_at_k(ranked_ids_per_query, labels, k):
+    _check_k(k)
+    values = []
+    for query, ranked in ranked_ids_per_query:
+        relevant = labels.relevant(query)
+        if not relevant:
+            continue
+        dcg = sum(
+            1.0 / math.log2(rank + 2)
+            for rank, kid in enumerate(ranked[:k])
+            if kid in relevant
+        )
+        ideal = sum(1.0 / math.log2(rank + 2) for rank in range(min(k, len(relevant))))
+        values.append(dcg / ideal)
+    if not values:
+        raise ValidationError("no labeled queries to evaluate")
+    return sum(values) / len(values)
+
+
+def _inverse_propensity(labels, keyword_id):
+    if labels.propensities is None:
+        raise ValidationError("propensities are required for propensity-scored metrics")
+    p = labels.propensities.get(keyword_id)
+    if p is None:
+        raise ValidationError(f"missing propensity for keyword id {keyword_id}")
+    if not 0.0 < p <= 1.0:
+        raise ValidationError(f"propensity for keyword id {keyword_id} must be in (0, 1]")
+    return 1.0 / p
+
+
+def _loop_ps_at_k(ranked_ids_per_query, labels, k, discounted):
+    _check_k(k)
+    values = []
+    for query, ranked in ranked_ids_per_query:
+        relevant = labels.relevant(query)
+        if not relevant:
+            continue
+        gain = 0.0
+        for rank, kid in enumerate(ranked[:k]):
+            if kid in relevant:
+                g = _inverse_propensity(labels, kid)
+                gain += g / math.log2(rank + 2) if discounted else g
+        ideal_gains = sorted((_inverse_propensity(labels, kid) for kid in relevant), reverse=True)
+        ideal = 0.0
+        for rank, g in enumerate(ideal_gains[:k]):
+            ideal += g / math.log2(rank + 2) if discounted else g
+        values.append(gain / ideal)
+    if not values:
+        raise ValidationError("no labeled queries to evaluate")
+    return sum(values) / len(values)
+
+
+def loop_psp_at_k(ranked_ids_per_query, labels, k):
+    return _loop_ps_at_k(ranked_ids_per_query, labels, k, discounted=False)
+
+
+def loop_psn_at_k(ranked_ids_per_query, labels, k):
+    return _loop_ps_at_k(ranked_ids_per_query, labels, k, discounted=True)

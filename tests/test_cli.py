@@ -86,6 +86,15 @@ def read_jsonl(path):
     return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
 
 
+def validation_message(capsys) -> str:
+    """The message of the one validation error JSON line on stderr."""
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1, lines
+    err = json.loads(lines[0])["error"]
+    assert err["code"] == 2 and err["kind"] == "validation"
+    return err["message"]
+
+
 @pytest.fixture(scope="module")
 def clustered(pipeline, tmp_path_factory):
     """The pipeline's bundle re-indexed exactly over cluster representatives."""
@@ -183,6 +192,26 @@ class TestPipeline:
             assert set(dense) == {"mean_ms", "p50_ms", "p90_ms", "p99_ms"}
             assert 0 < dense["p50_ms"] <= dense["p90_ms"] <= dense["p99_ms"]
             assert dense["mean_ms"] > 0
+
+    @pytest.mark.parametrize("repeat, empty, message", [
+        ("0", False, "--repeat"),    # was a ZeroDivisionError traceback
+        ("-1", False, "--repeat"),   # was an IndexError traceback
+        ("1", True, "no queries"),   # was a ZeroDivisionError traceback
+    ], ids=["repeat-0", "repeat-negative", "no-queries"])
+    def test_bench_needs_a_repeat_and_a_query(
+        self, pipeline, tmp_path, capsys, repeat, empty, message
+    ):
+        queries = pipeline["paths"]["queries"]
+        if empty:
+            queries = tmp_path / "queries.txt"
+            queries.write_text("\n  \n", encoding="utf-8")
+        code = main([
+            "bench", "--bundle-dir", str(pipeline["bundle"]), "--queries", str(queries),
+            "--beams", "5", "--repeat", repeat, "--out", str(tmp_path / "bench.json"),
+        ])
+        assert code == 2
+        assert message in validation_message(capsys)
+        assert not (tmp_path / "bench.json").exists()
 
     def test_exact_reindex_removes_stale_graph(self, pipeline, tmp_path):
         bundle = tmp_path / "bundle"
@@ -490,6 +519,45 @@ class TestErrorHandling:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"]["kind"] == "validation" and "--config" in err["error"]["message"]
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"beam": None}, "beam"),               # was a TypeError traceback
+        ({"beam": 2.5}, "invalid int value"),   # was a TypeError traceback
+        ({"beam": True}, "beam"),
+        ({"orders": 5}, "orders"),
+        ({"prune": [1]}, "prune"),
+        ({"kind": "tree"}, "invalid choice"),
+    ], ids=["beam-null", "beam-float", "beam-bool", "orders-number", "prune-list", "kind-choice"])
+    def test_config_value_of_wrong_type_is_validation_error(
+        self, pipeline, tmp_path, capsys, overrides, message
+    ):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(overrides), encoding="utf-8")
+        code = main([
+            "retrieve", "--bundle-dir", str(pipeline["bundle"]),
+            "--queries", str(pipeline["paths"]["queries"]), "--out", str(tmp_path / "r.jsonl"),
+            "--config", str(config),
+        ])
+        assert code == 2
+        assert message in validation_message(capsys)
+        assert not (tmp_path / "r.jsonl").exists()
+
+    def test_config_null_keeps_a_none_default(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "cluster_threshold": None, "config_file": None, "propensities": None, "out": None,
+            "min_count": "2",
+        }), encoding="utf-8")
+        kw = tmp_path / "kw.txt"
+        kw.write_text("a a\nb\n", encoding="utf-8")
+        pairs = tmp_path / "p.tsv"
+        pairs.write_text("a\ta\n", encoding="utf-8")
+        out = tmp_path / "vocab.txt"
+        assert main([
+            "build-vocab", "--keywords", str(kw), "--pairs", str(pairs),
+            "--config", str(config), "--out", str(out),
+        ]) == 0
+        assert out.read_text(encoding="utf-8").splitlines() == ["a"]
+
     def test_eval_row_without_results_is_validation_error(self, tmp_path, capsys):
         results = tmp_path / "results.jsonl"
         results.write_text(json.dumps({"query": "red shoes"}) + "\n", encoding="utf-8")
@@ -504,30 +572,48 @@ class TestErrorHandling:
         assert err["error"]["kind"] == "validation" and "row 1" in err["error"]["message"]
 
 
-class TestTrainFailures:
-    @pytest.fixture
-    def tiny_inputs(self, tmp_path):
-        """A 24-token vocabulary and 60 pairs, as in the encoder's training tests."""
-        rng = np.random.default_rng(0)
-        vocab = tmp_path / "vocab.txt"
-        vocab.write_text("".join(f"t{i}\n" for i in range(24)), encoding="utf-8")
-        keywords = [f"t{2 * i} t{2 * i + 1}" for i in range(8)]
-        lines = []
-        for _ in range(60):
-            keyword = keywords[int(rng.integers(0, len(keywords)))]
-            lines.append(f"{keyword}\t{keyword}\n")
-        pairs = tmp_path / "pairs.tsv"
-        pairs.write_text("".join(lines), encoding="utf-8")
-        return tmp_path, vocab, pairs
+@pytest.fixture
+def tiny_inputs(tmp_path):
+    """A 24-token vocabulary and 60 pairs, as in the encoder's training tests."""
+    rng = np.random.default_rng(0)
+    vocab = tmp_path / "vocab.txt"
+    vocab.write_text("".join(f"t{i}\n" for i in range(24)), encoding="utf-8")
+    keywords = [f"t{2 * i} t{2 * i + 1}" for i in range(8)]
+    lines = []
+    for _ in range(60):
+        keyword = keywords[int(rng.integers(0, len(keywords)))]
+        lines.append(f"{keyword}\t{keyword}\n")
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text("".join(lines), encoding="utf-8")
+    return tmp_path, vocab, pairs
 
-    def run_train(self, tiny_inputs, config):
-        root, vocab, pairs = tiny_inputs
-        config_path = root / "train.json"
-        config_path.write_text(json.dumps(config), encoding="utf-8")
-        return main([
-            "train", "--pairs", str(pairs), "--vocab", str(vocab),
-            "--config-file", str(config_path), "--out", str(root / "encoder.kenc"),
-        ])
+
+def run_train(tiny_inputs, config, *flags):
+    root, vocab, pairs = tiny_inputs
+    config_path = root / "train.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    return main([
+        "train", "--pairs", str(pairs), "--vocab", str(vocab), *flags,
+        "--config-file", str(config_path), "--out", str(root / "encoder.kenc"),
+    ])
+
+
+class TestTrainMeta:
+    def test_meta_records_the_config_files_seed(self, tiny_inputs):
+        config = {"epochs": 1, "batch_size": 16, "cluster_count": 1, "dim": 8,
+                  "dense_dim": 4, "hidden_dim": 12, "max_len": 4, "seed": 5}
+        assert run_train(tiny_inputs, config, "--seed", "7") == 0
+        meta = json.loads((tiny_inputs[0] / "encoder.kenc.meta.json").read_text(encoding="utf-8"))
+        assert meta["seed"] == meta["train_config"]["seed"] == 5
+
+
+class TestTrainFailures:
+    @pytest.mark.parametrize("config", [3, None, [{}]], ids=["number", "null", "list"])
+    def test_config_file_not_an_object_is_validation_error(self, tiny_inputs, capsys, config):
+        code = run_train(tiny_inputs, config)  # each was a TypeError traceback
+        assert code == 2
+        assert "JSON object" in validation_message(capsys)
+        assert not (tiny_inputs[0] / "encoder.kenc").exists()
 
     @pytest.mark.parametrize("config", [
         {"cluster_count": 0},          # was a ZeroDivisionError traceback
@@ -536,7 +622,7 @@ class TestTrainFailures:
         {"margin": float("nan")},      # passed validation
     ], ids=lambda c: next(iter(c)))
     def test_bad_config_is_validation_error(self, tiny_inputs, capsys, config):
-        code = self.run_train(tiny_inputs, config)
+        code = run_train(tiny_inputs, config)
         assert code == 2
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"]["kind"] == "validation" and next(iter(config)) in err["error"]["message"]
@@ -547,7 +633,7 @@ class TestTrainFailures:
         config = {"epochs": 8, "batch_size": 16, "cluster_count": 1, "learning_rate": 1e12,
                   "dim": 8, "dense_dim": 4, "hidden_dim": 12, "max_len": 4, "seed": 5}
         with np.errstate(all="ignore"):
-            code = self.run_train(tiny_inputs, config)
+            code = run_train(tiny_inputs, config)
         assert code == 2
         err = json.loads(capsys.readouterr().err.strip())["error"]
         assert err["code"] == 2 and err["kind"] == "diverged"

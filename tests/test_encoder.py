@@ -22,8 +22,9 @@ from unikw import (
     save_params,
     train,
 )
-from unikw.corpus import TrainingPair
-from unikw.encoder import _balanced_kmeans, _flatten, _pool
+import unikw.encoder as encoder
+from unikw.corpus import TrainingPair, _flatten
+from unikw.encoder import _balanced_kmeans, _pool
 
 from oracles import (
     einsum_joint_loss,
@@ -316,6 +317,30 @@ class TestTrain:
         with np.errstate(all="ignore"), pytest.raises(TrainingDiverged):
             train(config, pairs, vocab)
 
+    def test_momentum_zero_is_plain_sgd_to_the_bit(self, monkeypatch):
+        vocab, pairs = tiny_corpus_pairs()
+        config = TrainConfig(
+            epochs=3, batch_size=16, cluster_count=2, learning_rate=0.3, momentum=0.0,
+            dim=8, dense_dim=4, hidden_dim=12, max_len=4, seed=5,
+        )
+        seen = []  # (params before the step, gradients of the step)
+        real_joint_loss = encoder.joint_loss
+
+        def recording_joint_loss(params, triples, config):
+            loss, grads = real_joint_loss(params, triples, config)
+            before = {name: arr.copy() for name, arr in params.arrays().items()}
+            seen.append((before, {name: g.copy() for name, g in grads.items()}))
+            return loss, grads
+
+        monkeypatch.setattr(encoder, "joint_loss", recording_joint_loss)
+        final = train(config, pairs, vocab).params.arrays()
+        assert len(seen) > 10
+        afters = [before for before, _ in seen[1:]] + [final]
+        for (before, grads), after in zip(seen, afters):
+            for name, arr in before.items():
+                expected = arr - config.learning_rate * grads[name]
+                assert after[name].tobytes() == expected.tobytes(), name
+
     def test_empty_pairs_rejected(self):
         vocab, _ = tiny_corpus_pairs()
         with pytest.raises(ValidationError, match="pairs"):
@@ -349,6 +374,11 @@ class TestTrainConfigJson:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValidationError, match="unknown"):
             TrainConfig.from_json('{"not_a_field": 1}')
+
+    @pytest.mark.parametrize("text", ["3", "null", "[{}]", '"seed"'])
+    def test_non_object_rejected(self, text):
+        with pytest.raises(ValidationError, match="JSON object"):
+            TrainConfig.from_json(text)
 
     def test_validation(self):
         with pytest.raises(ValidationError):

@@ -10,7 +10,11 @@ definitions, independent of the implementation:
         retrieved ranking [5, 3]
 """
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unikw import (
     LabeledSet,
@@ -26,6 +30,14 @@ from unikw import (
     psp_at_k,
     recall_at_k,
     token_overlap_scorer,
+)
+
+from oracles import (
+    loop_ndcg_at_k,
+    loop_precision_at_k,
+    loop_psn_at_k,
+    loop_psp_at_k,
+    loop_recall_at_k,
 )
 
 RANKED = [("q1", [0, 9, 1, 8, 7]), ("q2", [5, 3])]
@@ -145,6 +157,48 @@ class TestPropensityScored:
         labels = LabeledSet(labels={"q": {42}}, propensities={1: 0.5})
         with pytest.raises(ValidationError, match="42"):
             psp_at_k([("q", [42])], labels, 1)
+
+
+def outcome(metric, *args):
+    """A metric's value, or the type and text of what it raised."""
+    try:
+        return metric(*args)
+    except Exception as exc:  # noqa: BLE001 -- the error is the outcome
+        return type(exc), str(exc)
+
+
+def same(a, b) -> bool:
+    """Equal, counting two NaNs as equal."""
+    return a == b or all(isinstance(x, float) and math.isnan(x) for x in (a, b))
+
+
+keyword_ids = st.integers(0, 7)
+query_texts = st.sampled_from(["q0", "q1", "q2", "q3"])
+propensity = st.one_of(st.floats(0.0, 1.0, exclude_min=True), st.floats())
+
+
+class TestFoldedMetricsMatchLoops:
+    """One shared per-query loop gives what five hand-written loops gave:
+    the same floats and the same errors, raised in the same order."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        ranked=st.lists(st.tuples(query_texts, st.lists(keyword_ids, max_size=8)), max_size=5),
+        labels=st.dictionaries(query_texts, st.sets(keyword_ids, max_size=5)),
+        propensities=st.one_of(st.none(), st.dictionaries(keyword_ids, propensity)),
+        k=st.integers(-1, 9),
+    )
+    def test_equal_to_the_loops(self, ranked, labels, propensities, k):
+        labeled = LabeledSet(labels=labels, propensities=propensities)
+        for folded, loop in (
+            (precision_at_k, loop_precision_at_k),
+            (recall_at_k, loop_recall_at_k),
+            (ndcg_at_k, loop_ndcg_at_k),
+            (psp_at_k, loop_psp_at_k),
+            (psn_at_k, loop_psn_at_k),
+        ):
+            got, want = outcome(folded, ranked, labeled, k), outcome(loop, ranked, labeled, k)
+            assert same(got, want), (folded.__name__, got, want)
 
 
 class TestLengthDistribution:
