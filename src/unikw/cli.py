@@ -8,9 +8,9 @@ Conventions shared by every command:
   * a metadata block (tool version, seed, effective config and its hash)
     embedded in JSON outputs and written to ``<out>.meta.json`` next to
     JSONL outputs;
-  * exit codes: 0 ok, 2 validation (a diverged training run included), 3
-    I/O, 4 internal consistency, with a machine-readable error JSON on
-    stderr.
+  * exit codes: 0 ok, 2 validation (usage errors and a diverged training
+    run included), 3 I/O, 4 internal consistency, with a machine-readable
+    error JSON on stderr.
 
 Bundle directories use fixed file names: ``vocab.txt``, ``keywords.txt``,
 ``encoder.kenc``, ``trie.fwd.ktri``, ``trie.rev.ktri``,
@@ -124,12 +124,12 @@ def _read_results_jsonl(path) -> list[dict]:
         results = row.get("results") if isinstance(row, dict) else None
         if (
             not isinstance(results, list)
-            or "query" not in row
-            or not all(isinstance(r, dict) and {"id", "keyword"} <= r.keys() for r in results)
+            or not isinstance(row.get("query"), str)
+            or not all(isinstance(r, dict) and type(r.get("id")) is int
+                       and isinstance(r.get("keyword"), str) for r in results)
         ):
-            raise ValidationError(
-                f"{path}: row {n} needs a query and a results list of objects with id and keyword"
-            )
+            raise ValidationError(f"{path}: row {n} needs a query and a results list of "
+                                  "objects with an integer id and a keyword text")
     return rows
 
 
@@ -186,30 +186,32 @@ def cmd_index(args) -> int:
     vectors = embed_flat(params, *tokenize_batch(keywords, vocab, "keyword", params.max_len))
     ids = np.arange(len(keywords), dtype=np.int64)
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    # Drop what an earlier index run wrote and this one may not rewrite:
-    # load_bundle serves graph.kgra whenever it exists.
-    for stale in ("reps.tsv", "graph.kgra"):
-        (out_dir / stale).unlink(missing_ok=True)
-    rep_note = ""
+    reps_text, graph, rep_note = None, None, ""
     if args.cluster_threshold is not None:
         mapping = cluster_keywords(vectors, ids, args.cluster_threshold)
-        with open(out_dir / "reps.tsv", "w", encoding="utf-8") as f:
-            for kid in sorted(mapping):
-                f.write(f"{kid}\t{mapping[kid]}\n")
-        reps = np.array(sorted({r for r in mapping.values()}), dtype=np.int64)
+        reps_text = "".join(f"{kid}\t{mapping[kid]}\n" for kid in sorted(mapping))
+        reps = np.array(sorted(set(mapping.values())), dtype=np.int64)
         vectors, ids = vectors[reps], reps
         rep_note = f" ({len(reps)} representatives of {len(keywords)})"
-
-    save_embeddings(out_dir / "embeddings.kemb", vectors, ids)
     if args.kind == "graph":
-        index = build_graph(
+        graph = build_graph(
             vectors, ids,
             max_degree=args.max_degree, build_width=args.build_width,
             prune_slack=args.prune_slack, seed=args.seed,
         )
-        save_graph(out_dir / "graph.kgra", index)
+
+    # Only now, with everything built, is the bundle touched: a bad flag
+    # leaves it as it was.  Drop what an earlier index run wrote and this
+    # one does not rewrite: load_bundle serves graph.kgra whenever it exists.
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for stale in ("reps.tsv", "graph.kgra"):
+        (out_dir / stale).unlink(missing_ok=True)
+    if reps_text is not None:
+        (out_dir / "reps.tsv").write_text(reps_text, encoding="utf-8")
+    save_embeddings(out_dir / "embeddings.kemb", vectors, ids)
+    if graph is not None:
+        save_graph(out_dir / "graph.kgra", graph)
     _write_json(out_dir / "index.meta.json", {"meta": _meta(args, "index"), "count": len(ids)})
     print(f"indexed {len(ids)} keywords{rep_note} ({args.kind}) into {out_dir}")
     return EXIT_OK
@@ -235,7 +237,6 @@ def load_bundle(
     orders: tuple[str, ...] = ("l2r", "r2l"),
     prune_threshold: float = NEG_INF,
     dense_k: int = 100,
-    search_width: int = 100,
 ) -> EngineBundle:
     """Assemble and validate an EngineBundle from a bundle directory."""
     d = Path(bundle_dir)
@@ -260,7 +261,6 @@ def load_bundle(
         index=index,
         decode=DecodeConfig(beam_size=beam_size, prune_threshold=prune_threshold, orders=orders),
         dense_k=dense_k,
-        search_width=search_width,
         groups=_load_groups(reps_path) if reps_path.exists() else None,
     )
     bundle.validate()
@@ -349,7 +349,7 @@ def cmd_bench(args) -> int:
                 )
                 decode_only.append((time.perf_counter() - t0) * 1e3)
                 t0 = time.perf_counter()
-                search(bundle.index, out.dr_embedding, dense_k, bundle.search_width)
+                search(bundle.index, out.dr_embedding, dense_k)
                 dense_only.append((time.perf_counter() - t0) * 1e3)
         forwards = bundle.params.forward_counter.count - forwards_before
         per_query = forwards / (len(queries) * args.repeat)
@@ -397,8 +397,13 @@ def cmd_overlap(args) -> int:
 # ---------------------------------------------------------------- parser
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error exits 2 with the error JSON, as any bad input
+        raise ValidationError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="unikw",
         description="Unified keyword retrieval: trie-decoded generative + dense channels",
     )
@@ -541,7 +546,7 @@ def main(argv=None) -> int:
         _apply_config_file(parser, argv)
         args = parser.parse_args(argv)
         return args.handler(args)
-    except (ValidationError, ValueError) as exc:  # malformed inputs included
+    except (ValidationError, ValueError, RecursionError) as exc:  # bad inputs, deep JSON too
         _emit_error(EXIT_VALIDATION, "validation", exc)
         return EXIT_VALIDATION
     except TrainingDiverged as exc:  # the settings, usually the learning rate, do not train

@@ -224,31 +224,24 @@ def load_keywords(path) -> list[str]:
     return lines
 
 
+#: A pairs file with more malformed lines than this share is rejected.
+_MAX_MALFORMED_FRACTION = 0.10
+
+
 def load_pairs(
-    path,
-    vocab: Vocab,
-    catalog: list[str] | None = None,
-    max_len: int = DEFAULT_MAX_LEN,
-    max_malformed_fraction: float = 0.10,
+    path, vocab: Vocab, max_len: int = DEFAULT_MAX_LEN
 ) -> tuple[list[TrainingPair], int]:
     """Parse a TSV pairs file into TrainingPair records.
 
-    Malformed lines (wrong column count, empty fields, or — when a catalog
-    is supplied — keywords missing from it) are counted and skipped; if
-    they exceed ``max_malformed_fraction`` of all lines the file is
-    rejected.  Returns ``(pairs, malformed_count)``.
+    Malformed lines (wrong column count or an empty field) are counted and
+    skipped; if they exceed ``_MAX_MALFORMED_FRACTION`` of all lines the
+    file is rejected.  Returns ``(pairs, malformed_count)``.
 
-    Keyword ids resolve against ``catalog`` (matched on lowercased text)
-    when given; otherwise ids are assigned by first occurrence order of
-    each distinct keyword within the file.
+    Keyword ids number the distinct keywords (lowercased) in order of
+    first occurrence within the file; training uses them only to tell
+    keywords apart.
     """
-    catalog_index: dict[str, int] | None = None
-    if catalog is not None:
-        catalog_index = {}
-        for i, text in enumerate(catalog):
-            catalog_index.setdefault(text.lower(), i)
-
-    local_ids: dict[str, int] = {}
+    keyword_ids: dict[str, int] = {}
     pairs: list[TrainingPair] = []
     malformed = 0
     total = 0
@@ -263,27 +256,19 @@ def load_pairs(
                 malformed += 1
                 continue
             query_text, keyword_text = parts
-            key = keyword_text.lower()
-            if catalog_index is not None:
-                keyword_id = catalog_index.get(key, -1)
-                if keyword_id < 0:
-                    malformed += 1
-                    continue
-            else:
-                keyword_id = local_ids.setdefault(key, len(local_ids))
             pairs.append(
                 TrainingPair(
                     query_text=query_text,
                     query_ids=tokenize(query_text, vocab, "query", max_len),
                     keyword_text=keyword_text,
                     keyword_ids=tokenize(keyword_text, vocab, "keyword", max_len),
-                    keyword_id=keyword_id,
+                    keyword_id=keyword_ids.setdefault(keyword_text.lower(), len(keyword_ids)),
                 )
             )
-    if total and malformed / total > max_malformed_fraction:
+    if total and malformed / total > _MAX_MALFORMED_FRACTION:
         raise ValidationError(
             f"{malformed}/{total} malformed lines exceeds "
-            f"{max_malformed_fraction:.0%} threshold"
+            f"{_MAX_MALFORMED_FRACTION:.0%} threshold"
         )
     return pairs, malformed
 

@@ -75,6 +75,8 @@ class DecodeConfig:
     def __post_init__(self):
         if self.beam_size < 1:
             raise ValidationError("beam_size must be >= 1")
+        if np.isnan(self.prune_threshold):
+            raise ValidationError("prune_threshold must be a number, not NaN")
         if not self.orders:
             raise ValidationError("at least one decoding order is required")
         for order in self.orders:
@@ -205,14 +207,12 @@ def permutation_decode(
     """
     tries = {FORWARD: forward_trie, REVERSED: reversed_trie}
     for direction, trie in tries.items():
-        if trie is not None and trie.direction != direction:
+        if trie.direction != direction:
             raise ValidationError(f"{direction} trie has direction {trie.direction}")
 
     merged: dict[int, float] = {}
     for order in config.orders:
         trie = tries[_ORDER_DIRECTION[order]]
-        if trie is None:
-            raise ValidationError(f"order {order!r} requested but its trie is missing")
         for keyword_id, score in beam_search(
             prob_table, trie, replace(config, orders=(order,))
         ):

@@ -87,9 +87,11 @@ def _normalize(vectors: np.ndarray) -> np.ndarray:
     for start in range(0, len(vectors), step):
         block = np.asarray(vectors[start:start + step], dtype=np.float64)
         norms = np.linalg.norm(block, axis=1)
-        if (norms < 1e-12).any():
-            bad = start + int(np.flatnonzero(norms < 1e-12)[0])
-            raise ValidationError(f"zero vector at row {bad} cannot be normalized")
+        usable = (norms >= 1e-12) & (norms < np.inf)  # NaN fails both
+        if not usable.all():
+            bad = int(np.flatnonzero(~usable)[0])
+            what = "zero vector" if norms[bad] < 1e-12 else "vector with a non-finite norm"
+            raise ValidationError(f"{what} at row {start + bad} cannot be normalized")
         rows = out[start:start + step]
         rows[:] = block / norms[:, None]
         # Renormalize in float32 so stored rows are unit within float32 eps.
@@ -320,8 +322,8 @@ def _batch_bounds(n: int, doubling: bool) -> list[int]:
 def _check_graph_params(max_degree: int, build_width: int, prune_slack: float) -> None:
     if max_degree < 2:
         raise ValidationError("max_degree must be >= 2")
-    if build_width < max_degree:
-        raise ValidationError("build_width must be >= max_degree")
+    if not max_degree <= build_width < 2**32:  # the KGRA header holds both as u32
+        raise ValidationError(f"build_width must be >= max_degree and < 2**32, not {build_width}")
     if not (prune_slack >= 1.0 and np.isfinite(prune_slack)):
         raise ValidationError(f"prune_slack must be a finite number >= 1, not {prune_slack}")
 
@@ -357,14 +359,16 @@ def build_graph(
     _, groups = np.unique(vectors + np.float32(0), axis=0, return_inverse=True)
     groups = groups.ravel()
     copies = np.bincount(groups)[groups] > 1
-    limits = max_degree - copies.astype(np.int64)  # a slot for the ring edge
+    # Arrays wider than n rows would only hold padding.
+    degree, width = min(max_degree, n), min(build_width, n)
+    limits = degree - copies.astype(np.int64)  # a slot for the ring edge
 
-    adj = np.full((n, max_degree), -1, dtype=np.int32)
+    adj = np.full((n, degree), -1, dtype=np.int32)
     for slack, start, doubling in ((1.0, int(order[0]), True), (prune_slack, medoid, False)):
         bounds = _batch_bounds(n, doubling)
         for lo, hi in zip(bounds, bounds[1:]):
             points = order[lo:hi]
-            owners, expanded = _search_batch(vectors, adj, start, points, build_width)
+            owners, expanded = _search_batch(vectors, adj, start, points, width)
             current = adj[points]
             has = current >= 0
             owners = np.concatenate([owners, np.nonzero(has)[0]])
@@ -472,13 +476,13 @@ def search(
     index: DenseIndex,
     query: np.ndarray,
     k: int,
-    search_width: int | None = None,
+    search_width: int = DEFAULT_SEARCH_WIDTH,
 ) -> list[tuple[int, float]]:
     """Top-k ``(keyword id, inner-product score)``, ties broken by id.
 
     Empty indexes return no results; otherwise ``k`` may not exceed the
-    index size.  For graph indexes ``search_width`` (default 100) bounds
-    the best-first candidate list, and is widened to ``k`` if smaller.
+    index size.  For graph indexes ``search_width`` bounds the best-first
+    candidate list, and is widened to ``k`` if smaller.
 
     Both kinds report float64 scores from ``_rescore``, the graph kind for
     its whole candidate list, so both break ties by id.  The exact kind
@@ -506,8 +510,7 @@ def search(
         margin = 2 * _float32_dot_error(index.vectors.shape[1])
         return _rescore(index, np.flatnonzero(scores >= kth - margin), query, k)
 
-    width = max(DEFAULT_SEARCH_WIDTH if search_width is None else search_width, k)
-    return _rescore(index, _greedy_search(index, query, width)[0], query, k)
+    return _rescore(index, _greedy_search(index, query, max(search_width, k))[0], query, k)
 
 
 def cluster_keywords(vectors, ids, similarity_threshold: float) -> dict[int, int]:
@@ -580,6 +583,8 @@ def load_graph(path, vectors: np.ndarray, ids: np.ndarray) -> DenseIndex:
     (n, max_degree, build_width, prune_slack, entry), pos = unpack_at("<QIIdQ", payload, 0)
     if n != len(vectors):
         raise ValidationError("graph file does not match embeddings")
+    if not np.isfinite(vectors).all():  # the exact kind's _normalize checks this
+        raise ValidationError("embeddings hold a non-finite value")
     raw, pos = take(payload, pos, (n + 1) * 8)
     offsets = np.frombuffer(raw, dtype="<i8").astype(np.int64)
     degrees = np.diff(offsets)

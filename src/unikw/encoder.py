@@ -17,9 +17,9 @@ Training minimizes, over a batch of (query, keyword, negatives) triples,
     mean_i [ max_l sim(q_i, l) - sim(q_i, k_i) + margin ]_+
   + nlg_weight * mean_i sum_t -logprob_t[k_i,t]
 
-where ``sim`` is the inner product of unit dense embeddings (a raw dot
-product in ``similarity="dot"`` mode), the hinge takes the hardest mined
-negative of each pair, and the token term sums through the EOW sentinel.
+where ``sim`` is the cosine of the unit dense embeddings (as in serving
+and mining), the hinge takes the hardest mined negative of each pair,
+and the token term sums through the EOW sentinel.
 All gradients are computed analytically in float64; ``joint_loss`` is the
 single source of truth checked against finite differences in the tests.
 
@@ -55,9 +55,6 @@ import numpy as np
 from .corpus import TokenSeq, Vocab, _flatten
 from .errors import TrainingDiverged, ValidationError
 from .fileio import frame, read_file, take, unframe, unpack_at, write_file
-
-COSINE = "cosine"
-DOT = "dot"
 
 _MAGIC = b"KENC"
 _VERSION = 2
@@ -156,7 +153,6 @@ class TrainConfig:
     negatives_per_positive: int = 2
     seed: int = 0
     momentum: float = 0.0
-    similarity: str = COSINE
     dim: int = 32
     dense_dim: int = 16
     hidden_dim: int = 64
@@ -179,8 +175,6 @@ class TrainConfig:
             raise ValidationError("learning_rate must be > 0")
         if not 0 <= self.momentum < 1:
             raise ValidationError("momentum must be in [0, 1)")
-        if self.similarity not in (COSINE, DOT):
-            raise ValidationError(f"unknown similarity mode: {self.similarity!r}")
 
     def to_json(self) -> str:
         return json.dumps({f.name: getattr(self, f.name) for f in fields(self)}, indent=2)
@@ -349,11 +343,7 @@ def joint_loss(
     neg_owner = np.repeat(np.arange(n_pairs), neg_counts)
 
     # ---- dense head ----
-    z = pooled @ params.dense_proj.T
-    if config.similarity == COSINE:
-        emb, norms = _normalize_rows(z)
-    else:
-        emb, norms = z, None
+    emb, norms = _normalize_rows(pooled @ params.dense_proj.T)
     e_q, e_g = emb[:n_pairs], emb[n_pairs : 2 * n_pairs]
 
     s_pos = np.sum(e_q * e_g, axis=1)
@@ -378,12 +368,9 @@ def joint_loss(
     d_emb[n_pairs : 2 * n_pairs] = -coeff * e_q
     d_emb[hardest_rows] = coeff * e_q
 
-    if config.similarity == COSINE:
-        # Through row normalization: dz = (de - e * <e, de>) / ||z||.
-        inner = np.sum(emb * d_emb, axis=1)
-        d_z = (d_emb - emb * inner[:, None]) / norms[:, None]
-    else:
-        d_z = d_emb
+    # Through row normalization: dz = (de - e * <e, de>) / ||z||.
+    inner = np.sum(emb * d_emb, axis=1)
+    d_z = (d_emb - emb * inner[:, None]) / norms[:, None]
     grads = zero_grads(params)
     grads["dense_proj"] += d_z.T @ pooled
     d_pooled = d_z @ params.dense_proj

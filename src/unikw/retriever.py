@@ -14,8 +14,8 @@ id), then generative-only results by (-generative score, id).  Since
 the merge sorts nothing: it is a stable partition of the dense list into
 BOTH and DR-only by lookup in the generative scores, followed by the
 generative hits the dense list lacks.  Callers that want channel-specific
-quality thresholds should use ``retrieve_channels`` and apply their own
-floors, or set ``nlg_floor`` / ``dr_floor`` on the bundle.
+quality thresholds apply their own floors to the raw lists
+``retrieve_channels`` returns.
 """
 
 from __future__ import annotations
@@ -66,9 +66,6 @@ class EngineBundle:
     index: DenseIndex
     decode: DecodeConfig = field(default_factory=DecodeConfig)
     dense_k: int = 100
-    search_width: int = 100
-    nlg_floor: float | None = None
-    dr_floor: float | None = None
     # Representative id -> the ids of its group, ascending, when the index
     # holds representatives only (``index --cluster-threshold``).
     groups: dict[int, tuple[int, ...]] | None = None
@@ -119,12 +116,12 @@ def retrieve_channels(
     product.  With ``groups``, each representative the dense search finds
     stands for its whole group: every member takes the representative's
     score, and the expanded hits are ordered by (-score, id) and cut at
-    ``dense_k``.  Channel floors from the bundle are applied here.
+    ``dense_k``.
 
     Ordering contract, which ``retrieve`` relies on: each list is sorted
     by (-score, id) and holds each keyword id at most once.
     ``permutation_decode`` and ``search`` return their hits in that order,
-    the group expansion sorts into it, and the floors only filter.
+    and the group expansion sorts into it.
     """
     tokens = tokenize(query_text, bundle.vocab, "query", bundle.params.max_len)
     output = encode(bundle.params, tokens)
@@ -132,14 +129,10 @@ def retrieve_channels(
         output.nar_logprobs, bundle.forward_trie, bundle.reversed_trie, bundle.decode
     )
     k = min(bundle.dense_k, len(bundle.index))
-    dr = search(bundle.index, output.dr_embedding, k, bundle.search_width) if k else []
+    dr = search(bundle.index, output.dr_embedding, k) if k else []
     if bundle.groups is not None:
         members = [(kid, score) for rep, score in dr for kid in bundle.groups[rep]]
         dr = sorted(members, key=lambda hit: (-hit[1], hit[0]))[: bundle.dense_k]
-    if bundle.nlg_floor is not None:
-        nlg = [(kid, s) for kid, s in nlg if s >= bundle.nlg_floor]
-    if bundle.dr_floor is not None:
-        dr = [(kid, s) for kid, s in dr if s >= bundle.dr_floor]
     return nlg, dr
 
 

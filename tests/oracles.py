@@ -333,11 +333,8 @@ def einsum_joint_loss(params, batch, config):
     neg_owner = np.repeat(np.arange(n_pairs), neg_counts)
 
     z = pooled @ params.dense_proj.T
-    if config.similarity == "cosine":
-        norms = np.maximum(np.linalg.norm(z, axis=1), 1e-30)
-        emb = z / norms[:, None]
-    else:
-        emb, norms = z, None
+    norms = np.maximum(np.linalg.norm(z, axis=1), 1e-30)
+    emb = z / norms[:, None]
     s_pos = np.einsum("ij,ij->i", emb[q_rows], emb[g_rows])
     s_neg = np.einsum("ij,ij->i", emb[q_rows[neg_owner]], emb[neg_rows])
     seg_starts = np.zeros(n_pairs, dtype=np.int64)
@@ -357,11 +354,8 @@ def einsum_joint_loss(params, batch, config):
     np.add.at(d_emb, q_rows, coeff[:, None] * (emb[neg_rows[hardest]] - emb[g_rows]))
     np.add.at(d_emb, g_rows, -coeff[:, None] * emb[q_rows])
     np.add.at(d_emb, neg_rows[hardest], coeff[:, None] * emb[q_rows])
-    if config.similarity == "cosine":
-        inner = np.einsum("ij,ij->i", emb, d_emb)
-        d_z = (d_emb - emb * inner[:, None]) / norms[:, None]
-    else:
-        d_z = d_emb
+    inner = np.einsum("ij,ij->i", emb, d_emb)
+    d_z = (d_emb - emb * inner[:, None]) / norms[:, None]
     grads = {name: np.zeros_like(arr) for name, arr in params.arrays().items()}
     grads["dense_proj"] += d_z.T @ pooled
     d_pooled = d_z @ params.dense_proj

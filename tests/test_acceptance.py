@@ -283,7 +283,6 @@ def test_05_gradient_check():
         config = TrainConfig(
             margin=float(rng.uniform(0.0, 0.6)),
             nlg_weight=float(rng.choice([0.0, 0.5, 1.5])),
-            similarity="cosine" if trial % 2 == 0 else "dot",
         )
         _, analytic = joint_loss(params, batch, config)
         numeric = finite_difference_grads(

@@ -1,10 +1,17 @@
 """End-to-end command-line pipeline on a small synthetic corpus."""
 
+import contextlib
+import io
 import json
+import os
 import shutil
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from unikw import (
     FORWARD,
@@ -238,6 +245,55 @@ class TestPipeline:
         assert main(index) == 0
         assert not (bundle / "reps.tsv").exists()
 
+    @pytest.mark.parametrize("flags", [
+        ["--max-degree", "0"], ["--build-width", "1"], ["--prune-slack", "0.5"],
+        ["--cluster-threshold", "1.5"],
+    ], ids=lambda flags: flags[0])
+    def test_failed_index_leaves_the_bundle_untouched(self, pipeline, tmp_path, capsys, flags):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(pipeline["bundle"], bundle)
+        index = [
+            "index", "--checkpoint", str(bundle / "encoder.kenc"),
+            "--keywords", str(pipeline["paths"]["keywords"]), "--vocab", str(bundle / "vocab.txt"),
+            "--kind", "graph", "--max-degree", "4", "--build-width", "8",
+            "--cluster-threshold", "0.3", "--out", str(bundle),
+        ]
+        assert main(index) == 0  # a clustered graph bundle: reps.tsv and graph.kgra
+        before = {f.name: f.read_bytes() for f in bundle.iterdir()}
+        assert {"reps.tsv", "graph.kgra"} <= before.keys()
+        capsys.readouterr()
+        assert main(index + flags) == 2
+        validation_message(capsys)
+        assert {f.name: f.read_bytes() for f in bundle.iterdir()} == before
+
+    @pytest.mark.parametrize("kind", ["exact", "graph"])
+    def test_non_finite_embedding_rows_are_validation_error(
+        self, pipeline, tmp_path, capsys, kind
+    ):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(pipeline["bundle"], bundle)  # a graph bundle
+        if kind == "exact":
+            (bundle / "graph.kgra").unlink()
+        vectors, ids = load_embeddings(bundle / "embeddings.kemb")
+        vectors[0, 0], vectors[1, 1] = np.nan, np.inf
+        save_embeddings(bundle / "embeddings.kemb", vectors, ids)  # a valid checksum
+        code = main([
+            "retrieve", "--bundle-dir", str(bundle),
+            "--queries", str(pipeline["paths"]["queries"]), "--out", str(tmp_path / "r.jsonl"),
+        ])
+        assert code == 2
+        assert "non-finite" in validation_message(capsys)
+        assert not (tmp_path / "r.jsonl").exists()
+
+    def test_nan_prune_is_validation_error(self, pipeline, tmp_path, capsys):
+        code = main([
+            "retrieve", "--bundle-dir", str(pipeline["bundle"]),
+            "--queries", str(pipeline["paths"]["queries"]), "--prune", "nan",
+            "--out", str(tmp_path / "r.jsonl"),
+        ])
+        assert code == 2
+        assert "prune_threshold" in validation_message(capsys)
+
     def test_clustered_bundle_returns_every_keyword_by_its_own_text(self, clustered, tmp_path):
         bundle, reps = clustered["bundle"], clustered["reps"]
         others = sorted(kid for kid, rep in reps.items() if kid != rep)
@@ -450,10 +506,32 @@ class TestErrorHandling:
         assert err["kind"] == "validation" and "max_len" in err["message"]
         assert not (tmp_path / "t.ktri").exists()
 
-    def test_unknown_flag_rejected(self):
+    def test_unknown_flag_rejected(self, capsys):
+        code = main([
+            "build-vocab", "--keywords", "k.txt", "--pairs", "p.tsv", "--out", "v.txt",
+            "--nonsense", "x",
+        ])
+        assert code == 2
+        assert "unrecognized arguments: --nonsense x" in validation_message(capsys)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["retrieve", "--bundle-dir", "b", "--queries", "q", "--out", "o", "--beam", "abc"],
+         "invalid int value: 'abc'"),
+        (["retrieve", "--bundle-dir", "b", "--queries", "q"], "required: --out"),
+        (["index", "--checkpoint", "c", "--keywords", "k", "--vocab", "v", "--out", "o",
+          "--kind", "tree"], "invalid choice: 'tree'"),
+        ([], "required: command"),
+    ], ids=["bad-int", "missing-flag", "bad-choice", "no-command"])
+    def test_usage_errors_print_the_error_json(self, capsys, argv, message):
+        assert main(argv) == 2
+        assert message in validation_message(capsys)
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["retrieve", "--help"]])
+    def test_help_and_version_exit_0(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
-            main(["build-vocab", "--nonsense", "x"])
-        assert exc.value.code == 2
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().err == ""
 
     def test_corrupt_input_is_validation_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.ktri"
@@ -558,6 +636,46 @@ class TestErrorHandling:
         ]) == 0
         assert out.read_text(encoding="utf-8").splitlines() == ["a"]
 
+    @pytest.mark.parametrize("command", ["eval", "overlap"])
+    @pytest.mark.parametrize("row", [
+        {"query": "red shoes", "results": [{"id": [0], "keyword": "red shoes"}]},
+        {"query": "red shoes", "results": [{"id": {"a": 0}, "keyword": "red shoes"}]},
+        {"query": ["red shoes"], "results": []},
+        {"query": "red shoes", "results": [{"id": 0, "keyword": 7}]},
+    ], ids=["list-id", "object-id", "list-query", "number-keyword"])
+    def test_results_row_of_the_wrong_types_is_validation_error(
+        self, tmp_path, capsys, command, row
+    ):
+        # Each was a TypeError or AttributeError traceback.
+        results = tmp_path / "results.jsonl"
+        results.write_text(json.dumps(row) + "\n", encoding="utf-8")
+        (tmp_path / "labels.tsv").write_text("red shoes\t0\n", encoding="utf-8")
+        argv = {
+            "eval": ["eval", "--results", str(results), "--labels", str(tmp_path / "labels.tsv"),
+                     "--scorer", "overlap", "--out", str(tmp_path / "m.json")],
+            "overlap": ["overlap", "--results-a", str(results), "--results-b", str(results)],
+        }[command]
+        assert main(argv) == 2
+        assert "row 1" in validation_message(capsys)
+
+    def test_deeply_nested_config_is_validation_error(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text("[" * 100_000, encoding="utf-8")  # was a RecursionError traceback
+        argv = ["overlap", "--config", str(config), "--results-a", "a", "--results-b", "b"]
+        assert main(argv) == 2
+        assert "recursion" in validation_message(capsys)
+
+    def test_widths_beyond_the_graph_header_are_validation_error(self, pipeline, tmp_path, capsys):
+        huge = str(10**20)  # was an OverflowError traceback
+        assert main([
+            "index", "--checkpoint", str(pipeline["bundle"] / "encoder.kenc"),
+            "--keywords", str(pipeline["paths"]["keywords"]),
+            "--vocab", str(pipeline["bundle"] / "vocab.txt"), "--kind", "graph",
+            "--max-degree", huge, "--build-width", huge, "--out", str(tmp_path / "bundle"),
+        ]) == 2
+        assert "2**32" in validation_message(capsys)
+        assert not (tmp_path / "bundle").exists()
+
     def test_eval_row_without_results_is_validation_error(self, tmp_path, capsys):
         results = tmp_path / "results.jsonl"
         results.write_text(json.dumps({"query": "red shoes"}) + "\n", encoding="utf-8")
@@ -639,3 +757,167 @@ class TestTrainFailures:
         assert err["code"] == 2 and err["kind"] == "diverged"
         assert "epoch" in err["message"] and "learning_rate=1000000000000.0" in err["message"]
         assert not (tiny_inputs[0] / "encoder.kenc").exists()
+
+
+# ---------------------------------------------------------------- fuzzing
+
+#: Each command over the fuzz directory's files (paths relative to it),
+#: with the files it reads.
+FUZZ_COMMANDS = [
+    (["build-vocab", "--keywords", "keywords.txt", "--pairs", "pairs.tsv", "--min-count", "1",
+      "--out", "v.txt"], ["keywords.txt", "pairs.tsv"]),
+    (["build-trie", "--keywords", "keywords.txt", "--vocab", "b/vocab.txt", "--direction", "rev",
+      "--max-len", "4", "--out", "t.ktri"], ["keywords.txt", "b/vocab.txt"]),
+    (["train", "--pairs", "pairs.tsv", "--vocab", "b/vocab.txt", "--config-file", "train.json",
+      "--out", "e.kenc"], ["pairs.tsv", "b/vocab.txt", "train.json"]),
+    (["index", "--checkpoint", "b/encoder.kenc", "--keywords", "keywords.txt",
+      "--vocab", "b/vocab.txt", "--kind", "graph", "--max-degree", "4", "--build-width", "8",
+      "--prune-slack", "1.2", "--cluster-threshold", "0.3", "--seed", "1", "--out", "b"],
+     ["b/encoder.kenc", "keywords.txt", "b/vocab.txt"]),
+    (["retrieve", "--bundle-dir", "b", "--queries", "queries.txt", "--beam", "5",
+      "--orders", "l2r,r2l", "--prune", "-9", "--topk", "5", "--out", "r.jsonl"],
+     ["queries.txt", "b/vocab.txt", "b/keywords.txt", "b/encoder.kenc", "b/trie.fwd.ktri",
+      "b/trie.rev.ktri", "b/embeddings.kemb", "b/graph.kgra", "b/reps.tsv"]),
+    (["retrieve", "--config", "cfg.json", "--bundle-dir", "b", "--queries", "queries.txt",
+      "--out", "r.jsonl"], ["cfg.json", "queries.txt"]),
+    (["eval", "--results", "results.jsonl", "--labels", "labels.tsv", "--propensities", "props.tsv",
+      "--scorer", "overlap", "--scorer-match", "phrase", "--ks", "1,5", "--thresholds", "0.5",
+      "--out", "m.json"], ["results.jsonl", "labels.tsv", "props.tsv"]),
+    (["bench", "--bundle-dir", "b", "--queries", "queries.txt", "--beams", "2,5",
+      "--orders", "r2l", "--out", "bench.json"], ["queries.txt", "b/encoder.kenc"]),
+    (["overlap", "--results-a", "results.jsonl", "--results-b", "r2.jsonl", "--out", "o.json"],
+     ["results.jsonl", "r2.jsonl"]),
+]
+
+#: Argument values a corrupted command line may carry.  None climbs out of
+#: the working directory, so nothing is written outside it.
+JUNK = st.one_of(
+    st.sampled_from([
+        "", "0", "-1", "1", "3", "0.5", "nan", "inf", "-inf", "1e400", "abc", ",", "1,,x",
+        "99999999999999999999", "-99999999999999999999", "--", "-", "\x00", "l2r,l2r", "r2l,",
+        "--help", "--seed", "--config", "b", "b/vocab.txt", "missing.txt", ".",
+    ]),
+    st.text(max_size=4).filter(lambda text: "/" not in text and ".." not in text),
+)
+#: JSON values a corrupted results, train or --config file may carry.
+JSON_JUNK = st.sampled_from([None, True, -1, 1.5, 10**30, "", "x", [], {}, [1], {"id": 1}])
+BYTES = st.one_of(
+    st.sampled_from([b"\t", b"\n", b" ", b",", b"-", b"9", b"0", b"\xff", b"{", b'"']),
+    st.binary(min_size=1, max_size=1),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_root(pipeline, tmp_path_factory):
+    """Every input file a command takes, over a clustered graph bundle in ``b``."""
+    root = tmp_path_factory.mktemp("fuzz")
+    shutil.copytree(pipeline["bundle"], root / "b")
+    for name in ("keywords", "pairs", "queries", "labels"):
+        shutil.copy(pipeline["paths"][name], root)
+    config = {**TRAIN_CONFIG, "epochs": 1, "dim": 4, "dense_dim": 2, "hidden_dim": 4}
+    (root / "train.json").write_text(json.dumps(config), encoding="utf-8")
+    (root / "cfg.json").write_text(json.dumps({"beam": 4, "topk": 3}), encoding="utf-8")
+    (root / "props.tsv").write_text("0\t0.5\n1\t0.25\n2\t1.0\n", encoding="utf-8")
+    with _inside(root):
+        for argv, _ in FUZZ_COMMANDS[3:6]:  # index, then both retrieves
+            assert main(argv) == 0, argv
+    shutil.copy(root / "r.jsonl", root / "results.jsonl")
+    shutil.move(root / "r.jsonl", root / "r2.jsonl")
+    return root
+
+
+@contextlib.contextmanager
+def _inside(directory):
+    """Run with ``directory`` as the working directory (``contextlib.chdir``
+    needs Python 3.11)."""
+    before = os.getcwd()
+    os.chdir(directory)
+    try:
+        yield
+    finally:
+        os.chdir(before)
+
+
+def _corrupt_json(path: Path, data) -> None:
+    """Replace one value of one JSON line, at any depth, or nest it too deep to parse."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    at = data.draw(st.integers(0, len(lines) - 1))
+    if data.draw(st.booleans()):
+        lines[at] = "[" * 100_000
+    else:
+        node = doc = json.loads(lines[at])
+        parent = key = None
+        # Down a random path from the top, stopping at a leaf or at random.
+        while isinstance(node, (dict, list)) and node and (
+            parent is None or data.draw(st.booleans())
+        ):
+            keys = list(node) if isinstance(node, dict) else range(len(node))
+            parent, key = node, data.draw(st.sampled_from(keys))
+            node = node[key]
+        if parent is None:
+            doc = data.draw(JSON_JUNK)
+        else:
+            parent[key] = data.draw(JSON_JUNK)
+        lines[at] = json.dumps(doc)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _corrupt(path: Path, data) -> None:
+    ops = ["truncate", "replace", "insert", "empty", "delete"]
+    op = data.draw(st.sampled_from(ops + ["json"] * path.suffix.startswith(".json")))
+    if op == "json":
+        _corrupt_json(path, data)
+        return
+    if op == "delete":
+        path.unlink()
+        return
+    raw = path.read_bytes()
+    at = data.draw(st.integers(0, len(raw)))
+    if op == "empty":
+        raw = b""
+    elif op == "truncate":
+        raw = raw[:at]
+    else:
+        raw = raw[:at] + data.draw(BYTES) + raw[at + (op == "replace"):]
+    path.write_bytes(raw)
+
+
+class TestFuzz:
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_corrupted_argv_and_files_keep_the_error_contract(self, fuzz_root, data):
+        """Any command line and input files end in exit 0, 2, 3 or 4; a
+        failure prints exactly one error JSON line on stderr and no traceback."""
+        argv, reads = data.draw(st.sampled_from(FUZZ_COMMANDS))
+        argv = list(argv)
+        for _ in range(data.draw(st.integers(0, 3))):
+            op = data.draw(st.sampled_from(["drop", "replace", "insert", "swap"]))
+            at = data.draw(st.integers(0, len(argv) - (op != "insert"))) if argv else 0
+            if op == "insert" or not argv:
+                argv.insert(at, data.draw(JUNK))
+            elif op == "drop":
+                del argv[at]
+            elif op == "replace":
+                argv[at] = data.draw(JUNK)
+            else:
+                other = data.draw(st.integers(0, len(argv) - 1))
+                argv[at], argv[other] = argv[other], argv[at]
+        with tempfile.TemporaryDirectory() as work:
+            shutil.copytree(fuzz_root, work, dirs_exist_ok=True)
+            for name in data.draw(st.lists(st.sampled_from(reads), max_size=2, unique=True)):
+                _corrupt(Path(work) / name, data)
+            out, err = io.StringIO(), io.StringIO()
+            with _inside(work), contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # --help and --version only
+                    code = exc.code
+                    assert code == 0, argv
+        assert code in (0, 2, 3, 4), argv
+        assert "Traceback" not in err.getvalue()
+        if code != 0:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1, (argv, lines)
+            assert json.loads(lines[0])["error"]["code"] == code

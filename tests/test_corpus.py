@@ -237,16 +237,6 @@ class TestLoadPairs:
         with pytest.raises(ValidationError, match="malformed"):
             load_pairs(path, tiny_vocab)
 
-    def test_catalog_resolution(self, tmp_path, tiny_vocab):
-        path = _write(tmp_path / "p.tsv", "a\tB C\n")
-        pairs, _ = load_pairs(path, tiny_vocab, catalog=["d", "b c"])
-        assert pairs[0].keyword_id == 1
-
-    def test_catalog_miss_is_malformed(self, tmp_path, tiny_vocab):
-        path = _write(tmp_path / "p.tsv", "\n".join(["a\tb"] * 20 + ["a\tmissing kw"]) + "\n")
-        pairs, malformed = load_pairs(path, tiny_vocab, catalog=["b"])
-        assert len(pairs) == 20 and malformed == 1
-
 
 class TestVocabFile:
     def test_roundtrip(self, tmp_path, tiny_vocab):

@@ -304,3 +304,8 @@ class TestDecodeConfig:
             DecodeConfig(orders=())
         with pytest.raises(ValidationError):
             DecodeConfig(orders=("upside-down",))
+
+    def test_nan_prune_threshold_rejected(self):
+        # Every comparison with NaN is false, so it used to switch pruning off.
+        with pytest.raises(ValidationError, match="prune_threshold"):
+            DecodeConfig(prune_threshold=float("nan"))

@@ -69,6 +69,23 @@ class TestExact:
         with pytest.raises(ValidationError, match="zero vector"):
             build_exact(np.zeros((2, 4)), [0, 1])
 
+    @pytest.mark.parametrize("build", [
+        build_exact, build_graph, lambda v, ids: cluster_keywords(v, ids, 0.9),
+    ], ids=["exact", "graph", "cluster"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_rejected(self, rng, build, bad):
+        v = unit_vectors(rng, 10, 4)
+        v[3, 1] = bad
+        with pytest.raises(ValidationError, match="non-finite norm at row 3 "):
+            build(v, np.arange(10))
+
+    def test_graph_load_rejects_non_finite_rows(self, rng, tmp_path):
+        v = unit_vectors(rng, 10, 4)
+        save_graph(tmp_path / "g.kgra", build_graph(v, np.arange(10)))
+        v[3, 1] = np.nan
+        with pytest.raises(ValidationError, match="non-finite"):
+            load_graph(tmp_path / "g.kgra", v.astype(np.float32), np.arange(10))
+
     @pytest.mark.parametrize("dim", [16, 33])
     def test_rows_normalized_as_one_float64_matrix(self, rng, dim):
         # Enough rows for several blocks and a ragged last one: each row's
@@ -131,6 +148,22 @@ class TestGraph:
         for row in range(3):
             s, e = index.offsets[row], index.offsets[row + 1]
             assert set(index.neighbors[s:e].tolist()) == {0, 1, 2} - {row}
+
+    def test_widths_beyond_the_row_count_build_the_same_graph(self, rng):
+        # No row can have n neighbours, nor a search list hold more than n
+        # rows, so wider build arrays would only hold padding.
+        v = unit_vectors(rng, 12, 4)
+        v[1] = v[0]  # a group of copies, with its ring edge
+        want = build_graph(v, np.arange(12), max_degree=12, build_width=12)
+        got = build_graph(v, np.arange(12), max_degree=40, build_width=1000)
+        assert np.array_equal(got.offsets, want.offsets)
+        assert np.array_equal(got.neighbors, want.neighbors) and got.entry == want.entry
+
+    @pytest.mark.parametrize("widths", [(4, 2**32), (2**32, 2**32), (10**20, 10**20)])
+    def test_widths_beyond_the_graph_header_rejected(self, widths):
+        # Checked before any array is sized by them.
+        with pytest.raises(ValidationError, match=r"2\*\*32"):
+            dense_index._check_graph_params(*widths, 1.2)
 
     def test_degree_bound(self, rng):
         v = unit_vectors(rng, 300, 16)

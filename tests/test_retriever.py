@@ -87,14 +87,6 @@ class TestRetrieve:
         for r in retrieve(bundle, "ink"):
             assert r.text == CATALOG[r.keyword_id]
 
-    def test_channel_floors(self, bundle):
-        from dataclasses import replace
-
-        floored = replace(bundle, nlg_floor=0.0, dr_floor=2.0)
-        nlg, dr = retrieve_channels(floored, "red shoes")
-        assert nlg == []  # log-probs are negative
-        assert dr == []   # cosines never reach 2.0
-
 
 class TestBundleValidation:
     def test_checksum_mismatch_detected(self, bundle):
@@ -166,18 +158,14 @@ class TestMergeOrder:
         pool = sorted(groups) if grouped else list(range(40))
         nlg, dr = [], []
         monkeypatch.setattr(retriever_module, "permutation_decode", lambda *args: nlg)
-        monkeypatch.setattr(retriever_module, "search", lambda index, query, k, width: dr[:k])
+        monkeypatch.setattr(retriever_module, "search", lambda index, query, k: dr[:k])
         sources = set()
         for _ in range(60):
             nlg_ids = rng.choice(40, size=int(rng.integers(0, 25)), replace=False)
             dr_ids = rng.choice(pool, size=int(rng.integers(0, len(pool) + 1)), replace=False)
             nlg[:] = _sorted_hits(rng, nlg_ids, [-3.0, -2.5, -2.0, -1.5])
             dr[:] = _sorted_hits(rng, dr_ids, [0.1, 0.4, 0.7])
-            b = replace(
-                base, index=index, groups=groups, dense_k=int(rng.integers(1, 30)),
-                nlg_floor=[None, -2.5, -2.0][rng.integers(3)],
-                dr_floor=[None, 0.4][rng.integers(2)],
-            )
+            b = replace(base, index=index, groups=groups, dense_k=int(rng.integers(1, 30)))
             b.validate()
             got_nlg, got_dr = retrieve_channels(b, "kw1")
             for hits in (got_nlg, got_dr):  # the contract the merge rests on
