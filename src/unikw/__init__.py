@@ -14,6 +14,7 @@ from .corpus import (
     EOW_ID,
     PAD_ID,
     UNK_ID,
+    Catalog,
     TokenSeq,
     TrainingPair,
     Vocab,

@@ -241,7 +241,7 @@ def load_bundle(
     """Assemble and validate an EngineBundle from a bundle directory."""
     d = Path(bundle_dir)
     vocab = load_vocab(d / "vocab.txt")
-    catalog = tuple(load_keywords(d / "keywords.txt"))
+    catalog = load_keywords(d / "keywords.txt")
     params = load_params(d / "encoder.kenc")
     fwd = deserialize(d / "trie.fwd.ktri")
     rev = deserialize(d / "trie.rev.ktri")

@@ -15,9 +15,13 @@ C-level passes (``map`` over ``str`` methods and the vocabulary dict), the
 reserved forms, cuts and EOW as array operations.  ``build_vocab`` counts
 each file with one ``Counter`` over its lowercased, split text.
 
+``load_keywords`` reads the catalog into a ``Catalog``: the decoded text
+and one array of line offsets, with no string per keyword until one is
+asked for.
+
 File formats:
-  * keyword catalog — UTF-8, one keyword per line, 0-based line number is
-    the keyword id;
+  * keyword catalog — UTF-8, one keyword per line as ``str.splitlines``
+    splits it, 0-based line number is the keyword id;
   * training pairs — UTF-8 TSV ``query<TAB>keyword``;
   * vocab file — UTF-8, one token per line in id order starting at id 3
     (reserved ids are implicit).
@@ -25,14 +29,16 @@ File formats:
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain, compress, repeat
 
 import numpy as np
 
 from .errors import ValidationError
-from .fileio import checksum64
+from .fileio import checksum64, read_file
 
 crc64 = checksum64  # kept only so the benchmark's tracer can find it by name
 
@@ -211,17 +217,92 @@ def build_vocab(keyword_path, pairs_path, min_count: int = 1) -> Vocab:
         (tok for tok, c in counts.items() if c >= min_count),
         key=lambda tok: (-counts[tok], tok),
     )
+    if not kept:
+        raise ValidationError(f"empty vocabulary: no token occurs {min_count} or more times")
     return Vocab.from_tokens(kept)
 
 
-def load_keywords(path) -> list[str]:
-    """Read the keyword catalog; 0-based line number is the keyword id."""
-    with open(path, encoding="utf-8") as f:
-        lines = f.read().splitlines()
-    if not all(map(str.strip, lines)):
-        blank = next(i for i, line in enumerate(lines) if not line.strip())
-        raise ValidationError(f"blank keyword at line {blank}")
-    return lines
+#: Where ``str.splitlines`` splits, other than at ``\r\n``, which it takes as
+#: one break.  The first seven are all the ASCII breaks, each below 0x1f.
+_LINE_BREAKS = np.array([0x0A, 0x0B, 0x0C, 0x0D, 0x1C, 0x1D, 0x1E, 0x85, 0x2028, 0x2029])
+
+
+class Catalog(Sequence):
+    """The keyword catalog as one string and one offsets array.
+
+    Keyword i is ``text[starts[i]:starts[i + 1] - 1]``: each line is
+    followed by one break character, or by the end of the text.  No string
+    is made per keyword until one is asked for; ``texts`` fetches many at
+    once."""
+
+    __slots__ = ("_text", "_starts")
+
+    def __init__(self, text: str, starts: np.ndarray):
+        self._text = text
+        self._starts = starts
+
+    def __len__(self) -> int:
+        return len(self._starts) - 1
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self.texts(range(*index.indices(len(self))))
+        i = operator.index(index)
+        return self.texts([i + len(self) if i < 0 else i])[0]
+
+    def __iter__(self):
+        return self._slices(self._starts[:-1], self._starts[1:])
+
+    def texts(self, ids) -> list[str]:
+        """The texts of keyword ``ids``, in order, in one call."""
+        ids = np.asarray(ids, dtype=np.int64)
+        if ids.size and (ids.min() < 0 or ids.max() >= len(self)):
+            raise IndexError("keyword id outside the catalog")
+        return list(self._slices(self._starts[ids], self._starts[ids + 1]))
+
+    def _slices(self, starts: np.ndarray, nexts: np.ndarray):
+        return map(self._text.__getitem__, map(slice, starts.tolist(), (nexts - 1).tolist()))
+
+
+def texts_of(catalog: Sequence[str], ids) -> list[str]:
+    """``catalog[i]`` for each of ``ids``: one call on a ``Catalog``."""
+    if isinstance(catalog, Catalog):
+        return catalog.texts(ids)
+    return [catalog[i] for i in ids]
+
+
+def load_keywords(path) -> Catalog:
+    """Read the keyword catalog: UTF-8, keyword i on the i-th (0-based) line,
+    lines as ``str.splitlines`` gives them.  A blank line is an error.
+
+    The lines are found with array operations on the code points: ASCII
+    text is searched as its bytes for the seven ASCII breaks, other text
+    as UTF-32 for all ten."""
+    data = read_file(path)
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n")  # so every break is one character
+    text = data.decode("utf-8")
+    if text.isascii():
+        codes = np.frombuffer(data, dtype=np.uint8)
+        near = np.flatnonzero(codes < 0x1F)
+    else:
+        codes = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
+        near = np.flatnonzero((codes < 0x1F) | (codes == 0x85) | ((codes | 1) == 0x2029))
+    breaks = near[np.isin(codes[near], _LINE_BREAKS)]
+    tail = int(len(text) > (breaks[-1] + 1 if len(breaks) else 0))  # a last line with no break
+    starts = np.empty(len(breaks) + 1 + tail, dtype=np.int64)
+    starts[0] = 0
+    starts[1:len(breaks) + 1] = breaks + 1
+    if tail:
+        starts[-1] = len(text) + 1
+    # A blank line starts with whitespace: an empty one with its break.
+    # Only lines whose first character is whitespace need a closer look.
+    first = codes[starts[:-1]]
+    spaces = [c for c in np.unique(first).tolist() if chr(c).isspace()]
+    for i in np.flatnonzero(np.isin(first, spaces)).tolist():
+        if not text[starts[i]:starts[i + 1] - 1].strip():
+            raise ValidationError(f"blank keyword at line {i}")
+    return Catalog(text, starts)
 
 
 #: A pairs file with more malformed lines than this share is rejected.

@@ -82,6 +82,8 @@ class DecodeConfig:
         for order in self.orders:
             if order not in _ORDER_DIRECTION:
                 raise ValidationError(f"unknown decoding order: {order!r}")
+        if len(set(self.orders)) != len(self.orders):
+            raise ValidationError(f"repeated decoding order in {','.join(self.orders)}")
 
 
 def constrained_logprob(

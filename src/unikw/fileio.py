@@ -45,34 +45,38 @@ def encode_uvarints(values) -> bytes:
     return out.tobytes()
 
 
-def decode_uvarints(data, outs) -> None:
-    """Fill the int64 arrays ``outs``, in order, with the LEB128 varints that
-    make up ``data`` exactly; a varint of over nine bytes (63 bits) is an error.
-    Only multi-byte varints get int64 temporaries, one pass per byte position."""
+def decode_uvarints(data, count: int) -> np.ndarray:
+    """The ``count`` LEB128 varints that make up ``data`` exactly, as int64; a
+    varint of over nine bytes (63 bits) is an error.
+
+    One pass over the bytes marks where varints end and takes each one's
+    last byte; only the multi-byte varints are then looped over, one pass
+    per further byte.  Nothing but the result is as long as the stream in
+    int64 (page faults on a bundle load)."""
     raw = np.frombuffer(data, dtype=np.uint8)
-    last = raw < 0x80
-    bounds = np.cumsum([0] + [len(out) for out in outs])
-    found, count = np.count_nonzero(last), bounds[-1]
+    last = raw < 0x80  # the last byte of a varint
+    found = np.count_nonzero(last)
     if found < count:
         raise ValidationError("truncated file: varint runs past end of data")
     if found > count or (raw.size and not last[-1]):
         raise ValidationError("corrupt file: trailing bytes after the last varint")
-    follows = np.concatenate(([False], ~last))[:-1]  # the byte before continues into this one
-    at = np.flatnonzero(last & follows) - 1  # each multi-byte varint's last continuation byte
-    multi = np.flatnonzero(follows[last])  # and its index among the varints
-    tops = raw[last]
-    values = tops[multi].astype(np.int64)
-    rows = np.arange(len(multi))
-    for _ in range(8):  # raw[-1] ends a varint, so raw[at - 1] is safe at 0
-        values[rows] = values[rows] << 7 | raw[at] & 0x7F
-        more = raw[at - 1] >= 0x80
-        rows, at = rows[more], at[more] - 1
+    values = raw[last].astype(np.int64)
+    at = np.flatnonzero(last[1:] & ~last[:-1])  # each multi-byte varint's last continuation byte
+    ends = at + 1
+    tops = raw[ends].astype(np.int64) << 7 | raw[at] & 0x7F
+    conts = np.ones(len(at), dtype=np.int64)  # continuation bytes per multi-byte varint
+    rows = np.flatnonzero(raw[at - 1] >= 0x80)  # raw[-1] ends a varint: safe at 0
+    for back in range(1, 8):
+        if not rows.size:
+            break
+        conts[rows] += 1
+        tops[rows] = tops[rows] << 7 | raw[at[rows] - back] & 0x7F
+        rows = rows[raw[at[rows] - back - 1] >= 0x80]
     if rows.size:
         raise ValidationError("varint too long")
-    for out, start, end in zip(outs, bounds, bounds[1:]):
-        out[:] = tops[start:end]
-        lo, hi = np.searchsorted(multi, (start, end))
-        out[multi[lo:hi] - start] = values[lo:hi]
+    # A varint's index is the bytes before its end less the continuation bytes.
+    values[ends - np.cumsum(conts)] = tops
+    return values
 
 
 def take(data: bytes, pos: int, count: int) -> tuple[bytes, int]:

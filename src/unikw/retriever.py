@@ -21,11 +21,12 @@ quality thresholds apply their own floors to the raw lists
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import Vocab, tokenize
+from .corpus import Vocab, texts_of, tokenize
 from .decoder import DecodeConfig, permutation_decode
 from .dense_index import DenseIndex, search
 from .encoder import EncoderParams, encode
@@ -60,7 +61,7 @@ class EngineBundle:
 
     params: EncoderParams
     vocab: Vocab
-    catalog: tuple[str, ...]
+    catalog: Sequence[str]  # keyword id -> text; ``load_bundle`` gives a ``corpus.Catalog``
     forward_trie: KeywordTrie
     reversed_trie: KeywordTrie
     index: DenseIndex
@@ -82,11 +83,19 @@ class EngineBundle:
                 raise ValidationError(f"trie direction {trie.direction}, expected {direction}")
             if trie.vocab_checksum != checksum:
                 raise ValidationError("trie vocab checksum does not match the vocab")
-        fwd_ids = np.sort(self.forward_trie.term_ids)
-        rev_ids = np.sort(self.reversed_trie.term_ids)
-        if not np.array_equal(fwd_ids, rev_ids):
+        n = len(self.catalog)
+        fwd_ids, rev_ids = (t.node_keyword[t.node_keyword >= 0]
+                            for t in (self.forward_trie, self.reversed_trie))
+        top = max(fwd_ids.max(initial=-1), rev_ids.max(initial=-1))
+        if len(fwd_ids) != len(rev_ids):
+            same = False
+        elif top < n:  # one count per catalog id and trie
+            same = np.array_equal(np.bincount(fwd_ids, minlength=n), np.bincount(rev_ids, minlength=n))
+        else:  # ids past the catalog: an error either way; the sort tells which
+            same = np.array_equal(np.sort(fwd_ids), np.sort(rev_ids))
+        if not same:
             raise ValidationError("forward and reversed tries cover different keywords")
-        if len(fwd_ids) and int(fwd_ids[-1]) >= len(self.catalog):
+        if top >= n:
             raise ValidationError("trie keyword id outside the catalog")
         ids = self.index.ids
         if len(ids) and (int(ids.min()) < 0 or int(ids.max()) >= len(self.catalog)):
@@ -140,25 +149,18 @@ def retrieve(bundle: EngineBundle, query_text: str) -> list[RetrievalResult]:
     """Merged results of both channels; exactly one encoder evaluation.
 
     Both channel lists arrive sorted by (-score, id), so the merged order
-    is a stable partition of them: one pass over the dense hits splits
-    BOTH from DR-only, then the generative hits the dense channel lacks.
+    is a stable partition of them: the dense hits the generative channel
+    also found (BOTH), the other dense hits, then the generative hits the
+    dense channel lacks.  Their texts come from the catalog in one call.
     """
     nlg, dr = retrieve_channels(bundle, query_text)
-    catalog, nlg_scores, dr_scores = bundle.catalog, dict(nlg), dict(dr)
-    merged, dr_only = [], []
-    for kid, score in dr:
-        nlg_score = nlg_scores.get(kid)
-        if nlg_score is None:
-            dr_only.append(RetrievalResult(kid, catalog[kid], None, score, SOURCE_DR))
-        else:
-            merged.append(RetrievalResult(kid, catalog[kid], nlg_score, score, SOURCE_BOTH))
-    merged += dr_only
-    merged += (
-        RetrievalResult(kid, catalog[kid], score, None, SOURCE_NLG)
-        for kid, score in nlg
-        if kid not in dr_scores
-    )
-    return merged
+    nlg_scores, dr_scores = dict(nlg), dict(dr)
+    hits = [(kid, nlg_scores[kid], score, SOURCE_BOTH) for kid, score in dr if kid in nlg_scores]
+    hits += [(kid, None, score, SOURCE_DR) for kid, score in dr if kid not in nlg_scores]
+    hits += [(kid, score, None, SOURCE_NLG) for kid, score in nlg if kid not in dr_scores]
+    texts = texts_of(bundle.catalog, [hit[0] for hit in hits])
+    return [RetrievalResult(kid, text, nlg_score, dr_score, source)
+            for (kid, nlg_score, dr_score, source), text in zip(hits, texts)]
 
 
 def overlap_stats(results_a, results_b) -> dict[str, float]:

@@ -233,15 +233,13 @@ def from_bytes(data: bytes) -> KeywordTrie:
     offsets = np.zeros(n + 1, dtype=np.int64)
     labels = np.empty(n - 1, dtype=np.int32)
     node_keyword = np.full(n, -1, dtype=np.int64)
-    deltas = np.empty(n - 1, dtype=np.int64)
-    terminals = np.empty(2 * term_count, dtype=np.int64)
-    decode_uvarints(payload[pos:], (offsets[1:], deltas, terminals))
-    inner = offsets[1:] > 0
-    np.cumsum(offsets[1:], out=offsets[1:])
+    stream = decode_uvarints(payload[pos:], 2 * n - 1 + 2 * term_count)
+    degrees, deltas, terminals = stream[:n], stream[n:2 * n - 1], stream[2 * n - 1:]
+    np.cumsum(degrees, out=offsets[1:])
     if offsets[-1] != n - 1 or offsets.min() < 0:
         raise ValidationError("corrupt trie: edge count does not match node count")
 
-    firsts = offsets[:-1][inner]  # each inner node's first edge
+    firsts = offsets[:-1][degrees > 0]  # each inner node's first edge
     rising = deltas > 0
     rising[firsts] = True  # a first label may be 0
     deltas[firsts[1:]] -= np.add.reduceat(deltas, firsts)[:-1]  # restart the sum per node

@@ -97,6 +97,26 @@ def scalar_ktri_bytes(entries, reverse=False, vocab_checksum=0) -> bytes:
     return data + hashlib.blake2b(data, digest_size=8).digest()
 
 
+def reference_load_keywords(path) -> list[str]:
+    """The catalog as a list of strings: the file read in text mode, then
+    ``str.splitlines``; the first blank line is named by its 0-based number."""
+    with open(path, encoding="utf-8") as f:
+        lines = f.read().splitlines()
+    for number, line in enumerate(lines):
+        if not line.strip():
+            raise ValidationError(f"blank keyword at line {number}")
+    return lines
+
+
+def reference_normalize(vectors: np.ndarray) -> np.ndarray:
+    """The exact index's rows: each row divided by its float64 norm, rounded
+    to float32, then divided by its float32 norm; ``np.linalg.norm`` does
+    both sums, over the whole matrix at once."""
+    whole = np.asarray(vectors, dtype=np.float64)
+    rows = (whole / np.linalg.norm(whole, axis=1)[:, None]).astype(np.float32)
+    return rows / np.linalg.norm(rows, axis=1)[:, None]
+
+
 def random_prob_table(rng: np.random.Generator, max_len: int, vocab_size: int) -> np.ndarray:
     """Rows are log-softmax of iid normal logits: valid log distributions."""
     logits = rng.normal(0.0, 2.0, (max_len, vocab_size))
@@ -499,8 +519,11 @@ def scalar_vocab_tokens(keyword_path, pairs_path, min_count: int = 1) -> tuple[s
             count_tokens(parts[1])
     if not counts:
         raise ValueError("empty corpus")
-    return tuple(sorted((tok for tok, c in counts.items() if c >= min_count),
+    kept = tuple(sorted((tok for tok, c in counts.items() if c >= min_count),
                         key=lambda tok: (-counts[tok], tok)))
+    if not kept:
+        raise ValueError(f"empty vocabulary: no token occurs {min_count} or more times")
+    return kept
 
 
 # Ranked metrics written as five separate per-query loops, one per metric,

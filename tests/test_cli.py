@@ -5,7 +5,9 @@ import io
 import json
 import os
 import shutil
+import struct
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +19,7 @@ from unikw import (
     FORWARD,
     REVERSED,
     ConsistencyError,
+    KeywordTrie,
     TrainConfig,
     build_graph,
     build_trie,
@@ -25,6 +28,7 @@ from unikw import (
     load_embeddings,
     load_keywords,
     load_pairs,
+    retrieve,
     save_embeddings,
     save_graph,
     save_params,
@@ -36,6 +40,7 @@ from unikw import (
 from unikw.cli import load_bundle, main
 from unikw.fileio import frame
 
+from oracles import reference_load_keywords, reference_normalize, scalar_trie
 from synthdata import make_training_corpus, write_corpus_files
 
 TRAIN_CONFIG = {
@@ -275,6 +280,7 @@ class TestPipeline:
         if kind == "exact":
             (bundle / "graph.kgra").unlink()
         vectors, ids = load_embeddings(bundle / "embeddings.kemb")
+        vectors = vectors.copy()  # the loaded rows are a read-only view of the file
         vectors[0, 0], vectors[1, 1] = np.nan, np.inf
         save_embeddings(bundle / "embeddings.kemb", vectors, ids)  # a valid checksum
         code = main([
@@ -283,6 +289,35 @@ class TestPipeline:
         ])
         assert code == 2
         assert "non-finite" in validation_message(capsys)
+        assert not (tmp_path / "r.jsonl").exists()
+
+    @pytest.mark.parametrize("command", ["retrieve", "bench"])
+    def test_repeated_order_is_validation_error(self, pipeline, tmp_path, capsys, command):
+        # It used to run the same beam search twice per query.
+        out = tmp_path / "out.json"
+        code = main([
+            command, "--bundle-dir", str(pipeline["bundle"]),
+            "--queries", str(pipeline["paths"]["queries"]), "--orders", "l2r,l2r",
+            "--out", str(out),
+        ])
+        assert code == 2
+        assert "repeated decoding order" in validation_message(capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("catalog, message", [
+        (b"red shoes\n\xff\xfe boots\n", "can't decode byte 0xff"),
+        (b"red shoes\n \t\nblue boots\n", "blank keyword at line 1"),
+    ], ids=["invalid-utf8", "blank-line"])
+    def test_bad_catalog_is_validation_error(self, pipeline, tmp_path, capsys, catalog, message):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(pipeline["bundle"], bundle)
+        (bundle / "keywords.txt").write_bytes(catalog)
+        code = main([
+            "retrieve", "--bundle-dir", str(bundle),
+            "--queries", str(pipeline["paths"]["queries"]), "--out", str(tmp_path / "r.jsonl"),
+        ])
+        assert code == 2
+        assert message in validation_message(capsys)
         assert not (tmp_path / "r.jsonl").exists()
 
     def test_nan_prune_is_validation_error(self, pipeline, tmp_path, capsys):
@@ -449,6 +484,53 @@ class TestLibraryParity:
             assert (tmp_path / name).read_bytes() == (pipeline["bundle"] / name).read_bytes(), name
 
 
+class TestLoadedArrays:
+    """``load_bundle`` against loaders that build a Python object per keyword
+    and node: the scalar trie, the reference catalog reader and the
+    reference row normalization."""
+
+    @pytest.mark.parametrize("kind", ["exact", "graph"])
+    def test_arrays_and_results_match_the_reference_bundle(self, pipeline, tmp_path, kind):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(pipeline["bundle"], bundle)
+        if kind == "exact":
+            (bundle / "graph.kgra").unlink()
+        loaded = load_bundle(bundle, beam_size=20, dense_k=10)
+        assert loaded.index.kind == kind
+
+        catalog = reference_load_keywords(bundle / "keywords.txt")
+        checksum = loaded.vocab.checksum()
+        entries = [(tokenize(text, loaded.vocab, "keyword", 4), kid)
+                   for kid, text in enumerate(catalog)]
+        tries = []
+        for trie, direction in ((loaded.forward_trie, FORWARD), (loaded.reversed_trie, REVERSED)):
+            offsets, labels, node_keyword = scalar_trie(entries, direction == REVERSED)
+            assert trie.offsets.tolist() == offsets
+            assert trie.labels.tolist() == labels
+            assert trie.node_keyword.tolist() == node_keyword
+            tries.append(KeywordTrie(np.array(offsets), np.array(labels, dtype=np.int32),
+                                     np.array(node_keyword), direction, checksum))
+
+        # The stored rows, read straight from the KEMB layout: magic, version,
+        # u64 rows, u32 width, float32 rows, u64 ids, checksum.
+        data = (bundle / "embeddings.kemb").read_bytes()
+        n, dim = struct.unpack_from("<QI", data, 8)
+        stored = np.frombuffer(data, "<f4", n * dim, 20).reshape(n, dim)
+        ids = np.frombuffer(data, "<u8", n, 20 + 4 * n * dim).astype(np.int64)
+        # The exact kind re-normalizes the rows; the graph kind serves them as stored.
+        want = reference_normalize(stored) if kind == "exact" else stored
+        assert loaded.index.vectors.dtype == np.float32
+        assert np.array_equal(loaded.index.vectors.view(np.uint32), want.view(np.uint32))
+        assert np.array_equal(loaded.index.ids, ids)
+
+        reference = replace(
+            loaded, catalog=tuple(catalog), forward_trie=tries[0], reversed_trie=tries[1],
+            index=replace(loaded.index, vectors=want.copy(), ids=ids),
+        )
+        for query in pipeline["paths"]["queries"].read_text(encoding="utf-8").splitlines():
+            assert retrieve(loaded, query) == retrieve(reference, query), query
+
+
 class TestEvalFixture:
     def test_metrics_match_hand_values(self, tmp_path):
         # Same two-query fixture as the evaluation unit tests.
@@ -505,6 +587,18 @@ class TestErrorHandling:
         err = json.loads(capsys.readouterr().err.strip())["error"]
         assert err["kind"] == "validation" and "max_len" in err["message"]
         assert not (tmp_path / "t.ktri").exists()
+
+    def test_min_count_above_every_count_is_validation_error(self, tmp_path, capsys):
+        # It used to exit 0 and write a vocabulary with no token.
+        (tmp_path / "kw.txt").write_text("a b\nb\n", encoding="utf-8")
+        (tmp_path / "p.tsv").write_text("a\tb\n", encoding="utf-8")
+        code = main([
+            "build-vocab", "--keywords", str(tmp_path / "kw.txt"), "--pairs", str(tmp_path / "p.tsv"),
+            "--min-count", "99999999999999999999", "--out", str(tmp_path / "vocab.txt"),
+        ])
+        assert code == 2
+        assert "empty vocabulary" in validation_message(capsys)
+        assert not (tmp_path / "vocab.txt").exists()
 
     def test_unknown_flag_rejected(self, capsys):
         code = main([

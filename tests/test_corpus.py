@@ -22,7 +22,7 @@ from unikw import (
     tokenize_batch,
 )
 
-from oracles import scalar_vocab_tokens
+from oracles import reference_load_keywords, scalar_vocab_tokens
 
 
 def _write(path, text):
@@ -208,6 +208,13 @@ class TestBuildVocabMatchesOracle:
         assert vocab.id_to_token[3:] == scalar_vocab_tokens(kw, pairs)
         assert set(vocab.id_to_token[3:]) == {"x", "one", "two", "seven"}
 
+    def test_min_count_above_every_count_is_rejected(self, tmp_path):
+        # It used to write an empty vocabulary that every later stage failed on.
+        kw = _write(tmp_path / "kw.txt", "a b\na\n")
+        pairs = _write(tmp_path / "p.tsv", "a\tb\n")
+        with pytest.raises(ValidationError, match="^empty vocabulary: no token occurs 4 or more"):
+            build_vocab(kw, pairs, min_count=4)
+
     def test_first_reserved_token_is_named(self, tmp_path):
         kw = _write(tmp_path / "kw.txt", "fine\n")
         pairs = _write(tmp_path / "p.tsv", "a </kw>\tb\nc\t<pad> <unk>\n")
@@ -251,7 +258,7 @@ class TestVocabFile:
 class TestLoadKeywords:
     def test_line_number_is_id(self, tmp_path):
         path = _write(tmp_path / "kw.txt", "first kw\nsecond kw\n")
-        assert load_keywords(path) == ["first kw", "second kw"]
+        assert list(load_keywords(path)) == ["first kw", "second kw"]
 
     def test_blank_line_rejected(self, tmp_path):
         path = _write(tmp_path / "kw.txt", "one\n\ntwo\n")
@@ -262,3 +269,45 @@ class TestLoadKeywords:
         path = _write(tmp_path / "kw.txt", "one\ntwo\n \t\nthree\n\n")
         with pytest.raises(ValidationError, match="^blank keyword at line 2$"):
             load_keywords(path)
+
+    def test_indexing_and_texts(self, tmp_path):
+        catalog = load_keywords(_write(tmp_path / "kw.txt", "a b\nc\nd e f"))
+        assert len(catalog) == 3 and catalog[-1] == "d e f" and catalog[1:] == ["c", "d e f"]
+        assert catalog.texts([2, 0, 2]) == ["d e f", "a b", "d e f"] and catalog.texts([]) == []
+        with pytest.raises(IndexError):
+            catalog[3]
+        with pytest.raises(IndexError):
+            catalog.texts([-1])
+
+    def test_empty_file_is_an_empty_catalog(self, tmp_path):
+        assert list(load_keywords(_write(tmp_path / "kw.txt", ""))) == []
+
+
+#: Catalog text pieces: letters, spaces, tabs, non-ASCII letters, Unicode
+#: whitespace that does not break a line, and every break ``str.splitlines``
+#: knows (``\r\n`` as one).
+LINE_BREAKS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+CATALOG_PIECES = ["a", "Bc", "x y", "\xe9", "\u65e5\u672c", " ", "\t", "\x1f", "\xa0", "\u3000",
+                  "\u2003"] + LINE_BREAKS
+
+
+class TestCatalogMatchesOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.sampled_from(CATALOG_PIECES), max_size=24),
+           st.sampled_from([""] + LINE_BREAKS))
+    def test_same_texts_or_same_error(self, pieces, final_break):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "kw.txt"
+            path.write_bytes(("".join(pieces) + final_break).encode("utf-8"))
+            try:
+                want = reference_load_keywords(path)
+            except ValidationError as exc:
+                with pytest.raises(ValidationError) as info:
+                    load_keywords(path)
+                assert str(info.value) == str(exc)
+            else:
+                catalog = load_keywords(path)
+                assert len(catalog) == len(want)
+                assert list(catalog) == want
+                assert catalog.texts(range(len(want))[::-1]) == want[::-1]
+                assert [catalog[i] for i in range(-len(want), 0)] == want

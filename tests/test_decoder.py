@@ -309,3 +309,9 @@ class TestDecodeConfig:
         # Every comparison with NaN is false, so it used to switch pruning off.
         with pytest.raises(ValidationError, match="prune_threshold"):
             DecodeConfig(prune_threshold=float("nan"))
+
+    @pytest.mark.parametrize("orders", [("l2r", "l2r"), ("r2l", "l2r", "r2l")])
+    def test_repeated_order_rejected(self, orders):
+        # A repeat used to run the same beam search twice for the same result.
+        with pytest.raises(ValidationError, match="repeated decoding order"):
+            DecodeConfig(orders=orders)
