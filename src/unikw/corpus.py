@@ -230,10 +230,10 @@ _LINE_BREAKS = np.array([0x0A, 0x0B, 0x0C, 0x0D, 0x1C, 0x1D, 0x1E, 0x85, 0x2028,
 class Catalog(Sequence):
     """The keyword catalog as one string and one offsets array.
 
-    Keyword i is ``text[starts[i]:starts[i + 1] - 1]``: each line is
-    followed by one break character, or by the end of the text.  No string
-    is made per keyword until one is asked for; ``texts`` fetches many at
-    once."""
+    The keywords are the text's lines, as ``str.splitlines`` gives them;
+    every break is one character, so keyword i is
+    ``text[starts[i]:starts[i + 1] - 1]``.  No string is made per keyword
+    until one is asked for; ``texts`` fetches many at once."""
 
     __slots__ = ("_text", "_starts")
 
@@ -251,17 +251,18 @@ class Catalog(Sequence):
         return self.texts([i + len(self) if i < 0 else i])[0]
 
     def __iter__(self):
-        return self._slices(self._starts[:-1], self._starts[1:])
+        # One C call for every line: slicing 100k lines at the offsets made
+        # set-up's tokenize_batch over them ~40% slower.
+        return iter(self._text.splitlines())
 
     def texts(self, ids) -> list[str]:
-        """The texts of keyword ``ids``, in order, in one call."""
-        ids = np.asarray(ids, dtype=np.int64)
-        if ids.size and (ids.min() < 0 or ids.max() >= len(self)):
+        """The texts of keyword ``ids``, a list of ints, in order, in one call.
+        A memoryview reads the offsets as ints without numpy's per-call cost
+        (a query fetches a few hundred)."""
+        if len(ids) and (min(ids) < 0 or max(ids) >= len(self)):
             raise IndexError("keyword id outside the catalog")
-        return list(self._slices(self._starts[ids], self._starts[ids + 1]))
-
-    def _slices(self, starts: np.ndarray, nexts: np.ndarray):
-        return map(self._text.__getitem__, map(slice, starts.tolist(), (nexts - 1).tolist()))
+        text, starts = self._text, memoryview(self._starts)
+        return [text[starts[i]:starts[i + 1] - 1] for i in ids]
 
 
 def texts_of(catalog: Sequence[str], ids) -> list[str]:
