@@ -10,9 +10,9 @@ Each revision is ``git archive``d into a tree of its own under ``--scratch``
 (a new temporary directory by default); the two trees must hold the same
 ``perfbench/`` and ``BENCHMARK.json``.  For each workload and seed, both
 trees run ``python3 perfbench/run.py --workload W --seed S --seconds N
---trace 0``, the parent first on even-numbered seeds of the list and the
-change first on odd-numbered ones, with ``perfbench/out`` emptied before
-every run.
+--trace 0``, N being ``BENCHMARK.json``'s ``run_seconds``: the parent
+first on even-numbered seeds of the list and the change first on
+odd-numbered ones, with ``perfbench/out`` emptied before every run.
 
 The output file has the layout of the earlier ``BENCH_*.json`` files:
 ``about``, ``claim``, ``workloads`` (per workload and end-to-end metric:
@@ -251,7 +251,6 @@ def main(argv=None) -> int:
     parser.add_argument("--change", required=True, help="revision measured as the change")
     parser.add_argument("--workload", action="append", required=True)
     parser.add_argument("--seeds", required=True, help='e.g. "71-80"')
-    parser.add_argument("--seconds", type=float, default=10.0)
     parser.add_argument("--claim", default=None, help="WORKLOAD:METRIC the change claims to improve")
     parser.add_argument("--statement", default="", help="the claim in words, for the output file")
     parser.add_argument("--scratch", default=None, help="directory for the two trees")
@@ -270,13 +269,14 @@ def main(argv=None) -> int:
         sys.exit("ab: the two revisions hold different perfbench/ or BENCHMARK.json")
     spec = json.loads((trees["parent"] / "BENCHMARK.json").read_text(encoding="utf-8"))
 
-    records = {w: run_pairs(trees, w, seeds, args.seconds) for w in args.workload}
+    seconds = spec["run_seconds"]
+    records = {w: run_pairs(trees, w, seeds, seconds) for w in args.workload}
     workloads = {w: summarize(records[w], spec) for w in args.workload}
     verdict = report(workloads, claim, spec)
     first = next((r for rs in records.values() for r in rs["parent"] if "environment" in r), {})
     result = {
         "about": (f"{len(seeds)} alternating pairs per workload of `python3 perfbench/run.py "
-                  f"--workload W --seed S --seconds {args.seconds:g} --trace 0`, parent "
+                  f"--workload W --seed S --seconds {seconds:g} --trace 0`, parent "
                   f"{commits['parent'][:7]} against change {commits['change'][:7]}, each side "
                   "from its own `git archive` tree with identical perfbench/ and "
                   "BENCHMARK.json (perfbench/out emptied before every run), written by "
