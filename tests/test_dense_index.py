@@ -18,7 +18,7 @@ from unikw import (
 from unikw import dense_index
 from unikw.dense_index import GRAPH, _greedy_search, _robust_prune
 
-from oracles import naive_topk, scalar_greedy_search, scalar_robust_prune
+from oracles import naive_topk, reference_normalize, scalar_greedy_search, scalar_robust_prune
 
 
 def unit_vectors(rng, n, dim):
@@ -91,9 +91,7 @@ class TestExact:
         # Enough rows for several blocks and a ragged last one: each row's
         # bits match dividing the whole matrix by its float64 norms at once.
         v = rng.normal(size=(3 * 65536 // dim + 7, dim)).astype(np.float32)
-        whole = v.astype(np.float64)
-        want = (whole / np.linalg.norm(whole, axis=1)[:, None]).astype(np.float32)
-        want /= np.linalg.norm(want, axis=1)[:, None]
+        want = reference_normalize(v)
         got = build_exact(v, np.arange(len(v))).vectors
         assert got.dtype == np.float32
         assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
