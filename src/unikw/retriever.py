@@ -149,16 +149,14 @@ def retrieve(bundle: EngineBundle, query_text: str) -> list[RetrievalResult]:
     """Merged results of both channels; exactly one encoder evaluation.
 
     Both channel lists arrive sorted by (-score, id), so the merged order
-    is a stable partition of them: the dense hits the generative channel
-    also found (BOTH), the other dense hits, then the generative hits the
-    dense channel lacks.  Their texts come from the catalog in one call.
+    is a stable partition of them: one pass over the dense hits splits
+    BOTH from DR-only, then the generative hits the dense channel lacks.
+    Their texts come from the catalog in one call.
     """
     nlg, dr = retrieve_channels(bundle, query_text)
     nlg_scores, dr_scores = dict(nlg), dict(dr)
     nlg_only = [kid for kid, _ in nlg if kid not in dr_scores]
     texts = texts_of(bundle.catalog, [kid for kid, _ in dr] + nlg_only)
-    # Results are built straight from the channel lists: a tuple per hit
-    # first, then the results, made a graph5k query ~4% slower.
     merged, dr_only = [], []
     for (kid, score), text in zip(dr, texts):
         nlg_score = nlg_scores.get(kid)

@@ -311,3 +311,10 @@ class TestCatalogMatchesOracle:
                 assert list(catalog) == want
                 assert catalog.texts(range(len(want))[::-1]) == want[::-1]
                 assert [catalog[i] for i in range(-len(want), 0)] == want
+
+    @pytest.mark.parametrize("line_break", LINE_BREAKS)
+    @pytest.mark.parametrize("other", ["b", "\xe9"], ids=["ascii", "non-ascii"])
+    def test_each_break(self, tmp_path, line_break, other):
+        path = tmp_path / "kw.txt"
+        path.write_bytes(f"a{line_break}{other}{line_break}c".encode("utf-8"))
+        assert list(load_keywords(path)) == reference_load_keywords(path) == ["a", other, "c"]

@@ -111,6 +111,22 @@ class TestBundleValidation:
         with pytest.raises(ValidationError):
             bad.validate()
 
+    def test_catalog_one_short_detected(self, bundle):
+        bad = replace(bundle, catalog=bundle.catalog[:-1])
+        with pytest.raises(ValidationError, match="trie keyword id outside the catalog"):
+            bad.validate()
+
+    @pytest.mark.parametrize("new_id", [-1, 0, len(CATALOG) + 3],
+                             ids=["dropped", "repeated", "past-catalog"])
+    def test_tries_covering_different_keywords_detected(self, bundle, new_id):
+        # The reversed trie's last terminal changes id: the id lists differ
+        # in length, in their counts, or (past the catalog) when sorted.
+        node_keyword = bundle.reversed_trie.node_keyword.copy()
+        node_keyword[bundle.reversed_trie.term_nodes[-1]] = new_id
+        bad = replace(bundle, reversed_trie=replace(bundle.reversed_trie, node_keyword=node_keyword))
+        with pytest.raises(ValidationError, match="cover different keywords"):
+            bad.validate()
+
     def test_dense_width_mismatch_detected(self, bundle):
         from dataclasses import replace
 
