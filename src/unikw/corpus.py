@@ -195,8 +195,8 @@ def build_vocab(keyword_path, pairs_path, min_count: int = 1) -> Vocab:
 
     Id assignment is deterministic: tokens sorted by descending count, ties
     broken lexicographically.  Shuffling the corpus lines does not change
-    the result.  Pair lines without exactly two tab-separated fields are
-    skipped (``load_pairs`` accounts for them).
+    the result.  Pair lines are counted only where ``load_pairs`` parses
+    them: exactly two tab-separated fields, neither blank.
     """
     if min_count < 1:
         raise ValidationError("min_count must be >= 1")
@@ -206,10 +206,11 @@ def build_vocab(keyword_path, pairs_path, min_count: int = 1) -> Vocab:
     _reject_reserved(counts)
     with open(pairs_path, encoding="utf-8") as f:
         lines = f.read().split("\n")  # the lines iterating the file yields
-    # Lines holding exactly one tab, picked in C; a tab is whitespace, so
-    # they split into both columns' tokens.
-    two_fields = compress(lines, map((1).__eq__, map(str.count, lines, repeat("\t"))))
-    counts.update("\n".join(two_fields).lower().split())
+    # Lines holding exactly one tab with a token on each side (``strip``
+    # keeps the tab only then), picked in C; they split into both columns.
+    two_fields = list(compress(lines, map((1).__eq__, map(str.count, lines, repeat("\t")))))
+    parsed = compress(two_fields, map(str.__contains__, map(str.strip, two_fields), repeat("\t")))
+    counts.update("\n".join(parsed).lower().split())
     _reject_reserved(counts)
     if not counts:
         raise ValidationError("empty corpus")

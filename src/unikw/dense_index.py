@@ -70,32 +70,30 @@ class DenseIndex:
         return len(self.vectors)
 
 
-_NORMALIZE_BLOCK = 1 << 16  # values per float64 block: 512 KiB of temporaries
-
-
 def _normalize(vectors: np.ndarray) -> np.ndarray:
-    """Unit float32 rows, each divided by its float64 norm.
+    """New, aligned float32 unit rows: the rows every index serves.
 
-    Rows are done a block at a time, so the float64 temporaries stay small
-    however many rows there are; each row's result does not depend on the
-    block it falls in."""
+    A row whose float32 value ``x`` is unit within float32 rounding,
+    ``|x.x - 1| <= 4 * _float32_dot_error(d)`` summed in float64, keeps
+    that value; so does every row ``index`` writes.  Any other row is
+    divided by its float64 norm, rounded to float32 and divided by its
+    float32 norm, each row on its own."""
     vectors = np.asarray(vectors)
     if vectors.ndim != 2:
         raise ValidationError("vectors must be a 2-d array")
-    out = np.empty(vectors.shape, dtype=np.float32)
-    step = max(1, _NORMALIZE_BLOCK // max(1, vectors.shape[1]))
-    for start in range(0, len(vectors), step):
-        block = np.asarray(vectors[start:start + step], dtype=np.float64)
-        norms = np.linalg.norm(block, axis=1)
-        usable = (norms >= 1e-12) & (norms < np.inf)  # NaN fails both
-        if not usable.all():
-            bad = int(np.flatnonzero(~usable)[0])
-            what = "zero vector" if norms[bad] < 1e-12 else "vector with a non-finite norm"
-            raise ValidationError(f"{what} at row {start + bad} cannot be normalized")
-        rows = out[start:start + step]
-        rows[:] = block / norms[:, None]
-        # Renormalize in float32 so stored rows are unit within float32 eps.
-        rows /= np.linalg.norm(rows, axis=1)[:, None]
+    out = np.array(vectors, dtype=np.float32)
+    gap = np.einsum("ij,ij->i", out, out, dtype=np.float64)
+    gap -= 1  # in place: the kept rows' only temporary is one float64 each
+    off = np.flatnonzero(~(np.abs(gap, out=gap) <= 4 * _float32_dot_error(out.shape[1])))
+    rows = vectors[off].astype(np.float64)
+    norms = np.linalg.norm(rows, axis=1)
+    usable = (norms >= 1e-12) & (norms < np.inf)  # NaN fails both
+    if not usable.all():
+        bad = int(np.flatnonzero(~usable)[0])
+        what = "zero vector" if norms[bad] < 1e-12 else "vector with a non-finite norm"
+        raise ValidationError(f"{what} at row {off[bad]} cannot be normalized")
+    rows = (rows / norms[:, None]).astype(np.float32)
+    out[off] = rows / np.linalg.norm(rows, axis=1)[:, None]
     return out
 
 
@@ -446,13 +444,13 @@ def _float32_dot_error(dim: int) -> float:
     float32 dot product of length ``d``, summed in any order, with or
     without fused multiply-adds, is off by at most ``gamma_d * |x| |q32|``.
     Rounding the float64 query to float32 moves each product by at most
-    ``u |x_i q_i|``, so by at most ``u |x| |q|`` in all.  With ``|x|`` and
-    ``|q|`` unit to within float rounding, the two sum to at most
-    ``gamma_{d+1}`` to first order.  Taking ``gamma_{d+2}`` leaves ``2u``
-    of slack in ``search``'s margin of twice this bound: ``u`` for the
-    float32 rounding of the threshold ``kth - margin``, the rest for the
-    second-order terms and the float64 rounding of the rescored scores,
-    which is below ``d * 2**-53``.
+    ``u |x_i q_i|``, so by at most ``u |x| |q|`` in all.  With ``|q|`` unit
+    to within float rounding and ``|x|`` within ``2 gamma_{d+2}`` of 1
+    (``_normalize``), the two sum to at most ``gamma_{d+1}`` to first order.
+    Taking ``gamma_{d+2}`` leaves ``2u`` of slack in ``search``'s margin of
+    twice this bound: ``u`` for the float32 rounding of the threshold
+    ``kth - margin``, the rest for the second-order terms and the float64
+    rounding of the rescored scores, which is below ``d * 2**-53``.
     """
     m = (dim + 2) * 2.0**-24
     return m / (1.0 - m)
@@ -556,7 +554,7 @@ def save_embeddings(path, vectors: np.ndarray, ids: np.ndarray) -> None:
 
 def load_embeddings(path) -> tuple[np.ndarray, np.ndarray]:
     """``(vectors, ids)`` of a KEMB file.  The vectors are a read-only view
-    of the file's bytes: ``build_exact`` normalizes them into new rows."""
+    of the file's bytes, which ``_normalize`` copies for either index kind."""
     payload = unframe(read_file(path), _EMB_MAGIC, _VERSION, "embeddings")
     (n, dim), pos = unpack_at("<QI", payload, 0)
     raw, pos = take(payload, pos, n * dim * 4)
@@ -587,8 +585,7 @@ def load_graph(path, vectors: np.ndarray, ids: np.ndarray) -> DenseIndex:
     (n, max_degree, build_width, prune_slack, entry), pos = unpack_at("<QIIdQ", payload, 0)
     if n != len(vectors):
         raise ValidationError("graph file does not match embeddings")
-    if not np.isfinite(vectors).all():  # the exact kind's _normalize checks this
-        raise ValidationError("embeddings hold a non-finite value")
+    vectors = _normalize(vectors)
     raw, pos = take(payload, pos, (n + 1) * 8)
     offsets = np.frombuffer(raw, dtype="<i8").astype(np.int64)
     degrees = np.diff(offsets)
@@ -607,9 +604,7 @@ def load_graph(path, vectors: np.ndarray, ids: np.ndarray) -> DenseIndex:
     _check_graph_params(max_degree, build_width, prune_slack)
     return DenseIndex(
         kind=GRAPH,
-        # A copy: loaded rows are a view at an unaligned offset of the
-        # file's bytes, and numpy gathers rows from those more slowly.
-        vectors=np.array(vectors, dtype=np.float32),
+        vectors=vectors,
         ids=_check_ids(vectors, ids),
         offsets=offsets,
         neighbors=neighbors,

@@ -73,6 +73,8 @@ class EngineBundle:
 
     def validate(self) -> None:
         """Cross-check that all components describe the same catalog/vocab."""
+        if self.dense_k < 0:  # 0 is legal: no dense channel
+            raise ValidationError(f"dense_k must be >= 0, not {self.dense_k}")
         if self.params.vocab_size != len(self.vocab):
             raise ValidationError(
                 f"encoder vocabulary {self.params.vocab_size} != vocab {len(self.vocab)}"

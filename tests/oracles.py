@@ -513,7 +513,7 @@ def scalar_vocab_tokens(keyword_path, pairs_path, min_count: int = 1) -> tuple[s
     with open(pairs_path, encoding="utf-8") as f:
         for line in f:
             parts = line.rstrip("\n").split("\t")
-            if len(parts) != 2:
+            if len(parts) != 2 or not parts[0].strip() or not parts[1].strip():
                 continue
             count_tokens(parts[0])
             count_tokens(parts[1])

@@ -29,6 +29,7 @@ from unikw import (
     load_keywords,
     load_pairs,
     retrieve,
+    retrieve_channels,
     save_embeddings,
     save_graph,
     save_params,
@@ -291,6 +292,18 @@ class TestPipeline:
         assert "non-finite" in validation_message(capsys)
         assert not (tmp_path / "r.jsonl").exists()
 
+    @pytest.mark.parametrize("queries", ["", "red shoes\n"], ids=["no-queries", "queries"])
+    def test_negative_topk_is_validation_error(self, pipeline, tmp_path, capsys, queries):
+        # It used to exit 0 on an empty query file, and to load the whole
+        # bundle and then fail at the first search otherwise.
+        path, out = tmp_path / "q.txt", tmp_path / "r.jsonl"
+        path.write_text(queries, encoding="utf-8")
+        code = main(["retrieve", "--bundle-dir", str(pipeline["bundle"]), "--queries", str(path),
+                     "--topk", "-1", "--out", str(out)])
+        assert code == 2
+        assert "dense_k must be >= 0, not -1" in validation_message(capsys)
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["retrieve", "bench"])
     def test_repeated_order_is_validation_error(self, pipeline, tmp_path, capsys, command):
         # It used to run the same beam search twice per query.
@@ -517,8 +530,8 @@ class TestLoadedArrays:
         n, dim = struct.unpack_from("<QI", data, 8)
         stored = np.frombuffer(data, "<f4", n * dim, 20).reshape(n, dim)
         ids = np.frombuffer(data, "<u8", n, 20 + 4 * n * dim).astype(np.int64)
-        # The exact kind re-normalizes the rows; the graph kind serves them as stored.
-        want = reference_normalize(stored) if kind == "exact" else stored
+        # Both kinds serve the rows as stored: ``index`` stores unit rows.
+        want = stored
         assert loaded.index.vectors.dtype == np.float32
         assert np.array_equal(loaded.index.vectors.view(np.uint32), want.view(np.uint32))
         assert np.array_equal(loaded.index.ids, ids)
@@ -529,6 +542,26 @@ class TestLoadedArrays:
         )
         for query in pipeline["paths"]["queries"].read_text(encoding="utf-8").splitlines():
             assert retrieve(loaded, query) == retrieve(reference, query), query
+
+    def test_both_kinds_serve_the_same_rows(self, pipeline, tmp_path):
+        # Stored rows scaled by 3: the exact kind normalized them, the graph
+        # kind served them as stored, with DR scores near 3.
+        graph, exact = tmp_path / "graph", tmp_path / "exact"
+        shutil.copytree(pipeline["bundle"], graph)
+        vectors, ids = load_embeddings(graph / "embeddings.kemb")
+        save_embeddings(graph / "embeddings.kemb", vectors * 3, ids)  # a valid checksum
+        shutil.copytree(graph, exact)
+        (exact / "graph.kgra").unlink()
+        by_graph, by_exact = load_bundle(graph, dense_k=10), load_bundle(exact, dense_k=10)
+        assert (by_graph.index.kind, by_exact.index.kind) == ("graph", "exact")
+        assert np.array_equal(by_graph.index.vectors.view(np.uint32),
+                              by_exact.index.vectors.view(np.uint32))
+        assert np.array_equal(by_exact.index.vectors.view(np.uint32),
+                              reference_normalize(vectors * 3).view(np.uint32))
+        for query in pipeline["paths"]["queries"].read_text(encoding="utf-8").splitlines():
+            dr = retrieve_channels(by_graph, query)[1]
+            assert dr == retrieve_channels(by_exact, query)[1], query
+            assert dr[0][1] <= 1 + 1e-6
 
 
 class TestEvalFixture:

@@ -206,7 +206,19 @@ class TestBuildVocabMatchesOracle:
         pairs = _write(tmp_path / "p.tsv", "one\ttwo\nthree\nfour\tfive\tsix\n\tseven\n")
         vocab = build_vocab(kw, pairs)
         assert vocab.id_to_token[3:] == scalar_vocab_tokens(kw, pairs)
-        assert set(vocab.id_to_token[3:]) == {"x", "one", "two", "seven"}
+        assert set(vocab.id_to_token[3:]) == {"x", "one", "two"}
+
+    @pytest.mark.parametrize("blank", [" \tzebra", "\tzebra", "zebra\t", "zebra\t\u3000", "\x1c\tzebra"])
+    def test_pair_lines_load_pairs_rejects_are_not_counted(self, tmp_path, blank):
+        # A line with a blank field used to be counted, though load_pairs
+        # skips it as malformed.
+        kw = _write(tmp_path / "kw.txt", "red shoes\n")
+        good = ["red\tred shoes"] * 5 + ["blue\tblue kettle"] * 5
+        pairs = _write(tmp_path / "p.tsv", "\n".join(good + [blank]) + "\n")
+        vocab = build_vocab(kw, pairs)
+        assert "zebra" not in vocab.token_to_id
+        assert vocab.id_to_token[3:] == scalar_vocab_tokens(kw, pairs)
+        assert load_pairs(pairs, vocab)[1] == 1
 
     def test_min_count_above_every_count_is_rejected(self, tmp_path):
         # It used to write an empty vocabulary that every later stage failed on.

@@ -102,6 +102,19 @@ class TestExact:
         with pytest.raises(ValidationError, match="zero vector at row 9000 "):
             build_exact(v, np.arange(10000))
 
+    @pytest.mark.parametrize("bad, message", [
+        (0.0, "zero vector at row 3 "),
+        (np.inf, "non-finite norm at row 3 "), (-np.inf, "non-finite norm at row 3 "),
+    ])
+    def test_graph_load_rejects_rows_it_cannot_normalize(self, rng, tmp_path, bad, message):
+        # A zero row used to be served as stored.
+        v = unit_vectors(rng, 10, 4).astype(np.float32)
+        save_graph(tmp_path / "g.kgra", build_graph(v, np.arange(10)))
+        v[3] = 0.0
+        v[3, 1] = bad
+        with pytest.raises(ValidationError, match=message):
+            load_graph(tmp_path / "g.kgra", v, np.arange(10))
+
     @pytest.mark.parametrize("dim", [16, 17, 33])
     def test_duplicate_rows_return_in_id_order(self, dim):
         # 203 rows: a BLAS matrix-vector product scores the last rows of an
@@ -440,6 +453,41 @@ class TestClustering:
         v = unit_vectors(rng, 3, 4)
         with pytest.raises(ValidationError):
             cluster_keywords(v, np.arange(3), 0.0)
+
+
+class TestRowRule:
+    """``_normalize``, the rule every index row goes through: a row unit
+    within float32 rounding keeps its float32 value, any other is
+    normalized as ``reference_normalize`` does, each row on its own."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_unit_rows_kept_the_rest_normalized(self, rng, dtype):
+        dim = 16
+        gamma = dense_index._float32_dot_error(dim)
+        unit = unit_vectors(rng, 50, dim)
+        v = np.concatenate([
+            unit[:20],                      # unit rows
+            unit[20:30] * (1 + gamma / 2),  # |x.x - 1| ~ gamma: inside the rule
+            unit[30:40] * (1 + 3 * gamma),  # ~ 6 gamma: outside it
+            unit[40:] * 3,
+            rng.normal(size=(10, dim)),
+        ])
+        order = rng.permutation(len(v))  # kept and normalized rows interleaved
+        v, kept = v[order].astype(dtype), order < 30
+        want = np.where(kept[:, None], v.astype(np.float32), reference_normalize(v))
+        got = dense_index._normalize(v)
+        assert got.dtype == np.float32
+        assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+        alone = np.concatenate([dense_index._normalize(row[None]) for row in v])
+        assert np.array_equal(alone.view(np.uint32), want.view(np.uint32))
+
+    @pytest.mark.parametrize("dim", [1, 2, 16, 33, 300])
+    def test_stored_and_normalized_rows_pass_the_rule(self, rng, dim):
+        # ``index`` stores float32 roundings of float64 unit rows.
+        stored = unit_vectors(rng, 2000, dim).astype(np.float32)
+        assert np.array_equal(dense_index._normalize(stored).view(np.uint32), stored.view(np.uint32))
+        made = dense_index._normalize(rng.normal(size=(2000, dim)) * 5)
+        assert np.array_equal(dense_index._normalize(made).view(np.uint32), made.view(np.uint32))
 
 
 class TestPersistence:

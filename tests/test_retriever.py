@@ -50,6 +50,13 @@ class TestRetrieve:
             retrieve(b, "printer ink")
             assert b.params.forward_counter.count == before + 1
 
+    def test_negative_dense_k_rejected(self, bundle):
+        with pytest.raises(ValidationError, match="^dense_k must be >= 0, not -1$"):
+            replace(bundle, dense_k=-1).validate()
+        nlg_only = replace(bundle, dense_k=0)  # legal: no dense channel
+        nlg_only.validate()
+        assert retrieve_channels(nlg_only, "red shoes")[1] == []
+
     def test_merged_equals_channel_union(self, bundle):
         nlg, dr = retrieve_channels(bundle, "blue kettle")
         merged = retrieve(bundle, "blue kettle")
