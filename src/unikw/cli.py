@@ -321,7 +321,9 @@ def cmd_bench(args) -> int:
     queries = _read_queries(args.queries)
     if not queries:
         raise ValidationError(f"{args.queries}: no queries to bench")
-    beams = [int(b) for b in args.beams.split(",") if b]
+    beams = [int(b) for b in args.beams.split(",") if b.strip()]
+    if not beams or len(set(beams)) != len(beams):
+        raise ValidationError(f"--beams needs distinct beam sizes, got {args.beams!r}")
     orders = _parse_orders(args.orders)
     report = {"meta": _meta(args, "bench"), "queries": len(queries), "beams": []}
 

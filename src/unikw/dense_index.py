@@ -6,17 +6,19 @@ All vectors are unit-normalized, so inner product and cosine coincide and
 The graph index is a flat navigable graph in the manner of Vamana/DiskANN
 (Subramanya et al., NeurIPS 2019): every point keeps at most
 ``max_degree`` diverse out-neighbors chosen by beam search plus robust
-pruning, with reciprocal edges re-pruned on overflow.  Construction runs
-two passes over a seeded random order (slack 1.0, then the configured
-slack), which noticeably tightens recall.  Points are inserted in batches,
-as in ParlayANN (Manohar et al., PPoPP 2024): the first pass's batches
-double in size from 1 up to ``_MAX_BATCH_FRACTION`` of the rows, the
-second pass uses that cap throughout.  Every point of a batch searches the
-graph as it stood when the batch started, all of them in one array beam
-search; their candidate lists are pruned in one batched robust prune; the
-reverse edges are grouped by target with one sort, and only targets that
-overflow are pruned again.  Query search is best-first and expands up to
-``_SEARCH_BEAM`` rows per step, the beam width W of DiskANN's search.
+pruning, with reciprocal edges re-pruned on overflow.  Construction is one
+pass at the configured slack over a seeded random order, without DiskANN's
+first pass at slack 1.0: on graph5k's trained rows that cut the build by a
+third to a half and kept recall against the exact scan (recall@10 1.0,
+recall@100 0.99927 over its 150 queries; 0.99913 with the first pass).
+Batches, as in ParlayANN (Manohar et al., PPoPP 2024), double from 1 row
+up to ``_MAX_BATCH_FRACTION`` of the rows, then stay there.  A batch's
+points search the graph as it stood when the batch started, from the first
+row inserted, in one array beam search; their candidate lists are pruned
+in one batched robust prune; the reverse edges are grouped by target with
+one sort, and only targets that overflow are pruned again.  Query search
+starts at the medoid, is best-first and expands up to ``_SEARCH_BEAM``
+rows per step, DiskANN's beam width W.
 
 The robust-prune rule keeps the closest remaining candidate ``c`` and
 then discards every candidate ``v`` with ``slack * dist(c, v) <=
@@ -308,11 +310,11 @@ def _add_reverse_edges(
         _set_rows(adj, over, _robust_prune(vectors, over, owners, cands, slack, limits[over], groups))
 
 
-def _batch_bounds(n: int, doubling: bool) -> list[int]:
-    """Batch boundaries over ``order``: sizes 1, 2, 4, ... up to the cap
-    when ``doubling``, else the cap throughout."""
+def _batch_bounds(n: int) -> list[int]:
+    """Batch boundaries over ``order``: sizes 1, 2, 4, ... up to the cap,
+    ``_MAX_BATCH_FRACTION`` of the rows, then the cap."""
     cap = max(1, int(n * _MAX_BATCH_FRACTION))
-    bounds, size = [0], 1 if doubling else cap
+    bounds, size = [0], 1
     while bounds[-1] < n:
         bounds.append(min(n, bounds[-1] + size))
         size = min(2 * size, cap)
@@ -336,7 +338,7 @@ def build_graph(
     prune_slack: float = DEFAULT_PRUNE_SLACK,
     seed: int = 0,
 ) -> DenseIndex:
-    """Two-pass batched graph construction (see module docstring).
+    """One-pass batched graph construction (see module docstring).
 
     The same vectors, parameters and ``seed`` give the same graph.  Beyond
     the graph itself, a batch's work arrays grow with the batch size times
@@ -345,16 +347,8 @@ def build_graph(
     vectors = _normalize(vectors)
     ids = _check_ids(vectors, ids)
     n = len(vectors)
-    if n == 0:
-        return DenseIndex(
-            kind=GRAPH, vectors=vectors, ids=ids,
-            offsets=np.zeros(1, dtype=np.int64), neighbors=np.empty(0, dtype=np.int32),
-            entry=0, max_degree=max_degree, build_width=build_width, prune_slack=prune_slack,
-        )
-
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(n)
-    medoid = int(np.argmax(vectors @ (vectors.mean(axis=0))))
+    order = np.random.default_rng(seed).permutation(n)
+    medoid = int(np.argmax(vectors @ vectors.mean(axis=0))) if n else 0  # an empty graph's entry
     # Rows with identical vectors form a group (+0.0 folds -0.0 into 0.0).
     _, groups = np.unique(vectors + np.float32(0), axis=0, return_inverse=True)
     groups = groups.ravel()
@@ -364,18 +358,15 @@ def build_graph(
     limits = degree - copies.astype(np.int64)  # a slot for the ring edge
 
     adj = np.full((n, degree), -1, dtype=np.int32)
-    for slack, start, doubling in ((1.0, int(order[0]), True), (prune_slack, medoid, False)):
-        bounds = _batch_bounds(n, doubling)
-        for lo, hi in zip(bounds, bounds[1:]):
-            points = order[lo:hi]
-            owners, expanded = _search_batch(vectors, adj, start, points, width)
-            current = adj[points]
-            has = current >= 0
-            owners = np.concatenate([owners, np.nonzero(has)[0]])
-            candidates = np.concatenate([expanded, current[has]])
-            kept = _robust_prune(vectors, points, owners, candidates, slack, limits[points], groups)
-            _set_rows(adj, points, kept)
-            _add_reverse_edges(vectors, adj, points, slack, limits, groups)
+    bounds = _batch_bounds(n)
+    # A search reaches only inserted rows, so a row has no edges before its
+    # batch: its candidates are the rows its search expanded.
+    for lo, hi in zip(bounds, bounds[1:]):
+        points = order[lo:hi]
+        owners, expanded = _search_batch(vectors, adj, int(order[0]), points, width)
+        kept = _robust_prune(vectors, points, owners, expanded, prune_slack, limits[points], groups)
+        _set_rows(adj, points, kept)
+        _add_reverse_edges(vectors, adj, points, prune_slack, limits, groups)
 
     # Each row of a group links to the next row of its group, cyclically.
     by_group = np.argsort(groups, kind="stable")

@@ -258,6 +258,37 @@ def scalar_greedy_search(vectors: np.ndarray, offsets, neighbors, entry: int,
     return [row for _, row in sorted((-d, -r) for d, r in best)], expanded
 
 
+def scalar_build_search(vectors: np.ndarray, adj: np.ndarray, start: int, point: int,
+                        width: int, beam: int) -> list[int]:
+    """The build's beam search for one point, one list of tuples.
+
+    ``adj`` holds one row of neighbours per node, padded with -1.  The list
+    holds the ``width`` closest rows found, ordered by (distance, row),
+    starting from ``start``.  A step expands up to ``beam`` of the list's
+    closest unexpanded rows, adds every neighbour of theirs not already in
+    the list, and cuts the list back to ``width``; the search ends when no
+    row of the list is left to expand.  Distances are ``1 - row . point``
+    in float32 by ``einsum``, as the build computes them.  Returns the rows
+    expanded, in order."""
+    def distances(rows):
+        rows = np.asarray(rows, dtype=np.int64)
+        points = np.full(len(rows), point)
+        return (1.0 - np.einsum("ij,ij->i", vectors[rows], vectors[points])).tolist()
+
+    items = [(distances([start])[0], start)]
+    done: set[int] = set()
+    expanded: list[int] = []
+    while True:
+        picks = [row for _, row in items if row not in done][:beam]
+        if not picks:
+            return expanded
+        done.update(picks)
+        expanded += picks
+        in_list = {row for _, row in items}
+        fresh = sorted({int(nb) for row in picks for nb in adj[row] if nb >= 0} - in_list)
+        items = sorted(items + list(zip(distances(fresh), fresh)))[:width]
+
+
 def scalar_robust_prune(vectors: np.ndarray, point: int, candidates, max_degree: int,
                         slack: float) -> list[int]:
     """Robust prune for one point: drop repeats and the point, order the

@@ -226,6 +226,19 @@ class TestPipeline:
         assert message in validation_message(capsys)
         assert not (tmp_path / "bench.json").exists()
 
+    @pytest.mark.parametrize("beams", [",", "", " , ", "10,10", "5,10,5"],
+                             ids=["comma", "empty", "blanks", "repeat", "repeat-apart"])
+    def test_bench_needs_distinct_beams(self, pipeline, tmp_path, capsys, beams):
+        # "," used to exit 0 with an empty report; "10,10" timed beam 10 twice.
+        code = main([
+            "bench", "--bundle-dir", str(pipeline["bundle"]),
+            "--queries", str(pipeline["paths"]["queries"]),
+            "--beams", beams, "--repeat", "1", "--out", str(tmp_path / "bench.json"),
+        ])
+        assert code == 2
+        assert "--beams" in validation_message(capsys)
+        assert not (tmp_path / "bench.json").exists()
+
     def test_exact_reindex_removes_stale_graph(self, pipeline, tmp_path):
         bundle = tmp_path / "bundle"
         shutil.copytree(pipeline["bundle"], bundle)

@@ -16,9 +16,15 @@ from unikw import (
 )
 
 from unikw import dense_index
-from unikw.dense_index import GRAPH, _greedy_search, _robust_prune
+from unikw.dense_index import GRAPH, _batch_bounds, _greedy_search, _robust_prune, _search_batch
 
-from oracles import naive_topk, reference_normalize, scalar_greedy_search, scalar_robust_prune
+from oracles import (
+    naive_topk,
+    reference_normalize,
+    scalar_build_search,
+    scalar_greedy_search,
+    scalar_robust_prune,
+)
 
 
 def unit_vectors(rng, n, dim):
@@ -175,6 +181,14 @@ class TestGraph:
         # Checked before any array is sized by them.
         with pytest.raises(ValidationError, match=r"2\*\*32"):
             dense_index._check_graph_params(*widths, 1.2)
+
+    def test_empty_catalog(self, tmp_path):
+        index = build_graph(np.empty((0, 4)), np.empty(0, dtype=np.int64))
+        assert index.offsets.tolist() == [0] and len(index.neighbors) == 0 and index.entry == 0
+        assert search(index, np.ones(4), 5) == []
+        save_graph(tmp_path / "g.kgra", index)
+        loaded = load_graph(tmp_path / "g.kgra", index.vectors, index.ids)
+        assert loaded.offsets.tolist() == [0] and search(loaded, np.ones(4), 5) == []
 
     def test_degree_bound(self, rng):
         v = unit_vectors(rng, 300, 16)
@@ -375,6 +389,49 @@ class TestGraphSearch:
             hits += len(want & got)
             oracle_hits += len(want & {kid for kid, _ in found})
         assert hits >= oracle_hits
+
+
+class TestBuildSearch:
+    @pytest.mark.parametrize("beam", [1, None])
+    def test_matches_the_scalar_oracle(self, monkeypatch, beam):
+        if beam is not None:
+            monkeypatch.setattr(dense_index, "_BEAM_WIDTH", beam)
+        rng = np.random.default_rng(19)
+        for trial in range(150):
+            n = int(rng.integers(1, 90))
+            v = unit_vectors(rng, n, 4)
+            v[:n // 3] = v[0]  # copies of one row, equally far from every point
+            vectors = build_exact(v, np.arange(n)).vectors
+            # Random neighbour rows with -1 anywhere, repeats and self-loops.
+            adj = rng.integers(0, n, size=(n, int(rng.integers(1, 12)))).astype(np.int32)
+            adj[rng.random(adj.shape) < 0.3] = -1
+            # Lists narrower than the graph, as wide, and wider.
+            width = int(rng.integers(1, n + 1)) if trial % 3 else n + int(rng.integers(0, 3))
+            points = rng.integers(0, n, 1 if trial % 2 else int(rng.integers(1, 40)))
+            start = int(rng.integers(n))
+            owners, expanded = _search_batch(vectors, adj, start, points, width)
+            assert owners.shape == expanded.shape
+            for i, point in enumerate(points):
+                want = scalar_build_search(vectors, adj, start, int(point), width,
+                                           dense_index._BEAM_WIDTH)
+                assert expanded[owners == i].tolist() == want, (trial, i)
+
+
+class TestBatchBounds:
+    # Sizes 1, 2, 4, ... up to the cap, max(1, int(0.02 n)), then the cap;
+    # below 100 rows the cap is 1.
+    @pytest.mark.parametrize("n, sizes", [
+        (1, [1]),
+        (2, [1, 1]),
+        (49, [1] * 49),
+        (50, [1] * 50),
+        (51, [1] * 51),
+        (5000, [1, 2, 4, 8, 16, 32, 64] + [100] * 48 + [73]),
+    ])
+    def test_sizes_double_up_to_the_cap(self, n, sizes):
+        bounds = _batch_bounds(n)
+        assert bounds[0] == 0 and bounds[-1] == n
+        assert np.diff(bounds).tolist() == sizes
 
 
 class TestBatchedPrune:
