@@ -33,6 +33,7 @@ import numpy as np
 
 from . import __version__
 from .corpus import (
+    DEFAULT_MAX_LEN,
     build_vocab,
     load_keywords,
     load_pairs,
@@ -41,8 +42,11 @@ from .corpus import (
     tokenize,
     tokenize_batch,
 )
-from .decoder import NEG_INF, DecodeConfig, permutation_decode
+from .decoder import DecodeConfig, permutation_decode
 from .dense_index import (
+    DEFAULT_BUILD_WIDTH,
+    DEFAULT_MAX_DEGREE,
+    DEFAULT_PRUNE_SLACK,
     build_exact,
     build_graph,
     cluster_keywords,
@@ -233,10 +237,10 @@ def _load_groups(path) -> dict[int, tuple[int, ...]]:
 
 def load_bundle(
     bundle_dir,
-    beam_size: int = 100,
-    orders: tuple[str, ...] = ("l2r", "r2l"),
-    prune_threshold: float = NEG_INF,
-    dense_k: int = 100,
+    beam_size: int = DecodeConfig.beam_size,
+    orders: tuple[str, ...] = DecodeConfig.orders,
+    prune_threshold: float = DecodeConfig.prune_threshold,
+    dense_k: int = EngineBundle.dense_k,
 ) -> EngineBundle:
     """Assemble and validate an EngineBundle from a bundle directory."""
     d = Path(bundle_dir)
@@ -429,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--keywords", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--direction", choices=("fwd", "rev"), default="fwd")
-    p.add_argument("--max-len", type=int, default=16)
+    p.add_argument("--max-len", type=int, default=DEFAULT_MAX_LEN)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_build_trie)
 
@@ -448,9 +452,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab", required=True)
     p.add_argument("--kind", choices=("exact", "graph"), default="exact")
     p.add_argument("--cluster-threshold", type=float, default=None)
-    p.add_argument("--max-degree", type=int, default=32)
-    p.add_argument("--build-width", type=int, default=64)
-    p.add_argument("--prune-slack", type=float, default=1.2)
+    p.add_argument("--max-degree", type=int, default=DEFAULT_MAX_DEGREE)
+    p.add_argument("--build-width", type=int, default=DEFAULT_BUILD_WIDTH)
+    p.add_argument("--prune-slack", type=float, default=DEFAULT_PRUNE_SLACK)
     p.add_argument("--out", required=True, help="bundle directory")
     p.set_defaults(handler=cmd_index)
 
@@ -458,10 +462,10 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--bundle-dir", required=True)
     p.add_argument("--queries", required=True)
-    p.add_argument("--beam", type=int, default=100)
-    p.add_argument("--orders", default="l2r,r2l")
-    p.add_argument("--prune", type=float, default=NEG_INF)
-    p.add_argument("--topk", type=int, default=100)
+    p.add_argument("--beam", type=int, default=DecodeConfig.beam_size)
+    p.add_argument("--orders", default=",".join(DecodeConfig.orders))
+    p.add_argument("--prune", type=float, default=DecodeConfig.prune_threshold)
+    p.add_argument("--topk", type=int, default=EngineBundle.dense_k)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_retrieve)
 
@@ -482,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bundle-dir", required=True)
     p.add_argument("--queries", required=True)
     p.add_argument("--beams", default="10,50,100")
-    p.add_argument("--orders", default="l2r,r2l")
+    p.add_argument("--orders", default=",".join(DecodeConfig.orders))
     p.add_argument("--repeat", type=int, default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(handler=cmd_bench)

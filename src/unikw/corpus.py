@@ -6,14 +6,18 @@ terminates every keyword token sequence.  Length selection during decoding
 is therefore probabilistic (the model has to predict EOW) and keyword
 terminals in the trie are ordinary edges.
 
-``tokenize`` maps one text (a served query) to a tuple of ids.
-``tokenize_batch`` maps a whole catalog at once to one flat int64 id array
-plus per-text lengths, equal to ``tokenize`` text by text, concatenated;
-``build-trie`` and ``index`` feed those arrays to the trie and the encoder
-without building a tuple per keyword.  Splitting and id lookup run as
-C-level passes (``map`` over ``str`` methods and the vocabulary dict), the
-reserved forms, cuts and EOW as array operations.  ``build_vocab`` counts
-each file with one ``Counter`` over its lowercased, split text.
+``tokenize_batch`` is the one tokenizer: it maps many texts at once to one
+flat int64 id array plus per-text lengths, which ``build-trie`` and
+``index`` feed to the trie and the encoder without building a tuple per
+keyword.  Splitting and id lookup run as C-level passes (``map`` over
+``str`` methods and the vocabulary dict), the reserved forms, cuts and EOW
+as array operations.  ``tokenize`` is its one-text case (a served query),
+as a tuple of ids.
+
+One reader, ``_pair_lines``, parses a pairs file: ``build_vocab`` counts
+the tokens of the lines it keeps, with one ``Counter`` per file, and
+``load_pairs`` tokenizes their two columns with one ``tokenize_batch``
+call each.
 
 ``load_keywords`` reads the catalog into a ``Catalog``: the decoded text
 and one array of line offsets, with no string per keyword until one is
@@ -97,49 +101,34 @@ class TrainingPair:
     keyword_id: int
 
 
-def _check_tokenize_args(role: str, max_len: int) -> None:
-    if role not in ("query", "keyword"):
-        raise ValidationError(f"unknown tokenize role: {role!r}")
-    if max_len < 1:
-        raise ValidationError(f"max_len must be >= 1, got {max_len}")
-
-
 def tokenize(text: str, vocab: Vocab, role: str, max_len: int = DEFAULT_MAX_LEN) -> TokenSeq:
-    """Map text to token ids; total function (never raises on content).
-
-    Queries are truncated to ``max_len`` tokens.  Keywords are truncated to
-    ``max_len - 1`` tokens and terminated with EOW, so their total length
-    including the sentinel never exceeds ``max_len``.  Text with no tokens
-    (empty or whitespace-only) maps to a single UNK so downstream pooling
-    always has at least one token.
-    """
-    _check_tokenize_args(role, max_len)
-    # Reserved surface forms are never legitimate corpus tokens; mapping
-    # them to UNK keeps EOW/PAD out of query sequences.
-    ids = [
-        UNK_ID if tok in RESERVED_TOKENS else vocab.id_of(tok)
-        for tok in text.lower().split()
-    ]
-    if not ids:
-        ids = [UNK_ID]
-    if role == "query":
-        return tuple(ids[:max_len])
-    return tuple(ids[: max_len - 1]) + (EOW_ID,)
+    """``tokenize_batch`` of one text, as a tuple of ids."""
+    return tuple(tokenize_batch((text,), vocab, role, max_len)[0].tolist())
 
 
 def tokenize_batch(
     texts, vocab: Vocab, role: str, max_len: int = DEFAULT_MAX_LEN
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``tokenize`` over many texts: ``(flat_ids, lengths)``, int64.
+    """Map texts to token ids: ``(flat_ids, lengths)``, int64; total
+    function (never raises on content).
 
-    ``flat_ids`` holds every text's ids end to end, exactly what
-    ``tokenize`` gives text by text, concatenated; ``lengths[i]`` is the
-    length of text i's sequence.  No Python code runs per token: the texts
-    are lowercased, split and looked up by C-level ``map`` passes, and
-    the reserved forms, cuts, blank texts' UNK and keywords' EOW are
-    array operations.
+    ``flat_ids`` holds every text's ids end to end; ``lengths[i]`` is the
+    length of text i's sequence.  A text is lowercased and split at
+    whitespace, and each token looked up; a reserved surface form maps to
+    UNK, which keeps EOW and PAD out of query sequences.  Queries are cut
+    to ``max_len`` tokens.  Keywords are cut to ``max_len - 1`` tokens and
+    terminated with EOW, so their length with the sentinel never exceeds
+    ``max_len``.  Text with no tokens (empty or whitespace-only) maps to a
+    single UNK, so pooling always has a token.
+
+    No Python code runs per token: the texts are lowercased, split and
+    looked up by C-level ``map`` passes, and the reserved forms, cuts,
+    blank texts' UNK and keywords' EOW are array operations.
     """
-    _check_tokenize_args(role, max_len)
+    if role not in ("query", "keyword"):
+        raise ValidationError(f"unknown tokenize role: {role!r}")
+    if max_len < 1:
+        raise ValidationError(f"max_len must be >= 1, got {max_len}")
     words = list(map(str.split, map(str.lower, texts)))
     counts = np.fromiter(map(len, words), dtype=np.int64, count=len(words))
     ids = np.fromiter(
@@ -177,6 +166,12 @@ def _flatten(seqs) -> tuple[np.ndarray, np.ndarray]:
     return flat_ids, lengths
 
 
+def _unflatten(flat_ids: np.ndarray, lengths: np.ndarray) -> list[TokenSeq]:
+    """The inverse of ``_flatten``: one tuple per sequence."""
+    ids, ends = flat_ids.tolist(), np.cumsum(lengths).tolist()
+    return list(map(tuple, map(ids.__getitem__, map(slice, [0] + ends[:-1], ends))))
+
+
 def detokenize(ids: TokenSeq, vocab: Vocab) -> str:
     """Inverse of tokenize for in-vocabulary text; EOW/PAD are dropped."""
     return " ".join(vocab.token_of(i) for i in ids if i not in (PAD_ID, EOW_ID))
@@ -190,13 +185,25 @@ def _reject_reserved(counts: Counter) -> None:
         raise ValidationError(f"reserved token {min(found, key=order.index)!r} appears in corpus")
 
 
+def _pair_lines(path) -> tuple[list[str], int]:
+    """The lines of a pairs file that hold a pair, and the number of its
+    non-empty lines.  A pair's line holds exactly one tab with a token on
+    each side (``strip`` keeps the tab only then); both are picked by
+    C-level passes.  Lines are those that iterating the file yields."""
+    with open(path, encoding="utf-8") as f:
+        lines = f.read().split("\n")
+    two_fields = list(compress(lines, map((1).__eq__, map(str.count, lines, repeat("\t")))))
+    kept = compress(two_fields, map(str.__contains__, map(str.strip, two_fields), repeat("\t")))
+    return list(kept), len(lines) - lines.count("")
+
+
 def build_vocab(keyword_path, pairs_path, min_count: int = 1) -> Vocab:
     """Count tokens over the catalog and both pair columns; threshold by count.
 
     Id assignment is deterministic: tokens sorted by descending count, ties
     broken lexicographically.  Shuffling the corpus lines does not change
     the result.  Pair lines are counted only where ``load_pairs`` parses
-    them: exactly two tab-separated fields, neither blank.
+    them: both read the file through ``_pair_lines``.
     """
     if min_count < 1:
         raise ValidationError("min_count must be >= 1")
@@ -204,13 +211,7 @@ def build_vocab(keyword_path, pairs_path, min_count: int = 1) -> Vocab:
     with open(keyword_path, encoding="utf-8") as f:
         counts.update(f.read().lower().split())
     _reject_reserved(counts)
-    with open(pairs_path, encoding="utf-8") as f:
-        lines = f.read().split("\n")  # the lines iterating the file yields
-    # Lines holding exactly one tab with a token on each side (``strip``
-    # keeps the tab only then), picked in C; they split into both columns.
-    two_fields = list(compress(lines, map((1).__eq__, map(str.count, lines, repeat("\t")))))
-    parsed = compress(two_fields, map(str.__contains__, map(str.strip, two_fields), repeat("\t")))
-    counts.update("\n".join(parsed).lower().split())
+    counts.update("\n".join(_pair_lines(pairs_path)[0]).lower().split())
     _reject_reserved(counts)
     if not counts:
         raise ValidationError("empty corpus")
@@ -316,43 +317,28 @@ def load_pairs(
 ) -> tuple[list[TrainingPair], int]:
     """Parse a TSV pairs file into TrainingPair records.
 
-    Malformed lines (wrong column count or an empty field) are counted and
-    skipped; if they exceed ``_MAX_MALFORMED_FRACTION`` of all lines the
-    file is rejected.  Returns ``(pairs, malformed_count)``.
+    Malformed lines (wrong column count or a blank field) are counted and
+    skipped; if they exceed ``_MAX_MALFORMED_FRACTION`` of the non-empty
+    lines the file is rejected.  Returns ``(pairs, malformed_count)``.
 
-    Keyword ids number the distinct keywords (lowercased) in order of
-    first occurrence within the file; training uses them only to tell
-    keywords apart.
+    Keyword ids number the distinct keyword token sequences in order of
+    first occurrence within the file: keywords that tokenize alike are one
+    keyword to training, which uses the ids only to tell keywords apart.
     """
-    keyword_ids: dict[str, int] = {}
-    pairs: list[TrainingPair] = []
-    malformed = 0
-    total = 0
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            total += 1
-            parts = line.split("\t")
-            if len(parts) != 2 or not parts[0].strip() or not parts[1].strip():
-                malformed += 1
-                continue
-            query_text, keyword_text = parts
-            pairs.append(
-                TrainingPair(
-                    query_text=query_text,
-                    query_ids=tokenize(query_text, vocab, "query", max_len),
-                    keyword_text=keyword_text,
-                    keyword_ids=tokenize(keyword_text, vocab, "keyword", max_len),
-                    keyword_id=keyword_ids.setdefault(keyword_text.lower(), len(keyword_ids)),
-                )
-            )
+    lines, total = _pair_lines(path)
+    malformed = total - len(lines)
     if total and malformed / total > _MAX_MALFORMED_FRACTION:
         raise ValidationError(
             f"{malformed}/{total} malformed lines exceeds "
             f"{_MAX_MALFORMED_FRACTION:.0%} threshold"
         )
+    fields = "\t".join(lines).split("\t") if lines else []
+    queries, keywords = fields[0::2], fields[1::2]
+    query_ids = _unflatten(*tokenize_batch(queries, vocab, "query", max_len))
+    keyword_ids = _unflatten(*tokenize_batch(keywords, vocab, "keyword", max_len))
+    number = {seq: n for n, seq in enumerate(dict.fromkeys(keyword_ids))}
+    pairs = list(map(TrainingPair, queries, query_ids, keywords, keyword_ids,
+                     map(number.__getitem__, keyword_ids)))
     return pairs, malformed
 
 

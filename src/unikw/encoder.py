@@ -568,20 +568,16 @@ def train(config: TrainConfig, pairs, vocab: Vocab) -> TrainResult:
     params = init_params(len(vocab), dim=config.dim, dense_dim=config.dense_dim,
                          hidden_dim=config.hidden_dim, max_len=config.max_len, seed=config.seed)
 
-    keyword_seq_by_id: dict[int, TokenSeq] = {}
-    for p in pairs:
-        keyword_seq_by_id.setdefault(p.keyword_id, p.keyword_ids)
-    kw_ids = np.array(sorted(keyword_seq_by_id), dtype=np.int64)
-    kw_row = {int(k): r for r, k in enumerate(kw_ids)}
-    kw_seqs = [keyword_seq_by_id[int(k)] for k in kw_ids]
-
-    positives_by_query: dict[str, set[int]] = {}
-    for p in pairs:
-        positives_by_query.setdefault(p.query_text, set()).add(p.keyword_id)
-    positive_sets = [positives_by_query[p.query_text] for p in pairs]
-    gold_rows = np.array([kw_row[p.keyword_id] for p in pairs], dtype=np.int64)
-    # Row-index the positive sets so mining works in embedding-row space.
-    positive_rows = [{kw_row[k] for k in s if k in kw_row} for s in positive_sets]
+    # One embedding row per keyword id, ascending; a row's sequence is its
+    # id's first pair's, and mining works in row space.
+    keyword_ids = np.fromiter((p.keyword_id for p in pairs), dtype=np.int64, count=len(pairs))
+    _, first, gold_rows = np.unique(keyword_ids, return_index=True, return_inverse=True)
+    kw_seqs = [pairs[i].keyword_ids for i in first.tolist()]
+    # A query's positives are the rows of every pair with its token sequence.
+    rows_by_query: dict[TokenSeq, set[int]] = {}
+    for p, row in zip(pairs, gold_rows.tolist()):
+        rows_by_query.setdefault(p.query_ids, set()).add(row)
+    positive_rows = [rows_by_query[p.query_ids] for p in pairs]
 
     query_flat = _flatten([p.query_ids for p in pairs])
     kw_flat = _flatten(kw_seqs)

@@ -16,6 +16,7 @@ import numpy as np
 
 from unikw.errors import ValidationError
 
+UNK = 1
 EOW = 2
 FIRST_TOKEN_ID = 3
 RESERVED_TOKENS = ("<pad>", "<unk>", "</kw>")
@@ -522,6 +523,51 @@ def scalar_pool(token_emb: np.ndarray, flat_ids: np.ndarray, lengths: np.ndarray
         longer = np.flatnonzero(lengths > t)
         total[longer] += token_emb[flat_ids[starts[longer] + t]]
     return total / lengths[:, None]
+
+
+def scalar_tokenize(text: str, vocab, role: str, max_len: int) -> tuple[int, ...]:
+    """``corpus.tokenize``, one token at a time: a reserved surface form or
+    an unknown token maps to UNK, a blank text to one UNK; queries are cut
+    to ``max_len`` tokens, keywords to ``max_len - 1`` and then end in EOW."""
+    ids = [UNK if tok in RESERVED_TOKENS else vocab.id_of(tok) for tok in text.lower().split()]
+    if not ids:
+        ids = [UNK]
+    if role == "query":
+        return tuple(ids[:max_len])
+    return tuple(ids[: max_len - 1]) + (EOW,)
+
+
+def scalar_load_pairs(path, vocab, max_len: int):
+    """``corpus.load_pairs`` one line at a time, each pair as the tuple
+    ``(query_text, query_ids, keyword_text, keyword_ids, keyword_id)``;
+    keyword ids number the distinct keyword token sequences in order of
+    first occurrence.  Returns ``(pairs, malformed)``."""
+    keyword_ids = {}
+    pairs = []
+    malformed = 0
+    total = 0
+    with open(path, encoding="utf-8") as f:
+        for line in f:
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            total += 1
+            parts = line.split("\t")
+            if len(parts) != 2 or not parts[0].strip() or not parts[1].strip():
+                malformed += 1
+                continue
+            query_text, keyword_text = parts
+            keyword_seq = scalar_tokenize(keyword_text, vocab, "keyword", max_len)
+            pairs.append((
+                query_text,
+                scalar_tokenize(query_text, vocab, "query", max_len),
+                keyword_text,
+                keyword_seq,
+                keyword_ids.setdefault(keyword_seq, len(keyword_ids)),
+            ))
+    if total and malformed / total > 0.10:
+        raise ValidationError(f"{malformed}/{total} malformed lines exceeds 10% threshold")
+    return pairs, malformed
 
 
 def scalar_vocab_tokens(keyword_path, pairs_path, min_count: int = 1) -> tuple[str, ...]:

@@ -1,4 +1,5 @@
 import tempfile
+from dataclasses import astuple
 from itertools import chain
 from pathlib import Path
 
@@ -22,7 +23,7 @@ from unikw import (
     tokenize_batch,
 )
 
-from oracles import reference_load_keywords, scalar_vocab_tokens
+from oracles import reference_load_keywords, scalar_load_pairs, scalar_tokenize, scalar_vocab_tokens
 
 
 def _write(path, text):
@@ -135,7 +136,7 @@ class TestTokenizeBatch:
         for role in ("query", "keyword"):
             for max_len in (1, 2, 3, 16):
                 flat_ids, lengths = tokenize_batch(texts, BATCH_VOCAB, role, max_len)
-                want = [tokenize(t, BATCH_VOCAB, role, max_len) for t in texts]
+                want = [scalar_tokenize(t, BATCH_VOCAB, role, max_len) for t in texts]
                 assert flat_ids.dtype == lengths.dtype == np.int64
                 assert lengths.tolist() == list(map(len, want))
                 assert flat_ids.tolist() == list(chain.from_iterable(want))
@@ -237,6 +238,48 @@ class TestBuildVocabMatchesOracle:
             build_vocab(kw, pairs)
 
 
+#: Well-formed pair lines whose sides tokenize alike in pairs, or do once cut.
+ALIKE_PAIRS = ["a\ta b", "A\ta  b", " a \tA B", "a\ta b c", "zz\tzz", "Zz\tyy", "b\tσ", "B\tΣ"]
+
+
+class TestLoadPairsMatchesOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                PAIR_LINES,
+                st.lists(st.sampled_from(["", " ", "\t", " \u3000 "]), max_size=3),
+                st.lists(st.sampled_from(ALIKE_PAIRS), max_size=6),
+            ),
+            max_size=4,
+        ).map(lambda groups: list(chain.from_iterable(groups))),
+        st.sampled_from(["\n", "\r\n"]),
+        st.booleans(),
+        st.sampled_from([1, 2, 16]),
+    )
+    def test_equal_pairs_or_equal_error(self, lines, newline, final_break, max_len):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "p.tsv"
+            path.write_bytes((newline.join(lines) + newline * final_break).encode("utf-8"))
+            try:
+                want = scalar_load_pairs(path, BATCH_VOCAB, max_len)
+            except ValidationError as exc:
+                with pytest.raises(ValidationError) as info:
+                    load_pairs(path, BATCH_VOCAB, max_len)
+                assert str(info.value) == str(exc)
+                return
+            pairs, malformed = load_pairs(path, BATCH_VOCAB, max_len)
+        assert malformed == want[1]
+        assert [astuple(p) for p in pairs] == want[0]
+        for p in pairs:
+            assert type(p.query_ids) is type(p.keyword_ids) is tuple
+            assert {type(i) for i in p.query_ids + p.keyword_ids} == {int}
+
+    def test_empty_file(self, tmp_path):
+        path = _write(tmp_path / "p.tsv", "")
+        assert load_pairs(path, BATCH_VOCAB) == scalar_load_pairs(path, BATCH_VOCAB, 16) == ([], 0)
+
+
 class TestLoadPairs:
     def test_basic(self, tmp_path, tiny_vocab):
         path = _write(tmp_path / "p.tsv", "a\tb c\na b\tc\n")
@@ -255,6 +298,14 @@ class TestLoadPairs:
         path = _write(tmp_path / "p.tsv", "a\tb\nbad line without tab\n")
         with pytest.raises(ValidationError, match="malformed"):
             load_pairs(path, tiny_vocab)
+
+    def test_keywords_that_tokenize_alike_share_an_id(self, tmp_path, tiny_vocab):
+        # Numbered by lowercased text, "a  b" and "a b" were two keywords with
+        # one token sequence, each the other's hardest negative.
+        path = _write(tmp_path / "p.tsv", "a\ta b\nb\ta  b\nc\tA B\nc\tb a\n")
+        pairs, _ = load_pairs(path, tiny_vocab)
+        assert [p.keyword_id for p in pairs] == [0, 0, 0, 1]
+        assert [p.keyword_text for p in pairs] == ["a b", "a  b", "A B", "b a"]
 
 
 class TestVocabFile:

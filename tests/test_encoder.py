@@ -20,6 +20,7 @@ from unikw import (
     load_params,
     mine_negatives,
     save_params,
+    tokenize,
     train,
 )
 import unikw.encoder as encoder
@@ -340,6 +341,30 @@ class TestTrain:
             for name, arr in before.items():
                 expected = arr - config.learning_rate * grads[name]
                 assert after[name].tobytes() == expected.tobytes(), name
+
+    def test_queries_that_tokenize_alike_share_positives(self, monkeypatch):
+        # Grouped by raw text, "Red Shoes" and "red shoes" mined each
+        # other's gold keyword as a negative.
+        vocab = Vocab.from_tokens(["red", "shoes", "boots", "blue", "hat"])
+        texts = [("Red Shoes", "red shoes"), ("red shoes", "red boots"), ("blue hat", "blue hat")]
+        pairs = [
+            TrainingPair(q, tokenize(q, vocab, "query", 4), k, tokenize(k, vocab, "keyword", 4), kid)
+            for kid, (q, k) in enumerate(texts)
+        ]
+        plans = []
+        real_mine_negatives = encoder.mine_negatives
+
+        def recording_mine_negatives(*args, **kwargs):
+            plans.append(real_mine_negatives(*args, **kwargs))
+            return plans[-1]
+
+        monkeypatch.setattr(encoder, "mine_negatives", recording_mine_negatives)
+        config = TrainConfig(
+            epochs=1, batch_size=16, cluster_count=1, negatives_per_positive=2,
+            dim=8, dense_dim=4, hidden_dim=12, max_len=4, seed=5,
+        )
+        train(config, pairs, vocab)
+        assert len(plans) == 1 and plans[0].negatives[:2] == ((2,), (2,))
 
     def test_empty_pairs_rejected(self):
         vocab, _ = tiny_corpus_pairs()
