@@ -38,7 +38,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 #: Bundle files the pipeline writes, in the order they are listed.
 ARTIFACTS = ("vocab.txt", "trie.fwd.ktri", "trie.rev.ktri", "encoder.kenc",
-             "embeddings.kemb", "graph.kgra", "reps.tsv")
+             "embeddings.kemb", "graph.kgra")
 RESULTS = "retrieve.jsonl"
 PREFIX = 12
 
