@@ -43,6 +43,7 @@ from .dense_index import (
     save_embeddings,
     save_graph,
     search,
+    search_batch,
 )
 from .encoder import (
     EncoderOutput,
@@ -53,6 +54,7 @@ from .encoder import (
     embed_batch,
     embed_flat,
     encode,
+    encode_batch,
     init_params,
     joint_loss,
     load_params,
@@ -80,6 +82,7 @@ from .retriever import (
     RetrievalResult,
     overlap_stats,
     retrieve,
+    retrieve_batch,
     retrieve_channels,
 )
 from .trie import (

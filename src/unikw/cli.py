@@ -67,7 +67,14 @@ from .encoder import (  # noqa: F401 -- embed_batch is kept so the benchmark's t
 )
 from .errors import ConsistencyError, TrainingDiverged, ValidationError
 from .evaluation import compute_metrics, load_labels, token_overlap_scorer
-from .retriever import EngineBundle, overlap_stats, results_to_jsonl_line, retrieve
+from .retriever import (
+    EngineBundle,
+    chunk_size,
+    overlap_stats,
+    results_to_jsonl_line,
+    retrieve,
+    retrieve_batch,
+)
 from .trie import (  # noqa: F401 -- build_trie is kept so the benchmark's tracer finds it
     FORWARD,
     REVERSED,
@@ -287,14 +294,18 @@ def cmd_retrieve(args) -> int:
         dense_k=args.topk,
     )
     queries = _read_queries(args.queries)
-    # Each line is written as its query completes, into a temporary file
-    # beside --out that replaces it only once every query has succeeded.
+    # Each chunk's lines are written before the next chunk runs, into a
+    # temporary file beside --out that replaces it only once every chunk
+    # has succeeded.
     out = Path(args.out)
     partial = out.with_name(f".{out.name}.{os.getpid()}.partial")
+    size = chunk_size(bundle)
     try:
         with open(partial, "w", encoding="utf-8") as f:
-            for query in queries:
-                f.write(results_to_jsonl_line(query, retrieve(bundle, query)) + "\n")
+            for lo in range(0, len(queries), size):
+                chunk = queries[lo:lo + size]
+                f.writelines(map("{}\n".format, map(results_to_jsonl_line, chunk,
+                                                   retrieve_batch(bundle, chunk))))
         os.replace(partial, out)
     finally:
         partial.unlink(missing_ok=True)

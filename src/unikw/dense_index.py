@@ -18,7 +18,8 @@ row inserted, in one array beam search; their candidate lists are pruned
 in one batched robust prune; the reverse edges are grouped by target with
 one sort, and only targets that overflow are pruned again.  Query search
 starts at the medoid, is best-first and expands up to ``_SEARCH_BEAM``
-rows per step, DiskANN's beam width W.
+rows per step, DiskANN's beam width W; one array search serves a batch of
+queries, each taking the steps it would take alone.
 
 The robust-prune rule keeps the closest remaining candidate ``c`` and
 then discards every candidate ``v`` with ``slack * dist(c, v) <=
@@ -135,17 +136,30 @@ def _row_distances(vectors: np.ndarray, rows: np.ndarray, points: np.ndarray) ->
 
 _PAD = np.uint64(2**64 - 1)   # an empty slot of a build search list
 _ROW_MASK = np.uint64(2**31 - 1)
+_SIGN = np.int32(-2**31)
 
 
-def _list_keys(dists: np.ndarray, rows: np.ndarray) -> np.ndarray:
+def _list_keys(dists: np.ndarray, rows: np.ndarray, row_bits: int = 31) -> np.ndarray:
     """One uint64 per (distance, row) that sorts as the pair does.
 
-    The high 32 bits are the float32 distance mapped to an unsigned integer
-    of the same order, the next 31 the row; the lowest bit is set while the
-    row is unexpanded."""
-    bits = np.ascontiguousarray(dists, dtype=np.float32).view(np.uint32)
-    ordered = np.where(bits >> 31, ~bits, bits | np.uint32(2**31)).astype(np.uint64)
-    return ordered << np.uint64(32) | rows.astype(np.uint64) << np.uint64(1) | np.uint64(1)
+    Bits ``row_bits + 1`` to ``row_bits + 32`` hold the float32 distance
+    mapped to an unsigned integer of the same order, the ``row_bits`` below
+    them the row; the lowest bit is set while the row is unexpanded.  The
+    bits above are free for a query search's query (``_graph_search``)."""
+    bits = np.ascontiguousarray(dists, dtype=np.float32).view(np.int32)
+    # A negative distance has every bit flipped, any other its sign bit set.
+    ordered = (bits ^ (bits >> 31 | _SIGN)).view(np.uint32).astype(np.uint64)
+    return ordered << np.uint64(row_bits + 1) | rows.astype(np.uint64) << np.uint64(1) | np.uint64(1)
+
+
+def _first_of_each(keys: np.ndarray, shift: np.uint64, count: int, size: int):
+    """Where the first ``size`` keys of each of ``count`` queries sit in
+    ``keys``, sorted with the query in the bits from ``shift`` up: a mask,
+    or a slice when there is one query."""
+    if count == 1:
+        return slice(size)
+    query = keys >> shift
+    return np.arange(len(keys)) - query.searchsorted(query) < size
 
 
 def _search_batch(
@@ -397,34 +411,81 @@ def build_graph(
     )
 
 
+def _row_bits(n: int) -> int:
+    """Bits a row number below ``n`` needs, at least one."""
+    return max(int(n - 1).bit_length(), 1)
+
+
+def _graph_search(
+    index: DenseIndex, queries: np.ndarray, width: int
+) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+    """Best-first search from the entry point over the CSR graph, for every
+    row of ``queries`` (float32, unit) at once.
+
+    Each query keeps a list of the ``width`` closest rows found; each step
+    expands the first ``_SEARCH_BEAM`` unexpanded rows of every list, until
+    no list has one left.  All lists live in one sorted 1-D array of keys:
+    ``_list_keys`` with the query's index in the bits above the distance,
+    so one sort merges every query's new rows into its list and a
+    ``searchsorted`` on the query bits finds where each list starts.  A
+    query's steps are those it would take alone.  A neighbour is new to a
+    query if its (query, row) cell of the unseen mask is set, and repeats
+    go with one sort of the cells.  ``einsum`` makes identical rows equally
+    far from a query.  The query bits hold ``2**(31 - row bits)`` queries;
+    ``search_batch`` passes no more.
+
+    Returns each query's list rows, by (distance, row), and the rows
+    expanded as ``(owner, row)`` arrays in the order of expansion."""
+    n, count = len(index), len(queries)
+    row_bits = _row_bits(n)
+    row_mask, shift, one = np.uint64((1 << row_bits) - 1), np.uint64(row_bits + 33), np.uint64(1)
+    owners, fresh = np.arange(count), np.full(count, index.entry)
+    high = owners.astype(np.uint64) << shift  # each query's bits of a key
+    unseen = np.ones(count * n, dtype=bool)  # cell owner * n + row
+    unseen[owners * n + fresh] = False
+    keys = np.empty(0, dtype=np.uint64)
+    expanded_owners: list[np.ndarray] = []
+    expanded: list[np.ndarray] = []
+    while True:
+        dists = 1.0 - np.einsum("ij,ij->i", index.vectors.take(fresh, axis=0),
+                                queries.take(owners, axis=0))
+        found = high.take(owners) | _list_keys(dists, fresh, row_bits)
+        keys = np.sort(np.concatenate([keys, found]))
+        keys = keys[_first_of_each(keys, shift, count, width)]
+        pick = np.flatnonzero(keys & one)
+        pick = pick[_first_of_each(keys[pick], shift, count, _SEARCH_BEAM)]
+        if not len(pick):
+            break
+        picked = keys[pick] - one
+        keys[pick] = picked
+        nodes = (picked >> one & row_mask).astype(np.int64)
+        owner = (picked >> shift).astype(np.int64)
+        expanded_owners.append(owner)
+        expanded.append(nodes)
+        lo, deg = index.offsets[nodes], index.offsets[nodes + 1] - index.offsets[nodes]
+        cells = np.repeat(owner * n, deg) + index.neighbors[
+            np.repeat(lo - np.cumsum(deg) + deg, deg) + np.arange(deg.sum())]
+        cells = np.sort(cells[unseen[cells]])
+        first = np.ones(len(cells), dtype=bool)  # drop repeats: keep a cell's first copy
+        np.not_equal(cells[1:], cells[:-1], out=first[1:])
+        cells = cells[first]
+        unseen[cells] = False
+        owners, fresh = np.divmod(cells, n)
+    rows = (keys >> one & row_mask).astype(np.int64)
+    bounds = np.arange(1, count, dtype=np.uint64) << shift
+    lists = np.split(rows, np.searchsorted(keys, bounds)) if count > 1 else [rows]
+    if not expanded:
+        return lists, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    return lists, np.concatenate(expanded_owners), np.concatenate(expanded)
+
+
 def _greedy_search(
     index: DenseIndex, query: np.ndarray, width: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Best-first search from the entry point over the CSR graph.
-
-    The list holds the ``width`` closest rows found as sorted ``_list_keys``;
-    each step expands its first ``_SEARCH_BEAM`` unexpanded rows, until none
-    is left.  ``einsum`` makes identical rows equally far from the query.
-    Returns the rows of the list and the rows expanded, in order."""
-    query, keys = query.astype(np.float32), np.empty(0, dtype=np.uint64)
-    fresh, unseen = np.array([index.entry]), np.ones(len(index), dtype=bool)
-    expanded: list[np.ndarray] = []
-    while True:
-        unseen[fresh] = False
-        dists = 1.0 - np.einsum("ij,j->i", index.vectors.take(fresh, axis=0), query)
-        keys = np.sort(np.concatenate([keys, _list_keys(dists, fresh)]))[:width]
-        pick = np.nonzero(keys & np.uint64(1))[0][:_SEARCH_BEAM]
-        if not len(pick):
-            return (keys >> np.uint64(1) & _ROW_MASK).astype(np.int64), np.concatenate(expanded)
-        keys[pick] -= np.uint64(1)
-        nodes = (keys[pick] >> np.uint64(1) & _ROW_MASK).astype(np.int64)
-        expanded.append(nodes)
-        lo, deg = index.offsets[nodes], index.offsets[nodes + 1] - index.offsets[nodes]
-        fresh = index.neighbors[np.repeat(lo - np.cumsum(deg) + deg, deg) + np.arange(deg.sum())]
-        fresh = np.sort(fresh[unseen[fresh]])
-        first = np.ones(len(fresh), dtype=bool)  # drop repeats: keep a row's first copy
-        np.not_equal(fresh[1:], fresh[:-1], out=first[1:])
-        fresh = fresh[first]
+    """``_graph_search`` of one float64 unit query: its list rows and the
+    rows expanded, in order."""
+    lists, _, expanded = _graph_search(index, query.astype(np.float32)[None], width)
+    return lists[0], expanded
 
 
 def _float32_dot_error(dim: int) -> float:
@@ -463,45 +524,75 @@ def _rescore(
     return list(zip(ids[top].tolist(), scores[top].tolist()))
 
 
+def search_batch(
+    index: DenseIndex,
+    queries,
+    k: int,
+    search_width: int = DEFAULT_SEARCH_WIDTH,
+) -> list[list[tuple[int, float]]]:
+    """Top-k ``(keyword id, inner-product score)`` of every row of
+    ``queries``, ties broken by id; a query's hits do not depend on the
+    other queries.
+
+    Empty indexes return no results; otherwise ``k`` may not exceed the
+    index size.  Each query is scaled by its own ``np.linalg.norm``, as a
+    lone query is; a row norm taken along an axis can differ in the last
+    bit.  For graph indexes ``search_width`` bounds each best-first
+    candidate list, and is widened to ``k`` if smaller.
+
+    Both kinds report float64 scores from ``_rescore``, one query at a
+    time, the graph kind for its whole candidate list, so both break ties
+    by id.  The graph kind searches for all queries in one
+    ``_graph_search``, which holds one byte per (query, row) for the rows
+    each query has seen; callers bound the batch (``retrieve_batch`` does).
+    The exact kind scans for each query with one float32 GEMV: every row
+    whose float32 score is within ``2 * _float32_dot_error(d)`` of the k-th
+    best float32 score is rescored, so no row of the float64 top k is
+    missed.  If row ``j`` is dropped, its float32 score is more than twice
+    the error bound below that of each of the k best float32 rows, so its
+    true score is below each of theirs, and by more than the float64
+    rounding of either.  A (queries x rows) GEMM would only add scratch to
+    a memory-bound scan.
+    """
+    queries = np.asarray(queries, dtype=np.float64)
+    if queries.ndim != 2:
+        raise ValidationError("queries must be a 2-d array, one query per row")
+    n = len(index)
+    if n == 0:
+        return [[] for _ in queries]
+    if k < 1 or k > n:
+        raise ValidationError(f"k={k} out of range for index of {n}")
+    unit = np.empty_like(queries)
+    for row, query in zip(unit, queries):
+        norm = np.linalg.norm(query)
+        if not 1e-12 <= norm < np.inf:
+            raise ValidationError("query vector must be non-zero and finite")
+        np.divide(query, norm, out=row)
+
+    if index.kind == EXACT:
+        margin = 2 * _float32_dot_error(index.vectors.shape[1])
+        hits = []
+        for query in unit:
+            scores = index.vectors @ query.astype(np.float32)
+            kth = np.partition(scores, n - k)[n - k]
+            hits.append(_rescore(index, np.flatnonzero(scores >= kth - margin), query, k))
+        return hits
+
+    width, group = max(search_width, k), 1 << (31 - _row_bits(n))
+    unit32 = unit.astype(np.float32)
+    rows = [lst for lo in range(0, len(unit), group)
+            for lst in _graph_search(index, unit32[lo:lo + group], width)[0]]
+    return [_rescore(index, r, query, k) for r, query in zip(rows, unit)]
+
+
 def search(
     index: DenseIndex,
     query: np.ndarray,
     k: int,
     search_width: int = DEFAULT_SEARCH_WIDTH,
 ) -> list[tuple[int, float]]:
-    """Top-k ``(keyword id, inner-product score)``, ties broken by id.
-
-    Empty indexes return no results; otherwise ``k`` may not exceed the
-    index size.  For graph indexes ``search_width`` bounds the best-first
-    candidate list, and is widened to ``k`` if smaller.
-
-    Both kinds report float64 scores from ``_rescore``, the graph kind for
-    its whole candidate list, so both break ties by id.  The exact kind
-    finds its candidates with one float32 scan: every row whose float32
-    score is within ``2 * _float32_dot_error(d)`` of the k-th best float32
-    score is rescored, so no row of the float64 top k is missed.  If row
-    ``j`` is dropped, its float32 score is more than twice the error bound
-    below that of each of the k best float32 rows, so its true score is
-    below each of theirs, and by more than the float64 rounding of either.
-    """
-    n = len(index)
-    if n == 0:
-        return []
-    if k < 1 or k > n:
-        raise ValidationError(f"k={k} out of range for index of {n}")
-    query = np.asarray(query, dtype=np.float64).ravel()
-    norm = np.linalg.norm(query)
-    if not 1e-12 <= norm < np.inf:
-        raise ValidationError("query vector must be non-zero and finite")
-    query = query / norm
-
-    if index.kind == EXACT:
-        scores = index.vectors @ query.astype(np.float32)
-        kth = np.partition(scores, n - k)[n - k]
-        margin = 2 * _float32_dot_error(index.vectors.shape[1])
-        return _rescore(index, np.flatnonzero(scores >= kth - margin), query, k)
-
-    return _rescore(index, _greedy_search(index, query, max(search_width, k))[0], query, k)
+    """``search_batch`` of one query: its top-k ``(keyword id, score)``."""
+    return search_batch(index, np.asarray(query, dtype=np.float64).ravel()[None], k, search_width)[0]
 
 
 def cluster_keywords(vectors, ids, similarity_threshold: float) -> dict[int, int]:

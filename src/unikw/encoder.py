@@ -78,9 +78,9 @@ class ForwardCounter:
         self._lock = threading.Lock()
         self.count = 0
 
-    def increment(self) -> None:
+    def increment(self, passes: int = 1) -> None:
         with self._lock:
-            self.count += 1
+            self.count += passes
 
 
 @dataclass
@@ -120,7 +120,8 @@ class EncoderParams:
 
 @dataclass(frozen=True)
 class EncoderOutput:
-    """Unit-norm dense embedding plus the M x V log-probability table."""
+    """Unit-norm dense embedding plus the M x V log-probability table;
+    from ``encode_batch``, one of each per sequence along a leading axis."""
 
     dr_embedding: np.ndarray
     nar_logprobs: np.ndarray
@@ -263,9 +264,14 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def _logprob_table(params: EncoderParams, pooled: np.ndarray) -> np.ndarray:
-    """Position-head forward for a batch of pooled vectors: (B, M, V) logprobs."""
+    """Position-head forward for a batch of pooled vectors: (B, M, V) logprobs.
+
+    Every product is a stacked matmul whose items have the shape of one
+    sequence's: ``(1 x d) @ (d x h)``, then ``(M x h) @ (h x V)``.  BLAS
+    sees the same calls whatever B is, so a row's table is the same bits
+    in any batch; one GEMM over all B rows would not be."""
     d = params.dim
-    pre = (pooled @ params.hidden_w[:, :d].T)[:, None, :]
+    pre = pooled[:, None, :] @ params.hidden_w[:, :d].T
     pre = pre + params.pos_emb @ params.hidden_w[:, d:].T + params.hidden_b
     hidden = np.maximum(pre, 0.0)
     return _log_softmax(hidden @ params.out_w.T + params.out_b)
@@ -279,18 +285,32 @@ def _blocks(rows: np.ndarray, size: int) -> np.ndarray:
 
 
 def encode(params: EncoderParams, tokens: TokenSeq) -> EncoderOutput:
-    """One full forward pass over a single sequence.
+    """One full forward pass over a single sequence: ``encode_batch``'s
+    one-row case.
 
     Deterministic; mean pooling makes the output a function of the token
     multiset only.  Each table row log-sum-exps to 0 and the dense
     embedding is unit-norm.
     """
-    flat_ids, lengths = _flatten([tokens])
+    out = encode_batch(params, *_flatten([tokens]))
+    return EncoderOutput(dr_embedding=out.dr_embedding[0], nar_logprobs=out.nar_logprobs[0])
+
+
+def encode_batch(params: EncoderParams, flat_ids: np.ndarray, lengths: np.ndarray) -> EncoderOutput:
+    """Full forward passes over many sequences, given as one flat id array
+    plus per-sequence lengths (as ``corpus.tokenize_batch`` returns them).
+
+    Returns ``(B, d_dr)`` unit embeddings and ``(B, M, V)`` tables, and
+    counts B passes.  A sequence's rows do not depend on its batch: ``_pool``
+    sums each sequence in token order, and every product is a stacked matmul
+    with one sequence per item (``_logprob_table``), so a row is the same
+    bits as ``encode`` gives it alone.
+    """
     _check_tokens(params, flat_ids, lengths)
-    params.forward_counter.increment()
-    pooled = params.token_emb[flat_ids].mean(axis=0, keepdims=True)
-    emb, _ = _normalize_rows(pooled @ params.dense_proj.T)
-    return EncoderOutput(dr_embedding=emb[0], nar_logprobs=_logprob_table(params, pooled)[0])
+    params.forward_counter.increment(len(lengths))
+    pooled = _pool(params.token_emb, flat_ids, lengths)
+    emb, _ = _normalize_rows((pooled[:, None, :] @ params.dense_proj.T)[:, 0])
+    return EncoderOutput(dr_embedding=emb, nar_logprobs=_logprob_table(params, pooled))
 
 
 def embed_batch(params: EncoderParams, seqs) -> np.ndarray:

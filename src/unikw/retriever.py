@@ -1,17 +1,26 @@
 """End-to-end unified retrieval: one encoder pass feeds both channels.
 
-``retrieve`` encodes the query exactly once.  The resulting
+``retrieve_batch`` is the one serving path, and ``retrieve`` its one-query
+case.  Each query is encoded exactly once.  The resulting
 log-probability table drives permutation-decoded trie search (the
 generative channel, "NLG") and the dense embedding drives
 nearest-neighbor search (the dense channel, "DR").  Results merge by
 keyword id; the merged set is exactly the union of the two channels, so
 its recall can never fall below either channel's.
 
+Queries are served a chunk at a time: one ``tokenize_batch``, one
+``encode_batch`` and one ``search_batch`` per chunk, then the decode and
+the merge per query.  A query's results do not depend on its chunk: the
+encoder's rows and the dense hits are the same bits in any batch, so
+``retrieve_batch(bundle, qs)[i] == retrieve(bundle, qs[i])``.  A chunk
+holds as many queries as keep each of its arrays (the queries' M x V
+tables, a graph search's seen mask) within ``CHUNK_BYTES``.
+
 Merged ordering is a convention, not a model output: keywords found by
 both channels come first, then dense-only results, both by (-dense score,
 id), then generative-only results by (-generative score, id).  Since
-``retrieve_channels`` returns each channel already sorted by (-score, id),
-the merge sorts nothing: it is a stable partition of the dense list into
+each channel arrives sorted by (-score, id) (``retrieve_channels``), the
+merge sorts nothing: it is a stable partition of the dense list into
 BOTH and DR-only by lookup in the generative scores, followed by the
 generative hits the dense list lacks.  Callers that want channel-specific
 quality thresholds apply their own floors to the raw lists
@@ -26,12 +35,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import Vocab, texts_of, tokenize
+# ``tokenize``, ``search`` and ``encode``, the one-item cases of what this
+# module calls, are imported only so the benchmark's tracer finds them here.
+from .corpus import Vocab, texts_of, tokenize, tokenize_batch  # noqa: F401
 from .decoder import DecodeConfig, permutation_decode
-from .dense_index import DenseIndex, search
-from .encoder import EncoderParams, encode
+from .dense_index import GRAPH, DenseIndex, search, search_batch  # noqa: F401
+from .encoder import EncoderParams, encode, encode_batch  # noqa: F401
 from .errors import ValidationError
 from .trie import FORWARD, REVERSED, KeywordTrie
+
+#: The most bytes any one array of a chunk may take.  256 KiB of tables is
+#: ~10 graph5k and ~23 prefix100k queries per chunk.
+CHUNK_BYTES = 256 * 1024
 
 SOURCE_NLG = "NLG"
 SOURCE_DR = "DR"
@@ -117,6 +132,36 @@ class EngineBundle:
                 raise ValidationError("representatives must be exactly the index ids")
 
 
+def chunk_size(bundle: EngineBundle) -> int:
+    """Queries per chunk: the most whose (queries x M x V) float64 tables,
+    and for a graph index the (queries x rows) seen mask, each fit in
+    ``CHUNK_BYTES``; at least one."""
+    per_query = bundle.params.max_len * bundle.params.vocab_size * 8
+    if bundle.index.kind == GRAPH:
+        per_query = max(per_query, len(bundle.index))
+    return max(1, CHUNK_BYTES // per_query)
+
+
+def _channels(
+    bundle: EngineBundle, queries: Sequence[str]
+) -> list[tuple[list[tuple[int, float]], list[tuple[int, float]]]]:
+    """``retrieve_channels`` of every query of one chunk: one tokenize, one
+    encoder forward and one dense search for the chunk, then the decode
+    and the group expansion per query."""
+    flat_ids, lengths = tokenize_batch(queries, bundle.vocab, "query", bundle.params.max_len)
+    output = encode_batch(bundle.params, flat_ids, lengths)
+    k = min(bundle.dense_k, len(bundle.index))
+    hits = search_batch(bundle.index, output.dr_embedding, k) if k else [[] for _ in queries]
+    channels = []
+    for table, dr in zip(output.nar_logprobs, hits):
+        nlg = permutation_decode(table, bundle.forward_trie, bundle.reversed_trie, bundle.decode)
+        if bundle.groups is not None:
+            members = [(kid, score) for rep, score in dr for kid in bundle.groups[rep]]
+            dr = sorted(members, key=lambda hit: (-hit[1], hit[0]))[: bundle.dense_k]
+        channels.append((nlg, dr))
+    return channels
+
+
 def retrieve_channels(
     bundle: EngineBundle, query_text: str
 ) -> tuple[list[tuple[int, float]], list[tuple[int, float]]]:
@@ -129,33 +174,24 @@ def retrieve_channels(
     score, and the expanded hits are ordered by (-score, id) and cut at
     ``dense_k``.
 
-    Ordering contract, which ``retrieve`` relies on: each list is sorted
+    Ordering contract, which the merge relies on: each list is sorted
     by (-score, id) and holds each keyword id at most once.
-    ``permutation_decode`` and ``search`` return their hits in that order,
-    and the group expansion sorts into it.
+    ``permutation_decode`` and ``search_batch`` return their hits in that
+    order, and the group expansion sorts into it.
     """
-    tokens = tokenize(query_text, bundle.vocab, "query", bundle.params.max_len)
-    output = encode(bundle.params, tokens)
-    nlg = permutation_decode(
-        output.nar_logprobs, bundle.forward_trie, bundle.reversed_trie, bundle.decode
-    )
-    k = min(bundle.dense_k, len(bundle.index))
-    dr = search(bundle.index, output.dr_embedding, k) if k else []
-    if bundle.groups is not None:
-        members = [(kid, score) for rep, score in dr for kid in bundle.groups[rep]]
-        dr = sorted(members, key=lambda hit: (-hit[1], hit[0]))[: bundle.dense_k]
-    return nlg, dr
+    return _channels(bundle, [query_text])[0]
 
 
-def retrieve(bundle: EngineBundle, query_text: str) -> list[RetrievalResult]:
-    """Merged results of both channels; exactly one encoder evaluation.
+def _merge(
+    bundle: EngineBundle, nlg: list[tuple[int, float]], dr: list[tuple[int, float]]
+) -> list[RetrievalResult]:
+    """One query's channels as merged results (see the module docstring).
 
     Both channel lists arrive sorted by (-score, id), so the merged order
     is a stable partition of them: one pass over the dense hits splits
     BOTH from DR-only, then the generative hits the dense channel lacks.
     Their texts come from the catalog in one call.
     """
-    nlg, dr = retrieve_channels(bundle, query_text)
     nlg_scores, dr_scores = dict(nlg), dict(dr)
     nlg_only = [kid for kid, _ in nlg if kid not in dr_scores]
     texts = texts_of(bundle.catalog, [kid for kid, _ in dr] + nlg_only)
@@ -170,6 +206,25 @@ def retrieve(bundle: EngineBundle, query_text: str) -> list[RetrievalResult]:
     merged += (RetrievalResult(kid, text, nlg_scores[kid], None, SOURCE_NLG)
                for kid, text in zip(nlg_only, texts[len(dr):]))
     return merged
+
+
+def retrieve_batch(bundle: EngineBundle, queries: Sequence[str]) -> list[list[RetrievalResult]]:
+    """Merged results of both channels for each query, in order; exactly
+    one encoder evaluation per query.
+
+    The queries are served ``chunk_size(bundle)`` at a time, so every
+    array a chunk needs stays within ``CHUNK_BYTES`` however many queries
+    there are.  Each query's results equal what ``retrieve`` gives it alone.
+    """
+    size = chunk_size(bundle)
+    return [_merge(bundle, nlg, dr)
+            for lo in range(0, len(queries), size)
+            for nlg, dr in _channels(bundle, queries[lo:lo + size])]
+
+
+def retrieve(bundle: EngineBundle, query_text: str) -> list[RetrievalResult]:
+    """``retrieve_batch`` of one query."""
+    return retrieve_batch(bundle, [query_text])[0]
 
 
 def overlap_stats(results_a, results_b) -> dict[str, float]:

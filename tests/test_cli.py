@@ -40,6 +40,7 @@ from unikw import (
 )
 from unikw.cli import load_bundle, main
 from unikw.fileio import frame
+from unikw.retriever import chunk_size, results_to_jsonl_line
 
 from oracles import reference_load_keywords, reference_normalize, scalar_trie
 from synthdata import make_training_corpus, write_corpus_files
@@ -405,23 +406,31 @@ class TestPipeline:
     def test_failing_query_leaves_no_out_file(self, pipeline, tmp_path, capsys, monkeypatch):
         from unikw import cli
 
-        served, retrieve = [], cli.retrieve
+        size = cli.chunk_size(load_bundle(pipeline["bundle"]))
+        texts = pipeline["paths"]["queries"].read_text(encoding="utf-8").splitlines()
+        queries = tmp_path / "queries.txt"  # two chunks and one query more
+        queries.write_text("".join(texts[i % len(texts)] + "\n" for i in range(2 * size + 1)),
+                           encoding="utf-8")
+        served, retrieve_batch = [], cli.retrieve_batch
 
-        def fail_on_second(bundle, query):
-            served.append(query)
+        def fail_in_second_chunk(bundle, chunk):
+            served.append(len(chunk))
+            results = retrieve_batch(bundle, chunk)
             if len(served) == 2:
                 raise ConsistencyError("decoding orders disagree")
-            return retrieve(bundle, query)
+            return results
 
-        monkeypatch.setattr(cli, "retrieve", fail_on_second)
+        monkeypatch.setattr(cli, "retrieve_batch", fail_in_second_chunk)
+        out = tmp_path / "out"
+        out.mkdir()
         code = main([
             "retrieve", "--bundle-dir", str(pipeline["bundle"]),
-            "--queries", str(pipeline["paths"]["queries"]), "--out", str(tmp_path / "r.jsonl"),
+            "--queries", str(queries), "--out", str(out / "r.jsonl"),
         ])
-        assert code == 4 and len(served) == 2
+        assert code == 4 and served == [size, size]
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"]["kind"] == "consistency"
-        assert list(tmp_path.iterdir()) == []  # neither --out nor its partial file
+        assert list(out.iterdir()) == []  # neither --out nor its partial file
 
     @pytest.mark.parametrize("case, message", [
         ("duplicate", "duplicate ids"), ("u64-max", "outside the catalog"),
@@ -483,6 +492,25 @@ class TestPipeline:
         assert code == 2
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"]["kind"] == "validation" and "version 1" in err["error"]["message"]
+
+
+class TestChunkedRetrieve:
+    @pytest.mark.parametrize("which", ["graph", "clustered"])
+    def test_lines_equal_per_query_library_lines(self, pipeline, clustered, tmp_path, which):
+        """`unikw retrieve` over a file of more than two chunks writes, line
+        for line, what `retrieve` gives each query alone."""
+        bundle_dir = pipeline["bundle"] if which == "graph" else clustered["bundle"]
+        bundle = load_bundle(bundle_dir)
+        texts = pipeline["paths"]["queries"].read_text(encoding="utf-8").splitlines()
+        texts += ["zzz qqq", "<unk> </kw> <pad>", " ".join(texts[:3]), texts[0]]
+        queries = [texts[i % len(texts)] for i in range(2 * chunk_size(bundle) + 3)]
+        path = tmp_path / "queries.txt"
+        path.write_text("".join(q + "\n" for q in queries), encoding="utf-8")
+        out = tmp_path / "r.jsonl"
+        assert main(["retrieve", "--bundle-dir", str(bundle_dir), "--queries", str(path),
+                     "--out", str(out)]) == 0
+        want = [results_to_jsonl_line(q, retrieve(bundle, q)) for q in queries]
+        assert out.read_text(encoding="utf-8").splitlines() == want
 
 
 class TestLibraryParity:

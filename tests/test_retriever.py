@@ -181,7 +181,8 @@ class TestMergeOrder:
         pool = sorted(groups) if grouped else list(range(40))
         nlg, dr = [], []
         monkeypatch.setattr(retriever_module, "permutation_decode", lambda *args: nlg)
-        monkeypatch.setattr(retriever_module, "search", lambda index, query, k: dr[:k])
+        monkeypatch.setattr(retriever_module, "search_batch",
+                            lambda index, queries, k: [dr[:k] for _ in queries])
         sources = set()
         for _ in range(60):
             nlg_ids = rng.choice(40, size=int(rng.integers(0, 25)), replace=False)
