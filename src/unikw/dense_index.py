@@ -432,11 +432,15 @@ def _graph_search(
     query if its (query, row) cell of the unseen mask is set, and repeats
     go with one sort of the cells.  ``einsum`` makes identical rows equally
     far from a query.  The query bits hold ``2**(31 - row bits)`` queries;
-    ``search_batch`` passes no more.
+    ``search_batch`` passes no more.  A lone query skips the owner
+    bookkeeping, so ``search`` pays next to nothing for the batch: its cells
+    are its rows, its keys have no query bits, and its ``einsum`` sums each
+    row as the batch's does.
 
     Returns each query's list rows, by (distance, row), and the rows
     expanded as ``(owner, row)`` arrays in the order of expansion."""
     n, count = len(index), len(queries)
+    many = count > 1
     row_bits = _row_bits(n)
     row_mask, shift, one = np.uint64((1 << row_bits) - 1), np.uint64(row_bits + 33), np.uint64(1)
     owners, fresh = np.arange(count), np.full(count, index.entry)
@@ -447,9 +451,14 @@ def _graph_search(
     expanded_owners: list[np.ndarray] = []
     expanded: list[np.ndarray] = []
     while True:
-        dists = 1.0 - np.einsum("ij,ij->i", index.vectors.take(fresh, axis=0),
-                                queries.take(owners, axis=0))
-        found = high.take(owners) | _list_keys(dists, fresh, row_bits)
+        near = index.vectors.take(fresh, axis=0)
+        if many:
+            dists = 1.0 - np.einsum("ij,ij->i", near, queries.take(owners, axis=0))
+        else:
+            dists = 1.0 - np.einsum("ij,j->i", near, queries[0])
+        found = _list_keys(dists, fresh, row_bits)
+        if many:
+            found |= high.take(owners)
         keys = np.sort(np.concatenate([keys, found]))
         keys = keys[_first_of_each(keys, shift, count, width)]
         pick = np.flatnonzero(keys & one)
@@ -459,24 +468,24 @@ def _graph_search(
         picked = keys[pick] - one
         keys[pick] = picked
         nodes = (picked >> one & row_mask).astype(np.int64)
-        owner = (picked >> shift).astype(np.int64)
-        expanded_owners.append(owner)
         expanded.append(nodes)
         lo, deg = index.offsets[nodes], index.offsets[nodes + 1] - index.offsets[nodes]
-        cells = np.repeat(owner * n, deg) + index.neighbors[
-            np.repeat(lo - np.cumsum(deg) + deg, deg) + np.arange(deg.sum())]
+        cells = index.neighbors[np.repeat(lo - np.cumsum(deg) + deg, deg) + np.arange(deg.sum())]
+        if many:
+            owner = (picked >> shift).astype(np.int64)
+            expanded_owners.append(owner)
+            cells = np.repeat(owner * n, deg) + cells
         cells = np.sort(cells[unseen[cells]])
         first = np.ones(len(cells), dtype=bool)  # drop repeats: keep a cell's first copy
         np.not_equal(cells[1:], cells[:-1], out=first[1:])
         cells = cells[first]
         unseen[cells] = False
-        owners, fresh = np.divmod(cells, n)
-    rows = (keys >> one & row_mask).astype(np.int64)
+        owners, fresh = np.divmod(cells, n) if many else (None, cells)
+    rows, expanded = (keys >> one & row_mask).astype(np.int64), np.concatenate(expanded)
+    if not many:
+        return [rows], np.zeros_like(expanded), expanded
     bounds = np.arange(1, count, dtype=np.uint64) << shift
-    lists = np.split(rows, np.searchsorted(keys, bounds)) if count > 1 else [rows]
-    if not expanded:
-        return lists, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    return lists, np.concatenate(expanded_owners), np.concatenate(expanded)
+    return np.split(rows, np.searchsorted(keys, bounds)), np.concatenate(expanded_owners), expanded
 
 
 def _greedy_search(

@@ -219,6 +219,22 @@ class TestGraphSearchBatch:
         assert search_batch(index, np.empty((0, 8)), 5) == []
         assert search_batch(build_exact(np.empty((0, 8)), []), queries, 5) == [[]] * 17
 
+    def test_more_queries_than_the_key_holds(self, monkeypatch):
+        """With row numbers 29 bits wide a key's top bits hold 4 queries,
+        so 10 queries search in groups of 4, 4 and 2."""
+        rng = np.random.default_rng(34)
+        v = rng.normal(size=(120, 8))
+        index = build_graph(v, np.arange(120), max_degree=8, build_width=16, seed=0)
+        queries = rng.normal(size=(10, 8))
+        want = [search(index, q, 7) for q in queries]
+        groups = []
+        graph_search = dense_index._graph_search
+        monkeypatch.setattr(dense_index, "_row_bits", lambda n: 29)
+        monkeypatch.setattr(dense_index, "_graph_search",
+                            lambda index, qs, width: groups.append(len(qs)) or graph_search(index, qs, width))
+        assert search_batch(index, queries, 7) == want
+        assert groups == [4, 4, 2]
+
     @pytest.mark.parametrize("kind", ["exact", "graph"])
     def test_each_query_scaled_by_its_own_norm(self, kind):
         """Scores are the float64 rescore against ``q / np.linalg.norm(q)``,
