@@ -304,8 +304,8 @@ def cmd_retrieve(args) -> int:
         with open(partial, "w", encoding="utf-8") as f:
             for lo in range(0, len(queries), size):
                 chunk = queries[lo:lo + size]
-                f.writelines(map("{}\n".format, map(results_to_jsonl_line, chunk,
-                                                   retrieve_batch(bundle, chunk))))
+                lines = map(results_to_jsonl_line, chunk, retrieve_batch(bundle, chunk))
+                f.writelines(line + "\n" for line in lines)
         os.replace(partial, out)
     finally:
         partial.unlink(missing_ok=True)

@@ -39,6 +39,11 @@ batch would cross that size and round differently with the thread count.
 The log-sum-exp is shifted by each row's max.  Negative mining ranks a
 batch's keyword pool with one row-wise sort, and the balanced k-means
 assigns points in at most k + 1 array passes.
+
+Serving follows the same rule: ``encode_batch`` runs a chunk of queries
+through stacked matmuls with one query per item, so each query's rows
+are the bits ``encode`` gives it alone, in any chunk and at any BLAS
+thread count.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ the merge per query.  A query's results do not depend on its chunk: the
 encoder's rows and the dense hits are the same bits in any batch, so
 ``retrieve_batch(bundle, qs)[i] == retrieve(bundle, qs[i])``.  A chunk
 holds as many queries as keep each of its arrays (the queries' M x V
-tables, a graph search's seen mask) within ``CHUNK_BYTES``.
+tables, a graph search's unseen mask) within ``CHUNK_BYTES``.
 
 Merged ordering is a convention, not a model output: keywords found by
 both channels come first, then dense-only results, both by (-dense score,
@@ -134,7 +134,7 @@ class EngineBundle:
 
 def chunk_size(bundle: EngineBundle) -> int:
     """Queries per chunk: the most whose (queries x M x V) float64 tables,
-    and for a graph index the (queries x rows) seen mask, each fit in
+    and for a graph index the (queries x rows) unseen mask, each fit in
     ``CHUNK_BYTES``; at least one."""
     per_query = bundle.params.max_len * bundle.params.vocab_size * 8
     if bundle.index.kind == GRAPH:

@@ -36,6 +36,7 @@ from unikw.retriever import chunk_size
 
 from conftest import bundle_from_catalog
 from oracles import scalar_greedy_search
+from test_dense_index import random_graph_index
 
 WORDS = ["red", "blue", "green", "shoes", "boots", "kettle", "ink", "printer",
          "hp", "running", "electric", "cartridge", "black", "steel", "glass"]
@@ -159,21 +160,6 @@ class TestEncodeBatch:
                     assert np.array_equal(out.nar_logprobs[i], want.nar_logprobs)
 
 
-def _random_graph(rng, n, dim, max_degree):
-    """Random rows, a third of them copies of row 0, on a random CSR graph."""
-    v = rng.normal(size=(n, dim))
-    v[: n // 3] = v[0]
-    rows = []
-    for row in range(n):
-        nbrs = rng.choice(n - 1, int(rng.integers(0, min(max_degree, n - 1) + 1)), replace=False)
-        rows.append(np.sort(nbrs + (nbrs >= row)))
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum([len(r) for r in rows], out=offsets[1:])
-    return replace(build_exact(v, np.arange(n)), kind=dense_index.GRAPH, offsets=offsets,
-                   neighbors=np.concatenate(rows).astype(np.int32), entry=int(rng.integers(n)),
-                   max_degree=max_degree)
-
-
 class TestGraphSearchBatch:
     @pytest.mark.parametrize("beam", [1, None])
     def test_every_query_searches_as_it_would_alone(self, monkeypatch, beam):
@@ -184,7 +170,7 @@ class TestGraphSearchBatch:
         rng = np.random.default_rng(31)
         for _ in range(80):
             n = int(rng.integers(1, 90))
-            index = _random_graph(rng, n, 4, int(rng.integers(2, 12)))
+            index = random_graph_index(rng, n, 4, int(rng.integers(2, 12)))
             count = int(rng.integers(1, 9))
             queries = rng.normal(size=(count, 4))
             queries[rng.random(count) < 0.3] = index.vectors[0]  # copies tie at distance 0
