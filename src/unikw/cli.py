@@ -294,9 +294,9 @@ def cmd_retrieve(args) -> int:
         dense_k=args.topk,
     )
     queries = _read_queries(args.queries)
-    # Each chunk's lines are written before the next chunk runs, into a
-    # temporary file beside --out that replaces it only once every chunk
-    # has succeeded.
+    # Each chunk's lines are written, and its results freed, before the
+    # next chunk runs, into a temporary file beside --out that replaces it
+    # only once every chunk has succeeded.
     out = Path(args.out)
     partial = out.with_name(f".{out.name}.{os.getpid()}.partial")
     size = chunk_size(bundle)
@@ -304,8 +304,8 @@ def cmd_retrieve(args) -> int:
         with open(partial, "w", encoding="utf-8") as f:
             for lo in range(0, len(queries), size):
                 chunk = queries[lo:lo + size]
-                lines = map(results_to_jsonl_line, chunk, retrieve_batch(bundle, chunk))
-                f.writelines(line + "\n" for line in lines)
+                f.writelines(map("{}\n".format, map(results_to_jsonl_line, chunk,
+                                                   retrieve_batch(bundle, chunk))))
         os.replace(partial, out)
     finally:
         partial.unlink(missing_ok=True)
