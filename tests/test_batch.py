@@ -110,7 +110,7 @@ class TestRetrieveBatch:
         assert retrieve_batch(engine, []) == []
         assert engine.params.forward_counter.count == before
 
-    def test_chunk_size_bounds_the_tables_and_the_seen_mask(self, engines):
+    def test_chunk_size_bounds_the_tables_and_the_unseen_mask(self, engines):
         engine = engines["exact", False]
         table = engine.params.max_len * engine.params.vocab_size * 8
         assert chunk_size(engine) == retriever_module.CHUNK_BYTES // table
