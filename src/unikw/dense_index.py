@@ -12,13 +12,15 @@ first pass at slack 1.0: on graph5k's trained rows that cut the build by a
 third to a half and kept recall against the exact scan (recall@10 1.0,
 recall@100 0.99927 over its 150 queries; 0.99913 with the first pass).
 Batches, as in ParlayANN (Manohar et al., PPoPP 2024), double from 1 row
-up to ``_MAX_BATCH_FRACTION`` of the rows, then stay there.  A batch's
-points search the graph as it stood when the batch started, from the first
-row inserted, in one array beam search; their candidate lists are pruned
-in one batched robust prune; the reverse edges are grouped by target with
-one sort, and only targets that overflow are pruned again.  Query search
-starts at the medoid, is best-first and expands up to ``_SEARCH_BEAM``
-rows per step, DiskANN's beam width W; one array search serves a batch of
+up to ``_MAX_BATCH_FRACTION`` of the rows, then stay there.  As in
+DiskANN, points are inserted with the search that serves queries,
+``_graph_search``: a batch's points search the graph as it stood when the
+batch started, from the first row inserted, expanding up to
+``_BEAM_WIDTH`` rows per step; their candidate lists are pruned in one
+batched robust prune; the reverse edges are grouped by target with one
+sort, and only targets that overflow are pruned again.  Query search
+starts at the medoid and expands up to ``_SEARCH_BEAM`` rows per step,
+DiskANN's beam width W.  Either way one array search serves many
 queries, each taking the steps it would take alone.
 
 The robust-prune rule keeps the closest remaining candidate ``c`` and
@@ -124,6 +126,7 @@ _BEAM_WIDTH = 4              # candidates each point expands per build search st
 _SEARCH_BEAM = 32            # candidates a query expands per search step
 _MAX_BATCH_FRACTION = 0.02   # the largest insertion batch, as a share of the rows
 _PRUNE_BLOCK = 1 << 21       # pairwise distances per prune chunk: 8 MiB of float32
+_MASK_BYTES = 1 << 22        # the unseen mask of one group of graph-search queries: 4 MiB
 
 
 def _row_distances(vectors: np.ndarray, rows: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -134,18 +137,18 @@ def _row_distances(vectors: np.ndarray, rows: np.ndarray, points: np.ndarray) ->
     return 1.0 - np.einsum("ij,ij->i", vectors[rows], vectors[points])
 
 
-_PAD = np.uint64(2**64 - 1)   # an empty slot of a build search list
-_ROW_MASK = np.uint64(2**31 - 1)
 _SIGN = np.int32(-2**31)
 
 
-def _list_keys(dists: np.ndarray, rows: np.ndarray, row_bits: int = 31) -> np.ndarray:
+def _list_keys(dists: np.ndarray, rows: np.ndarray, row_bits: int) -> np.ndarray:
     """One uint64 per (distance, row) that sorts as the pair does.
 
     Bits ``row_bits + 1`` to ``row_bits + 32`` hold the float32 distance
     mapped to an unsigned integer of the same order, the ``row_bits`` below
     them the row; the lowest bit is set while the row is unexpanded.  The
-    bits above are free for a query search's query (``_graph_search``)."""
+    ``31 - row_bits`` bits above hold the query's index in a group of
+    ``_graph_search``, which searches no more queries at a time than they
+    hold."""
     bits = np.ascontiguousarray(dists, dtype=np.float32).view(np.int32)
     # A negative distance has every bit flipped, any other its sign bit set.
     ordered = (bits ^ (bits >> 31 | _SIGN)).view(np.uint32).astype(np.uint64)
@@ -160,63 +163,6 @@ def _first_of_each(keys: np.ndarray, shift: np.uint64, count: int, size: int):
         return slice(size)
     query = keys >> shift
     return np.arange(len(keys)) - query.searchsorted(query) < size
-
-
-def _search_batch(
-    vectors: np.ndarray, adj: np.ndarray, start: int, points: np.ndarray, width: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Beam search from ``start`` for every row of ``points`` at once.
-
-    ``adj`` is the build graph, one row of neighbours per node padded with
-    -1.  Each point keeps a list of its ``width`` closest rows found, by
-    (distance, row), as sorted ``_list_keys``.  A step expands up to
-    ``_BEAM_WIDTH`` of each point's closest unexpanded rows: one gather of
-    their neighbour rows, one distance call for the neighbours not yet in
-    the list, one sort to merge them in.  A point is done when every row in
-    its list is expanded.  Returns the expanded rows as ``(owner, row)``
-    pairs, ``owner`` an index into ``points``."""
-    degree = adj.shape[1]
-    lists = np.full((len(points), width), _PAD, dtype=np.uint64)
-    starts = np.full(len(points), start)
-    lists[:, 0] = _list_keys(_row_distances(vectors, starts, points), starts)
-    owners: list[np.ndarray] = []
-    expanded: list[np.ndarray] = []
-    live = np.arange(len(points))
-    while True:
-        keys = lists[live]
-        open_ = (keys & np.uint64(1) == 1) & (keys != _PAD)
-        rank = np.cumsum(open_, axis=1)
-        pick = open_ & (rank <= _BEAM_WIDTH)
-        busy = pick.any(axis=1)
-        if not busy.all():
-            live, keys, pick, rank = live[busy], keys[busy], pick[busy], rank[busy]
-        if not len(live):
-            break
-        r, c = np.nonzero(pick)
-        keys[r, c] -= np.uint64(1)
-        nodes = (keys[r, c] >> np.uint64(1) & _ROW_MASK).astype(np.int64)
-        owners.append(live[r])
-        expanded.append(nodes)
-
-        fresh = np.full((len(live), _BEAM_WIDTH, degree), -1, dtype=np.int64)
-        fresh[r, rank[r, c] - 1] = adj[nodes]
-        # Sort the rows in the list and the fresh ones together, a list row
-        # first: a fresh row is new if it is neither in the list nor repeated.
-        in_list = (keys >> np.uint64(1) & _ROW_MASK).astype(np.int64)
-        found = np.concatenate([in_list * 2, fresh.reshape(len(live), -1) * 2 + 1], axis=1)
-        found.sort(axis=1)
-        new = (found & 1 == 1) & (found >= 0)
-        new[:, 1:] &= found[:, 1:] >> 1 != found[:, :-1] >> 1
-        nr, nc = np.nonzero(new)
-        rows = found[nr, nc] >> 1
-        merged = np.full(found.shape, _PAD, dtype=np.uint64)
-        merged[nr, nc] = _list_keys(_row_distances(vectors, rows, points[live[nr]]), rows)
-        merged = np.concatenate([keys, merged], axis=1)
-        merged.sort(axis=1)
-        lists[live] = merged[:, :width]
-    if not owners:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    return np.concatenate(owners), np.concatenate(expanded)
 
 
 def _robust_prune(
@@ -372,12 +318,14 @@ def build_graph(
     limits = degree - copies.astype(np.int64)  # a slot for the ring edge
 
     adj = np.full((n, degree), -1, dtype=np.int32)
+    slots = np.arange(n + 1) * degree  # row r's neighbours start at adj.ravel()[slots[r]]
     bounds = _batch_bounds(n)
     # A search reaches only inserted rows, so a row has no edges before its
     # batch: its candidates are the rows its search expanded.
     for lo, hi in zip(bounds, bounds[1:]):
         points = order[lo:hi]
-        owners, expanded = _search_batch(vectors, adj, int(order[0]), points, width)
+        _, owners, expanded = _graph_search(vectors, slots, adj.ravel(), int(order[0]),
+                                            vectors[points], width, _BEAM_WIDTH)
         kept = _robust_prune(vectors, points, owners, expanded, prune_slack, limits[points], groups)
         _set_rows(adj, points, kept)
         _add_reverse_edges(vectors, adj, points, prune_slack, limits, groups)
@@ -417,41 +365,77 @@ def _row_bits(n: int) -> int:
 
 
 def _graph_search(
-    index: DenseIndex, queries: np.ndarray, width: int
+    vectors: np.ndarray,
+    offsets: np.ndarray,
+    neighbors: np.ndarray,
+    start: int,
+    queries: np.ndarray,
+    width: int,
+    beam: int,
 ) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
-    """Best-first search from the entry point over the CSR graph, for every
-    row of ``queries`` (float32, unit) at once.
+    """Best-first search from row ``start`` over a CSR graph, for every row
+    of ``queries`` (float32, unit) at once: the one search that both
+    ``build_graph`` and ``search_batch`` run.
 
-    Each query keeps a list of the ``width`` closest rows found; each step
-    expands the first ``_SEARCH_BEAM`` unexpanded rows of every list, until
-    no list has one left.  All lists live in one sorted 1-D array of keys:
-    ``_list_keys`` with the query's index in the bits above the distance,
-    so one sort merges every query's new rows into its list and a
-    ``searchsorted`` on the query bits finds where each list starts.  A
-    query's steps are those it would take alone.  A neighbour is new to a
-    query if its (query, row) cell of the unseen mask is set, and repeats
-    go with one sort of the cells.  ``einsum`` makes identical rows equally
-    far from a query.  The query bits hold ``2**(31 - row bits)`` queries;
-    ``search_batch`` passes no more.  A lone query skips the owner
-    bookkeeping, so ``search`` pays next to nothing for the batch: its cells
-    are its rows, its keys have no query bits, and its ``einsum`` sums each
-    row as the batch's does.
+    Row r's neighbours are ``neighbors[offsets[r]:offsets[r + 1]]``; entries
+    of -1 are skipped, so a padded adjacency ``adj`` is searched through
+    ``np.arange(n + 1) * degree`` and ``adj.ravel()``.  Each query keeps a
+    list of the ``width`` closest rows found, by (distance, row); each step
+    expands the first ``beam`` unexpanded rows of every list, until no list
+    has one left.  A query's steps are those it would take alone.  The
+    queries are searched in groups (``_search_group``), as many at a time
+    as a key's query bits hold and as keep the group's unseen mask within
+    ``_MASK_BYTES``, so callers need not bound the batch.
 
     Returns each query's list rows, by (distance, row), and the rows
-    expanded as ``(owner, row)`` arrays in the order of expansion."""
-    n, count = len(index), len(queries)
+    expanded as ``(owner, row)`` arrays, a group's in the order of
+    expansion."""
+    row_bits = _row_bits(len(vectors))
+    group = max(1, min(1 << (31 - row_bits), _MASK_BYTES // (len(vectors) + 1)))
+    lists: list[np.ndarray] = []
+    owners, expanded = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    for lo in range(0, len(queries), group):
+        got = _search_group(vectors, offsets, neighbors, start, queries[lo:lo + group],
+                            width, beam, row_bits)
+        lists += got[0]
+        owners.append(got[1] + lo)
+        expanded.append(got[2])
+    return lists, np.concatenate(owners), np.concatenate(expanded)
+
+
+def _search_group(vectors, offsets, neighbors, start: int, queries, width: int, beam: int,
+                  row_bits: int) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+    """``_graph_search`` of queries that one key array holds.
+
+    All lists live in one sorted 1-D array of keys: ``_list_keys`` with
+    the query's index in the bits above the distance, so one sort merges
+    every query's new rows into its list and a ``searchsorted`` on the
+    query bits finds where each list starts.  A neighbour is new to a
+    query if its (query, row) cell of the unseen mask is set, and repeats
+    go with one sort of the cells.  Deduping against the list alone would
+    give the same lists, since a row cut from a list never gets back in (a
+    list's last key only falls), but costs more per step.  ``einsum``
+    makes identical rows equally far from a query.  A lone query skips the
+    owner bookkeeping, so ``search`` pays next to nothing for the batch:
+    its cells are its rows, its keys have no query bits, and its
+    ``einsum`` sums each row as the batch's does."""
+    n, count = len(vectors), len(queries)
     many = count > 1
-    row_bits = _row_bits(n)
     row_mask, shift, one = np.uint64((1 << row_bits) - 1), np.uint64(row_bits + 33), np.uint64(1)
-    owners, fresh = np.arange(count), np.full(count, index.entry)
+    owners, fresh = np.arange(count), np.full(count, start)
     high = owners.astype(np.uint64) << shift  # each query's bits of a key
-    unseen = np.ones(count * n, dtype=bool)  # cell owner * n + row
-    unseen[owners * n + fresh] = False
+    # Cell owner * stride + row.  Each query's cell n is never unseen: query
+    # q's neighbour entry of -1 lands on cell q * stride - 1, query q - 1's
+    # cell n (query 0's on the last query's), so the unseen test drops it.
+    stride = n + 1
+    unseen = np.ones(count * stride, dtype=bool)
+    unseen[n::stride] = False
+    unseen[owners * stride + fresh] = False
     keys = np.empty(0, dtype=np.uint64)
     expanded_owners: list[np.ndarray] = []
     expanded: list[np.ndarray] = []
     while True:
-        near = index.vectors.take(fresh, axis=0)
+        near = vectors.take(fresh, axis=0)
         if many:
             dists = 1.0 - np.einsum("ij,ij->i", near, queries.take(owners, axis=0))
         else:
@@ -462,39 +446,30 @@ def _graph_search(
         keys = np.sort(np.concatenate([keys, found]))
         keys = keys[_first_of_each(keys, shift, count, width)]
         pick = np.flatnonzero(keys & one)
-        pick = pick[_first_of_each(keys[pick], shift, count, _SEARCH_BEAM)]
+        pick = pick[_first_of_each(keys[pick], shift, count, beam)]
         if not len(pick):
             break
         picked = keys[pick] - one
         keys[pick] = picked
         nodes = (picked >> one & row_mask).astype(np.int64)
         expanded.append(nodes)
-        lo, deg = index.offsets[nodes], index.offsets[nodes + 1] - index.offsets[nodes]
-        cells = index.neighbors[np.repeat(lo - np.cumsum(deg) + deg, deg) + np.arange(deg.sum())]
+        lo, deg = offsets[nodes], offsets[nodes + 1] - offsets[nodes]
+        cells = neighbors[np.repeat(lo - np.cumsum(deg) + deg, deg) + np.arange(deg.sum())]
         if many:
             owner = (picked >> shift).astype(np.int64)
             expanded_owners.append(owner)
-            cells = np.repeat(owner * n, deg) + cells
+            cells = np.repeat(owner * stride, deg) + cells
         cells = np.sort(cells[unseen[cells]])
         first = np.ones(len(cells), dtype=bool)  # drop repeats: keep a cell's first copy
         np.not_equal(cells[1:], cells[:-1], out=first[1:])
         cells = cells[first]
         unseen[cells] = False
-        owners, fresh = np.divmod(cells, n) if many else (None, cells)
+        owners, fresh = np.divmod(cells, stride) if many else (None, cells)
     rows, expanded = (keys >> one & row_mask).astype(np.int64), np.concatenate(expanded)
     if not many:
         return [rows], np.zeros_like(expanded), expanded
     bounds = np.arange(1, count, dtype=np.uint64) << shift
     return np.split(rows, np.searchsorted(keys, bounds)), np.concatenate(expanded_owners), expanded
-
-
-def _greedy_search(
-    index: DenseIndex, query: np.ndarray, width: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """``_graph_search`` of one float64 unit query: its list rows and the
-    rows expanded, in order."""
-    lists, _, expanded = _graph_search(index, query.astype(np.float32)[None], width)
-    return lists[0], expanded
 
 
 def _float32_dot_error(dim: int) -> float:
@@ -551,9 +526,10 @@ def search_batch(
 
     Both kinds report float64 scores from ``_rescore``, one query at a
     time, the graph kind for its whole candidate list, so both break ties
-    by id.  The graph kind searches for all queries in one
-    ``_graph_search``, which holds one byte per (query, row) for the rows
-    each query has seen; callers bound the batch (``retrieve_batch`` does).
+    by id.  The graph kind passes all queries to one ``_graph_search``,
+    which bounds its own scratch: it searches them in groups whose unseen
+    masks, one byte per (query, row), stay within ``_MASK_BYTES``, so
+    callers need not bound the batch.
     The exact kind scans for each query with one float32 GEMV: every row
     whose float32 score is within ``2 * _float32_dot_error(d)`` of the k-th
     best float32 score is rescored, so no row of the float64 top k is
@@ -587,10 +563,8 @@ def search_batch(
             hits.append(_rescore(index, np.flatnonzero(scores >= kth - margin), query, k))
         return hits
 
-    width, group = max(search_width, k), 1 << (31 - _row_bits(n))
-    unit32 = unit.astype(np.float32)
-    rows = [lst for lo in range(0, len(unit), group)
-            for lst in _graph_search(index, unit32[lo:lo + group], width)[0]]
+    rows, _, _ = _graph_search(index.vectors, index.offsets, index.neighbors, index.entry,
+                               unit.astype(np.float32), max(search_width, k), _SEARCH_BEAM)
     return [_rescore(index, r, query, k) for r, query in zip(rows, unit)]
 
 

@@ -13,8 +13,8 @@ Queries are served a chunk at a time: one ``tokenize_batch``, one
 the merge per query.  A query's results do not depend on its chunk: the
 encoder's rows and the dense hits are the same bits in any batch, so
 ``retrieve_batch(bundle, qs)[i] == retrieve(bundle, qs[i])``.  A chunk
-holds as many queries as keep each of its arrays (the queries' M x V
-tables, a graph search's unseen mask) within ``CHUNK_BYTES``.
+holds as many queries as keep their M x V tables within ``CHUNK_BYTES``;
+the dense search bounds its own scratch.
 
 Merged ordering is a convention, not a model output: keywords found by
 both channels come first, then dense-only results, both by (-dense score,
@@ -39,13 +39,13 @@ import numpy as np
 # module calls, are imported only so the benchmark's tracer finds them here.
 from .corpus import Vocab, texts_of, tokenize, tokenize_batch  # noqa: F401
 from .decoder import DecodeConfig, permutation_decode
-from .dense_index import GRAPH, DenseIndex, search, search_batch  # noqa: F401
+from .dense_index import DenseIndex, search, search_batch  # noqa: F401
 from .encoder import EncoderParams, encode, encode_batch  # noqa: F401
 from .errors import ValidationError
 from .trie import FORWARD, REVERSED, KeywordTrie
 
-#: The most bytes any one array of a chunk may take.  256 KiB of tables is
-#: ~10 graph5k and ~23 prefix100k queries per chunk.
+#: The most bytes a chunk's M x V tables may take.  256 KiB is ~10 graph5k
+#: and ~23 prefix100k queries per chunk.
 CHUNK_BYTES = 256 * 1024
 
 SOURCE_NLG = "NLG"
@@ -133,13 +133,9 @@ class EngineBundle:
 
 
 def chunk_size(bundle: EngineBundle) -> int:
-    """Queries per chunk: the most whose (queries x M x V) float64 tables,
-    and for a graph index the (queries x rows) unseen mask, each fit in
-    ``CHUNK_BYTES``; at least one."""
-    per_query = bundle.params.max_len * bundle.params.vocab_size * 8
-    if bundle.index.kind == GRAPH:
-        per_query = max(per_query, len(bundle.index))
-    return max(1, CHUNK_BYTES // per_query)
+    """Queries per chunk: the most whose (queries x M x V) float64 tables
+    fit in ``CHUNK_BYTES``; at least one."""
+    return max(1, CHUNK_BYTES // (bundle.params.max_len * bundle.params.vocab_size * 8))
 
 
 def _channels(
@@ -212,9 +208,9 @@ def retrieve_batch(bundle: EngineBundle, queries: Sequence[str]) -> list[list[Re
     """Merged results of both channels for each query, in order; exactly
     one encoder evaluation per query.
 
-    The queries are served ``chunk_size(bundle)`` at a time, so every
-    array a chunk needs stays within ``CHUNK_BYTES`` however many queries
-    there are.  Each query's results equal what ``retrieve`` gives it alone.
+    The queries are served ``chunk_size(bundle)`` at a time, so a chunk's
+    tables stay within ``CHUNK_BYTES`` however many queries there are.
+    Each query's results equal what ``retrieve`` gives it alone.
     """
     size = chunk_size(bundle)
     return [_merge(bundle, nlg, dr)

@@ -31,12 +31,11 @@ from unikw import (
 from unikw import dense_index
 import unikw.retriever as retriever_module
 from unikw.corpus import _flatten
-from unikw.dense_index import _graph_search
 from unikw.retriever import chunk_size
 
 from conftest import bundle_from_catalog
 from oracles import scalar_greedy_search
-from test_dense_index import random_graph_index
+from test_dense_index import graph_search, random_graph_index
 
 WORDS = ["red", "blue", "green", "shoes", "boots", "kettle", "ink", "printer",
          "hp", "running", "electric", "cartridge", "black", "steel", "glass"]
@@ -110,13 +109,13 @@ class TestRetrieveBatch:
         assert retrieve_batch(engine, []) == []
         assert engine.params.forward_counter.count == before
 
-    def test_chunk_size_bounds_the_tables_and_the_unseen_mask(self, engines):
+    def test_chunk_size_bounds_the_tables(self, engines):
         engine = engines["exact", False]
         table = engine.params.max_len * engine.params.vocab_size * 8
         assert chunk_size(engine) == retriever_module.CHUNK_BYTES // table
+        # The index plays no part: a graph search bounds its own unseen mask.
         wide = replace(engine.index, kind=dense_index.GRAPH, vectors=np.zeros((table + 9, 8)))
-        assert chunk_size(replace(engine, index=wide)) == retriever_module.CHUNK_BYTES // (table + 9)
-        assert chunk_size(replace(engine, index=replace(wide, kind="exact"))) == chunk_size(engine)
+        assert chunk_size(replace(engine, index=wide)) == chunk_size(engine)
         with mock.patch.object(retriever_module, "CHUNK_BYTES", 1):
             assert chunk_size(engine) == 1
 
@@ -162,11 +161,10 @@ class TestEncodeBatch:
 
 class TestGraphSearchBatch:
     @pytest.mark.parametrize("beam", [1, None])
-    def test_every_query_searches_as_it_would_alone(self, monkeypatch, beam):
+    def test_every_query_searches_as_it_would_alone(self, beam):
         """Each query's list and expanded rows, in order, are those of its
         search alone; at one row per step, those of the heap oracle."""
-        if beam:
-            monkeypatch.setattr(dense_index, "_SEARCH_BEAM", beam)
+        beam = beam or dense_index._SEARCH_BEAM
         rng = np.random.default_rng(31)
         for _ in range(80):
             n = int(rng.integers(1, 90))
@@ -176,15 +174,16 @@ class TestGraphSearchBatch:
             queries[rng.random(count) < 0.3] = index.vectors[0]  # copies tie at distance 0
             queries = (queries / np.linalg.norm(queries, axis=1, keepdims=True)).astype(np.float32)
             width = int(rng.integers(1, 25))
-            lists, owners, expanded = _graph_search(index, queries, width)
+            lists, owners, expanded = graph_search(index, queries, width, beam)
             assert len(lists) == count
             for q in range(count):
-                alone, alone_owners, alone_expanded = _graph_search(index, queries[q:q + 1], width)
+                alone, alone_owners, alone_expanded = graph_search(index, queries[q:q + 1], width,
+                                                                   beam)
                 assert lists[q].tolist() == alone[0].tolist()
                 assert len(set(lists[q].tolist())) == len(lists[q])
                 assert expanded[owners == q].tolist() == alone_expanded.tolist()
                 assert not alone_owners.any()
-                if beam:
+                if beam == 1:
                     want_rows, want_expanded = scalar_greedy_search(
                         index.vectors, index.offsets, index.neighbors, index.entry, queries[q], width)
                     assert lists[q].tolist() == want_rows
@@ -205,21 +204,36 @@ class TestGraphSearchBatch:
         assert search_batch(index, np.empty((0, 8)), 5) == []
         assert search_batch(build_exact(np.empty((0, 8)), []), queries, 5) == [[]] * 17
 
-    def test_more_queries_than_the_key_holds(self, monkeypatch):
+    def test_queries_split_by_the_key_bits_and_the_mask(self, monkeypatch):
         """With row numbers 29 bits wide a key's top bits hold 4 queries,
-        so 10 queries search in groups of 4, 4 and 2."""
+        so 10 queries search in groups of 4, 4 and 2; a mask budget of 3
+        queries' cells over 120 rows (121 bytes each) makes the groups 3, 3,
+        3 and 1.  Either way each query searches as it would alone."""
         rng = np.random.default_rng(34)
         v = rng.normal(size=(120, 8))
         index = build_graph(v, np.arange(120), max_degree=8, build_width=16, seed=0)
         queries = rng.normal(size=(10, 8))
+        unit = (queries / np.linalg.norm(queries, axis=1, keepdims=True)).astype(np.float32)
+        alone = [graph_search(index, unit[q:q + 1], 7, dense_index._SEARCH_BEAM) for q in range(10)]
         want = [search(index, q, 7) for q in queries]
         groups = []
-        graph_search = dense_index._graph_search
+        search_group = dense_index._search_group
+
+        def spy(*args):
+            groups.append(len(args[4]))
+            return search_group(*args)
+
+        monkeypatch.setattr(dense_index, "_search_group", spy)
         monkeypatch.setattr(dense_index, "_row_bits", lambda n: 29)
-        monkeypatch.setattr(dense_index, "_graph_search",
-                            lambda index, qs, width: groups.append(len(qs)) or graph_search(index, qs, width))
-        assert search_batch(index, queries, 7) == want
-        assert groups == [4, 4, 2]
+        for mask_bytes, sizes in ((dense_index._MASK_BYTES, [4, 4, 2]), (3 * 121, [3, 3, 3, 1])):
+            monkeypatch.setattr(dense_index, "_MASK_BYTES", mask_bytes)
+            groups.clear()
+            lists, owners, expanded = graph_search(index, unit, 7, dense_index._SEARCH_BEAM)
+            assert groups == sizes
+            for q, (rows, _, alone_expanded) in enumerate(alone):
+                assert lists[q].tolist() == rows[0].tolist()
+                assert expanded[owners == q].tolist() == alone_expanded.tolist()
+            assert search_batch(index, queries, 7) == want
 
     @pytest.mark.parametrize("kind", ["exact", "graph"])
     def test_each_query_scaled_by_its_own_norm(self, kind):

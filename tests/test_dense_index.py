@@ -16,7 +16,7 @@ from unikw import (
 )
 
 from unikw import dense_index
-from unikw.dense_index import GRAPH, _batch_bounds, _greedy_search, _robust_prune, _search_batch
+from unikw.dense_index import GRAPH, _batch_bounds, _graph_search, _robust_prune
 
 from oracles import (
     naive_topk,
@@ -337,9 +337,15 @@ def random_graph_index(rng, n, dim, max_degree=8):
                    neighbors=neighbors, entry=int(rng.integers(n)), max_degree=max_degree)
 
 
+def graph_search(index, queries, width, beam):
+    """``_graph_search`` of float32 unit ``queries`` over ``index``'s graph,
+    from its entry."""
+    return _graph_search(index.vectors, index.offsets, index.neighbors, index.entry, queries,
+                         width, beam)
+
+
 class TestGraphSearch:
-    def test_one_row_per_step_matches_the_heap_oracle(self, monkeypatch):
-        monkeypatch.setattr(dense_index, "_SEARCH_BEAM", 1)
+    def test_one_row_per_step_matches_the_heap_oracle(self):
         rng = np.random.default_rng(17)
         for _ in range(300):
             index = random_graph_index(rng, int(rng.integers(1, 120)), dim=4)
@@ -347,7 +353,7 @@ class TestGraphSearch:
             query = rng.normal(size=4) if rng.random() < 0.5 else index.vectors[0].astype(float)
             query /= np.linalg.norm(query)
             width = int(rng.integers(1, 30))
-            rows, expanded = _greedy_search(index, query, width)
+            (rows,), _, expanded = graph_search(index, query.astype(np.float32)[None], width, 1)
             want_rows, want_expanded = scalar_greedy_search(
                 index.vectors, index.offsets, index.neighbors, index.entry, query, width
             )
@@ -363,7 +369,8 @@ class TestGraphSearch:
             index = random_graph_index(rng, n, dim=4, max_degree=int(rng.integers(2, 40)))
             query = rng.normal(size=4)
             query /= np.linalg.norm(query)
-            rows, expanded = _greedy_search(index, query, n)
+            (rows,), _, expanded = graph_search(index, query.astype(np.float32)[None], n,
+                                                dense_index._SEARCH_BEAM)
             want_rows, want_expanded = scalar_greedy_search(
                 index.vectors, index.offsets, index.neighbors, index.entry, query, n
             )
@@ -393,9 +400,10 @@ class TestGraphSearch:
 
 class TestBuildSearch:
     @pytest.mark.parametrize("beam", [1, None])
-    def test_matches_the_scalar_oracle(self, monkeypatch, beam):
-        if beam is not None:
-            monkeypatch.setattr(dense_index, "_BEAM_WIDTH", beam)
+    def test_matches_the_scalar_oracle(self, beam):
+        """The build's search, ``_graph_search`` over the padded adjacency's
+        CSR view from a start row, expands what the list oracle expands."""
+        beam = beam or dense_index._BEAM_WIDTH
         rng = np.random.default_rng(19)
         for trial in range(150):
             n = int(rng.integers(1, 90))
@@ -409,12 +417,33 @@ class TestBuildSearch:
             width = int(rng.integers(1, n + 1)) if trial % 3 else n + int(rng.integers(0, 3))
             points = rng.integers(0, n, 1 if trial % 2 else int(rng.integers(1, 40)))
             start = int(rng.integers(n))
-            owners, expanded = _search_batch(vectors, adj, start, points, width)
+            _, owners, expanded = _graph_search(vectors, np.arange(n + 1) * adj.shape[1],
+                                                adj.ravel(), start, vectors[points], width, beam)
             assert owners.shape == expanded.shape
             for i, point in enumerate(points):
-                want = scalar_build_search(vectors, adj, start, int(point), width,
-                                           dense_index._BEAM_WIDTH)
+                want = scalar_build_search(vectors, adj, start, int(point), width, beam)
                 assert expanded[owners == i].tolist() == want, (trial, i)
+
+    def test_one_query_per_group_builds_the_same_graph(self, monkeypatch):
+        """With a one-byte mask budget each point of a batch searches in a
+        group of its own, and the graph is the one built from whole batches."""
+        rng = np.random.default_rng(20)
+        v = unit_vectors(rng, 600, 8)
+        v[:40] = v[0]
+        want = build_graph(v, np.arange(600), max_degree=8, build_width=16, seed=3)
+        groups = []
+        search_group = dense_index._search_group
+
+        def spy(*args):
+            groups.append(len(args[4]))
+            return search_group(*args)
+
+        monkeypatch.setattr(dense_index, "_search_group", spy)
+        monkeypatch.setattr(dense_index, "_MASK_BYTES", 1)
+        got = build_graph(v, np.arange(600), max_degree=8, build_width=16, seed=3)
+        assert groups == [1] * 600  # batches of up to 12 points, searched one by one
+        assert np.array_equal(got.offsets, want.offsets)
+        assert np.array_equal(got.neighbors, want.neighbors)
 
 
 class TestBatchBounds:
