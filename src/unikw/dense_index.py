@@ -2,6 +2,8 @@
 
 All vectors are unit-normalized, so inner product and cosine coincide and
 ``1 - dot`` is a monotone stand-in for Euclidean distance on the sphere.
+Every index is ``build_exact``'s rows and ids; a graph index adds an
+adjacency to them, and ``DenseIndex.kind`` follows from whether it has one.
 
 The graph index is a flat navigable graph in the manner of Vamana/DiskANN
 (Subramanya et al., NeurIPS 2019): every point keeps at most
@@ -39,7 +41,7 @@ residency.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -50,8 +52,9 @@ EXACT = "exact"
 GRAPH = "graph"
 
 _EMB_MAGIC = b"KEMB"
+_EMB_VERSION = 2
 _GRAPH_MAGIC = b"KGRA"
-_VERSION = 2
+_GRAPH_VERSION = 3
 
 DEFAULT_MAX_DEGREE = 32
 DEFAULT_BUILD_WIDTH = 64
@@ -61,15 +64,18 @@ DEFAULT_PRUNE_SLACK = 1.2
 
 @dataclass
 class DenseIndex:
-    kind: str
+    """The rows and ids search reads, plus the graph kind's adjacency."""
+
     vectors: np.ndarray            # (N, d) float32, unit rows
     ids: np.ndarray                # (N,) int64 keyword ids
     offsets: np.ndarray | None = None    # graph CSR offsets, int64 (N+1,)
     neighbors: np.ndarray | None = None  # graph CSR neighbor rows, int32
     entry: int = 0
     max_degree: int = DEFAULT_MAX_DEGREE
-    build_width: int = DEFAULT_BUILD_WIDTH
-    prune_slack: float = DEFAULT_PRUNE_SLACK
+
+    @property
+    def kind(self) -> str:
+        return EXACT if self.offsets is None else GRAPH
 
     def __len__(self) -> int:
         return len(self.vectors)
@@ -119,7 +125,7 @@ def _check_ids(vectors: np.ndarray, ids) -> np.ndarray:
 def build_exact(vectors, ids) -> DenseIndex:
     """Exhaustive-scan index; the ground-truth oracle for the graph kind."""
     vectors = _normalize(vectors)
-    return DenseIndex(kind=EXACT, vectors=vectors, ids=_check_ids(vectors, ids))
+    return DenseIndex(vectors=vectors, ids=_check_ids(vectors, ids))
 
 
 _BEAM_WIDTH = 4              # candidates each point expands per build search step
@@ -281,11 +287,15 @@ def _batch_bounds(n: int) -> list[int]:
     return bounds
 
 
+def _check_max_degree(max_degree: int) -> None:
+    if not 2 <= max_degree < 2**32:  # the KGRA header holds it as u32
+        raise ValidationError(f"max_degree must be >= 2 and < 2**32, not {max_degree}")
+
+
 def _check_graph_params(max_degree: int, build_width: int, prune_slack: float) -> None:
-    if max_degree < 2:
-        raise ValidationError("max_degree must be >= 2")
-    if not max_degree <= build_width < 2**32:  # the KGRA header holds both as u32
-        raise ValidationError(f"build_width must be >= max_degree and < 2**32, not {build_width}")
+    _check_max_degree(max_degree)
+    if build_width < max_degree:
+        raise ValidationError(f"build_width must be >= max_degree, not {build_width}")
     if not (prune_slack >= 1.0 and np.isfinite(prune_slack)):
         raise ValidationError(f"prune_slack must be a finite number >= 1, not {prune_slack}")
 
@@ -304,9 +314,8 @@ def build_graph(
     the graph itself, a batch's work arrays grow with the batch size times
     ``build_width`` times ``max_degree``, never with the number of rows."""
     _check_graph_params(max_degree, build_width, prune_slack)
-    vectors = _normalize(vectors)
-    ids = _check_ids(vectors, ids)
-    n = len(vectors)
+    exact = build_exact(vectors, ids)
+    vectors, n = exact.vectors, len(exact)
     order = np.random.default_rng(seed).permutation(n)
     medoid = int(np.argmax(vectors @ vectors.mean(axis=0))) if n else 0  # an empty graph's entry
     # Rows with identical vectors form a group (+0.0 folds -0.0 into 0.0).
@@ -346,17 +355,8 @@ def build_graph(
     degrees = (adj < n).sum(axis=1)
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(degrees, out=offsets[1:])
-    return DenseIndex(
-        kind=GRAPH,
-        vectors=vectors,
-        ids=ids,
-        offsets=offsets,
-        neighbors=adj[adj < n].astype(np.int32),
-        entry=medoid,
-        max_degree=max_degree,
-        build_width=build_width,
-        prune_slack=prune_slack,
-    )
+    return replace(exact, offsets=offsets, neighbors=adj[adj < n].astype(np.int32),
+                   entry=medoid, max_degree=max_degree)
 
 
 def _row_bits(n: int) -> int:
@@ -588,8 +588,8 @@ def cluster_keywords(vectors, ids, similarity_threshold: float) -> dict[int, int
     """
     if not 0.0 < similarity_threshold <= 1.0:
         raise ValidationError("similarity_threshold must be in (0, 1]")
-    vectors = _normalize(vectors)
-    ids = _check_ids(vectors, ids)
+    index = build_exact(vectors, ids)
+    vectors, ids = index.vectors, index.ids
     order = np.argsort(ids)
     rep_rows = np.empty((len(vectors), vectors.shape[1]), dtype=np.float32)
     rep_ids: list[int] = []
@@ -614,13 +614,13 @@ def save_embeddings(path, vectors: np.ndarray, ids: np.ndarray) -> None:
     vectors = np.ascontiguousarray(vectors, dtype="<f4")
     ids = np.ascontiguousarray(ids, dtype="<u8")
     body = struct.pack("<QI", *vectors.shape) + vectors.tobytes() + ids.tobytes()
-    write_file(path, frame(_EMB_MAGIC, _VERSION, body))
+    write_file(path, frame(_EMB_MAGIC, _EMB_VERSION, body))
 
 
 def load_embeddings(path) -> tuple[np.ndarray, np.ndarray]:
     """``(vectors, ids)`` of a KEMB file.  The vectors are a read-only view
     of the file's bytes, which ``_normalize`` copies for either index kind."""
-    payload = unframe(read_file(path), _EMB_MAGIC, _VERSION, "embeddings")
+    payload = unframe(read_file(path), _EMB_MAGIC, _EMB_VERSION, "embeddings")
     (n, dim), pos = unpack_at("<QI", payload, 0)
     raw, pos = take(payload, pos, n * dim * 4)
     vectors = np.frombuffer(raw, dtype="<f4").reshape(n, dim)
@@ -632,25 +632,25 @@ def load_embeddings(path) -> tuple[np.ndarray, np.ndarray]:
 
 
 def save_graph(path, index: DenseIndex) -> None:
-    """KGRA file: a ``fileio`` frame (version 2, BLAKE2b-64 footer) around
-    build params, entry point and the adjacency CSR."""
+    """KGRA file: a ``fileio`` frame (version 3, BLAKE2b-64 footer) around
+    a ``<QIQ`` header (row count, max_degree, entry row), then the
+    adjacency CSR: ``n + 1`` i64 offsets and the i32 neighbour rows."""
     if index.kind != GRAPH:
         raise ValidationError("only graph indexes have a graph file")
-    header = struct.pack(
-        "<QIIdQ", len(index), index.max_degree, index.build_width, index.prune_slack, index.entry
-    )
+    header = struct.pack("<QIQ", len(index), index.max_degree, index.entry)
     offsets = np.ascontiguousarray(index.offsets, dtype="<i8").tobytes()
     neighbors = np.ascontiguousarray(index.neighbors, dtype="<i4").tobytes()
-    write_file(path, frame(_GRAPH_MAGIC, _VERSION, header + offsets + neighbors))
+    write_file(path, frame(_GRAPH_MAGIC, _GRAPH_VERSION, header + offsets + neighbors))
 
 
 def load_graph(path, vectors: np.ndarray, ids: np.ndarray) -> DenseIndex:
-    """Rehydrate a graph index from its file plus the embeddings it indexes."""
-    payload = unframe(read_file(path), _GRAPH_MAGIC, _VERSION, "graph")
-    (n, max_degree, build_width, prune_slack, entry), pos = unpack_at("<QIIdQ", payload, 0)
+    """``build_exact`` of the embeddings plus the graph file's adjacency,
+    whose every part is checked against the rows."""
+    payload = unframe(read_file(path), _GRAPH_MAGIC, _GRAPH_VERSION, "graph")
+    (n, max_degree, entry), pos = unpack_at("<QIQ", payload, 0)
     if n != len(vectors):
         raise ValidationError("graph file does not match embeddings")
-    vectors = _normalize(vectors)
+    exact = build_exact(vectors, ids)
     raw, pos = take(payload, pos, (n + 1) * 8)
     offsets = np.frombuffer(raw, dtype="<i8").astype(np.int64)
     degrees = np.diff(offsets)
@@ -666,15 +666,6 @@ def load_graph(path, vectors: np.ndarray, ids: np.ndarray) -> DenseIndex:
         raise ValidationError("corrupt graph file: trailing bytes")
     if len(neighbors) and (neighbors.min() < 0 or neighbors.max() >= n):
         raise ValidationError(f"corrupt graph file: neighbor id outside [0, {n})")
-    _check_graph_params(max_degree, build_width, prune_slack)
-    return DenseIndex(
-        kind=GRAPH,
-        vectors=vectors,
-        ids=_check_ids(vectors, ids),
-        offsets=offsets,
-        neighbors=neighbors,
-        entry=int(entry),
-        max_degree=max_degree,
-        build_width=build_width,
-        prune_slack=prune_slack,
-    )
+    _check_max_degree(max_degree)
+    return replace(exact, offsets=offsets, neighbors=neighbors, entry=int(entry),
+                   max_degree=max_degree)

@@ -57,7 +57,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .corpus import TokenSeq, Vocab, _flatten
+from .corpus import DEFAULT_MAX_LEN, TokenSeq, Vocab, _flatten
 from .errors import TrainingDiverged, ValidationError
 from .fileio import frame, read_file, take, unframe, unpack_at, write_file
 
@@ -162,7 +162,7 @@ class TrainConfig:
     dim: int = 32
     dense_dim: int = 16
     hidden_dim: int = 64
-    max_len: int = 16
+    max_len: int = DEFAULT_MAX_LEN
 
     def __post_init__(self):
         for name, least in _INTEGER_MINIMUMS.items():
@@ -204,11 +204,11 @@ class TrainConfig:
 
 def init_params(
     vocab_size: int,
-    dim: int = 32,
-    dense_dim: int = 16,
-    hidden_dim: int = 64,
-    max_len: int = 16,
-    seed: int = 0,
+    dim: int = TrainConfig.dim,
+    dense_dim: int = TrainConfig.dense_dim,
+    hidden_dim: int = TrainConfig.hidden_dim,
+    max_len: int = DEFAULT_MAX_LEN,
+    seed: int = TrainConfig.seed,
 ) -> EncoderParams:
     """Seeded Gaussian initialization, scaled by fan-in."""
     rng = np.random.default_rng(seed)
@@ -672,8 +672,12 @@ def save_params(params: EncoderParams, path) -> None:
 
 
 def load_params(path) -> EncoderParams:
+    """A checkpoint whose widths and ``max_len`` meet ``TrainConfig``'s minimums."""
     payload = unframe(read_file(path), _MAGIC, _VERSION, "checkpoint")
     (v, d, d_dr, h, m), pos = unpack_at("<QIIII", payload, 0)
+    for name, value in (("dim", d), ("dense_dim", d_dr), ("hidden_dim", h), ("max_len", m)):
+        if value < _INTEGER_MINIMUMS[name]:
+            raise ValidationError(f"corrupt checkpoint: {name} {value} is below {_INTEGER_MINIMUMS[name]}")
     shapes = {
         "token_emb": (v, d),
         "pos_emb": (m, d),

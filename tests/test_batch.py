@@ -114,7 +114,7 @@ class TestRetrieveBatch:
         table = engine.params.max_len * engine.params.vocab_size * 8
         assert chunk_size(engine) == retriever_module.CHUNK_BYTES // table
         # The index plays no part: a graph search bounds its own unseen mask.
-        wide = replace(engine.index, kind=dense_index.GRAPH, vectors=np.zeros((table + 9, 8)))
+        wide = replace(engines["graph", False].index, vectors=np.zeros((table + 9, 8)))
         assert chunk_size(replace(engine, index=wide)) == chunk_size(engine)
         with mock.patch.object(retriever_module, "CHUNK_BYTES", 1):
             assert chunk_size(engine) == 1

@@ -28,6 +28,7 @@ from unikw import (
     load_embeddings,
     load_keywords,
     load_pairs,
+    load_params,
     retrieve,
     retrieve_channels,
     save_embeddings,
@@ -44,6 +45,7 @@ from unikw.retriever import chunk_size, results_to_jsonl_line
 
 from oracles import reference_load_keywords, reference_normalize, scalar_trie
 from synthdata import make_training_corpus, write_corpus_files
+from test_formats import graph_version_2
 
 TRAIN_CONFIG = {
     "epochs": 4,
@@ -492,6 +494,35 @@ class TestPipeline:
         assert code == 2
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"]["kind"] == "validation" and "version 1" in err["error"]["message"]
+
+
+    def test_version_2_graph_file_is_validation_error(self, pipeline, tmp_path, capsys):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(pipeline["bundle"], bundle)
+        graph = bundle / "graph.kgra"
+        graph.write_bytes(graph_version_2(graph.read_bytes()))
+        assert main([
+            "retrieve", "--bundle-dir", str(bundle),
+            "--queries", str(pipeline["paths"]["queries"]), "--out", str(tmp_path / "r.jsonl"),
+        ]) == 2
+        assert "unsupported graph version 2" in validation_message(capsys)
+
+
+    @pytest.mark.parametrize("positions", [0, 1])
+    def test_checkpoint_too_short_for_a_keyword_is_validation_error(
+        self, pipeline, tmp_path, capsys, positions
+    ):
+        # 0 positions was a ZeroDivisionError traceback in chunk_size.
+        bundle = tmp_path / "bundle"
+        shutil.copytree(pipeline["bundle"], bundle)
+        params = load_params(bundle / "encoder.kenc")
+        save_params(replace(params, pos_emb=params.pos_emb[:positions]), bundle / "encoder.kenc")
+        assert main([
+            "retrieve", "--bundle-dir", str(bundle),
+            "--queries", str(pipeline["paths"]["queries"]), "--out", str(tmp_path / "r.jsonl"),
+        ]) == 2
+        assert f"max_len {positions} is below 2" in validation_message(capsys)
+        assert not (tmp_path / "r.jsonl").exists()
 
 
 class TestChunkedRetrieve:

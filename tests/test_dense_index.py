@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -13,10 +13,13 @@ from unikw import (
     save_embeddings,
     save_graph,
     search,
+    search_batch,
 )
 
 from unikw import dense_index
-from unikw.dense_index import GRAPH, _batch_bounds, _graph_search, _robust_prune
+from unikw.dense_index import (
+    EXACT, GRAPH, DenseIndex, _batch_bounds, _graph_search, _robust_prune,
+)
 
 from oracles import (
     naive_topk,
@@ -176,11 +179,20 @@ class TestGraph:
         assert np.array_equal(got.offsets, want.offsets)
         assert np.array_equal(got.neighbors, want.neighbors) and got.entry == want.entry
 
-    @pytest.mark.parametrize("widths", [(4, 2**32), (2**32, 2**32), (10**20, 10**20)])
+    @pytest.mark.parametrize("widths", [(2**32, 4), (2**32, 2**32), (10**20, 10**20)])
     def test_widths_beyond_the_graph_header_rejected(self, widths):
-        # Checked before any array is sized by them.
+        # The header holds max_degree as u32; checked before any array is
+        # sized by it, and before build_width.
         with pytest.raises(ValidationError, match=r"2\*\*32"):
             dense_index._check_graph_params(*widths, 1.2)
+
+    def test_build_width_beyond_the_graph_header_builds_as_width_n(self, rng):
+        # The graph file does not hold build_width, so no u32 bounds it.
+        v = unit_vectors(rng, 12, 4)
+        want = build_graph(v, np.arange(12), max_degree=4, build_width=12)
+        got = build_graph(v, np.arange(12), max_degree=4, build_width=2**32)
+        assert np.array_equal(got.offsets, want.offsets)
+        assert np.array_equal(got.neighbors, want.neighbors) and got.entry == want.entry
 
     def test_empty_catalog(self, tmp_path):
         index = build_graph(np.empty((0, 4)), np.empty(0, dtype=np.int64))
@@ -273,6 +285,32 @@ class TestGraph:
             build_graph(v, np.arange(10), max_degree=4, build_width=8, prune_slack=slack)
 
 
+class TestKind:
+    """The kind follows the arrays: an index with an adjacency is a graph."""
+
+    def test_fields_are_what_search_reads(self):
+        assert [f.name for f in fields(DenseIndex)] == [
+            "vectors", "ids", "offsets", "neighbors", "entry", "max_degree"]
+
+    def test_exact_index_plus_a_csr_searches_as_the_graph(self, rng):
+        v = unit_vectors(rng, 300, 8)
+        graph = build_graph(v, np.arange(300), max_degree=8, build_width=16, seed=0)
+        joined = replace(build_exact(v, np.arange(300)), offsets=graph.offsets,
+                         neighbors=graph.neighbors, entry=graph.entry)
+        queries = rng.normal(size=(20, 8))
+        assert (joined.kind, graph.kind) == (GRAPH, GRAPH)
+        assert search_batch(joined, queries, 10, 12) == search_batch(graph, queries, 10, 12)
+
+    def test_graph_without_its_csr_searches_as_build_exact(self, rng):
+        v = unit_vectors(rng, 300, 8)
+        graph = build_graph(v, np.arange(300), max_degree=8, build_width=16, seed=0)
+        bare = replace(graph, offsets=None, neighbors=None)
+        queries = rng.normal(size=(20, 8))
+        assert bare.kind == EXACT
+        assert search_batch(bare, queries, 10) == search_batch(build_exact(v, np.arange(300)),
+                                                              queries, 10)
+
+
 def assert_graph_invariants(index):
     """Rows sorted and unique, no self-loop, at most max_degree neighbours,
     every node reachable from the entry point."""
@@ -333,7 +371,7 @@ def random_graph_index(rng, n, dim, max_degree=8):
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum([len(r) for r in rows], out=offsets[1:])
     neighbors = np.concatenate(rows).astype(np.int32)
-    return replace(build_exact(v, np.arange(n)), kind=GRAPH, offsets=offsets,
+    return replace(build_exact(v, np.arange(n)), offsets=offsets,
                    neighbors=neighbors, entry=int(rng.integers(n)), max_degree=max_degree)
 
 
@@ -630,9 +668,6 @@ class TestPersistence:
         "header, message",
         [
             pytest.param({"max_degree": 1}, "max_degree must be >= 2", id="max-degree"),
-            pytest.param({"build_width": 1}, "build_width", id="build-width"),
-            pytest.param({"prune_slack": float("nan")}, "prune_slack", id="slack-nan"),
-            pytest.param({"prune_slack": 0.5}, "prune_slack", id="slack-below-one"),
         ],
     )
     def test_bad_build_parameters_rejected_at_load(self, tmp_path, rng, header, message):

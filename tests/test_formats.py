@@ -1,6 +1,7 @@
 """The file-frame contract shared by every binary format (KTRI, KEMB, KGRA, KENC)."""
 
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from unikw import (
     save_params,
     serialize,
 )
-from unikw.fileio import frame
+from unikw.fileio import checksum64, frame
 
 _VECTORS = np.random.default_rng(5).normal(size=(24, 6))
 _VECTORS /= np.linalg.norm(_VECTORS, axis=1, keepdims=True)
@@ -83,6 +84,37 @@ def test_frame_rejects(tmp_path, magic, what, write, read, case):
     path.write_bytes(corrupt)
     with pytest.raises(ValidationError, match=message):
         read(path)
+
+
+def test_kgra_format_pinned(tmp_path):
+    """KGRA version 3, byte by byte: magic, u32 version 3, a ``<QIQ``
+    header (rows, max_degree, entry row), ``n + 1`` i64 offsets, the i32
+    neighbour rows and the BLAKE2b-64 footer of every byte before it."""
+    index = replace(build_exact(_VECTORS[:3], _IDS[:3]), offsets=np.array([0, 2, 3, 4]),
+                    neighbors=np.array([1, 2, 0, 1], dtype=np.int32), entry=2, max_degree=5)
+    save_graph(tmp_path / "g.kgra", index)
+    head = b"".join((b"KGRA", struct.pack("<I", 3), struct.pack("<QIQ", 3, 5, 2),
+                     struct.pack("<4q", 0, 2, 3, 4), struct.pack("<4i", 1, 2, 0, 1)))
+    assert (tmp_path / "g.kgra").read_bytes() == head + struct.pack("<Q", checksum64(head))
+    back = load_graph(tmp_path / "g.kgra", _VECTORS[:3], _IDS[:3])
+    assert (back.offsets.tolist(), back.neighbors.tolist()) == ([0, 2, 3, 4], [1, 2, 0, 1])
+    assert (back.entry, back.max_degree) == (2, 5)
+
+
+def graph_version_2(data: bytes) -> bytes:
+    """A KGRA version 3 file in version 2's layout: its ``<QIIdQ`` header
+    also held build_width and prune_slack."""
+    n, max_degree, entry = struct.unpack_from("<QIQ", data, 8)
+    header = struct.pack("<QIIdQ", n, max_degree, 2 * max_degree, 1.2, entry)
+    return frame(b"KGRA", 2, header + data[8 + struct.calcsize("<QIQ"):-8])
+
+
+def test_graph_version_2_rejected(tmp_path):
+    path = tmp_path / "g.kgra"
+    _write_graph(path)
+    path.write_bytes(graph_version_2(path.read_bytes()))
+    with pytest.raises(ValidationError, match="unsupported graph version 2"):
+        load_graph(path, _VECTORS, _IDS)
 
 
 def test_duplicate_ids_rejected_by_graph_load_and_exact_build(tmp_path):
