@@ -495,7 +495,6 @@ class TestPipeline:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"]["kind"] == "validation" and "version 1" in err["error"]["message"]
 
-
     def test_version_2_graph_file_is_validation_error(self, pipeline, tmp_path, capsys):
         bundle = tmp_path / "bundle"
         shutil.copytree(pipeline["bundle"], bundle)
@@ -506,7 +505,6 @@ class TestPipeline:
             "--queries", str(pipeline["paths"]["queries"]), "--out", str(tmp_path / "r.jsonl"),
         ]) == 2
         assert "unsupported graph version 2" in validation_message(capsys)
-
 
     @pytest.mark.parametrize("positions", [0, 1])
     def test_checkpoint_too_short_for_a_keyword_is_validation_error(
