@@ -146,29 +146,43 @@ def _row_distances(vectors: np.ndarray, rows: np.ndarray, points: np.ndarray) ->
 _SIGN = np.int32(-2**31)
 
 
+def _ordered_bits(dists: np.ndarray) -> np.ndarray:
+    """float32 ``dists`` as uint32s in the same order (-0.0 just below 0.0)."""
+    bits = np.ascontiguousarray(dists, dtype=np.float32).view(np.int32)
+    # A negative distance has every bit flipped, any other its sign bit set.
+    return (bits ^ (bits >> 31 | _SIGN)).view(np.uint32)
+
+
 def _list_keys(dists: np.ndarray, rows: np.ndarray, row_bits: int) -> np.ndarray:
     """One uint64 per (distance, row) that sorts as the pair does.
 
-    Bits ``row_bits + 1`` to ``row_bits + 32`` hold the float32 distance
-    mapped to an unsigned integer of the same order, the ``row_bits`` below
-    them the row; the lowest bit is set while the row is unexpanded.  The
-    ``31 - row_bits`` bits above hold the query's index in a group of
-    ``_graph_search``, which searches no more queries at a time than they
-    hold."""
-    bits = np.ascontiguousarray(dists, dtype=np.float32).view(np.int32)
-    # A negative distance has every bit flipped, any other its sign bit set.
-    ordered = (bits ^ (bits >> 31 | _SIGN)).view(np.uint32).astype(np.uint64)
+    Bits ``row_bits + 1`` to ``row_bits + 32`` hold ``_ordered_bits`` of
+    the float32 distance, the ``row_bits`` below them the row; the lowest
+    bit is set while the row is unexpanded.  The ``31 - row_bits`` bits
+    above hold the query's index in a group of ``_graph_search``, which
+    searches no more queries at a time than they hold."""
+    ordered = _ordered_bits(dists).astype(np.uint64)
     return ordered << np.uint64(row_bits + 1) | rows.astype(np.uint64) << np.uint64(1) | np.uint64(1)
 
 
-def _first_of_each(keys: np.ndarray, shift: np.uint64, count: int, size: int):
-    """Where the first ``size`` keys of each of ``count`` queries sit in
-    ``keys``, sorted with the query in the bits from ``shift`` up: a mask,
-    or a slice when there is one query."""
-    if count == 1:
+def _first_of_each(keys: np.ndarray, bounds: np.ndarray, size: int):
+    """Where the first ``size`` keys of each query sit in ``keys``, sorted
+    with the query in the high bits: a mask, or a slice when there is one
+    query.  ``bounds[q]`` is query q's lowest possible key, so one
+    ``searchsorted`` of the bounds finds where each query's keys start, and
+    a key's rank is its place less its query's start."""
+    if len(bounds) == 1:
         return slice(size)
-    query = keys >> shift
-    return np.arange(len(keys)) - query.searchsorted(query) < size
+    starts = keys.searchsorted(bounds)
+    return np.arange(len(keys)) - np.repeat(starts, np.diff(starts, append=len(keys))) < size
+
+
+def _by_distance(owners: np.ndarray, dists: np.ndarray) -> np.ndarray:
+    """The order that sorts (owner, candidate) pairs, given sorted, by
+    (owner, distance, candidate): one stable sort of a uint64 key, the
+    owner above ``_ordered_bits`` of the distance."""
+    return np.argsort(owners.astype(np.uint64) << np.uint64(32) | _ordered_bits(dists),
+                      kind="stable")
 
 
 def _robust_prune(
@@ -189,9 +203,17 @@ def _robust_prune(
     (the point itself included), order the rest by (distance, row), then keep the
     closest survivor ``c`` and drop every ``v`` with
     ``slack * dist(c, v) <= dist(point, v)``, until none survive or the
-    limit is reached.  The candidate lists are padded to one width and
+    limit is reached.  One sort of the (owner, candidate) cells drops the
+    repeats and one stable sort of a one-word key (``_by_distance``) puts
+    them in that order.  The candidate lists are padded to one width and
     their pairwise distances come from one batched ``matmul``, a chunk of
-    points at a time, so each kill step is one array operation.
+    points at a time, so each kill step is one array operation.  The
+    ``matmul`` takes a contiguous copy of the block's transpose: given the
+    strided view, numpy calls BLAS's symmetric rank-k update per point,
+    two to three times slower at 100 lists of 64 rows of width 16.  The two agree to the
+    bit at width 16; from width 32 on, OpenBLAS rounds some sums of the two
+    differently, so a kill test tied to the last bit could go the other way
+    (the graphs built at widths 32, 64 and 128 to check did not change).
     """
     points = np.asarray(points, dtype=np.int64)
     out = np.full((len(points), int(limits.max(initial=0))), -1, dtype=np.int64)
@@ -204,7 +226,7 @@ def _robust_prune(
     pairs = pairs[np.r_[True, pairs[1:] != pairs[:-1]]]  # drop repeats
     owners, candidates = np.divmod(pairs, len(vectors))
     dists = _row_distances(vectors, candidates, points[owners])
-    order = np.lexsort((candidates, dists, owners))
+    order = _by_distance(owners, dists)
     owners, candidates, dists = owners[order], candidates[order], dists[order]
     counts = np.bincount(owners, minlength=len(points))
     col = np.arange(len(owners)) - (np.cumsum(counts) - counts)[owners]
@@ -218,7 +240,7 @@ def _robust_prune(
     for lo in range(0, len(points), chunk):
         rows = cand[lo:lo + chunk]
         block = vectors[np.maximum(rows, 0)]
-        pairwise = 1.0 - block @ block.transpose(0, 2, 1)
+        pairwise = 1.0 - block @ np.ascontiguousarray(block.transpose(0, 2, 1))
         alive = rows >= 0
         kept = np.zeros(len(rows), dtype=np.int64)
         for _ in range(out.shape[1]):
@@ -408,11 +430,15 @@ def _search_group(vectors, offsets, neighbors, start: int, queries, width: int, 
     """``_graph_search`` of queries that one key array holds.
 
     All lists live in one sorted 1-D array of keys: ``_list_keys`` with
-    the query's index in the bits above the distance, so one sort merges
-    every query's new rows into its list and a ``searchsorted`` on the
-    query bits finds where each list starts.  A neighbour is new to a
-    query if its (query, row) cell of the unseen mask is set, and repeats
-    go with one sort of the cells.  Deduping against the list alone would
+    the query's index in the bits above the distance.  A step sorts only
+    its new keys, and one stable sort of the two sorted runs merges them
+    into every query's list; ``_first_of_each`` finds where each list
+    starts by searching the array for each query's lowest key.  A
+    neighbour is new to a query if its (query, row) cell of the unseen mask
+    is set, and repeats go with one sort of the cells.  A group of many
+    queries keeps its cells in int32, which halves the width of that sort
+    and of the ``divmod`` back to (query, row): the mask's ``_MASK_BYTES``
+    bound keeps every cell below 2**22.  Deduping against the list alone would
     give the same lists, since a row cut from a list never gets back in (a
     list's last key only falls), but costs more per step.  ``einsum``
     makes identical rows equally far from a query.  A lone query skips the
@@ -443,10 +469,12 @@ def _search_group(vectors, offsets, neighbors, start: int, queries, width: int, 
         found = _list_keys(dists, fresh, row_bits)
         if many:
             found |= high.take(owners)
-        keys = np.sort(np.concatenate([keys, found]))
-        keys = keys[_first_of_each(keys, shift, count, width)]
+        found.sort()
+        keys = np.concatenate([keys, found])
+        keys.sort(kind="stable")  # two sorted runs, which timsort merges
+        keys = keys[_first_of_each(keys, high, width)]
         pick = np.flatnonzero(keys & one)
-        pick = pick[_first_of_each(keys[pick], shift, count, beam)]
+        pick = pick[_first_of_each(keys[pick], high, beam)]
         if not len(pick):
             break
         picked = keys[pick] - one
@@ -456,7 +484,7 @@ def _search_group(vectors, offsets, neighbors, start: int, queries, width: int, 
         lo, deg = offsets[nodes], offsets[nodes + 1] - offsets[nodes]
         cells = neighbors[np.repeat(lo - np.cumsum(deg) + deg, deg) + np.arange(deg.sum())]
         if many:
-            owner = (picked >> shift).astype(np.int64)
+            owner = (picked >> shift).astype(np.int32)
             expanded_owners.append(owner)
             cells = np.repeat(owner * stride, deg) + cells
         cells = np.sort(cells[unseen[cells]])
@@ -468,8 +496,7 @@ def _search_group(vectors, offsets, neighbors, start: int, queries, width: int, 
     rows, expanded = (keys >> one & row_mask).astype(np.int64), np.concatenate(expanded)
     if not many:
         return [rows], np.zeros_like(expanded), expanded
-    bounds = np.arange(1, count, dtype=np.uint64) << shift
-    return np.split(rows, np.searchsorted(keys, bounds)), np.concatenate(expanded_owners), expanded
+    return np.split(rows, np.searchsorted(keys, high[1:])), np.concatenate(expanded_owners), expanded
 
 
 def _float32_dot_error(dim: int) -> float:

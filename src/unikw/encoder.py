@@ -653,9 +653,24 @@ def train(config: TrainConfig, pairs, vocab: Vocab) -> TrainResult:
     return TrainResult(params=params, epoch_losses=epoch_losses)
 
 
+def _check_checkpoint(params: EncoderParams, what: str) -> None:
+    """What a checkpoint holds, written or read: ``dim``, ``dense_dim``,
+    ``hidden_dim`` and ``max_len`` at ``TrainConfig``'s minimums, and only
+    finite weights."""
+    for name in ("dim", "dense_dim", "hidden_dim", "max_len"):
+        value = getattr(params, name)
+        if value < _INTEGER_MINIMUMS[name]:
+            raise ValidationError(f"{what}: {name} {value} is below {_INTEGER_MINIMUMS[name]}")
+    for name, arr in params.arrays().items():
+        if not np.isfinite(arr).all():
+            raise ValidationError(f"{what}: {name} holds a non-finite weight")
+
+
 def save_params(params: EncoderParams, path) -> None:
     """Checkpoint: a ``fileio`` frame (magic KENC, version 2, BLAKE2b-64
-    footer) around the shape header and float64 row-major tensors."""
+    footer) around the shape header and float64 row-major tensors.  Params
+    that ``load_params`` would reject raise before anything is written."""
+    _check_checkpoint(params, "checkpoint not written")
     buf = bytearray()
     buf += struct.pack(
         "<QIIII",
@@ -672,12 +687,9 @@ def save_params(params: EncoderParams, path) -> None:
 
 
 def load_params(path) -> EncoderParams:
-    """A checkpoint whose widths and ``max_len`` meet ``TrainConfig``'s minimums."""
+    """A checkpoint that passes the check ``save_params`` makes."""
     payload = unframe(read_file(path), _MAGIC, _VERSION, "checkpoint")
     (v, d, d_dr, h, m), pos = unpack_at("<QIIII", payload, 0)
-    for name, value in (("dim", d), ("dense_dim", d_dr), ("hidden_dim", h), ("max_len", m)):
-        if value < _INTEGER_MINIMUMS[name]:
-            raise ValidationError(f"corrupt checkpoint: {name} {value} is below {_INTEGER_MINIMUMS[name]}")
     shapes = {
         "token_emb": (v, d),
         "pos_emb": (m, d),
@@ -693,8 +705,8 @@ def load_params(path) -> EncoderParams:
         count = int(np.prod(shape))
         raw, pos = take(payload, pos, count * 8)
         arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-        if not np.isfinite(arrays[name]).all():
-            raise ValidationError(f"corrupt checkpoint: {name} holds a non-finite weight")
     if pos != len(payload):
         raise ValidationError("corrupt checkpoint: trailing bytes")
-    return EncoderParams(**arrays)
+    params = EncoderParams(**arrays)
+    _check_checkpoint(params, "corrupt checkpoint")
+    return params

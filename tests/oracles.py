@@ -15,6 +15,7 @@ from collections import Counter
 import numpy as np
 
 from unikw.errors import ValidationError
+from unikw.fileio import frame
 
 UNK = 1
 EOW = 2
@@ -96,6 +97,16 @@ def scalar_ktri_bytes(entries, reverse=False, vocab_checksum=0) -> bytes:
         previous = node
     data = b"KTRI" + struct.pack("<I", 2) + body
     return data + hashlib.blake2b(data, digest_size=8).digest()
+
+
+def unchecked_kenc_bytes(params) -> bytes:
+    """A KENC version-2 file of ``params`` as ``save_params`` lays it out,
+    without its check: for checkpoints that ``load_params`` must reject."""
+    body = struct.pack("<QIIII", params.vocab_size, params.dim, params.dense_dim,
+                       params.hidden_dim, params.max_len)
+    body += b"".join(np.ascontiguousarray(arr, dtype="<f8").tobytes()
+                     for arr in params.arrays().values())
+    return frame(b"KENC", 2, body)
 
 
 def reference_load_keywords(path) -> list[str]:

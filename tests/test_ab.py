@@ -98,6 +98,18 @@ class TestVerdict:
         assert ab.bound_check(ab.compare(parent, change, "lower"), "lower", 0.05) == want
 
 
+def test_report_prints_set_up_stages_beside_the_end_to_end_rows(capsys):
+    records = canned(PARENT, PARENT)
+    for i, r in enumerate(records["change"]):
+        r["details"]["stage_s"] = {"index": 0.8 if i < 9 else 1.2}
+    workloads = {"graph5k": ab.summarize(records, SPEC)}
+    ab.report(workloads, ("graph5k", "load_s"), SPEC)
+    lines = capsys.readouterr().out.splitlines()
+    stage = next(line for line in lines if line.split()[:2] == ["stage", "index"])
+    assert lines.index(stage) > max(i for i, line in enumerate(lines) if "load_s" in line.split()[:1])
+    assert stage.split()[2:] == ["parent", "1", "change", "0.8", "-20.0%", "wins", "9/10"]
+
+
 def test_parse_seeds():
     assert ab.parse_seeds("71-74,80") == [71, 72, 73, 74, 80]
     with pytest.raises(ValueError):

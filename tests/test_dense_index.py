@@ -2,6 +2,8 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unikw import (
     ValidationError,
@@ -18,7 +20,8 @@ from unikw import (
 
 from unikw import dense_index
 from unikw.dense_index import (
-    EXACT, GRAPH, DenseIndex, _batch_bounds, _graph_search, _robust_prune,
+    EXACT, GRAPH, DenseIndex, _batch_bounds, _by_distance, _first_of_each, _graph_search,
+    _robust_prune,
 )
 
 from oracles import (
@@ -482,6 +485,51 @@ class TestBuildSearch:
         assert groups == [1] * 600  # batches of up to 12 points, searched one by one
         assert np.array_equal(got.offsets, want.offsets)
         assert np.array_equal(got.neighbors, want.neighbors)
+
+
+class TestListBounds:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_keeps_each_querys_first_keys(self, data):
+        """``_first_of_each`` keeps the keys a per-query count keeps: those
+        with fewer than ``size`` keys of their own query before them."""
+        row_bits = data.draw(st.integers(1, 20))
+        shift = row_bits + 33
+        lists = data.draw(st.lists(
+            st.lists(st.integers(0, (1 << shift) - 1), max_size=12, unique=True),
+            min_size=1, max_size=1 << min(31 - row_bits, 4)))
+        keys = np.array(sorted(q << shift | low for q, lows in enumerate(lists) for low in lows),
+                        dtype=np.uint64)
+        size = data.draw(st.integers(1, max(map(len, lists)) + 1))
+        rank = {}
+        want = []
+        for key in keys.tolist():
+            query = key >> shift
+            want.append(rank.get(query, 0) < size)
+            rank[query] = rank.get(query, 0) + 1
+        got = _first_of_each(keys, np.arange(len(lists), dtype=np.uint64) << np.uint64(shift), size)
+        if len(lists) == 1:
+            assert got == slice(size)
+        assert keys[got].tolist() == keys[np.array(want, dtype=bool)].tolist()
+
+
+class TestPruneOrder:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_one_key_sorts_as_the_three_key_lexsort(self, data):
+        """Pairs sorted by (owner, candidate) come out of ``_by_distance``
+        in ``lexsort``'s (owner, distance, candidate) order, through exact
+        ties between candidates and distances of 0."""
+        pool = np.array([0.0, 0.0, np.nextafter(0, 1), 0.25, 1.0, 1.0, 2.0, -1e-7, 0.75],
+                        dtype=np.float32)
+        cells = sorted(data.draw(st.sets(st.tuples(st.integers(0, 6), st.integers(0, 40)),
+                                         max_size=60)))
+        owners = np.array([o for o, _ in cells], dtype=np.int64)
+        candidates = np.array([c for _, c in cells], dtype=np.int64)
+        dists = pool[data.draw(st.lists(st.integers(0, len(pool) - 1),
+                                        min_size=len(cells), max_size=len(cells)))]
+        want = np.lexsort((candidates, dists, owners))
+        assert _by_distance(owners, dists).tolist() == want.tolist()
 
 
 class TestBatchBounds:

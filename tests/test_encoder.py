@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -379,6 +380,24 @@ class TestCheckpoint:
         back = load_params(tmp_path / "p.kenc")
         for name, arr in params.arrays().items():
             np.testing.assert_array_equal(arr, back.arrays()[name])
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("pos_emb", lambda a: a[:0], "max_len 0 is below 2"),
+        ("pos_emb", lambda a: a[:1], "max_len 1 is below 2"),
+        ("token_emb", lambda a: a[:, :0], "dim 0 is below 1"),
+        ("dense_proj", lambda a: a[:0], "dense_dim 0 is below 1"),
+        ("hidden_w", lambda a: a[:0], "hidden_dim 0 is below 1"),
+        ("out_w", lambda a: np.where(a == a[1, 0], np.nan, a), "out_w holds a non-finite weight"),
+        ("pos_emb", lambda a: np.where(a == a[1, 0], -np.inf, a), "pos_emb holds a non-finite weight"),
+    ])
+    def test_save_rejects_what_load_would_and_writes_nothing(self, tmp_path, field, value, message):
+        """Widths below ``TrainConfig``'s minimums and non-finite weights
+        raise before the file is opened."""
+        params = small_params()
+        params = replace(params, **{field: value(getattr(params, field))})
+        with pytest.raises(ValidationError, match=f"checkpoint not written: {message}"):
+            save_params(params, tmp_path / "p.kenc")
+        assert list(tmp_path.iterdir()) == []
 
     def test_corruption_detected(self, tmp_path):
         params = small_params()

@@ -24,6 +24,8 @@ from unikw import (
 )
 from unikw.fileio import checksum64, frame
 
+from oracles import unchecked_kenc_bytes
+
 _VECTORS = np.random.default_rng(5).normal(size=(24, 6))
 _VECTORS /= np.linalg.norm(_VECTORS, axis=1, keepdims=True)
 _IDS = np.arange(24)
@@ -132,6 +134,6 @@ def test_duplicate_ids_rejected_by_graph_load_and_exact_build(tmp_path):
 def test_checkpoint_with_non_finite_weight_rejected(tmp_path, bad):
     params = init_params(16, 4, 3, 6, 4, seed=0)
     params.hidden_w[2, 1] = bad
-    save_params(params, tmp_path / "encoder.kenc")
+    (tmp_path / "encoder.kenc").write_bytes(unchecked_kenc_bytes(params))
     with pytest.raises(ValidationError, match="hidden_w holds a non-finite weight"):
         load_params(tmp_path / "encoder.kenc")

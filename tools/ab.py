@@ -222,7 +222,9 @@ def run_pairs(trees: dict[str, Path], workload: str, seeds: list[int], seconds: 
 
 
 def report(workloads: dict, claim: tuple[str, str] | None, spec: dict) -> dict | None:
-    """Print each workload's metrics and the claim's verdict; return the verdict."""
+    """Print each workload's end-to-end metrics, then its set-up stages on
+    the wall clock (medians, % change and wins), and the claim's verdict;
+    return the verdict."""
     directions = {m["name"]: m["better"] for m in spec["end_to_end"]}
     verdict = None
     for name, w in workloads.items():
@@ -232,6 +234,10 @@ def report(workloads: dict, claim: tuple[str, str] | None, spec: dict) -> dict |
                   f"  change {s['change']['median']:.6g} (IQR {s['change']['iqr']:.3g})"
                   f"  {s['median_change_pct'] or 0.0:+.1f}%  wins {s['change_better_pairs']}/{s['pairs']}"
                   f"  bound {s['bound']:.0%}: {s['bound_check']}")
+        for stage, s in w["stage_s_wall"].items():
+            print(f"  stage {stage:8s} parent {s['parent']['median']:.6g}"
+                  f"  change {s['change']['median']:.6g}"
+                  f"  {s['median_change_pct'] or 0.0:+.1f}%  wins {s['change_better_pairs']}/{s['pairs']}")
         if claim and claim[0] == name and claim[1] in w["metrics"]:
             verdict = claim_verdict(w["metrics"][claim[1]], directions[claim[1]])
             w["claim_verdict"] = verdict
