@@ -171,7 +171,11 @@ def cmd_build_trie(args) -> int:
 def cmd_train(args) -> int:
     vocab = load_vocab(args.vocab)
     if args.config_file:
-        config = TrainConfig.from_file(args.config_file)
+        with open(args.config_file, encoding="utf-8") as f:
+            text = f.read()
+        config = TrainConfig.from_json(text)
+        if "seed" not in json.loads(text):  # a file's seed wins; a seedless file takes --seed
+            config = replace(config, seed=args.seed)
     else:
         config = TrainConfig(seed=args.seed)
     pairs, malformed = load_pairs(args.pairs, vocab, max_len=config.max_len)

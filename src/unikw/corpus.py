@@ -11,8 +11,8 @@ flat int64 id array plus per-text lengths, which ``build-trie`` and
 ``index`` feed to the trie and the encoder without building a tuple per
 keyword.  Splitting and id lookup run as C-level passes (``map`` over
 ``str`` methods and the vocabulary dict), the reserved forms, cuts and EOW
-as array operations.  ``tokenize`` is its one-text case (a served query),
-as a tuple of ids.
+as array operations.  ``tokenize`` is its one-text case, as a tuple of
+ids; served queries go through ``tokenize_batch``, a chunk at a time.
 
 One reader, ``_pair_lines``, parses a pairs file: ``build_vocab`` counts
 the tokens of the lines it keeps, with one ``Counter`` per file, and
@@ -38,6 +38,7 @@ from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain, compress, repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -90,8 +91,7 @@ class Vocab:
         return checksum64(payload)
 
 
-@dataclass(frozen=True)
-class TrainingPair:
+class TrainingPair(NamedTuple):
     """One supervised (query, keyword) example."""
 
     query_text: str

@@ -203,9 +203,10 @@ def permutation_decode(
 ) -> list[tuple[int, float]]:
     """Beam search per configured order, union by keyword id, rank by score.
 
-    A keyword reached by several orders must score identically (the sum of
-    the same table entries); any larger disagreement means the two tries
-    were not built over the same catalog and raises ConsistencyError.
+    One ``setdefault`` pass merges the orders' hits.  A keyword reached by
+    several orders must score identically (the sum of the same table
+    entries); any larger disagreement means the two tries were not built
+    over the same catalog and raises ConsistencyError.
     """
     tries = {FORWARD: forward_trie, REVERSED: reversed_trie}
     for direction, trie in tries.items():
@@ -218,14 +219,11 @@ def permutation_decode(
         for keyword_id, score in beam_search(
             prob_table, trie, replace(config, orders=(order,))
         ):
-            if keyword_id in merged:
-                if abs(merged[keyword_id] - score) > SCORE_AGREEMENT_TOL:
-                    raise ConsistencyError(
-                        f"keyword {keyword_id} scored {merged[keyword_id]!r} and "
-                        f"{score!r} under different orders"
-                    )
-            else:
-                merged[keyword_id] = score
+            if abs(merged.setdefault(keyword_id, score) - score) > SCORE_AGREEMENT_TOL:
+                raise ConsistencyError(
+                    f"keyword {keyword_id} scored {merged[keyword_id]!r} and "
+                    f"{score!r} under different orders"
+                )
 
     ranked = sorted(merged.items(), key=lambda item: (-item[1], item[0]))
     return ranked[: config.beam_size]

@@ -319,17 +319,16 @@ def encode_batch(params: EncoderParams, flat_ids: np.ndarray, lengths: np.ndarra
 
 
 def embed_batch(params: EncoderParams, seqs) -> np.ndarray:
-    """Unit dense embeddings for many sequences (dense head only).
-
-    Training utility for negative mining and index construction; it is not
-    a full dual-head pass and does not touch the forward counter.
-    """
+    """:func:`embed_flat` of sequences given as token tuples, for callers
+    that hold them; negative mining and ``index`` call ``embed_flat``."""
     return embed_flat(params, *_flatten(seqs))
 
 
 def embed_flat(params: EncoderParams, flat_ids: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """:func:`embed_batch` over sequences given as one flat id array plus
-    per-sequence lengths (as ``corpus.tokenize_batch`` returns them)."""
+    """Unit dense embeddings (dense head only) of sequences given as one
+    flat id array plus per-sequence lengths (as ``corpus.tokenize_batch``
+    returns them).  Not a full dual-head pass: the forward counter is not
+    touched."""
     _check_tokens(params, flat_ids, lengths)
     emb, _ = _normalize_rows(_pool(params.token_emb, flat_ids, lengths) @ params.dense_proj.T)
     return emb

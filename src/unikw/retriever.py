@@ -32,6 +32,8 @@ from __future__ import annotations
 import json
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import filterfalse
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,8 +55,7 @@ SOURCE_DR = "DR"
 SOURCE_BOTH = "BOTH"
 
 
-@dataclass(frozen=True)
-class RetrievalResult:
+class RetrievalResult(NamedTuple):
     keyword_id: int
     text: str
     nlg_score: float | None
@@ -184,24 +185,17 @@ def _merge(
     """One query's channels as merged results (see the module docstring).
 
     Both channel lists arrive sorted by (-score, id), so the merged order
-    is a stable partition of them: one pass over the dense hits splits
-    BOTH from DR-only, then the generative hits the dense channel lacks.
-    Their texts come from the catalog in one call.
+    is one stable partition of their ids: BOTH and DR-only in dense order,
+    then NLG-only in generative order.  One ``map`` builds all the rows.
     """
     nlg_scores, dr_scores = dict(nlg), dict(dr)
-    nlg_only = [kid for kid, _ in nlg if kid not in dr_scores]
-    texts = texts_of(bundle.catalog, [kid for kid, _ in dr] + nlg_only)
-    merged, dr_only = [], []
-    for (kid, score), text in zip(dr, texts):
-        nlg_score = nlg_scores.get(kid)
-        if nlg_score is None:
-            dr_only.append(RetrievalResult(kid, text, None, score, SOURCE_DR))
-        else:
-            merged.append(RetrievalResult(kid, text, nlg_score, score, SOURCE_BOTH))
-    merged += dr_only
-    merged += (RetrievalResult(kid, text, nlg_scores[kid], None, SOURCE_NLG)
-               for kid, text in zip(nlg_only, texts[len(dr):]))
-    return merged
+    both = list(filter(nlg_scores.__contains__, dr_scores))
+    dr_only = list(filterfalse(nlg_scores.__contains__, dr_scores))
+    nlg_only = list(filterfalse(dr_scores.__contains__, nlg_scores))
+    ids = both + dr_only + nlg_only
+    sources = [SOURCE_BOTH] * len(both) + [SOURCE_DR] * len(dr_only) + [SOURCE_NLG] * len(nlg_only)
+    return list(map(RetrievalResult, ids, texts_of(bundle.catalog, ids),
+                    map(nlg_scores.get, ids), map(dr_scores.get, ids), sources))
 
 
 def retrieve_batch(bundle: EngineBundle, queries: Sequence[str]) -> list[list[RetrievalResult]]:

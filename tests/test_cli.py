@@ -924,6 +924,17 @@ class TestTrainMeta:
         meta = json.loads((tiny_inputs[0] / "encoder.kenc.meta.json").read_text(encoding="utf-8"))
         assert meta["seed"] == meta["train_config"]["seed"] == 5
 
+    def test_seedless_config_file_takes_the_seed_flag(self, tiny_inputs):
+        config = {"epochs": 1, "batch_size": 16, "cluster_count": 1, "dim": 8,
+                  "dense_dim": 4, "hidden_dim": 12, "max_len": 4}
+        root, checkpoints = tiny_inputs[0], []
+        for seed in (0, 7):
+            assert run_train(tiny_inputs, config, "--seed", str(seed)) == 0
+            checkpoints.append((root / "encoder.kenc").read_bytes())
+            meta = json.loads((root / "encoder.kenc.meta.json").read_text(encoding="utf-8"))
+            assert meta["seed"] == meta["train_config"]["seed"] == seed
+        assert checkpoints[0] != checkpoints[1]  # seed 7 trained as seed 0
+
 
 class TestTrainFailures:
     @pytest.mark.parametrize("config", [3, None, [{}]], ids=["number", "null", "list"])

@@ -1,5 +1,4 @@
 import tempfile
-from dataclasses import astuple
 from itertools import chain
 from pathlib import Path
 
@@ -270,7 +269,7 @@ class TestLoadPairsMatchesOracle:
                 return
             pairs, malformed = load_pairs(path, BATCH_VOCAB, max_len)
         assert malformed == want[1]
-        assert [astuple(p) for p in pairs] == want[0]
+        assert [tuple(p) for p in pairs] == want[0]
         for p in pairs:
             assert type(p.query_ids) is type(p.keyword_ids) is tuple
             assert {type(i) for i in p.query_ids + p.keyword_ids} == {int}

@@ -550,10 +550,11 @@ class TestBatchBounds:
 
 
 class TestBatchedPrune:
+    @pytest.mark.parametrize("width", [6, 32, 64])
     @pytest.mark.parametrize("slack", [1.0, 1.2])
-    def test_keeps_the_scalar_oracles_neighbours(self, slack):
+    def test_keeps_the_scalar_oracles_neighbours(self, slack, width):
         rng = np.random.default_rng(17)
-        vectors = build_exact(unit_vectors(rng, 400, 6), np.arange(400)).vectors
+        vectors = build_exact(unit_vectors(rng, 400, width), np.arange(400)).vectors
         max_degree = 6
         points = rng.choice(400, 60, replace=False)
         lists = []

@@ -1,5 +1,5 @@
 import json
-from dataclasses import astuple, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -164,7 +164,7 @@ class TestMergeOrder:
     @pytest.mark.parametrize("query", ["red shoes", "ink", "blue running kettle", ""])
     def test_real_channels_match_sorted_merge(self, bundle, query):
         nlg, dr = retrieve_channels(bundle, query)
-        got = [astuple(r) for r in retrieve(bundle, query)]
+        got = [tuple(r) for r in retrieve(bundle, query)]
         assert got == sorted_merge(nlg, dr, bundle.catalog)
 
     @pytest.mark.parametrize("grouped", [False, True])
@@ -194,7 +194,7 @@ class TestMergeOrder:
             got_nlg, got_dr = retrieve_channels(b, "kw1")
             for hits in (got_nlg, got_dr):  # the contract the merge rests on
                 assert hits == sorted(hits, key=lambda hit: (-hit[1], hit[0]))
-            got = [astuple(r) for r in retrieve(b, "kw1")]
+            got = [tuple(r) for r in retrieve(b, "kw1")]
             assert got == sorted_merge(got_nlg, got_dr, b.catalog)
             sources.update(r[4] for r in got)
         assert sources == {SOURCE_BOTH, SOURCE_DR, SOURCE_NLG}
