@@ -3,7 +3,8 @@
 Conventions shared by every command:
 
   * global flags ``--seed`` and ``--config`` (a JSON file whose keys
-    override built-in defaults; explicit flags win over both);
+    override built-in defaults; explicit flags win over both, but a
+    ``train --config-file`` that sets a seed wins over ``--seed``);
   * deterministic outputs under a fixed seed;
   * a metadata block (tool version, seed, effective config and its hash)
     embedded in JSON outputs and written to ``<out>.meta.json`` next to

@@ -933,7 +933,7 @@ class TestTrainMeta:
             checkpoints.append((root / "encoder.kenc").read_bytes())
             meta = json.loads((root / "encoder.kenc.meta.json").read_text(encoding="utf-8"))
             assert meta["seed"] == meta["train_config"]["seed"] == seed
-        assert checkpoints[0] != checkpoints[1]  # seed 7 trained as seed 0
+        assert checkpoints[0] != checkpoints[1]  # a seedless file does not fix the seed
 
 
 class TestTrainFailures:
