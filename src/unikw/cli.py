@@ -2,9 +2,11 @@
 
 Conventions shared by every command:
 
-  * global flags ``--seed`` and ``--config`` (a JSON file whose keys
-    override built-in defaults; explicit flags win over both, but a
-    ``train --config-file`` that sets a seed wins over ``--seed``);
+  * global flags ``--seed`` and ``--config`` (a JSON file, in any spelling
+    argparse accepts, whose keys override built-in defaults; explicit flags
+    win over both, but a ``train --config-file`` that sets a seed wins over
+    ``--seed``);
+  * ``build-vocab`` rejects a blank keyword line, as ``build-trie`` does;
   * deterministic outputs under a fixed seed;
   * a metadata block (tool version, seed, effective config and its hash)
     embedded in JSON outputs and written to ``<out>.meta.json`` next to
@@ -284,10 +286,8 @@ def load_bundle(
 
 
 def _parse_orders(text: str) -> tuple[str, ...]:
-    orders = tuple(o.strip() for o in text.split(",") if o.strip())
-    if not orders:
-        raise ValidationError("no decoding orders given")
-    return orders
+    """The comma-separated orders; ``DecodeConfig`` checks them."""
+    return tuple(o.strip() for o in text.split(",") if o.strip())
 
 
 def cmd_retrieve(args) -> int:
@@ -517,16 +517,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> None:
-    """Let a --config JSON override subcommand defaults (flags still win)."""
-    path = None  # the last of `--config PATH` and `--config=PATH` wins, as in argparse
-    for i, arg in enumerate(argv):
-        if arg == "--config":
-            path = argv[i + 1] if i + 1 < len(argv) else ""
-        elif arg.startswith("--config="):
-            path = arg[len("--config="):]
-    if path is None:
-        return
+def _apply_config_file(parser: argparse.ArgumentParser, path: str) -> None:
+    """Let the --config JSON at ``path`` override subcommand defaults (flags still win)."""
     if not path:
         raise ValidationError("--config needs a JSON file path")
     with open(path, encoding="utf-8") as f:
@@ -565,8 +557,10 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        _apply_config_file(parser, argv)
         args = parser.parse_args(argv)
+        if args.config is not None:  # argparse found it, in whatever spelling
+            _apply_config_file(parser, args.config)
+            args = parser.parse_args(argv)
         return args.handler(args)
     except (ValidationError, ValueError, RecursionError) as exc:  # bad inputs, deep JSON too
         _emit_error(EXIT_VALIDATION, "validation", exc)

@@ -19,9 +19,9 @@ the tokens of the lines it keeps, with one ``Counter`` per file, and
 ``load_pairs`` tokenizes their two columns with one ``tokenize_batch``
 call each.
 
-``load_keywords`` reads the catalog into a ``Catalog``: the decoded text
-and one array of line offsets, with no string per keyword until one is
-asked for.
+``load_keywords``, the one catalog reader (``build_vocab``'s too), gives a
+``Catalog``: the decoded text and one array of line offsets, with no
+string per keyword until one is asked for.
 
 File formats:
   * keyword catalog — UTF-8, one keyword per line as ``str.splitlines``
@@ -202,14 +202,13 @@ def build_vocab(keyword_path, pairs_path, min_count: int = 1) -> Vocab:
 
     Id assignment is deterministic: tokens sorted by descending count, ties
     broken lexicographically.  Shuffling the corpus lines does not change
-    the result.  Pair lines are counted only where ``load_pairs`` parses
-    them: both read the file through ``_pair_lines``.
+    the result.  ``load_keywords`` reads the catalog, as for ``build-trie``
+    (a blank keyword line fails); pair lines are counted only where
+    ``load_pairs`` parses them, through ``_pair_lines``.
     """
     if min_count < 1:
         raise ValidationError("min_count must be >= 1")
-    counts: Counter = Counter()
-    with open(keyword_path, encoding="utf-8") as f:
-        counts.update(f.read().lower().split())
+    counts = Counter(load_keywords(keyword_path)._text.lower().split())
     _reject_reserved(counts)
     counts.update("\n".join(_pair_lines(pairs_path)[0]).lower().split())
     _reject_reserved(counts)

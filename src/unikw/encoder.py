@@ -196,11 +196,6 @@ class TrainConfig:
             raise ValidationError(f"unknown train config keys: {sorted(unknown)}")
         return cls(**data)
 
-    @classmethod
-    def from_file(cls, path) -> "TrainConfig":
-        with open(path, encoding="utf-8") as f:
-            return cls.from_json(f.read())
-
 
 def init_params(
     vocab_size: int,

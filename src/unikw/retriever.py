@@ -88,7 +88,7 @@ class EngineBundle:
     groups: dict[int, tuple[int, ...]] | None = None
 
     def validate(self) -> None:
-        """Cross-check that all components describe the same catalog/vocab."""
+        """Cross-check the components: one catalog and vocab, keywords the encoder can score."""
         if self.dense_k < 0:  # 0 is legal: no dense channel
             raise ValidationError(f"dense_k must be >= 0, not {self.dense_k}")
         if self.params.vocab_size != len(self.vocab):
@@ -101,6 +101,16 @@ class EngineBundle:
                 raise ValidationError(f"trie direction {trie.direction}, expected {direction}")
             if trie.vocab_checksum != checksum:
                 raise ValidationError("trie vocab checksum does not match the vocab")
+            # Nodes are numbered level by level: the level after nodes lo..hi-1
+            # is hi..offsets[hi].  A reversed path's length edge takes no position.
+            longest, lo, hi = -1 - (direction == REVERSED), 0, 1
+            while lo < hi:
+                longest, lo, hi = longest + 1, hi, int(trie.offsets[hi]) + 1
+            if longest > self.params.max_len:
+                raise ValidationError(
+                    f"{direction} trie holds a keyword of {longest} positions, more than the "
+                    f"encoder's max_len {self.params.max_len}: build the tries with "
+                    f"build-trie --max-len {self.params.max_len}")
         n = len(self.catalog)
         fwd_ids, rev_ids = (t.node_keyword[t.node_keyword >= 0]
                             for t in (self.forward_trie, self.reversed_trie))

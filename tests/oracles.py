@@ -584,7 +584,8 @@ def scalar_load_pairs(path, vocab, max_len: int):
 def scalar_vocab_tokens(keyword_path, pairs_path, min_count: int = 1) -> tuple[str, ...]:
     """``corpus.build_vocab``'s token list (ids 3 on), counted one line and
     one token at a time.  Raises ValueError with ``build_vocab``'s message
-    at the first reserved surface form read, in file order."""
+    at a blank keyword line (``reference_load_keywords``' rule), then at the
+    first reserved surface form read, in file order."""
 
     def count_tokens(text):
         for tok in text.lower().split():
@@ -594,6 +595,7 @@ def scalar_vocab_tokens(keyword_path, pairs_path, min_count: int = 1) -> tuple[s
 
     if min_count < 1:
         raise ValueError("min_count must be >= 1")
+    reference_load_keywords(keyword_path)
     counts = Counter()
     with open(keyword_path, encoding="utf-8") as f:
         for line in f:

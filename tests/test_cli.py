@@ -335,6 +335,47 @@ class TestPipeline:
         assert "repeated decoding order" in validation_message(capsys)
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["retrieve", "bench"])
+    def test_no_order_is_validation_error(self, pipeline, tmp_path, capsys, command):
+        # DecodeConfig rejects it after the bundle loads, as an unknown order.
+        out = tmp_path / "out.json"
+        code = main([
+            command, "--bundle-dir", str(pipeline["bundle"]),
+            "--queries", str(pipeline["paths"]["queries"]), "--orders", ",", "--out", str(out),
+        ])
+        assert code == 2
+        assert "at least one decoding order is required" in validation_message(capsys)
+        assert not out.exists()
+
+    def test_trie_deeper_than_the_encoder_is_validation_error(self, pipeline, tmp_path, capsys):
+        # The encoder has 4 positions; the decoder used to drop, silently,
+        # every keyword a trie built at --max-len 16 held past them.
+        bundle = tmp_path / "bundle"
+        shutil.copytree(pipeline["bundle"], bundle)
+        with open(bundle / "keywords.txt", "a", encoding="utf-8") as f:
+            f.write("a keyword of five words\n")  # six positions with EOW
+
+        def build_tries_and_retrieve(max_len):
+            for direction in ("fwd", "rev"):
+                assert main([
+                    "build-trie", "--keywords", str(bundle / "keywords.txt"),
+                    "--vocab", str(bundle / "vocab.txt"), "--direction", direction,
+                    "--max-len", max_len, "--out", str(bundle / f"trie.{direction}.ktri"),
+                ]) == 0
+            capsys.readouterr()
+            return main([
+                "retrieve", "--bundle-dir", str(bundle),
+                "--queries", str(pipeline["paths"]["queries"]), "--out", str(tmp_path / "r.jsonl"),
+            ])
+
+        assert build_tries_and_retrieve("16") == 2
+        assert validation_message(capsys) == (
+            "forward trie holds a keyword of 6 positions, more than the encoder's max_len 4: "
+            "build the tries with build-trie --max-len 4"
+        )
+        assert not (tmp_path / "r.jsonl").exists()
+        assert build_tries_and_retrieve("4") == 0
+
     @pytest.mark.parametrize("catalog, message", [
         (b"red shoes\n\xff\xfe boots\n", "can't decode byte 0xff"),
         (b"red shoes\n \t\nblue boots\n", "blank keyword at line 1"),
@@ -791,6 +832,38 @@ class TestErrorHandling:
         ]) == 0
         assert out.read_text(encoding="utf-8").splitlines() == ["a"]
 
+    @pytest.mark.parametrize("spelling", [["--conf", "{}"], ["--con", "{}"], ["--conf={}"]])
+    def test_config_in_any_spelling_argparse_accepts(self, tmp_path, spelling):
+        # Abbreviations parsed as --config, but the file used to be ignored.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"min_count": 2}), encoding="utf-8")
+        kw = tmp_path / "kw.txt"
+        kw.write_text("a a\nb\n", encoding="utf-8")
+        pairs = tmp_path / "p.tsv"
+        pairs.write_text("a\ta\n", encoding="utf-8")
+        out = tmp_path / "vocab.txt"
+        assert main([
+            "build-vocab", "--keywords", str(kw), "--pairs", str(pairs),
+            *(arg.format(config) for arg in spelling), "--out", str(out),
+        ]) == 0
+        assert out.read_text(encoding="utf-8").splitlines() == ["a"]
+
+    def test_blank_keyword_line_fails_at_build_vocab_as_at_build_trie(self, tmp_path, capsys):
+        # build-vocab used to accept the catalog that build-trie then rejected.
+        kw = tmp_path / "kw.txt"
+        kw.write_text("red shoes\n\nblue hat\n", encoding="utf-8")
+        pairs = tmp_path / "p.tsv"
+        pairs.write_text("red\tred shoes\n", encoding="utf-8")
+        vocab = tmp_path / "vocab.txt"
+        vocab.write_text("red\nshoes\nblue\nhat\n", encoding="utf-8")
+        assert main(["build-vocab", "--keywords", str(kw), "--pairs", str(pairs),
+                     "--out", str(tmp_path / "v.txt")]) == 2
+        assert validation_message(capsys) == "blank keyword at line 1"
+        assert not (tmp_path / "v.txt").exists()
+        assert main(["build-trie", "--keywords", str(kw), "--vocab", str(vocab),
+                     "--out", str(tmp_path / "t.ktri")]) == 2
+        assert validation_message(capsys) == "blank keyword at line 1"
+
     def test_config_equals_without_value_is_validation_error(self, capsys):
         code = main(["retrieve", "--bundle-dir", "b", "--queries", "q", "--out", "o", "--config="])
         assert code == 2
@@ -934,6 +1007,15 @@ class TestTrainMeta:
             meta = json.loads((root / "encoder.kenc.meta.json").read_text(encoding="utf-8"))
             assert meta["seed"] == meta["train_config"]["seed"] == seed
         assert checkpoints[0] != checkpoints[1]  # a seedless file does not fix the seed
+
+
+    def test_without_a_config_file_trains_the_default_config_at_the_seed_flag(self, tiny_inputs):
+        root, vocab, pairs = tiny_inputs
+        assert main(["train", "--pairs", str(pairs), "--vocab", str(vocab), "--seed", "3",
+                     "--out", str(root / "encoder.kenc")]) == 0
+        meta = json.loads((root / "encoder.kenc.meta.json").read_text(encoding="utf-8"))
+        assert meta["seed"] == 3
+        assert meta["train_config"] == json.loads(TrainConfig(seed=3).to_json())
 
 
 class TestTrainFailures:

@@ -88,6 +88,19 @@ def test_frame_rejects(tmp_path, magic, what, write, read, case):
         read(path)
 
 
+@pytest.mark.parametrize("magic, what, write, read", [f for f in FORMATS if f.id != "KTRI"])
+def test_trailing_body_byte_rejected(tmp_path, magic, what, write, read):
+    # A byte past the last array, under a checksum that still holds.  (A
+    # trie's body is a varint stream, whose count check rejects it first.)
+    path = tmp_path / "file"
+    write(path)
+    data = path.read_bytes()
+    (version,) = struct.unpack_from("<I", data, 4)
+    path.write_bytes(frame(magic, version, data[8:-8] + b"\0"))
+    with pytest.raises(ValidationError, match=f"^corrupt {what}( file)?: trailing bytes$"):
+        read(path)
+
+
 def test_kgra_format_pinned(tmp_path):
     """KGRA version 3, byte by byte: magic, u32 version 3, a ``<QIQ``
     header (rows, max_degree, entry row), ``n + 1`` i64 offsets, the i32

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from unikw import (
+    FORWARD,
+    REVERSED,
     ValidationError,
     Vocab,
     build_exact,
@@ -142,6 +144,31 @@ class TestBundleValidation:
         with pytest.raises(ValidationError, match="dense_dim"):
             bad.validate()
 
+
+    @pytest.mark.parametrize("direction", [FORWARD, REVERSED])
+    def test_trie_deeper_than_the_encoder_detected(self, bundle, direction):
+        # The decoder has max_len (8) rows and used to skip, silently, every
+        # keyword longer than that: here one of 8 tokens plus EOW.
+        entries = [(tokenize(text, bundle.vocab, "keyword", 16), kid)
+                   for kid, text in enumerate([*CATALOG, " ".join(["red"] * 8)])]
+        trie = build_trie(entries, direction, bundle.vocab.checksum())
+        bad = replace(bundle, **{f"{direction}_trie": trie})
+        with pytest.raises(ValidationError, match=(
+            f"^{direction} trie holds a keyword of 9 positions, more than the encoder's "
+            "max_len 8: build the tries with build-trie --max-len 8$"
+        )):
+            bad.validate()
+
+    def test_keywords_as_long_as_max_len_fit(self, bundle):
+        catalog = [*CATALOG, " ".join(["red"] * 7)]  # 7 tokens plus EOW: all 8 rows
+        entries = [(tokenize(text, bundle.vocab, "keyword", 16), kid)
+                   for kid, text in enumerate(catalog)]
+        checksum = bundle.vocab.checksum()
+        full = replace(bundle, catalog=tuple(catalog),
+                       forward_trie=build_trie(entries, FORWARD, checksum),
+                       reversed_trie=build_trie(entries, REVERSED, checksum))
+        full.validate()
+        assert len(catalog) - 1 in dict(retrieve_channels(full, catalog[-1])[0])
 
     def test_negative_index_id_detected(self, bundle):
         ids = bundle.index.ids.copy()
