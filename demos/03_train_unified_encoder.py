@@ -69,6 +69,7 @@ print("epoch losses:", " ".join(f"{x:.2f}" for x in result.epoch_losses[::5]))
 
 entries = [(tokenize(k, vocab, "keyword", MAX_LEN), i) for i, k in enumerate(keywords)]
 checksum = vocab.checksum()
+# Building the bundle runs its consistency checks: a bundle that exists can serve.
 bundle = EngineBundle(
     params=result.params,
     vocab=vocab,
@@ -80,7 +81,6 @@ bundle = EngineBundle(
     decode=DecodeConfig(beam_size=50),
     dense_k=10,
 )
-bundle.validate()
 
 query = noisy_query(7)
 print(f"\nquery: {query!r} (gold keyword: {keywords[7]!r})")

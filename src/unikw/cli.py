@@ -256,7 +256,7 @@ def load_bundle(
     prune_threshold: float = DecodeConfig.prune_threshold,
     dense_k: int = EngineBundle.dense_k,
 ) -> EngineBundle:
-    """Assemble and validate an EngineBundle from a bundle directory."""
+    """The EngineBundle of a bundle directory, checked as it is built."""
     d = Path(bundle_dir)
     vocab = load_vocab(d / "vocab.txt")
     catalog = load_keywords(d / "keywords.txt")
@@ -270,7 +270,7 @@ def load_bundle(
     else:
         index = build_exact(vectors, ids)
     reps_path = d / "reps.tsv"
-    bundle = EngineBundle(
+    return EngineBundle(
         params=params,
         vocab=vocab,
         catalog=catalog,
@@ -281,8 +281,6 @@ def load_bundle(
         dense_k=dense_k,
         groups=_load_groups(reps_path) if reps_path.exists() else None,
     )
-    bundle.validate()
-    return bundle
 
 
 def _parse_orders(text: str) -> tuple[str, ...]:

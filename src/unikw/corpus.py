@@ -300,7 +300,8 @@ def load_keywords(path) -> Catalog:
     # A blank line starts with whitespace: an empty one with its break.
     # Only lines whose first character is whitespace need a closer look.
     first = codes[starts[:-1]]
-    spaces = [c for c in np.unique(first).tolist() if chr(c).isspace()]
+    s = np.sort(first)  # distinct: s[0] and each s[i] != s[i - 1] (np.unique imports numpy.ma)
+    spaces = [c for c in np.r_[s[:1], s[1:][s[1:] != s[:-1]]].tolist() if chr(c).isspace()]
     for i in np.flatnonzero(np.isin(first, spaces)).tolist():
         if not text[starts[i]:starts[i + 1] - 1].strip():
             raise ValidationError(f"blank keyword at line {i}")

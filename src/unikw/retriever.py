@@ -1,12 +1,12 @@
 """End-to-end unified retrieval: one encoder pass feeds both channels.
 
 ``retrieve_batch`` is the one serving path, and ``retrieve`` its one-query
-case.  Each query is encoded exactly once.  The resulting
-log-probability table drives permutation-decoded trie search (the
-generative channel, "NLG") and the dense embedding drives
-nearest-neighbor search (the dense channel, "DR").  Results merge by
-keyword id; the merged set is exactly the union of the two channels, so
-its recall can never fall below either channel's.
+case; any ``EngineBundle`` serves, since building one runs its checks.
+Each query is encoded exactly once.  The resulting log-probability table
+drives permutation-decoded trie search (the generative channel, "NLG") and
+the dense embedding drives nearest-neighbor search (the dense channel,
+"DR").  Results merge by keyword id; the merged set is exactly the union
+of the two channels, so its recall can never fall below either channel's.
 
 Queries are served a chunk at a time: one ``tokenize_batch``, one
 ``encode_batch`` and one ``search_batch`` per chunk, then the decode and
@@ -71,9 +71,10 @@ class RetrievalResult(NamedTuple):
         return obj
 
 
-@dataclass
+@dataclass(frozen=True)
 class EngineBundle:
-    """Every component of a servable engine, built over one catalog."""
+    """Every component of a servable engine, built over one catalog.  Frozen;
+    construction, and so every ``dataclasses.replace``, runs ``validate``."""
 
     params: EncoderParams
     vocab: Vocab
@@ -86,6 +87,9 @@ class EngineBundle:
     # Representative id -> the ids of its group, ascending, when the index
     # holds representatives only (``index --cluster-threshold``).
     groups: dict[int, tuple[int, ...]] | None = None
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     def validate(self) -> None:
         """Cross-check the components: one catalog and vocab, keywords the encoder can score."""

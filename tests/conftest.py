@@ -41,7 +41,7 @@ def bundle_from_catalog(
     ]
     checksum = vocab.checksum()
     vectors = embed_batch(params, [seq for seq, _ in entries])
-    bundle = EngineBundle(
+    return EngineBundle(
         params=params,
         vocab=vocab,
         catalog=tuple(catalog),
@@ -51,8 +51,6 @@ def bundle_from_catalog(
         decode=DecodeConfig(beam_size=beam_size),
         dense_k=dense_k,
     )
-    bundle.validate()
-    return bundle
 
 
 def pytest_runtest_logreport(report):

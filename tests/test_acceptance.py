@@ -110,7 +110,6 @@ def trained():
         decode=DecodeConfig(beam_size=100),
         dense_k=100,
     )
-    bundle.validate()
     return {
         "corpus": corpus,
         "vocab": vocab,

@@ -68,9 +68,7 @@ def engines():
         for kind in ("exact", "graph"):
             index = (build_exact(vectors[rows], ids) if kind == "exact" else
                      build_graph(vectors[rows], ids, max_degree=6, build_width=12, seed=1))
-            engine = replace(base, index=index, groups=groups if grouped else None)
-            engine.validate()
-            out[kind, grouped] = engine
+            out[kind, grouped] = replace(base, index=index, groups=groups if grouped else None)
     return out
 
 

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import tempfile
 from itertools import chain
 from pathlib import Path
@@ -343,6 +346,17 @@ class TestLoadKeywords:
 
     def test_empty_file_is_an_empty_catalog(self, tmp_path):
         assert list(load_keywords(_write(tmp_path / "kw.txt", ""))) == []
+
+    def test_reading_a_catalog_does_not_import_numpy_ma(self, tmp_path):
+        # numpy.ma takes 10-15 ms to import, and np.unique imports it.
+        path = _write(tmp_path / "kw.txt", "red shoes\n\tblue kettle\nprinter ink\n")
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = ("import sys; from unikw.corpus import load_keywords; "
+                f"assert len(load_keywords({str(path)!r})) == 3; print('numpy.ma' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                              timeout=60)
+        assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
 
 
 #: Catalog text pieces: letters, spaces, tabs, non-ASCII letters, Unicode

@@ -1,5 +1,5 @@
 import json
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -11,6 +11,7 @@ from unikw import (
     Vocab,
     build_exact,
     build_trie,
+    init_params,
     overlap_stats,
     retrieve,
     retrieve_channels,
@@ -54,9 +55,8 @@ class TestRetrieve:
 
     def test_negative_dense_k_rejected(self, bundle):
         with pytest.raises(ValidationError, match="^dense_k must be >= 0, not -1$"):
-            replace(bundle, dense_k=-1).validate()
+            replace(bundle, dense_k=-1)
         nlg_only = replace(bundle, dense_k=0)  # legal: no dense channel
-        nlg_only.validate()
         assert retrieve_channels(nlg_only, "red shoes")[1] == []
 
     def test_merged_equals_channel_union(self, bundle):
@@ -106,24 +106,21 @@ class TestBundleValidation:
             (tokenize(text, other_vocab, "keyword", 8), kid)
             for kid, text in enumerate(CATALOG)
         ]
-        bad = replace(
-            bundle,
-            forward_trie=build_trie(entries, vocab_checksum=other_vocab.checksum()),
-        )
         with pytest.raises(ValidationError, match="checksum|vocab"):
-            bad.validate()
+            replace(
+                bundle,
+                forward_trie=build_trie(entries, vocab_checksum=other_vocab.checksum()),
+            )
 
     def test_catalog_too_small_detected(self, bundle):
         from dataclasses import replace
 
-        bad = replace(bundle, catalog=bundle.catalog[:2])
         with pytest.raises(ValidationError):
-            bad.validate()
+            replace(bundle, catalog=bundle.catalog[:2])
 
     def test_catalog_one_short_detected(self, bundle):
-        bad = replace(bundle, catalog=bundle.catalog[:-1])
         with pytest.raises(ValidationError, match="trie keyword id outside the catalog"):
-            bad.validate()
+            replace(bundle, catalog=bundle.catalog[:-1])
 
     @pytest.mark.parametrize("new_id", [-1, 0, len(CATALOG) + 3],
                              ids=["dropped", "repeated", "past-catalog"])
@@ -132,17 +129,15 @@ class TestBundleValidation:
         # in length, in their counts, or (past the catalog) when sorted.
         node_keyword = bundle.reversed_trie.node_keyword.copy()
         node_keyword[bundle.reversed_trie.term_nodes[-1]] = new_id
-        bad = replace(bundle, reversed_trie=replace(bundle.reversed_trie, node_keyword=node_keyword))
         with pytest.raises(ValidationError, match="cover different keywords"):
-            bad.validate()
+            replace(bundle, reversed_trie=replace(bundle.reversed_trie, node_keyword=node_keyword))
 
     def test_dense_width_mismatch_detected(self, bundle):
         from dataclasses import replace
 
         narrower = replace(bundle.index, vectors=bundle.index.vectors[:, :-1])
-        bad = replace(bundle, index=narrower)
         with pytest.raises(ValidationError, match="dense_dim"):
-            bad.validate()
+            replace(bundle, index=narrower)
 
 
     @pytest.mark.parametrize("direction", [FORWARD, REVERSED])
@@ -152,12 +147,11 @@ class TestBundleValidation:
         entries = [(tokenize(text, bundle.vocab, "keyword", 16), kid)
                    for kid, text in enumerate([*CATALOG, " ".join(["red"] * 8)])]
         trie = build_trie(entries, direction, bundle.vocab.checksum())
-        bad = replace(bundle, **{f"{direction}_trie": trie})
         with pytest.raises(ValidationError, match=(
             f"^{direction} trie holds a keyword of 9 positions, more than the encoder's "
             "max_len 8: build the tries with build-trie --max-len 8$"
         )):
-            bad.validate()
+            replace(bundle, **{f"{direction}_trie": trie})
 
     def test_keywords_as_long_as_max_len_fit(self, bundle):
         catalog = [*CATALOG, " ".join(["red"] * 7)]  # 7 tokens plus EOW: all 8 rows
@@ -167,15 +161,37 @@ class TestBundleValidation:
         full = replace(bundle, catalog=tuple(catalog),
                        forward_trie=build_trie(entries, FORWARD, checksum),
                        reversed_trie=build_trie(entries, REVERSED, checksum))
-        full.validate()
         assert len(catalog) - 1 in dict(retrieve_channels(full, catalog[-1])[0])
 
     def test_negative_index_id_detected(self, bundle):
         ids = bundle.index.ids.copy()
         ids[-1] = -1  # what a u64 id of 2**64 - 1 reads as
-        bad = replace(bundle, index=build_exact(bundle.index.vectors, ids))
         with pytest.raises(ValidationError, match="outside the catalog"):
-            bad.validate()
+            replace(bundle, index=build_exact(bundle.index.vectors, ids))
+
+    def test_encoder_over_another_vocab_detected(self, bundle):
+        n = len(bundle.vocab)
+        params = init_params(n + 1, dim=16, dense_dim=8, hidden_dim=24, max_len=8)
+        with pytest.raises(ValidationError, match=f"^encoder vocabulary {n + 1} != vocab {n}$"):
+            replace(bundle, params=params)
+
+    def test_swapped_tries_detected(self, bundle):
+        with pytest.raises(ValidationError, match=f"^trie direction {REVERSED}, expected {FORWARD}$"):
+            replace(bundle, forward_trie=bundle.reversed_trie, reversed_trie=bundle.forward_trie)
+
+    def test_replace_checks_the_new_bundle(self, bundle):
+        # An encoder cut to 3 positions: "hp ink cartridge" and EOW take 4.
+        cut = replace(bundle.params, pos_emb=bundle.params.pos_emb[:3])
+        with pytest.raises(ValidationError, match=(
+            "^forward trie holds a keyword of 4 positions, more than the encoder's max_len 3"
+        )):
+            replace(bundle, params=cut)
+
+    def test_a_bundle_cannot_be_changed_in_place(self, bundle):
+        dense_k = bundle.dense_k
+        with pytest.raises(FrozenInstanceError):
+            bundle.dense_k = -1
+        assert bundle.dense_k == dense_k
 
 
 def _sorted_hits(rng, ids, levels):
@@ -217,7 +233,6 @@ class TestMergeOrder:
             nlg[:] = _sorted_hits(rng, nlg_ids, [-3.0, -2.5, -2.0, -1.5])
             dr[:] = _sorted_hits(rng, dr_ids, [0.1, 0.4, 0.7])
             b = replace(base, index=index, groups=groups, dense_k=int(rng.integers(1, 30)))
-            b.validate()
             got_nlg, got_dr = retrieve_channels(b, "kw1")
             for hits in (got_nlg, got_dr):  # the contract the merge rests on
                 assert hits == sorted(hits, key=lambda hit: (-hit[1], hit[0]))
@@ -278,7 +293,6 @@ class TestRepresentativeGroups:
     @pytest.mark.parametrize("dense_k", [1, 2, 5, 20])
     def test_members_take_their_representatives_score(self, bundle, dense_k):
         clustered = self.clustered(bundle, dense_k)
-        clustered.validate()
         _, reps_dr = retrieve_channels(replace(clustered, groups=None), "red shoes")
         _, dr = retrieve_channels(clustered, "red shoes")
         scores = dict(reps_dr)
@@ -295,6 +309,6 @@ class TestRepresentativeGroups:
         ({0: (0, 3), 1: (1,), 2: (2,), 4: (4, 5)}, "exactly the index ids"),
     ])
     def test_inconsistent_groups_rejected(self, bundle, groups, message):
-        clustered = replace(self.clustered(bundle, 20), groups=groups)
+        clustered = self.clustered(bundle, 20)
         with pytest.raises(ValidationError, match=message):
-            clustered.validate()
+            replace(clustered, groups=groups)
