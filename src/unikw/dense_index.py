@@ -2,8 +2,8 @@
 
 All vectors are unit-normalized, so inner product and cosine coincide and
 ``1 - dot`` is a monotone stand-in for Euclidean distance on the sphere.
-Every index is ``build_exact``'s rows and ids; a graph index adds an
-adjacency to them, and ``DenseIndex.kind`` follows from whether it has one.
+Every index is a self-checking ``DenseIndex`` of rows and ids; a graph index
+adds an adjacency, and ``DenseIndex.kind`` follows from whether it has one.
 
 The graph index is a flat navigable graph in the manner of Vamana/DiskANN
 (Subramanya et al., NeurIPS 2019): every point keeps at most
@@ -75,9 +75,11 @@ DEFAULT_SEARCH_WIDTH = 100
 DEFAULT_PRUNE_SLACK = 1.2
 
 
-@dataclass
+@dataclass(frozen=True)
 class DenseIndex:
-    """The rows and ids search reads, plus the graph kind's adjacency."""
+    """The rows and ids search reads, plus the graph kind's adjacency.  Frozen;
+    construction and every ``replace`` store the rows as ``_normalize`` gives
+    them and check the ids and the adjacency."""
 
     vectors: np.ndarray            # (N, d) float32, unit rows
     ids: np.ndarray                # (N,) int64 keyword ids
@@ -85,6 +87,41 @@ class DenseIndex:
     neighbors: np.ndarray | None = None  # graph CSR neighbor rows, int32
     entry: int = 0
     max_degree: int = DEFAULT_MAX_DEGREE
+
+    def __post_init__(self) -> None:
+        vectors, ids = _normalize(self.vectors), np.asarray(self.ids, dtype=np.int64)
+        if len(ids) != len(vectors):
+            raise ValidationError("ids and vectors disagree on length")
+        # Ascending ids, as ``index`` writes them, are unique without a sort
+        # (~1 ms at 100k ids); others are sorted and neighbours compared.
+        ordered = ids if np.all(ids[1:] > ids[:-1]) else np.sort(ids)
+        if np.any(ordered[1:] == ordered[:-1]):
+            raise ValidationError("duplicate ids")
+        if len(ids) and ordered[0] < 0:  # what a u64 id of 2**64 - 1 reads as
+            raise ValidationError(f"keyword id {ordered[0]} is negative, outside the catalog")
+        object.__setattr__(self, "vectors", vectors)
+        object.__setattr__(self, "ids", ids)
+        if self.offsets is None and self.neighbors is None:
+            return
+        if self.offsets is None or self.neighbors is None:
+            raise ValidationError("a graph needs both offsets and neighbors")
+        n, offsets, neighbors = len(vectors), self.offsets, self.neighbors
+        degrees = np.diff(offsets)
+        if (len(offsets) != n + 1 or offsets[0] != 0 or np.any(degrees < 0)
+                or offsets[-1] != len(neighbors)):
+            raise ValidationError(f"graph offsets must start at 0 and not decrease, from {n} "
+                                  f"rows to their {len(neighbors)} neighbors")
+        if len(degrees) and degrees.max() > self.max_degree:
+            raise ValidationError(f"a graph node has more than {self.max_degree} neighbors")
+        if not 0 <= self.entry < max(n, 1):  # an empty graph keeps entry 0
+            raise ValidationError(f"graph entry point {self.entry} outside {n} nodes")
+        if len(neighbors) and (neighbors.min() < 0 or neighbors.max() >= n):
+            raise ValidationError(f"graph neighbor id outside [0, {n})")
+        # Entries not above the one before, each of which must start a row.
+        falls = np.flatnonzero(neighbors[1:] <= neighbors[:-1]) + 1
+        if np.any(offsets[np.searchsorted(offsets, falls)] != falls):
+            raise ValidationError("graph neighbors must ascend within each row")
+        _check_max_degree(self.max_degree)
 
     @property
     def kind(self) -> str:
@@ -121,24 +158,9 @@ def _normalize(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_ids(vectors: np.ndarray, ids) -> np.ndarray:
-    ids = np.asarray(ids, dtype=np.int64)
-    if len(ids) != len(vectors):
-        raise ValidationError("ids and vectors disagree on length")
-    # Ascending ids, as ``index`` writes them, are unique without a sort
-    # (~1 ms at 100k ids); others are sorted and neighbours compared.
-    if np.all(ids[1:] > ids[:-1]):
-        return ids
-    ordered = np.sort(ids)
-    if np.any(ordered[1:] == ordered[:-1]):
-        raise ValidationError("duplicate ids")
-    return ids
-
-
 def build_exact(vectors, ids) -> DenseIndex:
     """Exhaustive-scan index; the ground-truth oracle for the graph kind."""
-    vectors = _normalize(vectors)
-    return DenseIndex(vectors=vectors, ids=_check_ids(vectors, ids))
+    return DenseIndex(vectors, ids)
 
 
 _BEAM_WIDTH = 4              # candidates each point expands per build search step
@@ -686,28 +708,16 @@ def save_graph(path, index: DenseIndex) -> None:
 
 
 def load_graph(path, vectors: np.ndarray, ids: np.ndarray) -> DenseIndex:
-    """``build_exact`` of the embeddings plus the graph file's adjacency,
-    whose every part is checked against the rows."""
+    """The graph ``DenseIndex`` of the embeddings and the graph file, which is
+    checked here against the rows and for truncation and trailing bytes."""
     payload = unframe(read_file(path), _GRAPH_MAGIC, _GRAPH_VERSION, "graph")
     (n, max_degree, entry), pos = unpack_at("<QIQ", payload, 0)
     if n != len(vectors):
         raise ValidationError("graph file does not match embeddings")
-    exact = build_exact(vectors, ids)
     raw, pos = take(payload, pos, (n + 1) * 8)
     offsets = np.frombuffer(raw, dtype="<i8").astype(np.int64)
-    degrees = np.diff(offsets)
-    if offsets[0] != 0 or np.any(degrees < 0):
-        raise ValidationError("corrupt graph file: offsets must start at 0 and not decrease")
-    if len(degrees) and degrees.max() > max_degree:
-        raise ValidationError(f"corrupt graph file: a node has more than {max_degree} neighbors")
-    if entry >= max(n, 1):  # an empty graph keeps entry 0
-        raise ValidationError(f"corrupt graph file: entry point {entry} outside {n} nodes")
     raw, pos = take(payload, pos, int(offsets[-1]) * 4)
     neighbors = np.frombuffer(raw, dtype="<i4").astype(np.int32)
     if pos != len(payload):
         raise ValidationError("corrupt graph file: trailing bytes")
-    if len(neighbors) and (neighbors.min() < 0 or neighbors.max() >= n):
-        raise ValidationError(f"corrupt graph file: neighbor id outside [0, {n})")
-    _check_max_degree(max_degree)
-    return replace(exact, offsets=offsets, neighbors=neighbors, entry=int(entry),
-                   max_degree=max_degree)
+    return DenseIndex(vectors, ids, offsets, neighbors, int(entry), max_degree)

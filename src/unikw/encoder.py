@@ -44,6 +44,9 @@ Serving follows the same rule: ``encode_batch`` runs a chunk of queries
 through stacked matmuls with one query per item, so each query's rows
 are the bits ``encode`` gives it alone, in any chunk and at any BLAS
 thread count.
+
+``EncoderParams`` is frozen and checks at construction that its tensors
+agree on (V, d, M, d_dr, h); checkpoints check the weights' values.
 """
 
 from __future__ import annotations
@@ -88,8 +91,18 @@ class ForwardCounter:
             self.count += passes
 
 
-@dataclass
+def _param_shapes(v: int, d: int, d_dr: int, h: int, m: int) -> dict[str, tuple[int, ...]]:
+    """Each tensor's shape, keyed like :data:`PARAM_NAMES`."""
+    return {"token_emb": (v, d), "pos_emb": (m, d), "dense_proj": (d_dr, d), "hidden_w": (h, 2 * d),
+            "hidden_b": (h,), "out_w": (v, h), "out_b": (v,)}
+
+
+@dataclass(frozen=True)
 class EncoderParams:
+    """The seven weight tensors.  Frozen; construction and every ``replace``
+    check that their shapes agree on (V, d, M, d_dr, h).  ``train`` updates
+    the weights in place, so ``_check_checkpoint`` checks their values."""
+
     token_emb: np.ndarray   # (V, d)
     pos_emb: np.ndarray     # (M, d)
     dense_proj: np.ndarray  # (d_dr, d)
@@ -98,6 +111,14 @@ class EncoderParams:
     out_w: np.ndarray       # (V, h)
     out_b: np.ndarray       # (V,)
     forward_counter: ForwardCounter = field(default_factory=ForwardCounter, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        got = {name: np.shape(arr) for name, arr in self.arrays().items()}
+        (v, d), (m, _), (d_dr, _), (h, _) = (  # -1 stands for an axis the tensor lacks
+            (got[name] + (-1, -1))[:2] for name in ("token_emb", "pos_emb", "dense_proj", "hidden_w"))
+        for name, shape in _param_shapes(v, d, d_dr, h, m).items():
+            if got[name] != shape:
+                raise ValidationError(f"encoder {name} has shape {got[name]}, not {shape}")
 
     @property
     def vocab_size(self) -> int:
@@ -684,18 +705,8 @@ def load_params(path) -> EncoderParams:
     """A checkpoint that passes the check ``save_params`` makes."""
     payload = unframe(read_file(path), _MAGIC, _VERSION, "checkpoint")
     (v, d, d_dr, h, m), pos = unpack_at("<QIIII", payload, 0)
-    shapes = {
-        "token_emb": (v, d),
-        "pos_emb": (m, d),
-        "dense_proj": (d_dr, d),
-        "hidden_w": (h, 2 * d),
-        "hidden_b": (h,),
-        "out_w": (v, h),
-        "out_b": (v,),
-    }
     arrays = {}
-    for name in PARAM_NAMES:
-        shape = shapes[name]
+    for name, shape in _param_shapes(v, d, d_dr, h, m).items():
         count = int(np.prod(shape))
         raw, pos = take(payload, pos, count * 8)
         arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()

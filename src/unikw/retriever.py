@@ -1,7 +1,8 @@
 """End-to-end unified retrieval: one encoder pass feeds both channels.
 
 ``retrieve_batch`` is the one serving path, and ``retrieve`` its one-query
-case; any ``EngineBundle`` serves, since building one runs its checks.
+case; any ``EngineBundle`` serves, since each of its parts checks itself
+when it is made and making the bundle checks what spans two parts.
 Each query is encoded exactly once.  The resulting log-probability table
 drives permutation-decoded trie search (the generative channel, "NLG") and
 the dense embedding drives nearest-neighbor search (the dense channel,
@@ -92,7 +93,8 @@ class EngineBundle:
         self.validate()
 
     def validate(self) -> None:
-        """Cross-check the components: one catalog and vocab, keywords the encoder can score."""
+        """Check what spans two components, each of which checks itself: one
+        catalog and vocab, keywords the encoder can score."""
         if self.dense_k < 0:  # 0 is legal: no dense channel
             raise ValidationError(f"dense_k must be >= 0, not {self.dense_k}")
         if self.params.vocab_size != len(self.vocab):
@@ -105,14 +107,9 @@ class EngineBundle:
                 raise ValidationError(f"trie direction {trie.direction}, expected {direction}")
             if trie.vocab_checksum != checksum:
                 raise ValidationError("trie vocab checksum does not match the vocab")
-            # Nodes are numbered level by level: the level after nodes lo..hi-1
-            # is hi..offsets[hi].  A reversed path's length edge takes no position.
-            longest, lo, hi = -1 - (direction == REVERSED), 0, 1
-            while lo < hi:
-                longest, lo, hi = longest + 1, hi, int(trie.offsets[hi]) + 1
-            if longest > self.params.max_len:
+            if (positions := trie.max_positions) > self.params.max_len:
                 raise ValidationError(
-                    f"{direction} trie holds a keyword of {longest} positions, more than the "
+                    f"{direction} trie holds a keyword of {positions} positions, more than the "
                     f"encoder's max_len {self.params.max_len}: build the tries with "
                     f"build-trie --max-len {self.params.max_len}")
         n = len(self.catalog)
@@ -129,8 +126,7 @@ class EngineBundle:
             raise ValidationError("forward and reversed tries cover different keywords")
         if top >= n:
             raise ValidationError("trie keyword id outside the catalog")
-        ids = self.index.ids
-        if len(ids) and (int(ids.min()) < 0 or int(ids.max()) >= len(self.catalog)):
+        if int(self.index.ids.max(initial=-1)) >= n:
             raise ValidationError("index keyword id outside the catalog")
         if self.index.vectors.shape[1] != self.params.dense_dim:
             raise ValidationError(

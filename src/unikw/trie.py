@@ -78,6 +78,15 @@ class KeywordTrie:
     def term_ids(self) -> np.ndarray:  # keyword id per entry of term_nodes
         return self.node_keyword[self.term_nodes]
 
+    @property
+    def max_positions(self) -> int:
+        """Table rows the longest keyword takes; a reversed trie's length edge
+        takes none.  BFS puts the level after nodes lo..hi-1 at hi..offsets[hi]."""
+        depth, lo, hi = -1, 0, 1
+        while lo < hi:
+            depth, lo, hi = depth + 1, hi, int(self.offsets[hi]) + 1
+        return max(depth - (self.direction == REVERSED), 0)
+
 
 def build_trie(keywords, direction: str = FORWARD, vocab_checksum: int = 0) -> KeywordTrie:
     """Build from an iterable of ``(token_seq, keyword_id)``: the entries

@@ -109,6 +109,19 @@ def unchecked_kenc_bytes(params) -> bytes:
     return frame(b"KENC", 2, body)
 
 
+def unchecked_kgra_bytes(index, **fields) -> bytes:
+    """A KGRA version-3 file of the graph ``index`` with ``fields`` (any of
+    ``offsets``, ``neighbors``, ``entry``, ``max_degree``) replaced, as
+    ``save_graph`` lays it out, without the index's checks: for graphs
+    that ``load_graph`` must reject."""
+    graph = {name: getattr(index, name) for name in ("offsets", "neighbors", "entry", "max_degree")}
+    graph.update(fields)
+    body = struct.pack("<QIQ", len(index), graph["max_degree"], graph["entry"])
+    body += np.ascontiguousarray(graph["offsets"], dtype="<i8").tobytes()
+    body += np.ascontiguousarray(graph["neighbors"], dtype="<i4").tobytes()
+    return frame(b"KGRA", 3, body)
+
+
 def reference_load_keywords(path) -> list[str]:
     """The catalog as a list of strings: the file read in text mode, then
     ``str.splitlines``; the first blank line is named by its 0-based number."""

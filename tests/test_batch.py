@@ -112,8 +112,10 @@ class TestRetrieveBatch:
         table = engine.params.max_len * engine.params.vocab_size * 8
         assert chunk_size(engine) == retriever_module.CHUNK_BYTES // table
         # The index plays no part: a graph search bounds its own unseen mask.
-        wide = replace(engines["graph", False].index, vectors=np.zeros((table + 9, 8)))
-        assert chunk_size(replace(engine, index=wide)) == chunk_size(engine)
+        rows = np.random.default_rng(0).normal(size=(table + 9, engine.params.dense_dim))
+        wide = build_exact(rows, np.arange(len(rows)))
+        catalog = (*engine.catalog, *["filler"] * (len(rows) - len(engine.catalog)))
+        assert chunk_size(replace(engine, catalog=catalog, index=wide)) == chunk_size(engine)
         with mock.patch.object(retriever_module, "CHUNK_BYTES", 1):
             assert chunk_size(engine) == 1
 

@@ -1,4 +1,4 @@
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -30,6 +30,7 @@ from oracles import (
     scalar_build_search,
     scalar_greedy_search,
     scalar_robust_prune,
+    unchecked_kgra_bytes,
 )
 
 
@@ -663,6 +664,62 @@ class TestRowRule:
         assert np.array_equal(dense_index._normalize(made).view(np.uint32), made.view(np.uint32))
 
 
+#: Ways a graph can break its index's checks, each with the message that
+#: names it: as made or replaced in memory, and as read from a file.
+CORRUPT_GRAPHS = [
+    pytest.param(lambda g: {"neighbors": np.r_[len(g), g.neighbors[1:]]}, "neighbor id",
+                 id="neighbor-n"),
+    pytest.param(lambda g: {"neighbors": np.r_[-1, g.neighbors[1:]]}, "neighbor id",
+                 id="neighbor-negative"),
+    pytest.param(lambda g: {"neighbors": np.zeros_like(g.neighbors)}, "ascend", id="all-zero"),
+    pytest.param(lambda g: {"neighbors": np.r_[g.neighbors[1], g.neighbors[1:]]}, "ascend",
+                 id="repeat"),
+    pytest.param(lambda g: {"entry": len(g)}, "entry point", id="entry-n"),
+    pytest.param(lambda g: {"offsets": g.offsets + 1, "neighbors": np.r_[g.neighbors, 1]},
+                 "offsets", id="offsets-start"),
+    pytest.param(
+        lambda g: {"offsets": np.r_[0, g.offsets[2], g.offsets[1], g.offsets[3:]]},
+        "offsets", id="offsets-decrease",
+    ),
+    pytest.param(lambda g: {"max_degree": 1}, "more than 1 neighbors", id="degree"),
+]
+
+
+class TestGraphChecks:
+    """A graph index checks its adjacency when it is made or replaced."""
+
+    @pytest.mark.parametrize("corrupt, message", CORRUPT_GRAPHS)
+    def test_corrupt_graph_rejected(self, rng, corrupt, message):
+        index = build_graph(unit_vectors(rng, 20, 4), np.arange(20), max_degree=4, build_width=8)
+        with pytest.raises(ValidationError, match=message):
+            replace(index, **corrupt(index))
+
+    def test_bad_max_degree_rejected(self, rng):
+        index = build_graph(unit_vectors(rng, 2, 4), np.arange(2), max_degree=2, build_width=2)
+        with pytest.raises(ValidationError, match="max_degree must be >= 2"):
+            replace(index, max_degree=1)
+
+    def test_entry_far_outside_rejected(self, rng):
+        index = build_graph(unit_vectors(rng, 20, 4), np.arange(20), max_degree=4, build_width=8)
+        with pytest.raises(ValidationError, match="entry point 1000000 outside 20 nodes"):
+            replace(index, entry=10**6)
+
+    def test_offsets_without_neighbors_rejected(self, rng):
+        index = build_graph(unit_vectors(rng, 20, 4), np.arange(20), max_degree=4, build_width=8)
+        with pytest.raises(ValidationError, match="both offsets and neighbors"):
+            replace(index, neighbors=None)
+
+    def test_an_index_cannot_be_changed_in_place(self, rng):
+        index = build_exact(unit_vectors(rng, 20, 4), np.arange(20))
+        with pytest.raises(FrozenInstanceError):
+            index.ids = np.arange(20) + 100
+
+    def test_rows_are_stored_normalized(self, rng):
+        v = rng.normal(size=(20, 4)) * 3
+        index = replace(build_exact(unit_vectors(rng, 20, 4), np.arange(20)), vectors=v)
+        assert np.array_equal(index.vectors, reference_normalize(v))
+
+
 class TestPersistence:
     def test_embeddings_roundtrip(self, tmp_path, rng):
         v = unit_vectors(rng, 12, 6).astype(np.float32)
@@ -690,27 +747,20 @@ class TestPersistence:
         with pytest.raises(ValidationError, match="match"):
             load_graph(tmp_path / "g.kgra", v[:5], np.arange(5))
 
-    @pytest.mark.parametrize(
-        "corrupt, message",
-        [
-            pytest.param(lambda g: {"neighbors": np.r_[len(g), g.neighbors[1:]]}, "neighbor id",
-                         id="neighbor-n"),
-            pytest.param(lambda g: {"neighbors": np.r_[-1, g.neighbors[1:]]}, "neighbor id",
-                         id="neighbor-negative"),
-            pytest.param(lambda g: {"entry": len(g)}, "entry point", id="entry-n"),
-            pytest.param(lambda g: {"offsets": g.offsets + 1}, "offsets", id="offsets-start"),
-            pytest.param(
-                lambda g: {"offsets": np.r_[0, g.offsets[2], g.offsets[1], g.offsets[3:]]},
-                "offsets", id="offsets-decrease",
-            ),
-            pytest.param(lambda g: {"max_degree": 1}, "more than 1 neighbors", id="degree"),
-        ],
-    )
+    @pytest.mark.parametrize("corrupt, message", CORRUPT_GRAPHS)
     def test_corrupt_graph_rejected_at_load(self, tmp_path, rng, corrupt, message):
         v = unit_vectors(rng, 20, 4)
         index = build_graph(v, np.arange(20), max_degree=4, build_width=8)
-        save_graph(tmp_path / "g.kgra", replace(index, **corrupt(index)))
+        (tmp_path / "g.kgra").write_bytes(unchecked_kgra_bytes(index, **corrupt(index)))
         with pytest.raises(ValidationError, match=message):
+            load_graph(tmp_path / "g.kgra", v, np.arange(20))
+
+    def test_negative_edge_count_rejected_at_load(self, tmp_path, rng):
+        v = unit_vectors(rng, 20, 4)
+        index = build_graph(v, np.arange(20), max_degree=4, build_width=8)
+        offsets = np.r_[index.offsets[:-1], -3]  # a negative edge count
+        (tmp_path / "g.kgra").write_bytes(unchecked_kgra_bytes(index, offsets=offsets))
+        with pytest.raises(ValidationError, match="trailing bytes"):
             load_graph(tmp_path / "g.kgra", v, np.arange(20))
 
     @pytest.mark.parametrize(
@@ -723,6 +773,6 @@ class TestPersistence:
         # Two rows: one neighbour each, so a max_degree of 1 fits the rows.
         v = unit_vectors(rng, 2, 4)
         index = build_graph(v, np.arange(2), max_degree=2, build_width=2)
-        save_graph(tmp_path / "g.kgra", replace(index, **header))
+        (tmp_path / "g.kgra").write_bytes(unchecked_kgra_bytes(index, **header))
         with pytest.raises(ValidationError, match=message):
             load_graph(tmp_path / "g.kgra", v, np.arange(2))

@@ -1,8 +1,9 @@
 import os
+import re
 import subprocess
 import sys
 import textwrap
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -373,6 +374,31 @@ class TestTrain:
             train(TrainConfig(), [], vocab)
 
 
+class TestParamShapes:
+    """The seven tensors agree on (V, d, M, d_dr, h) whenever params are
+    made or replaced, and no tensor can be swapped in place."""
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("out_b", lambda a: a[:1], "out_b has shape (1,), not (16,)"),  # it would broadcast
+        ("hidden_b", lambda a: a[:1], "hidden_b has shape (1,), not (6,)"),
+        # token_emb sets V and d, hidden_w sets h: the others disagree.
+        ("token_emb", lambda a: a[:, :3], "pos_emb has shape (4, 4), not (4, 3)"),
+        ("token_emb", lambda a: a[:, :0], "pos_emb has shape (4, 4), not (4, 0)"),
+        ("hidden_w", lambda a: a[:0], "hidden_b has shape (6,), not (0,)"),
+        ("out_w", lambda a: a[None], "out_w has shape (1, 16, 6), not (16, 6)"),
+        ("token_emb", lambda a: a[0], "token_emb has shape (4,), not (4, -1)"),
+    ])
+    def test_replace_with_a_disagreeing_tensor_rejected(self, field, value, message):
+        params = small_params()
+        with pytest.raises(ValidationError, match="^encoder " + re.escape(message)):
+            replace(params, **{field: value(getattr(params, field))})
+
+    def test_params_cannot_be_changed_in_place(self):
+        params = small_params()
+        with pytest.raises(FrozenInstanceError):
+            params.pos_emb = params.pos_emb[:3]
+
+
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
         params = small_params(seed=3)
@@ -381,20 +407,28 @@ class TestCheckpoint:
         for name, arr in params.arrays().items():
             np.testing.assert_array_equal(arr, back.arrays()[name])
 
-    @pytest.mark.parametrize("field, value, message", [
-        ("pos_emb", lambda a: a[:0], "max_len 0 is below 2"),
-        ("pos_emb", lambda a: a[:1], "max_len 1 is below 2"),
-        ("token_emb", lambda a: a[:, :0], "dim 0 is below 1"),
-        ("dense_proj", lambda a: a[:0], "dense_dim 0 is below 1"),
-        ("hidden_w", lambda a: a[:0], "hidden_dim 0 is below 1"),
-        ("out_w", lambda a: np.where(a == a[1, 0], np.nan, a), "out_w holds a non-finite weight"),
-        ("pos_emb", lambda a: np.where(a == a[1, 0], -np.inf, a), "pos_emb holds a non-finite weight"),
+    @pytest.mark.parametrize("field, change, message", [
+        ("pos_emb", lambda p: {"pos_emb": p.pos_emb[:0]}, "max_len 0 is below 2"),
+        ("pos_emb", lambda p: {"pos_emb": p.pos_emb[:1]}, "max_len 1 is below 2"),
+        ("token_emb", lambda p: {name: getattr(p, name)[:, :0]
+                                 for name in ("token_emb", "pos_emb", "dense_proj", "hidden_w")},
+         "dim 0 is below 1"),
+        ("dense_proj", lambda p: {"dense_proj": p.dense_proj[:0]}, "dense_dim 0 is below 1"),
+        ("hidden_w", lambda p: {"hidden_w": p.hidden_w[:0], "hidden_b": p.hidden_b[:0],
+                                "out_w": p.out_w[:, :0]}, "hidden_dim 0 is below 1"),
+        ("out_w", lambda p: {"out_w": np.where(p.out_w == p.out_w[1, 0], np.nan, p.out_w)},
+         "out_w holds a non-finite weight"),
+        ("pos_emb", lambda p: {"pos_emb": np.where(p.pos_emb == p.pos_emb[1, 0], -np.inf, p.pos_emb)},
+         "pos_emb holds a non-finite weight"),
     ])
-    def test_save_rejects_what_load_would_and_writes_nothing(self, tmp_path, field, value, message):
+    def test_save_rejects_what_load_would_and_writes_nothing(self, tmp_path, field, change, message):
         """Widths below ``TrainConfig``'s minimums and non-finite weights
-        raise before the file is opened."""
+        raise before the file is opened.  ``change`` alters ``field`` and
+        every tensor whose shape must agree with it."""
         params = small_params()
-        params = replace(params, **{field: value(getattr(params, field))})
+        changes = change(params)
+        assert field in changes
+        params = replace(params, **changes)
         with pytest.raises(ValidationError, match=f"checkpoint not written: {message}"):
             save_params(params, tmp_path / "p.kenc")
         assert list(tmp_path.iterdir()) == []

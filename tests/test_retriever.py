@@ -1,5 +1,5 @@
 import json
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -192,6 +192,33 @@ class TestBundleValidation:
         with pytest.raises(FrozenInstanceError):
             bundle.dense_k = -1
         assert bundle.dense_k == dense_k
+
+    def test_its_parts_cannot_be_changed_in_place(self):
+        bundle = bundle_from_catalog(CATALOG)  # its own: a part that could change would stay so
+        pos_emb, ids = bundle.params.pos_emb, bundle.index.ids
+        with pytest.raises(FrozenInstanceError):
+            bundle.params.pos_emb = pos_emb[:3]
+        with pytest.raises(FrozenInstanceError):
+            bundle.index.ids = ids + 1
+        assert bundle.params.pos_emb is pos_emb and bundle.index.ids is ids
+
+    def test_every_dataclass_part_is_frozen(self, bundle):
+        parts = {f.name: getattr(bundle, f.name) for f in fields(bundle)}
+        parts = {name: part for name, part in parts.items() if is_dataclass(part)}
+        assert sorted(parts) == sorted(["params", "vocab", "forward_trie", "reversed_trie",
+                                        "index", "decode"])
+        for name, part in parts.items():
+            assert type(part).__dataclass_params__.frozen, name
+
+    @pytest.mark.parametrize("field, value", [
+        ("out_b", lambda a: a[:1]),  # broadcast over the vocabulary, it reranked the NLG hits
+        ("hidden_b", lambda a: a[:1]),
+        ("token_emb", lambda a: a[:, :3]),  # it failed at query time, in a matmul
+    ])
+    def test_encoder_with_a_disagreeing_tensor_cannot_be_built(self, bundle, field, value):
+        with pytest.raises(ValidationError, match="^encoder "):
+            replace(bundle, params=replace(bundle.params,
+                                           **{field: value(getattr(bundle.params, field))}))
 
 
 def _sorted_hits(rng, ids, levels):

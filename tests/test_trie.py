@@ -59,6 +59,24 @@ class TestBuildFromArrays:
             build_trie_arrays(tokens, lengths, ids)
 
 
+class TestMaxPositions:
+    """Table rows the longest keyword takes: its tokens and EOW, in either
+    direction (a reversed trie's length edge takes none)."""
+
+    @pytest.mark.parametrize("direction", [FORWARD, REVERSED])
+    def test_matches_the_longest_sequence(self, direction):
+        rng = np.random.default_rng(6)
+        for _ in range(20):
+            entries, _ = random_catalog(rng, max_keywords=60)
+            want = max((len(seq) for seq, _ in entries), default=0)
+            assert build_trie(entries, direction).max_positions == want
+
+    @pytest.mark.parametrize("direction", [FORWARD, REVERSED])
+    def test_empty_and_single(self, direction):
+        assert build_trie([], direction).max_positions == 0
+        assert build_trie([((A, B, C, EOW_ID), 0)], direction).max_positions == 4
+
+
 class TestBuild:
     def test_prefix_sharing(self):
         trie = build_trie([((A, EOW_ID), 0), ((A, B, EOW_ID), 1)])
