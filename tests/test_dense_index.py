@@ -675,6 +675,7 @@ CORRUPT_GRAPHS = [
     pytest.param(lambda g: {"neighbors": np.r_[g.neighbors[1], g.neighbors[1:]]}, "ascend",
                  id="repeat"),
     pytest.param(lambda g: {"entry": len(g)}, "entry point", id="entry-n"),
+    pytest.param(lambda g: {"entry": 10**6}, "entry point 1000000 outside", id="entry-far"),
     pytest.param(lambda g: {"offsets": g.offsets + 1, "neighbors": np.r_[g.neighbors, 1]},
                  "offsets", id="offsets-start"),
     pytest.param(
@@ -698,11 +699,6 @@ class TestGraphChecks:
         index = build_graph(unit_vectors(rng, 2, 4), np.arange(2), max_degree=2, build_width=2)
         with pytest.raises(ValidationError, match="max_degree must be >= 2"):
             replace(index, max_degree=1)
-
-    def test_entry_far_outside_rejected(self, rng):
-        index = build_graph(unit_vectors(rng, 20, 4), np.arange(20), max_degree=4, build_width=8)
-        with pytest.raises(ValidationError, match="entry point 1000000 outside 20 nodes"):
-            replace(index, entry=10**6)
 
     def test_offsets_without_neighbors_rejected(self, rng):
         index = build_graph(unit_vectors(rng, 20, 4), np.arange(20), max_degree=4, build_width=8)

@@ -210,15 +210,6 @@ class TestBundleValidation:
         for name, part in parts.items():
             assert type(part).__dataclass_params__.frozen, name
 
-    @pytest.mark.parametrize("field, value", [
-        ("out_b", lambda a: a[:1]),  # broadcast over the vocabulary, it reranked the NLG hits
-        ("hidden_b", lambda a: a[:1]),
-        ("token_emb", lambda a: a[:, :3]),  # it failed at query time, in a matmul
-    ])
-    def test_encoder_with_a_disagreeing_tensor_cannot_be_built(self, bundle, field, value):
-        with pytest.raises(ValidationError, match="^encoder "):
-            replace(bundle, params=replace(bundle.params,
-                                           **{field: value(getattr(bundle.params, field))}))
 
 
 def _sorted_hits(rng, ids, levels):
