@@ -59,7 +59,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ValidationError
-from .fileio import frame, read_file, take, unframe, unpack_at, write_file
+from .fileio import frame, read_file, read_only, take, unframe, unpack_at, write_file
 
 EXACT = "exact"
 GRAPH = "graph"
@@ -79,7 +79,8 @@ DEFAULT_PRUNE_SLACK = 1.2
 class DenseIndex:
     """The rows and ids search reads, plus the graph kind's adjacency.  Frozen;
     construction and every ``replace`` store the rows as ``_normalize`` gives
-    them and check the ids and the adjacency."""
+    them and check the ids and the adjacency.  Every array is held as a
+    read-only view (``fileio.read_only``)."""
 
     vectors: np.ndarray            # (N, d) float32, unit rows
     ids: np.ndarray                # (N,) int64 keyword ids
@@ -99,8 +100,8 @@ class DenseIndex:
             raise ValidationError("duplicate ids")
         if len(ids) and ordered[0] < 0:  # what a u64 id of 2**64 - 1 reads as
             raise ValidationError(f"keyword id {ordered[0]} is negative, outside the catalog")
-        object.__setattr__(self, "vectors", vectors)
-        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "vectors", read_only(vectors))
+        object.__setattr__(self, "ids", read_only(ids))
         if self.offsets is None and self.neighbors is None:
             return
         if self.offsets is None or self.neighbors is None:
@@ -122,6 +123,8 @@ class DenseIndex:
         if np.any(offsets[np.searchsorted(offsets, falls)] != falls):
             raise ValidationError("graph neighbors must ascend within each row")
         _check_max_degree(self.max_degree)
+        object.__setattr__(self, "offsets", read_only(offsets))
+        object.__setattr__(self, "neighbors", read_only(neighbors))
 
     @property
     def kind(self) -> str:

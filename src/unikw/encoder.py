@@ -100,8 +100,9 @@ def _param_shapes(v: int, d: int, d_dr: int, h: int, m: int) -> dict[str, tuple[
 @dataclass(frozen=True)
 class EncoderParams:
     """The seven weight tensors.  Frozen; construction and every ``replace``
-    check that their shapes agree on (V, d, M, d_dr, h).  ``train`` updates
-    the weights in place, so ``_check_checkpoint`` checks their values."""
+    check that their shapes agree on (V, d, M, d_dr, h).  Unlike the index's
+    and the tries' arrays, the tensors stay writable: ``train`` updates the
+    weights in place, so ``_check_checkpoint`` checks their values."""
 
     token_emb: np.ndarray   # (V, d)
     pos_emb: np.ndarray     # (M, d)

@@ -80,7 +80,10 @@ def decode_uvarints(data, count: int) -> np.ndarray:
 
 
 def take(data: bytes, pos: int, count: int) -> tuple[bytes, int]:
-    """Slice ``count`` bytes at ``pos``, raising on truncation."""
+    """Slice ``count`` bytes at ``pos``, raising on a negative count (a
+    corrupt length field) and on truncation."""
+    if count < 0:
+        raise ValidationError(f"corrupt file: byte count {count} is negative")
     end = pos + count
     if end > len(data):
         raise ValidationError("truncated file: unexpected end of data")
@@ -92,6 +95,15 @@ def unpack_at(fmt: str, data: bytes, pos: int) -> tuple[tuple, int]:
     size = struct.calcsize(fmt)
     raw, pos = take(data, pos, size)
     return struct.unpack(fmt, raw), pos
+
+
+def read_only(array) -> np.ndarray:
+    """A view of ``array`` that cannot be written; ``array`` keeps its flags.
+    What a loaded part serves is held this way, so no caller can change it
+    in place behind the part's checks."""
+    view = np.asarray(array).view()
+    view.flags.writeable = False
+    return view
 
 
 def frame(magic: bytes, version: int, body: bytes) -> bytes:

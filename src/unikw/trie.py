@@ -42,7 +42,9 @@ import numpy as np
 
 from .corpus import EOW_ID, TokenSeq, _flatten
 from .errors import ValidationError
-from .fileio import decode_uvarints, encode_uvarints, frame, read_file, unframe, unpack_at, write_file
+from .fileio import (
+    decode_uvarints, encode_uvarints, frame, read_file, read_only, unframe, unpack_at, write_file,
+)
 
 FORWARD = "forward"
 REVERSED = "reversed"
@@ -54,13 +56,18 @@ _MAX_LABEL = 2**31 - 1  # labels are int32
 
 @dataclass(frozen=True)
 class KeywordTrie:
-    """Read-only trie; safe for concurrent readers after construction."""
+    """Read-only trie; safe for concurrent readers after construction.  Its
+    three arrays are held as read-only views (``fileio.read_only``)."""
 
     offsets: np.ndarray       # int64 (n+1,); edges of node i at offsets[i]:offsets[i+1]
     labels: np.ndarray        # int32 (n-1,); edge e leads to node e+1
     node_keyword: np.ndarray  # int64 (n,); keyword id completed at each node, -1 if none
     direction: str
     vocab_checksum: int
+
+    def __post_init__(self) -> None:
+        for name in ("offsets", "labels", "node_keyword"):
+            object.__setattr__(self, name, read_only(getattr(self, name)))
 
     @property
     def node_count(self) -> int:

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import shutil
 import struct
 import tempfile
@@ -25,10 +26,12 @@ from unikw import (
     build_trie,
     build_vocab,
     embed_batch,
+    init_params,
     load_embeddings,
     load_keywords,
     load_pairs,
     load_params,
+    load_vocab,
     retrieve,
     retrieve_channels,
     save_embeddings,
@@ -42,6 +45,7 @@ from unikw import (
 from unikw.cli import load_bundle, main
 from unikw.fileio import frame
 from unikw.retriever import chunk_size, results_to_jsonl_line
+from unikw.trie import to_bytes
 
 from oracles import (
     reference_load_keywords, reference_normalize, scalar_trie, unchecked_kenc_bytes,
@@ -609,6 +613,57 @@ class TestLibraryParity:
         for name in ("vocab.txt", "trie.fwd.ktri", "trie.rev.ktri", "encoder.kenc",
                      "embeddings.kemb", "graph.kgra"):
             assert (tmp_path / name).read_bytes() == (pipeline["bundle"] / name).read_bytes(), name
+
+
+#: Catalogs with tabs, ``\x1f``, runs of spaces, leading and trailing
+#: whitespace, reserved forms in any case, a line longer than ``--max-len``,
+#: ``\r\n`` and other breaks, and no final break.  The first is ASCII, so the
+#: CLI tokenizes it as one text; the second is not, and is split line by line.
+CRAFTED_CATALOGS = {
+    "ascii": "Red\tShoes\r\n  blue   kettle  \r\n<PAD> ink\x1fcartridge\x0b\tGreen </KW> lamp \n"
+             "one two three four five six seven\r\nRED\x1f\x1fshoes  light\x1c<unk>\tnew lamp\f"
+             "Lamp  ",
+    "non-ascii": "Caf\xe9\tcr\xe8me\r\n  \xc9CLAIR   au chocolat \n<pad> na\xefve\u3000art\r\n"
+                 "th\xe9 vert et noir en vrac\u2028TH\xc9\t",
+}
+
+
+class TestCraftedCatalogParity:
+    @pytest.mark.parametrize("name", sorted(CRAFTED_CATALOGS))
+    def test_cli_files_have_the_bytes_of_the_entry_list_path(self, tmp_path, name):
+        """``build-trie`` and ``index`` tokenize the catalog file; building
+        the tries and embeddings from per-keyword ``tokenize`` entries over
+        the reference reader's lines gives the same bytes."""
+        text = CRAFTED_CATALOGS[name]
+        keywords = tmp_path / "keywords.txt"
+        keywords.write_bytes(text.encode("utf-8"))
+        assert load_keywords(keywords)._text.isascii() == (name == "ascii")
+        # build-vocab rejects reserved forms, so it counts the words of a copy without them.
+        vocab_source = tmp_path / "vocab_source.txt"
+        vocab_source.write_text(re.sub("(?i)</?(pad|unk|kw)>", "x", text), encoding="utf-8")
+        (tmp_path / "pairs.tsv").write_text("red shoes\tred shoes\n", encoding="utf-8")
+        assert main(["build-vocab", "--keywords", str(vocab_source),
+                     "--pairs", str(tmp_path / "pairs.tsv"), "--out", str(tmp_path / "vocab.txt")]) == 0
+        vocab = load_vocab(tmp_path / "vocab.txt")
+        params = init_params(len(vocab), dim=8, dense_dim=4, hidden_dim=8, max_len=4, seed=1)
+        save_params(params, tmp_path / "encoder.kenc")
+        bundle = tmp_path / "bundle"
+        for direction in ("fwd", "rev"):
+            assert main(["build-trie", "--keywords", str(keywords), "--vocab", str(tmp_path / "vocab.txt"),
+                         "--direction", direction, "--max-len", "4",
+                         "--out", str(tmp_path / f"trie.{direction}.ktri")]) == 0
+        assert main(["index", "--checkpoint", str(tmp_path / "encoder.kenc"), "--keywords", str(keywords),
+                     "--vocab", str(tmp_path / "vocab.txt"), "--kind", "exact", "--out", str(bundle)]) == 0
+
+        lines = reference_load_keywords(keywords)
+        assert len(lines) == (8 if name == "ascii" else 5)
+        entries = [(tokenize(line, vocab, "keyword", 4), kid) for kid, line in enumerate(lines)]
+        for direction, file in ((FORWARD, "trie.fwd.ktri"), (REVERSED, "trie.rev.ktri")):
+            want = to_bytes(build_trie(entries, direction, vocab.checksum()))
+            assert (tmp_path / file).read_bytes() == want, file
+        save_embeddings(tmp_path / "want.kemb", embed_batch(params, [seq for seq, _ in entries]),
+                        np.arange(len(lines)))
+        assert (bundle / "embeddings.kemb").read_bytes() == (tmp_path / "want.kemb").read_bytes()
 
 
 class TestLoadedArrays:

@@ -24,6 +24,7 @@ from unikw import (
     tokenize,
     tokenize_batch,
 )
+from unikw import corpus
 
 from oracles import reference_load_keywords, scalar_load_pairs, scalar_tokenize, scalar_vocab_tokens
 
@@ -394,3 +395,58 @@ class TestCatalogMatchesOracle:
         path = tmp_path / "kw.txt"
         path.write_bytes(f"a{line_break}{other}{line_break}c".encode("utf-8"))
         assert list(load_keywords(path)) == reference_load_keywords(path) == ["a", other, "c"]
+
+
+#: Catalog words: vocabulary words in either case, unknown words and
+#: reserved forms in any case; ``OTHER_WORDS`` make a catalog non-ASCII.
+ASCII_WORDS = ["a", "B", "c", "zz", "Zz", "q", "<pad>", "<UNK>", "</kw>", "</KW>"]
+OTHER_WORDS = ["σ", "ΑΣ", "İ", "\xe9t\xe9"]
+#: Every ASCII whitespace character: three inside a line, the rest (and
+#: ``\r\n``) as line breaks.
+INLINE_SPACES = [" ", "\t", "\x1f"]
+ASCII_BREAKS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e"]
+
+
+def catalog_line(words):
+    """A keyword line: leading whitespace, a word, then words and runs of
+    whitespace in any order (trailing whitespace too), up to 25 words."""
+    pieces = st.lists(st.sampled_from(words + INLINE_SPACES), max_size=24)
+    return st.tuples(st.lists(st.sampled_from(INLINE_SPACES), max_size=2), st.sampled_from(words),
+                     pieces).map(lambda t: "".join(t[0]) + t[1] + "".join(t[2]))
+
+
+class TestCatalogTokenize:
+    """``tokenize_batch`` of a ``Catalog``, split as one text when it is
+    ASCII, against the scalar tokenizer line by line."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_each_line_as_the_scalar_tokenizer(self, data):
+        words = data.draw(st.sampled_from([ASCII_WORDS, ASCII_WORDS + OTHER_WORDS]))
+        lines = data.draw(st.lists(catalog_line(words), max_size=6))
+        breaks = data.draw(st.lists(st.sampled_from(ASCII_BREAKS), min_size=len(lines),
+                                    max_size=len(lines)))
+        text = "".join(map(str.__add__, lines, breaks))
+        if lines and data.draw(st.booleans()):
+            text = text[:-len(breaks[-1])]  # no final break
+        with tempfile.TemporaryDirectory() as tmp:
+            path = _write(Path(tmp) / "kw.txt", text)
+            catalog = load_keywords(path)
+        assert list(catalog) == lines
+        for role in ("query", "keyword"):
+            for max_len in (1, 2, 3, 16):
+                flat_ids, lengths = tokenize_batch(catalog, BATCH_VOCAB, role, max_len)
+                want = [scalar_tokenize(line, BATCH_VOCAB, role, max_len) for line in lines]
+                assert flat_ids.dtype == lengths.dtype == np.int64
+                assert lengths.tolist() == list(map(len, want))
+                assert flat_ids.tolist() == list(chain.from_iterable(want))
+
+    def test_empty_catalog(self, tmp_path):
+        for role in ("query", "keyword"):
+            flat_ids, lengths = tokenize_batch(load_keywords(_write(tmp_path / "kw.txt", "")),
+                                               BATCH_VOCAB, role)
+            assert flat_ids.shape == lengths.shape == (0,)
+            assert flat_ids.dtype == lengths.dtype == np.int64
+
+    def test_split_bytes_are_the_ascii_whitespace(self):
+        assert list(corpus._ASCII_SPACES) == [c for c in range(128) if chr(c).isspace()]

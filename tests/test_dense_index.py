@@ -710,6 +710,16 @@ class TestGraphChecks:
         with pytest.raises(FrozenInstanceError):
             index.ids = np.arange(20) + 100
 
+    def test_arrays_are_read_only_views(self, rng):
+        graph = build_graph(unit_vectors(rng, 20, 4), np.arange(20), max_degree=4, build_width=8)
+        ids, offsets, neighbors = np.arange(20), graph.offsets.copy(), graph.neighbors.copy()
+        index = replace(graph, ids=ids, offsets=offsets, neighbors=neighbors)
+        for name in ("vectors", "ids", "offsets", "neighbors"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(index, name)[0] = 0
+        # Views: the caller's own arrays stay writable.
+        assert ids.flags.writeable and offsets.flags.writeable and neighbors.flags.writeable
+
     def test_rows_are_stored_normalized(self, rng):
         v = rng.normal(size=(20, 4)) * 3
         index = replace(build_exact(unit_vectors(rng, 20, 4), np.arange(20)), vectors=v)
@@ -756,7 +766,7 @@ class TestPersistence:
         index = build_graph(v, np.arange(20), max_degree=4, build_width=8)
         offsets = np.r_[index.offsets[:-1], -3]  # a negative edge count
         (tmp_path / "g.kgra").write_bytes(unchecked_kgra_bytes(index, offsets=offsets))
-        with pytest.raises(ValidationError, match="trailing bytes"):
+        with pytest.raises(ValidationError, match="byte count -12 is negative"):
             load_graph(tmp_path / "g.kgra", v, np.arange(20))
 
     @pytest.mark.parametrize(

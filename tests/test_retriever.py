@@ -202,6 +202,16 @@ class TestBundleValidation:
             bundle.index.ids = ids + 1
         assert bundle.params.pos_emb is pos_emb and bundle.index.ids is ids
 
+    def test_its_served_arrays_cannot_be_written(self):
+        bundle = bundle_from_catalog(CATALOG)  # its own: a write that got through would stay
+        before = retrieve(bundle, "hp ink cartridge")
+        vectors, node_keyword = bundle.index.vectors, bundle.forward_trie.node_keyword
+        with pytest.raises(ValueError, match="read-only"):
+            vectors[:] = vectors[::-1].copy()  # reordered the hits: id 1 came first
+        with pytest.raises(ValueError, match="read-only"):
+            node_keyword[:] = node_keyword[::-1].copy()  # made retrieve raise ConsistencyError
+        assert retrieve(bundle, "hp ink cartridge") == before
+
     def test_every_dataclass_part_is_frozen(self, bundle):
         parts = {f.name: getattr(bundle, f.name) for f in fields(bundle)}
         parts = {name: part for name, part in parts.items() if is_dataclass(part)}

@@ -9,6 +9,7 @@ from unikw import (
     EOW_ID,
     FORWARD,
     REVERSED,
+    KeywordTrie,
     ValidationError,
     build_trie,
     build_trie_arrays,
@@ -90,6 +91,15 @@ class TestBuild:
         assert trie.node_count == 1
         assert trie.keyword_count == 0
         assert children(trie, 0) == []
+
+    def test_arrays_are_read_only_views(self):
+        trie = build_trie([((A, EOW_ID), 0), ((A, B, EOW_ID), 1)])
+        arrays = [trie.offsets.copy(), trie.labels.copy(), trie.node_keyword.copy()]
+        for held in (KeywordTrie(*arrays, FORWARD, 0), from_bytes(to_bytes(trie))):
+            for name in ("offsets", "labels", "node_keyword"):
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(held, name)[0] = 0
+        assert all(a.flags.writeable for a in arrays)  # views: the caller's arrays stay writable
 
     def test_missing_eow_rejected(self):
         with pytest.raises(ValidationError, match="EOW"):
