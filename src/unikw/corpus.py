@@ -15,11 +15,11 @@ split as one text, and each line's word count is read from the bytes,
 with no string or list per line.  Any other input (served queries,
 ``load_pairs``' columns, a non-ASCII catalog) is lowercased and split text
 by text, by C-level ``map`` passes over ``str`` methods: a lone served
-query costs about half as much this way as joined and split as one text.
-Both look the words up in one pass over the vocabulary dict; the tail
-(reserved forms, cuts, a blank text's UNK, the keywords' EOW) is array
-operations.  ``tokenize`` is the one-text case, as a tuple of ids; served
-queries go through ``tokenize_batch``, a chunk at a time.
+query costs less this way than as a one-line catalog.  Both look the
+words up in one pass over the vocabulary dict; the tail (reserved forms,
+cuts, a blank text's UNK, the keywords' EOW) is array operations.
+``tokenize`` is the one-text case, as a tuple of ids; served queries go
+through ``tokenize_batch``, a chunk at a time.
 
 One reader, ``_pair_lines``, parses a pairs file: ``build_vocab`` counts
 the tokens of the lines it keeps, with one ``Counter`` per file, and

@@ -1,4 +1,5 @@
-"""Binary file plumbing: the checksummed file frame, LEB128 varints, safe reads.
+"""Binary file plumbing: the checksummed file frame, LEB128 varints, safe
+reads, and the read-only views (``read_only``) the served parts hold.
 
 Every binary format in this package (KTRI, KENC, KEMB, KGRA) is one
 frame: a 4-byte magic, a little-endian u32 version, the format's body,
@@ -99,8 +100,8 @@ def unpack_at(fmt: str, data: bytes, pos: int) -> tuple[tuple, int]:
 
 def read_only(array) -> np.ndarray:
     """A view of ``array`` that cannot be written; ``array`` keeps its flags.
-    What a loaded part serves is held this way, so no caller can change it
-    in place behind the part's checks."""
+    The index and the tries hold their arrays this way, so no caller can
+    change them in place behind their checks."""
     view = np.asarray(array).view()
     view.flags.writeable = False
     return view
