@@ -28,7 +28,8 @@ call each.
 
 ``load_keywords``, the one catalog reader (``build_vocab``'s too), gives a
 ``Catalog``: the decoded text and one array of line offsets, with no
-string per keyword until one is asked for.
+string per keyword until one is asked for.  A ``Vocab`` and a ``Catalog``
+check themselves when they are made and cannot be changed after.
 
 File formats:
   * keyword catalog — UTF-8, one keyword per line as ``str.splitlines``
@@ -40,17 +41,17 @@ File formats:
 
 from __future__ import annotations
 
-import operator
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain, compress, repeat
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ValidationError
-from .fileio import checksum64, read_file
+from .errors import ValidationError, check_integer
+from .fileio import checksum64, read_file, read_only
 
 crc64 = checksum64  # kept only so the benchmark's tracer can find it by name
 
@@ -69,25 +70,30 @@ TokenSeq = tuple[int, ...]
 
 @dataclass(frozen=True)
 class Vocab:
-    """Immutable token<->id bijection with reserved ids 0..2."""
+    """Immutable token<->id bijection.  Construction checks ``id_to_token`` (the
+    reserved forms at ids 0..2, no token twice) and derives a read-only ``token_to_id``."""
 
     id_to_token: tuple[str, ...]
-    token_to_id: dict[str, int]
+
+    def __post_init__(self) -> None:
+        tokens = tuple(self.id_to_token)
+        ids = {tok: i for i, tok in enumerate(tokens)}
+        if tokens[:3] != RESERVED_TOKENS or len(ids) != len(tokens):
+            raise ValidationError(f"a vocabulary holds {RESERVED_TOKENS} first and no token twice")
+        object.__setattr__(self, "id_to_token", tokens)
+        object.__setattr__(self, "token_to_id", MappingProxyType(ids))
+        object.__setattr__(self, "_ids", ids)  # its ``get`` is faster than the view's
 
     @classmethod
     def from_tokens(cls, tokens) -> "Vocab":
         """Build from non-reserved tokens already in id order (id 3 first)."""
-        id_to_token = RESERVED_TOKENS + tuple(tokens)
-        token_to_id = {tok: i for i, tok in enumerate(id_to_token)}
-        if len(token_to_id) != len(id_to_token):
-            raise ValidationError("duplicate token in vocabulary")
-        return cls(id_to_token=id_to_token, token_to_id=token_to_id)
+        return cls(RESERVED_TOKENS + tuple(tokens))
 
     def __len__(self) -> int:
         return len(self.id_to_token)
 
     def id_of(self, token: str) -> int:
-        return self.token_to_id.get(token, UNK_ID)
+        return self._ids.get(token, UNK_ID)
 
     def token_of(self, token_id: int) -> str:
         return self.id_to_token[token_id]
@@ -136,16 +142,15 @@ def tokenize_batch(
     """
     if role not in ("query", "keyword"):
         raise ValidationError(f"unknown tokenize role: {role!r}")
-    if max_len < 1:
-        raise ValidationError(f"max_len must be >= 1, got {max_len}")
-    if isinstance(texts, Catalog) and texts._text.isascii():
+    check_integer("max_len", max_len, 1)
+    if isinstance(texts, Catalog) and texts.text.isascii():
         words, counts = _catalog_words(texts)
     else:
         lists = list(map(str.split, map(str.lower, texts)))
         counts = np.fromiter(map(len, lists), dtype=np.int64, count=len(lists))
         words = chain.from_iterable(lists)
     ids = np.fromiter(
-        map(vocab.token_to_id.get, words, repeat(UNK_ID)),
+        map(vocab._ids.get, words, repeat(UNK_ID)),
         dtype=np.int64,
         count=int(counts.sum()),
     )
@@ -183,10 +188,10 @@ def _catalog_words(catalog: "Catalog") -> tuple[list[str], np.ndarray]:
     """An ASCII catalog's words, from one ``split`` of its lowercased text,
     and each line's word count, from the bytes: a word starts at a byte
     inside a word that starts the text or follows whitespace, and one
-    ``reduceat`` at the line starts counts them.  ``load_keywords`` rejects
+    ``reduceat`` at the line starts counts them.  ``Catalog`` rejects
     blank lines, so the line starts strictly increase, as ``reduceat``
     needs; the last start (past a last line with no break) is not used."""
-    text, starts = catalog._text, catalog._starts
+    text, starts = catalog.text, catalog._starts
     if not len(catalog):
         return [], np.zeros(0, dtype=np.int64)
     in_word = np.frombuffer(text.encode("ascii").translate(_IN_WORD), dtype=bool)
@@ -244,9 +249,8 @@ def build_vocab(keyword_path, pairs_path, min_count: int = 1) -> Vocab:
     (a blank keyword line fails); pair lines are counted only where
     ``load_pairs`` parses them, through ``_pair_lines``.
     """
-    if min_count < 1:
-        raise ValidationError("min_count must be >= 1")
-    counts = Counter(load_keywords(keyword_path)._text.lower().split())
+    check_integer("min_count", min_count, 1)
+    counts = Counter(load_keywords(keyword_path).text.lower().split())
     _reject_reserved(counts)
     counts.update("\n".join(_pair_lines(pairs_path)[0]).lower().split())
     _reject_reserved(counts)
@@ -266,19 +270,47 @@ def build_vocab(keyword_path, pairs_path, min_count: int = 1) -> Vocab:
 _LINE_BREAKS = np.array([0x0A, 0x0B, 0x0C, 0x0D, 0x1C, 0x1D, 0x1E, 0x85, 0x2028, 0x2029])
 
 
+@dataclass(frozen=True, repr=False)
 class Catalog(Sequence):
-    """The keyword catalog as one string and one offsets array.
+    """The keyword catalog as one string and one read-only offsets array.
+    Frozen; construction finds the text's lines, as ``str.splitlines`` gives
+    them, by array operations on the code points (the bytes of ASCII text,
+    else its UTF-32) and rejects a blank line.  Each ``\\r\\n`` is held as
+    ``\\n``, so keyword i is ``text[starts[i]:starts[i + 1] - 1]``; no string
+    is made per keyword until ``texts`` fetches many at once."""
 
-    The keywords are the text's lines, as ``str.splitlines`` gives them;
-    every break is one character, so keyword i is
-    ``text[starts[i]:starts[i + 1] - 1]``.  No string is made per keyword
-    until one is asked for; ``texts`` fetches many at once."""
+    text: str
 
-    __slots__ = ("_text", "_starts")
+    def __post_init__(self) -> None:
+        text = self.text.replace("\r\n", "\n") if "\r" in self.text else self.text
+        object.__setattr__(self, "text", text)  # so that every break is one character
+        if text.isascii():
+            codes = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+            near = np.flatnonzero(codes < 0x1F)
+        else:
+            codes = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
+            near = np.flatnonzero((codes < 0x1F) | (codes == 0x85) | ((codes | 1) == 0x2029))
+        breaks = near[np.isin(codes[near], _LINE_BREAKS)]
+        if len(text) > (breaks[-1] + 1 if len(breaks) else 0):  # a last line with no break
+            breaks = np.append(breaks, len(text))
+        starts = np.concatenate(([0], breaks + 1))
+        # A blank line starts with whitespace: an empty one with its break.
+        # Only lines whose first character is whitespace need a closer look.
+        first = codes[starts[:-1]]
+        s = np.sort(first)  # distinct: s[0] and each s[i] != s[i - 1] (np.unique imports numpy.ma)
+        spaces = [c for c in np.r_[s[:1], s[1:][s[1:] != s[:-1]]].tolist() if chr(c).isspace()]
+        for i in np.flatnonzero(np.isin(first, spaces)).tolist():
+            if not text[starts[i]:starts[i + 1] - 1].strip():
+                raise ValidationError(f"blank keyword at line {i}")
+        object.__setattr__(self, "_starts", read_only(starts))
 
-    def __init__(self, text: str, starts: np.ndarray):
-        self._text = text
-        self._starts = starts
+    @classmethod
+    def from_texts(cls, texts) -> "Catalog":
+        """Keyword i is ``texts[i]``: an entry blank or holding a break is an error."""
+        for i, text in enumerate(texts):
+            if text and text.splitlines() != [text]:
+                raise ValidationError(f"keyword {i} holds a line break")
+        return cls("\n".join([*texts, ""]))  # "" for no texts
 
     def __len__(self) -> int:
         return len(self._starts) - 1
@@ -286,13 +318,11 @@ class Catalog(Sequence):
     def __getitem__(self, index):
         if isinstance(index, slice):
             return self.texts(range(*index.indices(len(self))))
-        i = operator.index(index)
-        return self.texts([i + len(self) if i < 0 else i])[0]
+        return self.texts([range(len(self))[index]])[0]
 
     def __iter__(self):
-        # One C call for every line, where Sequence's own __iter__ would
-        # make one ``texts`` call per line.
-        return iter(self._text.splitlines())
+        # One C call, where Sequence's own __iter__ makes a ``texts`` call per line.
+        return iter(self.text.splitlines())
 
     def texts(self, ids) -> list[str]:
         """The texts of keyword ``ids``, a list of ints, in order, in one call.
@@ -300,50 +330,14 @@ class Catalog(Sequence):
         (a query fetches a few hundred)."""
         if len(ids) and (min(ids) < 0 or max(ids) >= len(self)):
             raise IndexError("keyword id outside the catalog")
-        text, starts = self._text, memoryview(self._starts)
+        text, starts = self.text, memoryview(self._starts)
         return [text[starts[i]:starts[i + 1] - 1] for i in ids]
-
-
-def texts_of(catalog: Sequence[str], ids) -> list[str]:
-    """``catalog[i]`` for each of ``ids``: one call on a ``Catalog``."""
-    if isinstance(catalog, Catalog):
-        return catalog.texts(ids)
-    return [catalog[i] for i in ids]
 
 
 def load_keywords(path) -> Catalog:
     """Read the keyword catalog: UTF-8, keyword i on the i-th (0-based) line,
-    lines as ``str.splitlines`` gives them.  A blank line is an error.
-
-    The lines are found with array operations on the code points: ASCII
-    text is searched as its bytes for the seven ASCII breaks, other text
-    as UTF-32 for all ten."""
-    data = read_file(path)
-    if b"\r" in data:
-        data = data.replace(b"\r\n", b"\n")  # so every break is one character
-    text = data.decode("utf-8")
-    if text.isascii():
-        codes = np.frombuffer(data, dtype=np.uint8)
-        near = np.flatnonzero(codes < 0x1F)
-    else:
-        codes = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
-        near = np.flatnonzero((codes < 0x1F) | (codes == 0x85) | ((codes | 1) == 0x2029))
-    breaks = near[np.isin(codes[near], _LINE_BREAKS)]
-    tail = int(len(text) > (breaks[-1] + 1 if len(breaks) else 0))  # a last line with no break
-    starts = np.empty(len(breaks) + 1 + tail, dtype=np.int64)
-    starts[0] = 0
-    starts[1:len(breaks) + 1] = breaks + 1
-    if tail:
-        starts[-1] = len(text) + 1
-    # A blank line starts with whitespace: an empty one with its break.
-    # Only lines whose first character is whitespace need a closer look.
-    first = codes[starts[:-1]]
-    s = np.sort(first)  # distinct: s[0] and each s[i] != s[i - 1] (np.unique imports numpy.ma)
-    spaces = [c for c in np.r_[s[:1], s[1:][s[1:] != s[:-1]]].tolist() if chr(c).isspace()]
-    for i in np.flatnonzero(np.isin(first, spaces)).tolist():
-        if not text[starts[i]:starts[i + 1] - 1].strip():
-            raise ValidationError(f"blank keyword at line {i}")
-    return Catalog(text, starts)
+    lines as ``str.splitlines`` gives them.  A blank line is an error."""
+    return Catalog(read_file(path).decode("utf-8"))
 
 
 #: A pairs file with more malformed lines than this share is rejected.

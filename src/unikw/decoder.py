@@ -51,7 +51,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .corpus import TokenSeq
-from .errors import ConsistencyError, ValidationError
+from .errors import ConsistencyError, ValidationError, check_integer
 from .trie import FORWARD, REVERSED, KeywordTrie, length_partitions, step, walk
 from .trie import terminal_id  # noqa: F401  kept so perfbench/tracing.py can patch it here
 
@@ -68,13 +68,15 @@ SCORE_AGREEMENT_TOL = 1e-9
 
 @dataclass(frozen=True)
 class DecodeConfig:
+    """Frozen; construction and every ``replace`` check it, ``orders`` held as a tuple."""
+
     beam_size: int = 100
     prune_threshold: float = NEG_INF
     orders: tuple[str, ...] = (LEFT_TO_RIGHT, RIGHT_TO_LEFT)
 
     def __post_init__(self):
-        if self.beam_size < 1:
-            raise ValidationError("beam_size must be >= 1")
+        check_integer("beam_size", self.beam_size, 1)
+        object.__setattr__(self, "orders", tuple(self.orders))
         if np.isnan(self.prune_threshold):
             raise ValidationError("prune_threshold must be a number, not NaN")
         if not self.orders:
@@ -208,11 +210,7 @@ def permutation_decode(
     entries); any larger disagreement means the two tries were not built
     over the same catalog and raises ConsistencyError.
     """
-    tries = {FORWARD: forward_trie, REVERSED: reversed_trie}
-    for direction, trie in tries.items():
-        if trie.direction != direction:
-            raise ValidationError(f"{direction} trie has direction {trie.direction}")
-
+    tries = {FORWARD: forward_trie, REVERSED: reversed_trie}  # ``beam_search`` checks each
     merged: dict[int, float] = {}
     for order in config.orders:
         trie = tries[_ORDER_DIRECTION[order]]

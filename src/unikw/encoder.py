@@ -56,12 +56,12 @@ import math
 import struct
 import threading
 from dataclasses import dataclass, field, fields
-from numbers import Integral, Real
+from numbers import Real
 
 import numpy as np
 
 from .corpus import DEFAULT_MAX_LEN, TokenSeq, Vocab, _flatten
-from .errors import TrainingDiverged, ValidationError
+from .errors import TrainingDiverged, ValidationError, check_integer
 from .fileio import frame, read_file, take, unframe, unpack_at, write_file
 
 _MAGIC = b"KENC"
@@ -188,9 +188,7 @@ class TrainConfig:
 
     def __post_init__(self):
         for name, least in _INTEGER_MINIMUMS.items():
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
-                raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
+            check_integer(name, getattr(self, name), least)
         for name in ("margin", "nlg_weight", "learning_rate", "momentum"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):

@@ -7,6 +7,8 @@ files, :class:`ConsistencyError` for violations of internal invariants
 Plain I/O failures propagate as ``OSError``.
 """
 
+from numbers import Integral
+
 
 class UnikwError(Exception):
     """Base class for all package-specific errors."""
@@ -22,3 +24,9 @@ class ConsistencyError(UnikwError, RuntimeError):
 
 class TrainingDiverged(UnikwError, RuntimeError):
     """Training produced a non-finite loss."""
+
+
+def check_integer(name: str, value, least: int) -> None:
+    """Raise ValidationError unless ``value`` is an integer (not a bool) >= ``least``."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+        raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")

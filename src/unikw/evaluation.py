@@ -41,7 +41,6 @@ class Scorer:
     """Quality-judgment contract: deterministic, total, range [0, 1]."""
 
     fn: Callable[[str, str], float]
-    match_type: str  # "exact" | "phrase"
 
     def __call__(self, query: str, keyword: str) -> float:
         return self.fn(query, keyword)
@@ -66,9 +65,9 @@ def _containment_tokens(query: str, keyword: str) -> float:
 def token_overlap_scorer(match_type: str = "exact") -> Scorer:
     """Synthetic scorer: token Jaccard for exact, containment for phrase."""
     if match_type == "exact":
-        return Scorer(fn=_jaccard_tokens, match_type="exact")
+        return Scorer(fn=_jaccard_tokens)
     if match_type == "phrase":
-        return Scorer(fn=_containment_tokens, match_type="phrase")
+        return Scorer(fn=_containment_tokens)
     raise ValidationError(f"unknown match type: {match_type!r}")
 
 

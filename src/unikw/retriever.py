@@ -2,7 +2,9 @@
 
 ``retrieve_batch`` is the one serving path, and ``retrieve`` its one-query
 case; any ``EngineBundle`` serves, since each of its parts checks itself
-when it is made and making the bundle checks what spans two parts.
+when it is made and making the bundle checks what spans two parts.  No
+part changes after, but the encoder's tensors, which ``train`` updates in
+place; the catalog is always a ``corpus.Catalog``.
 Each query is encoded exactly once.  The resulting log-probability table
 drives permutation-decoded trie search (the generative channel, "NLG") and
 the dense embedding drives nearest-neighbor search (the dense channel,
@@ -31,20 +33,21 @@ quality thresholds apply their own floors to the raw lists
 from __future__ import annotations
 
 import json
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from itertools import filterfalse
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
 
 # ``tokenize``, ``search`` and ``encode``, the one-item cases of what this
 # module calls, are imported only so the benchmark's tracer finds them here.
-from .corpus import Vocab, texts_of, tokenize, tokenize_batch  # noqa: F401
+from .corpus import Catalog, Vocab, tokenize, tokenize_batch  # noqa: F401
 from .decoder import DecodeConfig, permutation_decode
 from .dense_index import DenseIndex, search, search_batch  # noqa: F401
 from .encoder import EncoderParams, encode, encode_batch  # noqa: F401
-from .errors import ValidationError
+from .errors import ValidationError, check_integer
 from .trie import FORWARD, REVERSED, KeywordTrie
 
 #: The most bytes a chunk's M x V tables may take.  256 KiB is ~10 graph5k
@@ -75,11 +78,12 @@ class RetrievalResult(NamedTuple):
 @dataclass(frozen=True)
 class EngineBundle:
     """Every component of a servable engine, built over one catalog.  Frozen;
-    construction, and so every ``dataclasses.replace``, runs ``validate``."""
+    construction and every ``replace`` make the catalog a ``Catalog`` and the
+    groups a read-only copy of tuples, then run ``validate``."""
 
     params: EncoderParams
     vocab: Vocab
-    catalog: Sequence[str]  # keyword id -> text; ``load_bundle`` gives a ``corpus.Catalog``
+    catalog: Catalog  # keyword id -> text; any other sequence of texts is made one
     forward_trie: KeywordTrie
     reversed_trie: KeywordTrie
     index: DenseIndex
@@ -87,16 +91,20 @@ class EngineBundle:
     dense_k: int = 100
     # Representative id -> the ids of its group, ascending, when the index
     # holds representatives only (``index --cluster-threshold``).
-    groups: dict[int, tuple[int, ...]] | None = None
+    groups: Mapping[int, tuple[int, ...]] | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.catalog, Catalog):
+            object.__setattr__(self, "catalog", Catalog.from_texts(self.catalog))
+        if self.groups is not None:
+            groups = {rep: tuple(group) for rep, group in self.groups.items()}
+            object.__setattr__(self, "groups", MappingProxyType(groups))
         self.validate()
 
     def validate(self) -> None:
         """Check what spans two components, each of which checks itself: one
         catalog and vocab, keywords the encoder can score."""
-        if self.dense_k < 0:  # 0 is legal: no dense channel
-            raise ValidationError(f"dense_k must be >= 0, not {self.dense_k}")
+        check_integer("dense_k", self.dense_k, 0)  # 0 is legal: no dense channel
         if self.params.vocab_size != len(self.vocab):
             raise ValidationError(
                 f"encoder vocabulary {self.params.vocab_size} != vocab {len(self.vocab)}"
@@ -204,7 +212,7 @@ def _merge(
     nlg_only = list(filterfalse(dr_scores.__contains__, nlg_scores))
     ids = both + dr_only + nlg_only
     sources = [SOURCE_BOTH] * len(both) + [SOURCE_DR] * len(dr_only) + [SOURCE_NLG] * len(nlg_only)
-    return list(map(RetrievalResult, ids, texts_of(bundle.catalog, ids),
+    return list(map(RetrievalResult, ids, bundle.catalog.texts(ids),
                     map(nlg_scores.get, ids), map(dr_scores.get, ids), sources))
 
 

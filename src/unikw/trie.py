@@ -10,12 +10,13 @@ Because BFS emits each node's children consecutively, the child of edge
 labels need to be stored.  Edge labels at every node are strictly
 increasing, so child lookup is a binary search.  Terminals (end of a full
 keyword path) live in one dense array holding the keyword id of every
-node, -1 where no keyword ends, so ``terminal_id`` is a single index.
-``build_trie_arrays`` sorts the padded keyword paths; each adds the nodes
-past its longest common prefix with the one before, numbered in BFS order.
-It reads the keywords as one flat token array plus lengths;
-``build_trie`` flattens a list of ``(token_seq, keyword_id)`` entries
-into that form.
+node, -1 where no keyword ends, so ``terminal_id`` is a single index; a
+terminal is a leaf other than the root.  ``KeywordTrie`` checks this
+layout whenever one is made.  ``build_trie_arrays`` sorts the padded
+keyword paths; each adds the nodes past its longest common prefix with
+the one before, numbered in BFS order.  It reads the keywords as one flat
+token array plus lengths; ``build_trie`` flattens a list of
+``(token_seq, keyword_id)`` entries into that form.
 
 Directions.  A forward trie stores each keyword's token path as-is,
 ending with the EOW sentinel.  A reversed trie partitions keywords by
@@ -56,8 +57,8 @@ _MAX_LABEL = 2**31 - 1  # labels are int32
 
 @dataclass(frozen=True)
 class KeywordTrie:
-    """Read-only trie; safe for concurrent readers after construction.  Its
-    three arrays are held as read-only views (``fileio.read_only``)."""
+    """Read-only trie, safe for concurrent readers: construction and every
+    ``replace`` check the layout and hold the arrays as read-only views."""
 
     offsets: np.ndarray       # int64 (n+1,); edges of node i at offsets[i]:offsets[i+1]
     labels: np.ndarray        # int32 (n-1,); edge e leads to node e+1
@@ -66,8 +67,27 @@ class KeywordTrie:
     vocab_checksum: int
 
     def __post_init__(self) -> None:
-        for name in ("offsets", "labels", "node_keyword"):
-            object.__setattr__(self, name, read_only(getattr(self, name)))
+        if self.direction not in (FORWARD, REVERSED):
+            raise ValidationError(f"unknown trie direction: {self.direction!r}")
+        offsets, labels = np.asarray(self.offsets, dtype=np.int64), np.asarray(self.labels)
+        keywords = np.asarray(self.node_keyword, dtype=np.int64)
+        n = len(keywords)  # no int64 temporaries below: a load runs these beside its stream
+        if ((len(offsets), len(labels)) != (n + 1, n - 1) or offsets[0] != 0
+                or offsets[-1] != n - 1 or np.any(offsets[1:] < offsets[:-1])):
+            raise ValidationError(f"a trie of {n} nodes has {n + 1} offsets, from 0 up to its "
+                                  f"edge count, and {n - 1} edge labels")
+        if n > 1 and (labels.min() < 0 or labels.max() > _MAX_LABEL):
+            raise ValidationError("trie edge label outside the int32 label range")
+        labels = labels.astype(np.int32, copy=False)
+        first = np.zeros(n, dtype=bool)  # edges that start a node's edges, and the end
+        first[offsets] = True
+        if not np.all((labels[1:] > labels[:-1]) | first[1:-1]):
+            raise ValidationError("trie edge labels must increase within each node")
+        terminal = keywords >= 0
+        if keywords.min() < -1 or terminal[0] or np.any(terminal & (offsets[1:] > offsets[:-1])):
+            raise ValidationError("trie terminal nodes must be leaves, not the root; ids >= -1")
+        for name, array in (("offsets", offsets), ("labels", labels), ("node_keyword", keywords)):
+            object.__setattr__(self, name, read_only(array))
 
     @property
     def node_count(self) -> int:
@@ -115,8 +135,6 @@ def build_trie_arrays(
     non-negative; and two entries may not share one token sequence (the
     catalog has to be deduplicated before tokenization).
     """
-    if direction not in (FORWARD, REVERSED):
-        raise ValidationError(f"unknown trie direction: {direction!r}")
     tokens = np.asarray(tokens, dtype=np.int64)
     lengths = np.asarray(lengths, dtype=np.int64)
     ids = np.asarray(ids, dtype=np.int64)
@@ -164,13 +182,11 @@ def build_trie_arrays(
     node = np.maximum.accumulate(node, axis=0)
     parent = np.pad(node[:, :-1], ((0, 0), (1, 0)))
     labels = paths.T[new.T]
-    if labels.size and (labels.min() < 0 or labels.max() > _MAX_LABEL):
-        raise ValidationError("token id out of the int32 label range")
     n = 1 + len(labels)
     offsets = np.concatenate(([0], np.cumsum(np.bincount(parent.T[new.T], minlength=n))))
     node_keyword = np.full(n, -1, dtype=np.int64)
     node_keyword[node[np.arange(len(ids)), depth - 1]] = ids
-    return KeywordTrie(offsets, labels.astype(np.int32), node_keyword, direction, vocab_checksum)
+    return KeywordTrie(offsets, labels, node_keyword, direction, vocab_checksum)
 
 
 def children(trie: KeywordTrie, node: int) -> list[tuple[int, int]]:
@@ -256,12 +272,11 @@ def from_bytes(data: bytes) -> KeywordTrie:
         raise ValidationError("corrupt trie: edge count does not match node count")
 
     firsts = offsets[:-1][degrees > 0]  # each inner node's first edge
-    rising = deltas > 0
-    rising[firsts] = True  # a first label may be 0
     deltas[firsts[1:]] -= np.add.reduceat(deltas, firsts)[:-1]  # restart the sum per node
     np.cumsum(deltas, out=deltas)
-    if not rising.all() or (deltas.size and (deltas.min() < 0 or deltas.max() > _MAX_LABEL)):
-        raise ValidationError("corrupt trie: edge labels not increasing or out of int32 range")
+    # The int32 store would hide a sum past int32; as uint64, a wrapped one is past it.
+    if deltas.size and deltas.view(np.uint64).max() > _MAX_LABEL:
+        raise ValidationError("corrupt trie: an edge label sum wraps or passes the int32 range")
     labels[:] = deltas
 
     nodes = np.cumsum(terminals[0::2])

@@ -607,7 +607,7 @@ def scalar_vocab_tokens(keyword_path, pairs_path, min_count: int = 1) -> tuple[s
             counts[tok] += 1
 
     if min_count < 1:
-        raise ValueError("min_count must be >= 1")
+        raise ValueError(f"min_count must be an integer >= 1, got {min_count!r}")
     reference_load_keywords(keyword_path)
     counts = Counter()
     with open(keyword_path, encoding="utf-8") as f:

@@ -468,7 +468,7 @@ def test_11_metric_fixtures():
     assert psp_at_k(ranked, labels, 5) == pytest.approx(0.9285714285714286)
     assert psp_at_k(ranked, labels, 1) == pytest.approx(0.25)
 
-    scorer = Scorer(fn=lambda q, k: int(k.split()[1]) / 10, match_type="exact")
+    scorer = Scorer(fn=lambda q, k: int(k.split()[1]) / 10)
     retrieved = [("q1", ["kw 8", "kw 6"]), ("q2", ["kw 4"])]
     assert good_keyword_density(retrieved, scorer, 0.5) == 1.0  # strict >
     assert good_keyword_density(retrieved, scorer, 0.6) == 0.5  # 0.6 excluded

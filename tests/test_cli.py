@@ -323,7 +323,7 @@ class TestPipeline:
         code = main(["retrieve", "--bundle-dir", str(pipeline["bundle"]), "--queries", str(path),
                      "--topk", "-1", "--out", str(out)])
         assert code == 2
-        assert "dense_k must be >= 0, not -1" in validation_message(capsys)
+        assert "dense_k must be an integer >= 0, got -1" in validation_message(capsys)
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["retrieve", "bench"])
@@ -637,7 +637,7 @@ class TestCraftedCatalogParity:
         text = CRAFTED_CATALOGS[name]
         keywords = tmp_path / "keywords.txt"
         keywords.write_bytes(text.encode("utf-8"))
-        assert load_keywords(keywords)._text.isascii() == (name == "ascii")
+        assert load_keywords(keywords).text.isascii() == (name == "ascii")
         # build-vocab rejects reserved forms, so it counts the words of a copy without them.
         vocab_source = tmp_path / "vocab_source.txt"
         vocab_source.write_text(re.sub("(?i)</?(pad|unk|kw)>", "x", text), encoding="utf-8")

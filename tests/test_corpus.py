@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import FrozenInstanceError, fields
 from itertools import chain
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from unikw import (
     EOW_ID,
     UNK_ID,
+    Catalog,
     ValidationError,
     Vocab,
     build_vocab,
@@ -25,6 +27,7 @@ from unikw import (
     tokenize_batch,
 )
 from unikw import corpus
+from unikw.corpus import RESERVED_TOKENS
 
 from oracles import reference_load_keywords, scalar_load_pairs, scalar_tokenize, scalar_vocab_tokens
 
@@ -319,6 +322,73 @@ class TestVocabFile:
     def test_checksum_changes_with_content(self, tiny_vocab):
         other = Vocab.from_tokens(["a", "b", "c", "d", "f"])
         assert tiny_vocab.checksum() != other.checksum()
+
+
+class TestVocab:
+    """``Vocab`` holds its tokens only, checks them and derives the id map."""
+
+    TOKENS = RESERVED_TOKENS + ("red", "blue")
+
+    def test_the_id_map_is_derived_and_read_only(self):
+        vocab = Vocab(list(self.TOKENS))
+        assert vocab.id_to_token == self.TOKENS and isinstance(vocab.id_to_token, tuple)
+        assert vocab.token_to_id == {tok: i for i, tok in enumerate(self.TOKENS)}
+        assert [f.name for f in fields(Vocab)] == ["id_to_token"]
+        with pytest.raises(TypeError):
+            vocab.token_to_id["red"] = 4  # re-ranked the hits; the checksum did not change
+        assert vocab.id_of("red") == 3 and vocab == Vocab.from_tokens(["red", "blue"])
+
+    def test_no_id_map_can_be_passed(self):
+        with pytest.raises(TypeError):  # it built, and served, a map that disagreed
+            Vocab(id_to_token=self.TOKENS, token_to_id={"red": 4, "blue": 3})
+
+    @pytest.mark.parametrize("tokens", [
+        ("red", "blue"), ("<unk>", "<pad>", "</kw>", "red"), (), RESERVED_TOKENS + ("red", "red"),
+        RESERVED_TOKENS + ("red", "<unk>")],
+        ids=["no-reserved", "misordered", "empty", "repeated-token", "repeated-reserved"])
+    def test_reserved_forms_first_and_no_token_twice(self, tokens):
+        with pytest.raises(ValidationError, match=(
+                r"^a vocabulary holds \('<pad>', '<unk>', '</kw>'\) first and no token twice$")):
+            Vocab(tokens)
+
+
+class TestCatalogOfTexts:
+    """``Catalog.from_texts``: the catalog parse, over texts already split."""
+
+    def test_ids_are_positions(self):
+        texts = ["red shoes", "blue  kettle ", "σ ink"]
+        catalog = Catalog.from_texts(texts)
+        assert list(catalog) == texts and catalog.texts([2, 0]) == ["σ ink", "red shoes"]
+        texts[0] = "changed"  # the catalog holds its own text
+        assert catalog[0] == "red shoes"
+
+    @pytest.mark.parametrize("entry, message", [
+        ("", "^blank keyword at line 1$"),
+        (" \t", "^blank keyword at line 1$"),
+        ("red\nshoes", "^keyword 1 holds a line break$"),
+        ("red\r", "^keyword 1 holds a line break$"),
+        ("\n", "^keyword 1 holds a line break$"),
+        ("shoes\u2028", "^keyword 1 holds a line break$"),
+    ], ids=["empty", "whitespace", "newline", "carriage-return", "only-a-break", "separator"])
+    def test_blank_entry_or_line_break_rejected(self, entry, message):
+        with pytest.raises(ValidationError, match=message):
+            Catalog.from_texts(["red shoes", entry, "blue kettle"])
+
+    @pytest.mark.parametrize("make", [lambda: Catalog.from_texts([]), lambda: Catalog("")],
+                             ids=["no-texts", "no-text"])
+    def test_empty_catalog(self, make):
+        catalog = make()
+        assert len(catalog) == 0 and list(catalog) == [] and catalog.texts([]) == []
+
+    def test_cannot_be_changed(self):
+        catalog = Catalog.from_texts(["red shoes", "blue kettle"])
+        with pytest.raises(TypeError):
+            catalog[0] = "blue shoes"
+        with pytest.raises(FrozenInstanceError):
+            catalog.text = "blue shoes\nred kettle\n"
+        with pytest.raises(ValueError, match="read-only"):
+            catalog._starts[1] = 0
+        assert list(catalog) == ["red shoes", "blue kettle"]
 
 
 class TestLoadKeywords:

@@ -315,3 +315,16 @@ class TestDecodeConfig:
         # A repeat used to run the same beam search twice for the same result.
         with pytest.raises(ValidationError, match="repeated decoding order"):
             DecodeConfig(orders=orders)
+
+    @pytest.mark.parametrize("beam_size", [2.5, 3.0, "3", True, None])
+    def test_beam_size_must_be_an_integer(self, beam_size):
+        # 2.5 used to construct, and retrieve then raised a TypeError in the partition.
+        with pytest.raises(ValidationError, match="^beam_size must be an integer >= 1, got "):
+            DecodeConfig(beam_size=beam_size)
+        assert DecodeConfig(beam_size=np.int64(3)).beam_size == 3
+
+    def test_orders_are_held_as_a_tuple(self):
+        config = DecodeConfig(orders=["l2r"])
+        assert config.orders == ("l2r",)
+        with pytest.raises(AttributeError):
+            config.orders.append("zzz")  # a KeyError at query time

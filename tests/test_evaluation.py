@@ -49,7 +49,7 @@ LABELS = LabeledSet(
 
 def fake_scorer():
     """Keyword text 'kw <n>' scores n/10; deterministic and total."""
-    return Scorer(fn=lambda q, k: int(k.split()[1]) / 10, match_type="exact")
+    return Scorer(fn=lambda q, k: int(k.split()[1]) / 10)
 
 
 class TestGoodKeywordDensity:
@@ -67,7 +67,7 @@ class TestGoodKeywordDensity:
         assert good_keyword_density(retrieved, fake_scorer(), 0.5) == 0.0
 
     def test_constant_scorer_reduces_to_mean_count(self):
-        ones = Scorer(fn=lambda q, k: 1.0, match_type="exact")
+        ones = Scorer(fn=lambda q, k: 1.0)
         retrieved = [("q1", ["a", "b", "c"]), ("q2", ["d"])]
         assert good_keyword_density(retrieved, ones, 0.5) == 2.0
 

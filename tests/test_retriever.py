@@ -1,5 +1,7 @@
 import json
-from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
+from collections.abc import Mapping
+from dataclasses import FrozenInstanceError, is_dataclass, replace
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -7,21 +9,27 @@ import pytest
 from unikw import (
     FORWARD,
     REVERSED,
+    Catalog,
     ValidationError,
     Vocab,
     build_exact,
     build_trie,
     init_params,
+    load_vocab,
     overlap_stats,
     retrieve,
     retrieve_channels,
+    save_params,
     tokenize,
 )
+from unikw.cli import load_bundle, main
+from unikw.encoder import PARAM_NAMES
 from unikw.retriever import SOURCE_BOTH, SOURCE_DR, SOURCE_NLG, results_to_jsonl_line
 
 import unikw.retriever as retriever_module
 from conftest import bundle_from_catalog
 from oracles import sorted_merge
+from synthdata import make_training_corpus, write_corpus_files
 
 CATALOG = [
     "red shoes",
@@ -54,7 +62,7 @@ class TestRetrieve:
             assert b.params.forward_counter.count == before + 1
 
     def test_negative_dense_k_rejected(self, bundle):
-        with pytest.raises(ValidationError, match="^dense_k must be >= 0, not -1$"):
+        with pytest.raises(ValidationError, match="^dense_k must be an integer >= 0, got -1$"):
             replace(bundle, dense_k=-1)
         nlg_only = replace(bundle, dense_k=0)  # legal: no dense channel
         assert retrieve_channels(nlg_only, "red shoes")[1] == []
@@ -212,14 +220,117 @@ class TestBundleValidation:
             node_keyword[:] = node_keyword[::-1].copy()  # made retrieve raise ConsistencyError
         assert retrieve(bundle, "hp ink cartridge") == before
 
-    def test_every_dataclass_part_is_frozen(self, bundle):
-        parts = {f.name: getattr(bundle, f.name) for f in fields(bundle)}
-        parts = {name: part for name, part in parts.items() if is_dataclass(part)}
-        assert sorted(parts) == sorted(["params", "vocab", "forward_trie", "reversed_trie",
-                                        "index", "decode"])
-        for name, part in parts.items():
-            assert type(part).__dataclass_params__.frozen, name
+    def test_every_dataclass_part_is_frozen(self, loaded):
+        """Everything a loaded bundle reaches is a frozen dataclass, a
+        read-only array, a tuple, a read-only mapping or a plain value,
+        except what ``LET_THROUGH`` names."""
+        seen = dict(reachable(loaded))
+        assert LET_THROUGH <= set(seen)
+        for path, value in seen.items():
+            if path in LET_THROUGH:
+                continue
+            if isinstance(value, np.ndarray):
+                assert not value.flags.writeable, path
+            elif is_dataclass(value):
+                assert type(value).__dataclass_params__.frozen, path
+            else:
+                assert isinstance(value, (tuple, MappingProxyType, str, int, float, type(None),
+                                          np.generic)), path
+        # The walk met every kind of part, a graph and a group map among them.
+        kinds = {type(value).__name__ for value in seen.values()}
+        assert {"EncoderParams", "Vocab", "Catalog", "KeywordTrie", "DenseIndex", "DecodeConfig",
+                "mappingproxy"} <= kinds
+        assert loaded.index.offsets is not None and len(loaded.groups) < len(loaded.catalog)
+        assert sum(isinstance(value, np.ndarray) for value in seen.values()) == 7 + 1 + 3 * 2 + 4
 
+    def test_a_vocab_map_write_raises(self):
+        bundle = bundle_from_catalog(CATALOG)  # its own: a write that got through would stay
+        before, checksum = retrieve(bundle, "red shoes"), bundle.vocab.checksum()
+        with pytest.raises(TypeError):
+            bundle.vocab.token_to_id["red"] = bundle.vocab.id_of("blue")  # re-ranked the hits
+        assert retrieve(bundle, "red shoes") == before and bundle.vocab.checksum() == checksum
+
+    def test_a_list_catalog_is_held_as_a_catalog(self, bundle):
+        texts = list(CATALOG)
+        held = replace(bundle, catalog=texts)
+        texts[0] = "blue shoes"  # was served as keyword 0's text
+        assert isinstance(held.catalog, Catalog) and list(held.catalog) == CATALOG
+        assert {r.text for r in retrieve(held, "red shoes")} <= set(CATALOG)
+        with pytest.raises(TypeError):
+            held.catalog[0] = "blue shoes"
+
+    @pytest.mark.parametrize("entry, message", [
+        ("", "^blank keyword at line 2$"), ("kettle\nlid", "^keyword 2 holds a line break$")])
+    def test_a_catalog_entry_blank_or_with_a_break_rejected(self, bundle, entry, message):
+        with pytest.raises(ValidationError, match=message):
+            replace(bundle, catalog=[*CATALOG[:2], entry, *CATALOG[3:]])
+
+    def test_empty_catalog_serves_nothing(self):
+        empty = bundle_from_catalog([])
+        assert len(empty.catalog) == 0 and retrieve(empty, "red shoes") == []
+
+    @pytest.mark.parametrize("dense_k", [2.5, "3", True])
+    def test_dense_k_must_be_an_integer(self, bundle, dense_k):
+        # 2.5 used to construct, and retrieve then raised a TypeError in the partition.
+        with pytest.raises(ValidationError, match="^dense_k must be an integer >= 0, got "):
+            replace(bundle, dense_k=dense_k)
+
+    def test_a_trie_layout_is_checked_in_a_bundle(self, bundle):
+        labels = bundle.forward_trie.labels.copy()
+        labels[[0, 1]] = labels[[1, 0]]  # root labels swapped: served under l2r, other scores
+        with pytest.raises(ValidationError, match="labels must increase"):
+            replace(bundle, forward_trie=replace(bundle.forward_trie, labels=labels))
+
+
+
+#: What the walk of a loaded bundle lets through, each for its reason: the
+#: encoder's tensors, which ``train`` updates in place; its forward-pass
+#: counter; and the dict behind ``Vocab.token_to_id``, whose own ``get``
+#: ``tokenize_batch`` calls.
+LET_THROUGH = {f"bundle.params.{name}" for name in PARAM_NAMES} | {
+    "bundle.params.forward_counter", "bundle.vocab._ids"}
+
+
+def reachable(value, path="bundle"):
+    """Each ``(path, value)`` reachable from ``value`` through instance
+    attributes (fields and what construction derives), tuple and list items
+    and mapping entries, stopping at what ``LET_THROUGH`` names."""
+    yield path, value
+    if path in LET_THROUGH:
+        return
+    if is_dataclass(value):
+        items = [(f".{name}", item) for name, item in vars(value).items()]
+    elif isinstance(value, (tuple, list, set, frozenset)):
+        items = [(f"[{i}]", item) for i, item in enumerate(value)]
+    elif isinstance(value, Mapping):
+        items = [(f"[{key!r}]", item) for key, item in value.items()]
+    else:
+        return
+    for step, item in items:
+        yield from reachable(item, path + step)
+
+
+@pytest.fixture(scope="module")
+def loaded(tmp_path_factory):
+    """A bundle as ``cli.load_bundle`` gives it, indexed as a graph over
+    cluster representatives: every kind of part a bundle can hold."""
+    bundle = tmp_path_factory.mktemp("loaded")
+    paths = write_corpus_files(make_training_corpus(seed=3, n_keywords=40, n_train=40,
+                                                    n_heldout=1), bundle)
+    vocab = bundle / "vocab.txt"
+    assert main(["build-vocab", "--keywords", str(paths["keywords"]),
+                 "--pairs", str(paths["pairs"]), "--out", str(vocab)]) == 0
+    for direction in ("fwd", "rev"):
+        assert main(["build-trie", "--keywords", str(paths["keywords"]), "--vocab", str(vocab),
+                     "--direction", direction, "--max-len", "4",
+                     "--out", str(bundle / f"trie.{direction}.ktri")]) == 0
+    save_params(init_params(len(load_vocab(vocab)), dim=8, dense_dim=4, hidden_dim=8, max_len=4),
+                bundle / "encoder.kenc")
+    assert main(["index", "--checkpoint", str(bundle / "encoder.kenc"),
+                 "--keywords", str(paths["keywords"]), "--vocab", str(vocab),
+                 "--kind", "graph", "--max-degree", "4", "--build-width", "8",
+                 "--cluster-threshold", "0.3", "--out", str(bundle)]) == 0
+    return load_bundle(bundle)
 
 
 def _sorted_hits(rng, ids, levels):
@@ -329,6 +440,17 @@ class TestRepresentativeGroups:
         assert dr == sorted(dr, key=lambda hit: (-hit[1], hit[0]))
         # The cut keeps the best: nothing left out scores above what was kept.
         assert all(score <= dr[-1][1] for kid, score in want - set(dr))
+
+    def test_groups_are_a_read_only_copy(self, bundle):
+        groups = {rep: list(members) for rep, members in self.GROUPS.items()}
+        clustered = replace(self.clustered(bundle, 20), groups=groups)
+        with pytest.raises(TypeError):
+            clustered.groups[0] = (0, 1, 99)  # an IndexError at query time
+        groups[0].append(99)  # the caller's dict and lists do not reach it
+        groups[6] = (6,)
+        assert clustered.groups == self.GROUPS
+        assert all(type(members) is tuple for members in clustered.groups.values())
+        retrieve(clustered, "red shoes")
 
     @pytest.mark.parametrize("groups, message", [
         ({0: (0, 3), 1: (1, 2), 4: (4,)}, "every catalog id once"),

@@ -1,4 +1,5 @@
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -100,6 +101,10 @@ class TestBuild:
                 with pytest.raises(ValueError, match="read-only"):
                     getattr(held, name)[0] = 0
         assert all(a.flags.writeable for a in arrays)  # views: the caller's arrays stay writable
+
+    def test_unknown_direction_rejected(self):
+        with pytest.raises(ValidationError, match="^unknown trie direction: 'sideways'$"):
+            build_trie([((A, EOW_ID), 0)], "sideways")
 
     def test_missing_eow_rejected(self):
         with pytest.raises(ValidationError, match="EOW"):
@@ -306,6 +311,71 @@ class TestSerialization:
             assert lookup(back, tokens) == kid
         for node in range(trie.node_count):
             assert children(back, node) == children(trie, node)
+
+
+def _layout(offsets, labels, node_keyword, direction=FORWARD):
+    return KeywordTrie(np.array(offsets), np.array(labels), np.array(node_keyword), direction, 0)
+
+
+class TestLayoutChecks:
+    """``KeywordTrie`` checks its own layout, however it is made."""
+
+    # build_trie([((A, EOW_ID), 0), ((A, B, EOW_ID), 1), ((C, EOW_ID), 2)]):
+    # root -A-> 1, root -C-> 2; 1 -EOW-> 3 (keyword 0), 1 -B-> 4; 2 -EOW-> 5
+    # (keyword 2); 4 -EOW-> 6 (keyword 1).
+    OFFSETS = [0, 2, 4, 5, 5, 6, 6, 6]
+    LABELS = [A, C, EOW_ID, B, EOW_ID, EOW_ID]
+    NODE_KEYWORD = [-1, -1, -1, 0, -1, 2, 1]
+
+    def test_the_layout_is_build_tries(self):
+        trie = build_trie([((A, EOW_ID), 0), ((A, B, EOW_ID), 1), ((C, EOW_ID), 2)])
+        assert trie.offsets.tolist() == self.OFFSETS
+        assert trie.labels.tolist() == self.LABELS
+        assert trie.node_keyword.tolist() == self.NODE_KEYWORD
+        assert to_bytes(_layout(self.OFFSETS, self.LABELS, self.NODE_KEYWORD)) == to_bytes(trie)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("direction", "sideways", "direction"),
+            ("offsets", [0, 2, 4, 5, 5, 6, 6], "^a trie of 7 nodes has 8 offsets"),
+            ("labels", [A, C, EOW_ID, B, EOW_ID], "and 6 edge labels$"),
+            ("node_keyword", [-1, -1, -1, 0, -1, 2], "^a trie of 6 nodes"),
+            ("offsets", [1, 2, 4, 5, 5, 6, 6, 6], "from 0 up to its edge count"),
+            ("offsets", [0, 2, 4, 3, 5, 6, 6, 6], "from 0 up to its edge count"),
+            ("offsets", [0, 2, 4, 5, 5, 6, 6, 7], "from 0 up to its edge count"),  # past the edges
+            # int64 sums that wrap: each difference is >= 0, and they end at 6
+            ("offsets", [0, 2**63 - 1, -2, 2**63 - 3, -4, 6, 6, 6], "from 0 up to its edge count"),
+            ("labels", [-1, C, EOW_ID, B, EOW_ID, EOW_ID], "label range"),
+            ("labels", [A, 2**31, EOW_ID, B, EOW_ID, EOW_ID], "label range"),
+            ("labels", [C, A, EOW_ID, B, EOW_ID, EOW_ID], "labels must increase"),
+            ("labels", [A, C, B, B, EOW_ID, EOW_ID], "labels must increase"),
+            ("node_keyword", [-1, -1, -1, 0, -1, 2, -2], "ids >= -1$"),
+            ("node_keyword", [7, -1, -1, 0, -1, 2, 1], "terminal nodes must be leaves, not the root"),
+            ("node_keyword", [-1, 7, -1, 0, -1, 2, 1], "terminal nodes must be leaves"),
+        ],
+    )
+    def test_bad_layout_rejected(self, field, value, message):
+        arrays = {"offsets": self.OFFSETS, "labels": self.LABELS, "node_keyword": self.NODE_KEYWORD}
+        arrays[field] = value
+        direction = value if field == "direction" else FORWARD
+        with pytest.raises(ValidationError, match=message):
+            _layout(arrays["offsets"], arrays["labels"], arrays["node_keyword"], direction)
+
+    def test_replace_checks_the_new_layout(self):
+        trie = build_trie([((A, EOW_ID), 0), ((A, B, EOW_ID), 1), ((C, EOW_ID), 2)])
+        swapped = trie.labels.copy()
+        swapped[[0, 1]] = swapped[[1, 0]]  # was served, with other scores, under l2r
+        with pytest.raises(ValidationError, match="labels must increase within each node"):
+            replace(trie, labels=swapped)
+        past = trie.offsets.copy()
+        past[-1] += 1  # an IndexError at bundle construction
+        with pytest.raises(ValidationError, match="edge count"):
+            replace(trie, offsets=past)
+
+    def test_labels_are_held_as_int32(self):
+        trie = _layout(self.OFFSETS, np.array(self.LABELS, dtype=np.int64), self.NODE_KEYWORD)
+        assert trie.labels.dtype == np.int32 and trie.labels.tolist() == self.LABELS
 
 
 class TestMemoryStats:
