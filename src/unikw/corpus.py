@@ -291,9 +291,10 @@ class Catalog(Sequence):
             codes = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
             near = np.flatnonzero((codes < 0x1F) | (codes == 0x85) | ((codes | 1) == 0x2029))
         breaks = near[np.isin(codes[near], _LINE_BREAKS)]
-        if len(text) > (breaks[-1] + 1 if len(breaks) else 0):  # a last line with no break
-            breaks = np.append(breaks, len(text))
-        starts = np.concatenate(([0], breaks + 1))
+        starts = np.empty(len(breaks) + 2, dtype=np.int64)  # last: end of an unbroken last line
+        starts[0], starts[-1] = 0, len(text) + 1
+        np.add(breaks, 1, out=starts[1:-1])
+        starts = starts[:-1] if starts[-2] == len(text) else starts
         # A blank line starts with whitespace: an empty one with its break.
         # Only lines whose first character is whitespace need a closer look.
         first = codes[starts[:-1]]
@@ -307,9 +308,8 @@ class Catalog(Sequence):
     @classmethod
     def from_texts(cls, texts) -> "Catalog":
         """Keyword i is ``texts[i]``: an entry blank or holding a break is an error."""
-        for i, text in enumerate(texts):
-            if text and text.splitlines() != [text]:
-                raise ValidationError(f"keyword {i} holds a line break")
+        if broken := [i for i, text in enumerate(texts) if text and text.splitlines() != [text]]:
+            raise ValidationError(f"keyword {broken[0]} holds a line break")
         return cls("\n".join([*texts, ""]))  # "" for no texts
 
     def __len__(self) -> int:

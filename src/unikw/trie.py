@@ -79,7 +79,7 @@ class KeywordTrie:
         if n > 1 and (labels.min() < 0 or labels.max() > _MAX_LABEL):
             raise ValidationError("trie edge label outside the int32 label range")
         labels = labels.astype(np.int32, copy=False)
-        first = np.zeros(n, dtype=bool)  # edges that start a node's edges, and the end
+        first = np.zeros(n, dtype=bool)  # True at each node's first edge, and past the last
         first[offsets] = True
         if not np.all((labels[1:] > labels[:-1]) | first[1:-1]):
             raise ValidationError("trie edge labels must increase within each node")
