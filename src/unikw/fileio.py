@@ -100,8 +100,8 @@ def unpack_at(fmt: str, data: bytes, pos: int) -> tuple[tuple, int]:
 
 def read_only(array) -> np.ndarray:
     """A view of ``array`` that cannot be written; ``array`` keeps its flags.
-    The index and the tries hold their arrays this way, so no caller can
-    change them in place behind their checks."""
+    The index, the tries and the catalog hold their arrays this way, so no
+    caller can change them in place behind their checks."""
     view = np.asarray(array).view()
     view.flags.writeable = False
     return view
