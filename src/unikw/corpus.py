@@ -70,13 +70,15 @@ TokenSeq = tuple[int, ...]
 
 @dataclass(frozen=True)
 class Vocab:
-    """Immutable token<->id bijection.  Construction checks ``id_to_token`` (the
-    reserved forms at ids 0..2, no token twice) and derives a read-only ``token_to_id``."""
+    """Immutable token<->id bijection.  Construction checks ``id_to_token`` (strings,
+    the reserved forms at ids 0..2, no token twice) and derives a read-only ``token_to_id``."""
 
     id_to_token: tuple[str, ...]
 
     def __post_init__(self) -> None:
         tokens = tuple(self.id_to_token)
+        if bad := [i for i, tok in enumerate(tokens) if not isinstance(tok, str)]:
+            raise ValidationError(f"vocabulary token {bad[0]} is not a string: {tokens[bad[0]]!r}")
         ids = {tok: i for i, tok in enumerate(tokens)}
         if tokens[:3] != RESERVED_TOKENS or len(ids) != len(tokens):
             raise ValidationError(f"a vocabulary holds {RESERVED_TOKENS} first and no token twice")

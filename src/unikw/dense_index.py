@@ -98,8 +98,6 @@ class DenseIndex:
         ordered = ids if np.all(ids[1:] > ids[:-1]) else np.sort(ids)
         if np.any(ordered[1:] == ordered[:-1]):
             raise ValidationError("duplicate ids")
-        if len(ids) and ordered[0] < 0:  # what a u64 id of 2**64 - 1 reads as
-            raise ValidationError(f"keyword id {ordered[0]} is negative, outside the catalog")
         object.__setattr__(self, "vectors", read_only(vectors))
         object.__setattr__(self, "ids", read_only(ids))
         if self.offsets is None and self.neighbors is None:

@@ -1,10 +1,10 @@
 """End-to-end unified retrieval: one encoder pass feeds both channels.
 
 ``retrieve_batch`` is the one serving path, and ``retrieve`` its one-query
-case; any ``EngineBundle`` serves, since each of its parts checks itself
-when it is made and making the bundle checks what spans two parts.  No
-part changes after, but the encoder's tensors, which ``train`` updates in
-place; the catalog is always a ``corpus.Catalog``.
+case; any ``EngineBundle`` serves: each part checks itself when made, and
+the bundle what spans two, each channel holding every catalog id once.
+No part changes after, but the encoder's tensors, which ``train`` updates
+in place; the catalog is always a ``corpus.Catalog``.
 Each query is encoded exactly once.  The resulting log-probability table
 drives permutation-decoded trie search (the generative channel, "NLG") and
 the dense embedding drives nearest-neighbor search (the dense channel,
@@ -97,19 +97,19 @@ class EngineBundle:
         if not isinstance(self.catalog, Catalog):
             object.__setattr__(self, "catalog", Catalog.from_texts(self.catalog))
         if self.groups is not None:
-            groups = {rep: tuple(group) for rep, group in self.groups.items()}
+            groups = {_as_id(rep): tuple(map(_as_id, group)) for rep, group in self.groups.items()}
             object.__setattr__(self, "groups", MappingProxyType(groups))
         self.validate()
 
     def validate(self) -> None:
-        """Check what spans two components, each of which checks itself: one
-        catalog and vocab, keywords the encoder can score."""
+        """Check what spans two components, each of which checks itself: one catalog
+        and vocab, keywords the encoder can score, every catalog id once per channel."""
         check_integer("dense_k", self.dense_k, 0)  # 0 is legal: no dense channel
         if self.params.vocab_size != len(self.vocab):
             raise ValidationError(
                 f"encoder vocabulary {self.params.vocab_size} != vocab {len(self.vocab)}"
             )
-        checksum = self.vocab.checksum()
+        checksum, n = self.vocab.checksum(), len(self.catalog)
         for trie, direction in ((self.forward_trie, FORWARD), (self.reversed_trie, REVERSED)):
             if trie.direction != direction:
                 raise ValidationError(f"trie direction {trie.direction}, expected {direction}")
@@ -120,35 +120,36 @@ class EngineBundle:
                     f"{direction} trie holds a keyword of {positions} positions, more than the "
                     f"encoder's max_len {self.params.max_len}: build the tries with "
                     f"build-trie --max-len {self.params.max_len}")
-        n = len(self.catalog)
-        fwd_ids, rev_ids = (t.node_keyword[t.node_keyword >= 0]
-                            for t in (self.forward_trie, self.reversed_trie))
-        top = max(fwd_ids.max(initial=-1), rev_ids.max(initial=-1))
-        if len(fwd_ids) != len(rev_ids):
-            same = False
-        elif top < n:  # one count per catalog id and trie
-            same = np.array_equal(np.bincount(fwd_ids, minlength=n), np.bincount(rev_ids, minlength=n))
-        else:  # ids past the catalog: an error either way; the sort tells which
-            same = np.array_equal(np.sort(fwd_ids), np.sort(rev_ids))
-        if not same:
-            raise ValidationError("forward and reversed tries cover different keywords")
-        if top >= n:
-            raise ValidationError("trie keyword id outside the catalog")
-        if int(self.index.ids.max(initial=-1)) >= n:
-            raise ValidationError("index keyword id outside the catalog")
-        if self.index.vectors.shape[1] != self.params.dense_dim:
+            _check_covers(trie.node_keyword[trie.node_keyword >= 0], n, f"{direction} trie")
+        if (width := self.index.vectors.shape[1]) != self.params.dense_dim:
             raise ValidationError(
-                f"index vector width {self.index.vectors.shape[1]} != encoder dense_dim "
-                f"{self.params.dense_dim}"
-            )
+                f"index vector width {width} != encoder dense_dim {self.params.dense_dim}")
+        dense = self.index.ids
         if self.groups is not None:
-            members = sorted(kid for group in self.groups.values() for kid in group)
-            if members != list(range(len(self.catalog))):
-                raise ValidationError("representative map must list every catalog id once")
             if any(rep not in group for rep, group in self.groups.items()):
                 raise ValidationError("every representative must map to itself")
-            if sorted(self.groups) != sorted(self.index.ids.tolist()):
+            if self.groups.keys() != set(self.index.ids.tolist()):
                 raise ValidationError("representatives must be exactly the index ids")
+            # Python ints in an object array: an id past int64 stays itself.
+            dense = np.array([kid for group in self.groups.values() for kid in group], dtype=object)
+        _check_covers(dense, n, "dense index")
+
+
+def _as_id(value) -> int:  # a float or str group id used to fail at query time
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise ValidationError(f"group map ids must be integers, got {value!r}")
+    return value.__index__()
+
+
+def _check_covers(ids: np.ndarray, n: int, what: str) -> None:
+    """Raise unless ``ids`` holds each of ``range(n)`` exactly once.  The range
+    comes first, so no id, however large, sizes the count."""
+    if (outside := (ids < 0) | (ids >= n)).any():
+        raise ValidationError(f"{what} holds keyword id {ids[outside][0]}, outside the catalog of {n}")
+    counts = np.bincount(ids.astype(np.intp, copy=False), minlength=n)
+    if (wrong := np.flatnonzero(counts != 1)).size:
+        raise ValidationError(f"{what} must hold every catalog id once; keyword {wrong[0]} "
+                              f"is held {counts[wrong[0]]} times")
 
 
 def chunk_size(bundle: EngineBundle) -> int:

@@ -10,8 +10,8 @@ Because BFS emits each node's children consecutively, the child of edge
 labels need to be stored.  Edge labels at every node are strictly
 increasing, so child lookup is a binary search.  Terminals (end of a full
 keyword path) live in one dense array holding the keyword id of every
-node, -1 where no keyword ends, so ``terminal_id`` is a single index; a
-terminal is a leaf other than the root.  ``KeywordTrie`` checks this
+node, -1 where no keyword ends, so ``terminal_id`` is a single index; the
+terminals are the leaves but the root.  ``KeywordTrie`` checks this
 layout whenever one is made.  ``build_trie_arrays`` sorts the padded
 keyword paths; each adds the nodes past its longest common prefix with
 the one before, numbered in BFS order.  It reads the keywords as one flat
@@ -83,9 +83,10 @@ class KeywordTrie:
         first[offsets] = True
         if not np.all((labels[1:] > labels[:-1]) | first[1:-1]):
             raise ValidationError("trie edge labels must increase within each node")
-        terminal = keywords >= 0
-        if keywords.min() < -1 or terminal[0] or np.any(terminal & (offsets[1:] > offsets[:-1])):
-            raise ValidationError("trie terminal nodes must be leaves, not the root; ids >= -1")
+        leaf = np.append(False, offsets[2:] == offsets[1:-1])  # the root completes nothing
+        if keywords.min() < -1 or not np.array_equal(keywords >= 0, leaf):
+            raise ValidationError("trie terminal nodes must be leaves, not the root, and every "
+                                  "other leaf a terminal; no id is negative but -1: ids >= -1")
         for name, array in (("offsets", offsets), ("labels", labels), ("node_keyword", keywords)):
             object.__setattr__(self, name, read_only(array))
 
@@ -146,8 +147,6 @@ def build_trie_arrays(
         last = np.append(tokens, -1)[ends - 1]  # -1 past an empty first sequence
         bad = (eows[ends] - eows[ends - lengths] != 1) | (last != EOW_ID)
         raise ValidationError(f"keyword {ids[bad][0]}: token sequence must end with a single EOW")
-    if ids.size and ids.min() < 0:
-        raise ValidationError(f"keyword id {ids.min()} is negative")
     ordered = np.sort(ids)
     repeated = ordered[1:][ordered[1:] == ordered[:-1]]
     if repeated.size:

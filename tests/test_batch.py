@@ -1,6 +1,7 @@
 """Serving in batches: a query's results, its encoder rows and its dense
 hits do not depend on the batch or chunk it is served in."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -112,10 +113,9 @@ class TestRetrieveBatch:
         table = engine.params.max_len * engine.params.vocab_size * 8
         assert chunk_size(engine) == retriever_module.CHUNK_BYTES // table
         # The index plays no part: a graph search bounds its own unseen mask.
-        rows = np.random.default_rng(0).normal(size=(table + 9, engine.params.dense_dim))
-        wide = build_exact(rows, np.arange(len(rows)))
-        catalog = (*engine.catalog, *["filler"] * (len(rows) - len(engine.catalog)))
-        assert chunk_size(replace(engine, catalog=catalog, index=wide)) == chunk_size(engine)
+        texts = [" ".join(words) for words in itertools.product(WORDS, repeat=3)][:table + 9]
+        wide = bundle_from_catalog(texts, params=engine.params, max_len=4)
+        assert len(wide.index) > table and chunk_size(wide) == chunk_size(engine)
         with mock.patch.object(retriever_module, "CHUNK_BYTES", 1):
             assert chunk_size(engine) == 1
 

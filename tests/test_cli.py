@@ -358,6 +358,11 @@ class TestPipeline:
         shutil.copytree(pipeline["bundle"], bundle)
         with open(bundle / "keywords.txt", "a", encoding="utf-8") as f:
             f.write("a keyword of five words\n")  # six positions with EOW
+        assert main([  # the index holds it too: only the tries differ below
+            "index", "--checkpoint", str(bundle / "encoder.kenc"),
+            "--keywords", str(bundle / "keywords.txt"), "--vocab", str(bundle / "vocab.txt"),
+            "--kind", "graph", "--max-degree", "8", "--build-width", "16", "--out", str(bundle),
+        ]) == 0
 
         def build_tries_and_retrieve(max_len):
             for direction in ("fwd", "rev"):
@@ -379,6 +384,22 @@ class TestPipeline:
         )
         assert not (tmp_path / "r.jsonl").exists()
         assert build_tries_and_retrieve("4") == 0
+
+    def test_a_keyword_added_after_the_build_is_validation_error(self, pipeline, tmp_path, capsys):
+        # It served with exit 0, and the new keyword could never be a hit.
+        bundle = tmp_path / "bundle"
+        shutil.copytree(pipeline["bundle"], bundle)
+        n = len((bundle / "keywords.txt").read_text(encoding="utf-8").splitlines())
+        with open(bundle / "keywords.txt", "a", encoding="utf-8") as f:
+            f.write("a keyword added later\n")
+        code = main([
+            "retrieve", "--bundle-dir", str(bundle),
+            "--queries", str(pipeline["paths"]["queries"]), "--out", str(tmp_path / "r.jsonl"),
+        ])
+        assert code == 2
+        assert validation_message(capsys) == (
+            f"forward trie must hold every catalog id once; keyword {n} is held 0 times")
+        assert not (tmp_path / "r.jsonl").exists()
 
     @pytest.mark.parametrize("catalog, message", [
         (b"red shoes\n\xff\xfe boots\n", "can't decode byte 0xff"),
@@ -432,6 +453,11 @@ class TestPipeline:
                      "exactly the index ids", id="not-an-index-id"),
         pytest.param(lambda reps, rep, member: {**reps, member: "x"},
                      "is not 'keyword id<TAB>representative id'", id="malformed-line"),
+        pytest.param(lambda reps, rep, member: {**reps, 10**30: rep},
+                     f"dense index holds keyword id {10**30}, outside the catalog",
+                     id="member-past-int64"),
+        pytest.param(lambda reps, rep, member: {**reps, 10**30: 10**30},
+                     "exactly the index ids", id="representative-past-int64"),
     ])
     def test_bad_representative_map_is_validation_error(
         self, clustered, pipeline, tmp_path, capsys, edit, message

@@ -351,6 +351,12 @@ class TestVocab:
                 r"^a vocabulary holds \('<pad>', '<unk>', '</kw>'\) first and no token twice$")):
             Vocab(tokens)
 
+    @pytest.mark.parametrize("token", [5, None, b"red"])
+    def test_tokens_are_strings(self, token):
+        # It built, and then failed in checksum() with a TypeError.
+        with pytest.raises(ValidationError, match=f"^vocabulary token 3 is not a string: {token!r}$"):
+            Vocab(RESERVED_TOKENS + (token, "red"))
+
 
 class TestCatalogOfTexts:
     """``Catalog.from_texts``: the catalog parse, over texts already split."""

@@ -1,10 +1,13 @@
 import json
 from collections.abc import Mapping
+from functools import cache
 from dataclasses import FrozenInstanceError, is_dataclass, replace
 from types import MappingProxyType
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unikw import (
     FORWARD,
@@ -14,12 +17,14 @@ from unikw import (
     Vocab,
     build_exact,
     build_trie,
+    encode,
     init_params,
     load_vocab,
     overlap_stats,
     retrieve,
     retrieve_channels,
     save_params,
+    search,
     tokenize,
 )
 from unikw.cli import load_bundle, main
@@ -127,17 +132,21 @@ class TestBundleValidation:
             replace(bundle, catalog=bundle.catalog[:2])
 
     def test_catalog_one_short_detected(self, bundle):
-        with pytest.raises(ValidationError, match="trie keyword id outside the catalog"):
+        with pytest.raises(ValidationError, match=(
+                "^forward trie holds keyword id 5, outside the catalog of 5$")):
             replace(bundle, catalog=bundle.catalog[:-1])
 
-    @pytest.mark.parametrize("new_id", [-1, 0, len(CATALOG) + 3],
-                             ids=["dropped", "repeated", "past-catalog"])
-    def test_tries_covering_different_keywords_detected(self, bundle, new_id):
-        # The reversed trie's last terminal changes id: the id lists differ
-        # in length, in their counts, or (past the catalog) when sorted.
+    @pytest.mark.parametrize("new_id, message", [
+        (-1, "every other leaf a terminal"),
+        (0, "^reversed trie must hold every catalog id once; keyword 0 is held 2 times$"),
+        (len(CATALOG) + 3, "^reversed trie holds keyword id 9, outside the catalog of 6$"),
+    ], ids=["dropped", "repeated", "past-catalog"])
+    def test_tries_covering_different_keywords_detected(self, bundle, new_id, message):
+        # The reversed trie's last terminal changes id: a leaf that completes
+        # nothing fails the trie's layout, the others the bundle's coverage.
         node_keyword = bundle.reversed_trie.node_keyword.copy()
         node_keyword[bundle.reversed_trie.term_nodes[-1]] = new_id
-        with pytest.raises(ValidationError, match="cover different keywords"):
+        with pytest.raises(ValidationError, match=message):
             replace(bundle, reversed_trie=replace(bundle.reversed_trie, node_keyword=node_keyword))
 
     def test_dense_width_mismatch_detected(self, bundle):
@@ -166,9 +175,11 @@ class TestBundleValidation:
         entries = [(tokenize(text, bundle.vocab, "keyword", 16), kid)
                    for kid, text in enumerate(catalog)]
         checksum = bundle.vocab.checksum()
+        vectors = np.vstack([bundle.index.vectors, bundle.index.vectors[:1]])
         full = replace(bundle, catalog=tuple(catalog),
                        forward_trie=build_trie(entries, FORWARD, checksum),
-                       reversed_trie=build_trie(entries, REVERSED, checksum))
+                       reversed_trie=build_trie(entries, REVERSED, checksum),
+                       index=build_exact(vectors, np.arange(len(catalog))))
         assert len(catalog) - 1 in dict(retrieve_channels(full, catalog[-1])[0])
 
     def test_negative_index_id_detected(self, bundle):
@@ -432,9 +443,9 @@ class TestRepresentativeGroups:
     @pytest.mark.parametrize("dense_k", [1, 2, 5, 20])
     def test_members_take_their_representatives_score(self, bundle, dense_k):
         clustered = self.clustered(bundle, dense_k)
-        _, reps_dr = retrieve_channels(replace(clustered, groups=None), "red shoes")
+        query = tokenize("red shoes", bundle.vocab, "query", bundle.params.max_len)
+        scores = dict(search(clustered.index, encode(bundle.params, query).dr_embedding, 3))
         _, dr = retrieve_channels(clustered, "red shoes")
-        scores = dict(reps_dr)
         want = {(kid, scores[rep]) for rep in scores for kid in self.GROUPS[rep]}
         assert len(dr) == min(dense_k, 6) and set(dr) <= want
         assert dr == sorted(dr, key=lambda hit: (-hit[1], hit[0]))
@@ -462,3 +473,130 @@ class TestRepresentativeGroups:
         clustered = self.clustered(bundle, 20)
         with pytest.raises(ValidationError, match=message):
             replace(clustered, groups=groups)
+
+    @pytest.mark.parametrize("groups", [
+        {0: (0.0, 3), 1: (1, 2), 4: (4, 5)},
+        {0: (0, "3"), 1: (1, 2), 4: (4, 5)},
+        {0: (0, 3), True: (1, 2), 4: (4, 5)},
+    ], ids=["float-member", "str-member", "bool-representative"])
+    def test_group_ids_must_be_integers(self, bundle, groups):
+        # A member 0.0 built, and retrieve then raised a TypeError in the catalog's slices.
+        with pytest.raises(ValidationError, match="^group map ids must be integers, got "):
+            replace(self.clustered(bundle, 20), groups=groups)
+
+    def test_numpy_integer_ids_are_held_as_ints(self, bundle):
+        groups = {np.int64(rep): tuple(map(np.int32, group)) for rep, group in self.GROUPS.items()}
+        clustered = replace(self.clustered(bundle, 20), groups=groups)
+        assert clustered.groups == self.GROUPS
+        assert {type(kid) for group in clustered.groups.values() for kid in group} == {int}
+
+    @pytest.mark.parametrize("member", [-1, 6, 2**63, 10**30])
+    def test_a_member_outside_the_catalog_names_it(self, bundle, member):
+        # 2**63 and past stay exact: neither an OverflowError nor a float.
+        with pytest.raises(ValidationError, match=(
+                f"^dense index holds keyword id {member}, outside the catalog of 6$")):
+            replace(self.clustered(bundle, 20), groups={0: (0, 3), 1: (1, 2), 4: (4, 5, member)})
+
+
+class TestCoverage:
+    """Each channel holds every catalog id exactly once: the forward trie's
+    terminals, the reversed trie's, and the index ids or their groups'
+    members.  Each bundle rejected below used to build, and serve."""
+
+    def test_a_catalog_grown_after_the_tries_detected(self, bundle):
+        # "green kettle" (id 6) was never a hit of either channel.
+        with pytest.raises(ValidationError, match=(
+                "^forward trie must hold every catalog id once; keyword 6 is held 0 times$")):
+            replace(bundle, catalog=[*CATALOG, "green kettle"])
+
+    def test_an_index_missing_a_keyword_detected(self, bundle):
+        # Keyword 5 was reported NLG-only because the index lacked it.
+        with pytest.raises(ValidationError, match=(
+                "^dense index must hold every catalog id once; keyword 5 is held 0 times$")):
+            replace(bundle, index=build_exact(bundle.index.vectors[:5], np.arange(5)))
+
+    def test_one_id_at_two_terminals_detected(self, bundle):
+        # Keyword 1's terminals relabelled 0 in both tries: every query raised
+        # ConsistencyError, keyword 0 scored differently under the two orders.
+        tries = {f"{trie.direction}_trie": _relabelled(trie, [0, 0, 2, 3, 4, 5])
+                 for trie in (bundle.forward_trie, bundle.reversed_trie)}
+        with pytest.raises(ValidationError, match=(
+                "^forward trie must hold every catalog id once; keyword 0 is held 2 times$")):
+            replace(bundle, **tries)
+
+    @pytest.mark.parametrize("direction", [FORWARD, REVERSED])
+    def test_a_leaf_that_completes_nothing_detected(self, bundle, direction):
+        # Keyword 4's terminals set to -1: keyword 4 could never be an NLG hit.
+        trie = getattr(bundle, f"{direction}_trie")
+        node_keyword = np.where(trie.node_keyword == 4, -1, trie.node_keyword)
+        with pytest.raises(ValidationError, match="every other leaf a terminal"):
+            replace(trie, node_keyword=node_keyword)
+
+    def test_an_id_past_int64_in_a_trie_names_it(self, bundle):
+        with pytest.raises(ValidationError, match=(
+                f"^reversed trie holds keyword id {2**62}, outside the catalog of 6$")):
+            replace(bundle, reversed_trie=_relabelled(bundle.reversed_trie,
+                                                      [0, 1, 2, 3, 4, 2**62]))
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_a_bundle_builds_exactly_when_every_channel_covers(self, data):
+        """One channel's ids are relabelled by a permutation, then one of
+        them dropped, repeated, shifted or pushed past the catalog (or none
+        is).  Construction raises exactly when that channel no longer holds
+        every catalog id once; a bundle that builds serves catalog ids only,
+        each at most once per channel."""
+        n = data.draw(st.integers(1, len(CATALOG)))
+        channel = data.draw(st.sampled_from([FORWARD, REVERSED, "index", "groups"]))
+        perm = data.draw(st.permutations(range(n)))
+        ids = list(perm)  # ids[k]: the id keyword k's entry holds; None drops the entry
+        defect = data.draw(st.sampled_from(["none", "drop", "repeat", "shift", "past"]))
+        k = data.draw(st.integers(0, n - 1))
+        if defect == "drop":
+            ids[k] = None
+        elif defect == "repeat":
+            ids[k] = ids[data.draw(st.integers(0, n - 1))]  # the same one: no defect
+        elif defect == "shift":
+            shift = data.draw(st.sampled_from([-2, -1, 1, 2]))
+            ids = [kid + shift for kid in ids]
+        elif defect == "past":
+            ids[k] = n + data.draw(st.sampled_from([0, 3, 2**40, 2**62]))
+        kept = [k for k, kid in enumerate(ids) if kid is not None]
+        covers = sorted(ids[k] for k in kept) == list(range(n))
+        base = _small_bundle(n)
+
+        def build():
+            if channel in (FORWARD, REVERSED):  # the other trie agrees on the permutation
+                other = REVERSED if channel == FORWARD else FORWARD
+                entries = [(tokenize(CATALOG[k], base.vocab, "keyword", 8), k) for k in kept]
+                trie = build_trie(entries, channel, base.vocab.checksum())
+                return replace(base, **{f"{channel}_trie": _relabelled(trie, ids),
+                                        f"{other}_trie": _relabelled(getattr(base, f"{other}_trie"),
+                                                                     perm)})
+            dense_ids = np.array([ids[k] for k in kept], dtype=np.int64)
+            if channel == "index":
+                return replace(base, index=build_exact(base.index.vectors[kept], dense_ids))
+            return replace(base, index=build_exact(base.index.vectors[:1], np.array([0])),
+                           groups={0: tuple(dense_ids.tolist())})
+
+        if not covers:
+            with pytest.raises(ValidationError):
+                build()
+            return
+        bundle = build()
+        for hits in retrieve_channels(bundle, CATALOG[0]):
+            got = [kid for kid, _ in hits]
+            assert len(set(got)) == len(got) and set(got) <= set(range(n))
+
+
+@cache
+def _small_bundle(n):
+    return bundle_from_catalog(CATALOG[:n])
+
+
+def _relabelled(trie, ids):
+    """``trie`` with keyword k's terminal holding ``ids[k]`` in its place."""
+    node_keyword = trie.node_keyword.copy()
+    held = node_keyword >= 0
+    node_keyword[held] = [ids[kid] for kid in node_keyword[held].tolist()]
+    return replace(trie, node_keyword=node_keyword)

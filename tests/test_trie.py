@@ -147,6 +147,11 @@ class TestBuild:
         with pytest.raises(ValidationError, match="negative"):
             build_trie([((A, EOW_ID), 0), ((B, EOW_ID), -3)])
 
+    def test_id_minus_one_rejected(self):
+        # -1 reads as "no keyword": the leaf it would mark completes nothing.
+        with pytest.raises(ValidationError, match="every other leaf a terminal"):
+            build_trie([((A, EOW_ID), 0), ((B, EOW_ID), -1)])
+
     def test_insertion_order_invariance(self):
         entries = [((A, B, EOW_ID), 0), ((A, C, EOW_ID), 1), ((B, EOW_ID), 2)]
         t1 = build_trie(entries)
@@ -353,6 +358,7 @@ class TestLayoutChecks:
             ("node_keyword", [-1, -1, -1, 0, -1, 2, -2], "ids >= -1$"),
             ("node_keyword", [7, -1, -1, 0, -1, 2, 1], "terminal nodes must be leaves, not the root"),
             ("node_keyword", [-1, 7, -1, 0, -1, 2, 1], "terminal nodes must be leaves"),
+            ("node_keyword", [-1, -1, -1, 0, -1, 2, -1], "every other leaf a terminal"),
         ],
     )
     def test_bad_layout_rejected(self, field, value, message):
