@@ -135,7 +135,7 @@ class EngineBundle:
         _check_covers(dense, n, "dense index")
 
 
-def _as_id(value) -> int:  # a float or str group id used to fail at query time
+def _as_id(value) -> int:  # a float or str group id would fail in the catalog's slices
     if isinstance(value, bool) or not hasattr(value, "__index__"):
         raise ValidationError(f"group map ids must be integers, got {value!r}")
     return value.__index__()
