@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, InitVar, dataclass
 from itertools import chain, compress, repeat
 from types import MappingProxyType
 from typing import NamedTuple
@@ -282,12 +282,20 @@ class Catalog(Sequence):
     is made per keyword until ``texts`` fetches many at once."""
 
     text: str
+    _: KW_ONLY
+    #: The bytes an ASCII ``text`` was decoded from, which ``load_keywords``
+    #: passes so that the line search views them instead of a new encoding.
+    _ascii: InitVar[bytes | None] = None
 
-    def __post_init__(self) -> None:
-        text = self.text.replace("\r\n", "\n") if "\r" in self.text else self.text
-        object.__setattr__(self, "text", text)  # so that every break is one character
+    def __post_init__(self, _ascii: bytes | None) -> None:
+        text = self.text
+        if "\r" in text:
+            text, _ascii = text.replace("\r\n", "\n"), None
+            object.__setattr__(self, "text", text)  # so that every break is one character
         if text.isascii():
-            codes = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+            if _ascii is None or len(_ascii) != len(text):
+                _ascii = text.encode("ascii")
+            codes = np.frombuffer(_ascii, dtype=np.uint8)
             near = np.flatnonzero(codes < 0x1F)
         else:
             codes = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
@@ -339,7 +347,8 @@ class Catalog(Sequence):
 def load_keywords(path) -> Catalog:
     """Read the keyword catalog: UTF-8, keyword i on the i-th (0-based) line,
     lines as ``str.splitlines`` gives them.  A blank line is an error."""
-    return Catalog(read_file(path).decode("utf-8"))
+    data = read_file(path)
+    return Catalog(data.decode("utf-8"), _ascii=data)
 
 
 #: A pairs file with more malformed lines than this share is rejected.

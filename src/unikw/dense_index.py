@@ -59,13 +59,17 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ValidationError
-from .fileio import frame, read_file, read_only, take, unframe, unpack_at, write_file
+from .fileio import (
+    frame, read_file, read_only, read_sealed, sealed, take, unframe, unpack_at, write_file,
+)
 
 EXACT = "exact"
 GRAPH = "graph"
 
 _EMB_MAGIC = b"KEMB"
 _EMB_VERSION = 2
+_EMB_ROWS_AT = 8 + struct.calcsize("<QI")  # the frame's magic and version, then the header
+_ROW_ALIGN = 64  # where loaded rows start: a cache line
 _GRAPH_MAGIC = b"KGRA"
 _GRAPH_VERSION = 3
 
@@ -80,7 +84,8 @@ class DenseIndex:
     """The rows and ids search reads, plus the graph kind's adjacency.  Frozen;
     construction and every ``replace`` store the rows as ``_normalize`` gives
     them and check the ids and the adjacency.  Every array is held as a
-    read-only view (``fileio.read_only``)."""
+    read-only view (``fileio.read_only``): loaded unit rows and ids view the
+    buffer ``load_embeddings`` read them into, and other rows are a copy."""
 
     vectors: np.ndarray            # (N, d) float32, unit rows
     ids: np.ndarray                # (N,) int64 keyword ids
@@ -133,20 +138,30 @@ class DenseIndex:
 
 
 def _normalize(vectors: np.ndarray) -> np.ndarray:
-    """New, aligned float32 unit rows: the rows every index serves.
+    """Float32 unit rows: the rows every index serves.
 
     A row whose float32 value ``x`` is unit within float32 rounding,
     ``|x.x - 1| <= 4 * _float32_dot_error(d)`` summed in float64, keeps
     that value; so does every row ``index`` writes.  Any other row is
     divided by its float64 norm, rounded to float32 and divided by its
-    float32 norm, each row on its own."""
+    float32 norm, each row on its own.
+
+    Rows that ``load_embeddings`` read (``fileio.sealed``: float32, C-order,
+    64-byte aligned and writable by no one) are kept as they are when every
+    one is unit.  Any other array, and any array with a row to mend, is
+    copied into new rows first, so no caller can change an index's rows
+    by writing to its own array."""
     vectors = np.asarray(vectors)
     if vectors.ndim != 2:
         raise ValidationError("vectors must be a 2-d array")
-    out = np.array(vectors, dtype=np.float32)
+    keep = (vectors.dtype == np.float32 and vectors.flags.c_contiguous
+            and vectors.__array_interface__["data"][0] % _ROW_ALIGN == 0 and sealed(vectors))
+    out = vectors if keep else np.array(vectors, dtype=np.float32)
     gap = np.einsum("ij,ij->i", out, out, dtype=np.float64)
     gap -= 1  # in place: the kept rows' only temporary is one float64 each
     off = np.flatnonzero(~(np.abs(gap, out=gap) <= 4 * _float32_dot_error(out.shape[1])))
+    if not off.size:
+        return out
     rows = vectors[off].astype(np.float64)
     norms = np.linalg.norm(rows, axis=1)
     usable = (norms >= 1e-12) & (norms < np.inf)  # NaN fails both
@@ -154,6 +169,8 @@ def _normalize(vectors: np.ndarray) -> np.ndarray:
         bad = int(np.flatnonzero(~usable)[0])
         what = "zero vector" if norms[bad] < 1e-12 else "vector with a non-finite norm"
         raise ValidationError(f"{what} at row {off[bad]} cannot be normalized")
+    if out is vectors:
+        out = vectors.copy()
     rows = (rows / norms[:, None]).astype(np.float32)
     out[off] = rows / np.linalg.norm(rows, axis=1)[:, None]
     return out
@@ -683,14 +700,18 @@ def save_embeddings(path, vectors: np.ndarray, ids: np.ndarray) -> None:
 
 
 def load_embeddings(path) -> tuple[np.ndarray, np.ndarray]:
-    """``(vectors, ids)`` of a KEMB file.  The vectors are a read-only view
-    of the file's bytes, which ``_normalize`` copies for either index kind."""
-    payload = unframe(read_file(path), _EMB_MAGIC, _EMB_VERSION, "embeddings")
+    """``(vectors, ids)`` of a KEMB file, both views of the one read-only
+    buffer the file is read into (``fileio.read_sealed``), placed so that
+    the rows start on a 64-byte boundary.  ``_normalize`` serves such rows
+    without a copy when they are all unit: the file's own unaligned bytes
+    gathered slower in ``_rescore``."""
+    payload = unframe(read_sealed(path, _EMB_ROWS_AT, _ROW_ALIGN), _EMB_MAGIC, _EMB_VERSION,
+                      "embeddings")
     (n, dim), pos = unpack_at("<QI", payload, 0)
     raw, pos = take(payload, pos, n * dim * 4)
     vectors = np.frombuffer(raw, dtype="<f4").reshape(n, dim)
     raw, pos = take(payload, pos, n * 8)
-    ids = np.frombuffer(raw, dtype="<u8").astype(np.int64)
+    ids = np.frombuffer(raw, dtype="<i8")  # the bits of the stored u64, as astype gives them
     if pos != len(payload):
         raise ValidationError("corrupt embeddings file: trailing bytes")
     return vectors, ids

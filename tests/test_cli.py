@@ -6,8 +6,11 @@ import json
 import os
 import re
 import shutil
+import signal
 import struct
 import tempfile
+import threading
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -21,6 +24,7 @@ from unikw import (
     REVERSED,
     ConsistencyError,
     KeywordTrie,
+    ValidationError,
     TrainConfig,
     build_graph,
     build_trie,
@@ -595,6 +599,145 @@ class TestPipeline:
         ]) == 2
         assert f"max_len {positions} is below 2" in validation_message(capsys)
         assert not (tmp_path / "r.jsonl").exists()
+
+
+#: Every framed part of a graph bundle and the name its version error uses.
+FRAMED_PARTS = {"trie.fwd.ktri": "trie", "trie.rev.ktri": "trie", "encoder.kenc": "checkpoint",
+                "embeddings.kemb": "embeddings", "graph.kgra": "graph"}
+#: Where one byte is flipped: the magic, the version, the body's first byte
+#: (a format header field), the body's middle and the checksum footer.
+FLIP_AT = {"magic": lambda n: 0, "version": lambda n: 4, "body-header": lambda n: 8,
+           "body": lambda n: n // 2, "footer": lambda n: n - 1}
+
+
+def _flip(path: Path, where: str) -> bytes:
+    """Flip one byte of the framed file at ``path``, at ``where``; return the new bytes."""
+    data = bytearray(path.read_bytes())
+    data[FLIP_AT[where](len(data))] ^= 0xFF
+    path.write_bytes(bytes(data))
+    return bytes(data)
+
+
+class TestDeferredChecksums:
+    """``load_bundle`` hashes the framed parts on a worker thread while it
+    parses them, and reports every corrupt bundle as the inline check
+    (magic, then version, then checksum, file by file) reports it."""
+
+    @staticmethod
+    def _retrieve(pipeline, bundle, tmp_path) -> int:
+        return main(["retrieve", "--bundle-dir", str(bundle),
+                     "--queries", str(pipeline["paths"]["queries"]),
+                     "--out", str(tmp_path / "r.jsonl")])
+
+    def _expect(self, pipeline, bundle, tmp_path, capsys, message: str) -> None:
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            load_bundle(bundle)
+        assert self._retrieve(pipeline, bundle, tmp_path) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert [json.loads(line) for line in err] == [
+            {"error": {"code": 2, "kind": "validation", "message": message}}]
+        assert not (tmp_path / "r.jsonl").exists()
+
+    @pytest.mark.parametrize("where", list(FLIP_AT))
+    @pytest.mark.parametrize("name", list(FRAMED_PARTS))
+    def test_one_flipped_byte_reports_what_the_inline_check_reports(
+        self, pipeline, tmp_path, capsys, name, where
+    ):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(pipeline["bundle"], bundle)
+        magic = (bundle / name).read_bytes()[:4]
+        data = _flip(bundle / name, where)
+        if where == "magic":
+            message = f"bad magic: expected {magic!r}"
+        elif where == "version":
+            message = f"unsupported {FRAMED_PARTS[name]} version {struct.unpack_from('<I', data, 4)[0]}"
+        else:
+            message = "checksum mismatch"
+        self._expect(pipeline, bundle, tmp_path, capsys, message)
+
+    def test_a_malformed_body_under_a_valid_checksum_reports_itself(
+        self, pipeline, tmp_path, capsys
+    ):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(pipeline["bundle"], bundle)
+        data = (bundle / "embeddings.kemb").read_bytes()
+        (bundle / "embeddings.kemb").write_bytes(frame(b"KEMB", 2, data[8:-8] + b"\0"))
+        self._expect(pipeline, bundle, tmp_path, capsys, "corrupt embeddings file: trailing bytes")
+
+    @pytest.mark.parametrize("first, second, message", [
+        ("body", "body-header", "checksum mismatch"),
+        ("body", "magic", "checksum mismatch"),  # the earlier file's check came first
+        ("magic", "body", "bad magic: expected b'KENC'"),
+    ])
+    def test_two_corrupt_files_report_the_first_failing_check(
+        self, pipeline, tmp_path, capsys, first, second, message
+    ):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(pipeline["bundle"], bundle)
+        _flip(bundle / "encoder.kenc", first)
+        _flip(bundle / "graph.kgra", second)
+        self._expect(pipeline, bundle, tmp_path, capsys, message)
+
+    def test_a_mismatch_outranks_a_later_missing_file(self, pipeline, tmp_path, capsys):
+        # An I/O error (exit 3) after a corrupt file: the file was the first failure.
+        bundle = tmp_path / "bundle"
+        shutil.copytree(pipeline["bundle"], bundle)
+        _flip(bundle / "trie.fwd.ktri", "body")
+        (bundle / "embeddings.kemb").unlink()
+        self._expect(pipeline, bundle, tmp_path, capsys, "checksum mismatch")
+
+    def test_no_thread_outlives_a_load(self, pipeline, tmp_path):
+        before = threading.active_count()
+        load_bundle(pipeline["bundle"])
+        assert threading.active_count() == before
+        bundle = tmp_path / "bundle"
+        shutil.copytree(pipeline["bundle"], bundle)
+        _flip(bundle / "embeddings.kemb", "footer")
+        with pytest.raises(ValidationError, match="^checksum mismatch$"):
+            load_bundle(bundle)
+        assert threading.active_count() == before
+
+    def test_checks_stay_inline_outside_a_load(self, pipeline, tmp_path):
+        shutil.copy(pipeline["bundle"] / "encoder.kenc", tmp_path / "e.kenc")
+        _flip(tmp_path / "e.kenc", "body")
+        before = threading.active_count()
+        with pytest.raises(ValidationError, match="^checksum mismatch$"):
+            load_params(tmp_path / "e.kenc")
+        assert threading.active_count() == before
+
+    def test_without_a_thread_the_checks_stay_inline(self, pipeline, tmp_path, monkeypatch):
+        def refuse(thread):
+            raise RuntimeError("can't start new thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        assert len(load_bundle(pipeline["bundle"]).catalog) == 40
+        bundle = tmp_path / "bundle"
+        shutil.copytree(pipeline["bundle"], bundle)
+        _flip(bundle / "graph.kgra", "body")
+        with pytest.raises(ValidationError, match="^checksum mismatch$"):
+            load_bundle(bundle)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_child_forked_after_a_load_can_load(self, pipeline):
+        # A thread pool shared across loads hangs here: the child's pool
+        # thread does not exist, and its hashes never run.
+        expected = [retrieve(load_bundle(pipeline["bundle"]), "red shoes")]
+        pid = os.fork()
+        if pid == 0:  # the child: exit 0 only if its own load serves the same
+            code = 1
+            try:
+                code = 0 if [retrieve(load_bundle(pipeline["bundle"]), "red shoes")] == expected \
+                    else 1
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60
+        while not (done := os.waitpid(pid, os.WNOHANG))[0]:
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child's load did not finish in 60 s")
+            time.sleep(0.02)
+        assert os.waitstatus_to_exitcode(done[1]) == 0
 
 
 class TestChunkedRetrieve:

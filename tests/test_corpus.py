@@ -424,6 +424,20 @@ class TestLoadKeywords:
     def test_empty_file_is_an_empty_catalog(self, tmp_path):
         assert list(load_keywords(_write(tmp_path / "kw.txt", ""))) == []
 
+    @pytest.mark.parametrize("text", [
+        "red shoes\n\tblue kettle\nink\x0bpen\x1cx\n", "σ ink\nred shoes\n",
+        "red shoes\r\nblue\rkettle\r\nink\r\n",
+    ], ids=["ascii", "non-ascii", "crlf"])
+    def test_the_file_route_finds_the_lines_of_the_text_route(self, tmp_path, text):
+        # load_keywords hands Catalog the bytes an ASCII text was decoded from.
+        path = tmp_path / "kw.txt"
+        path.write_bytes(text.encode("utf-8"))
+        by_text = Catalog(text)
+        by_file = load_keywords(path)
+        assert by_file.text == by_text.text
+        assert by_file._starts.tolist() == by_text._starts.tolist()
+        assert list(by_file) == list(by_text) == by_text.text.splitlines()
+
     def test_reading_a_catalog_does_not_import_numpy_ma(self, tmp_path):
         # numpy.ma takes 10-15 ms to import, and np.unique imports it.
         path = _write(tmp_path / "kw.txt", "red shoes\n\tblue kettle\nprinter ink\n")

@@ -19,6 +19,7 @@ from unikw import (
 )
 
 from unikw import dense_index
+from unikw.fileio import sealed
 from unikw.dense_index import (
     EXACT, GRAPH, DenseIndex, _batch_bounds, _by_distance, _first_of_each, _graph_search,
     _robust_prune,
@@ -32,6 +33,21 @@ from oracles import (
     scalar_robust_prune,
     unchecked_kgra_bytes,
 )
+
+
+def _base_chain(array) -> list:
+    """``array``, each array it views, and the buffer under the last."""
+    chain = [array]
+    while isinstance(chain[-1], np.ndarray) and chain[-1].base is not None:
+        chain.append(chain[-1].base)
+    return chain
+
+
+def _read_only_owner(array):
+    """A read-only copy that owns its memory, so its owner can flag it writable again."""
+    owner = array.copy()
+    owner.flags.writeable = False
+    return owner
 
 
 def unit_vectors(rng, n, dim):
@@ -745,6 +761,71 @@ class TestPersistence:
         back = load_graph(tmp_path / "g.kgra", back_v, back_ids)
         q = rng.normal(size=8)
         assert search(back, q, 5) == search(index, q, 5)
+
+    @pytest.mark.parametrize("kind", [EXACT, GRAPH])
+    def test_loaded_rows_and_ids_view_one_sealed_buffer(self, tmp_path, rng, kind):
+        v = unit_vectors(rng, 21, 5).astype(np.float32)  # odd widths: the ids start unaligned
+        index = build_graph(v, np.arange(21) * 3, max_degree=4, build_width=8)
+        save_embeddings(tmp_path / "e.kemb", index.vectors, index.ids)
+        save_graph(tmp_path / "g.kgra", index)
+        vectors, ids = load_embeddings(tmp_path / "e.kemb")
+        if kind == EXACT:
+            back = build_exact(vectors, ids)
+        else:
+            back = load_graph(tmp_path / "g.kgra", vectors, ids)
+        assert np.array_equal(back.vectors, v) and back.ids.tolist() == list(range(0, 63, 3))
+        chains = [_base_chain(back.vectors), _base_chain(back.ids)]
+        buffers = [chain[-1] for chain in chains]
+        assert all(isinstance(b, memoryview) and b.readonly for b in buffers)
+        assert buffers[0].obj is buffers[1].obj  # one buffer, read once
+        assert back.vectors.__array_interface__["data"][0] % 64 == 0
+        for array in chains[0][:-1] + chains[1][:-1]:
+            with pytest.raises(ValueError, match="WRITEABLE"):
+                array.flags.writeable = True
+        assert back.ids.dtype == np.int64 and sealed(back.vectors) and sealed(back.ids)
+
+    def test_ids_keep_the_bits_of_the_stored_u64(self, tmp_path, rng):
+        v = unit_vectors(rng, 2, 3)
+        save_embeddings(tmp_path / "e.kemb", v, np.array([5, -2]))  # -2 is stored as 2**64 - 2
+        assert load_embeddings(tmp_path / "e.kemb")[1].tolist() == [5, -2]
+
+    @pytest.mark.parametrize("how", ["writable", "read-only view", "read-only owner",
+                                     "read-only memoryview of a bytearray"])
+    def test_build_exact_copies_rows_a_caller_can_write(self, rng, how):
+        # Float32, C-order and 64-byte aligned unit rows, as a load gives
+        # (numpy cannot be asked for an aligned owner): only who can write
+        # them decides.
+        v = unit_vectors(rng, 16, 4).astype(np.float32)
+        raw = bytearray(v.nbytes + 64)
+        whole = np.frombuffer(raw, np.uint8)
+        start = -whole.__array_interface__["data"][0] % 64
+        mine = whole[start:start + v.nbytes].view(np.float32).reshape(v.shape)
+        mine[:] = v
+        given = {
+            "writable": lambda: mine,
+            "read-only view": lambda: dense_index.read_only(mine),
+            "read-only owner": lambda: _read_only_owner(mine),
+            "read-only memoryview of a bytearray": lambda: np.frombuffer(
+                memoryview(raw).toreadonly()[start:start + v.nbytes], np.float32).reshape(v.shape),
+        }[how]()
+        assert not sealed(given)
+        assert how == "read-only owner" or given.__array_interface__["data"][0] % 64 == 0
+        index = build_exact(given, np.arange(16))
+        mine[0] = mine[1]
+        if how == "read-only owner":
+            given.flags.writeable = True
+            given[2] = given[3]
+        assert np.array_equal(index.vectors, v)
+
+    def test_a_non_unit_stored_row_loads_as_the_reference_gives_it(self, tmp_path, rng):
+        v = unit_vectors(rng, 10, 4).astype(np.float32)
+        v[3] *= 3
+        save_embeddings(tmp_path / "e.kemb", v, np.arange(10))
+        index = build_exact(*load_embeddings(tmp_path / "e.kemb"))
+        assert np.array_equal(index.vectors[3], reference_normalize(v[3:4])[0])
+        assert np.array_equal(np.delete(index.vectors, 3, 0), np.delete(v, 3, 0))
+        assert index.vectors.base.flags.owndata  # new rows, the buffer untouched
+        assert np.array_equal(load_embeddings(tmp_path / "e.kemb")[0][3], v[3])
 
     def test_graph_embeddings_mismatch(self, tmp_path, rng):
         v = unit_vectors(rng, 10, 4)
