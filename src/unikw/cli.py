@@ -69,8 +69,8 @@ from .encoder import (  # noqa: F401 -- embed_batch is kept so the benchmark's t
     train,
 )
 from .errors import ConsistencyError, TrainingDiverged, ValidationError
-from .fileio import deferred_checksums
 from .evaluation import compute_metrics, load_labels, token_overlap_scorer
+from .fileio import deferred_checksums
 from .retriever import (
     EngineBundle,
     chunk_size,

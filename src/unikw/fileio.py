@@ -224,7 +224,7 @@ class _Sealed(np.ndarray):
     """A buffer that ``read_sealed`` fills once and that nothing writes after."""
 
 
-def read_sealed(path, at: int, align: int = 64) -> memoryview:
+def read_sealed(path, at: int, align: int) -> memoryview:
     """The bytes of the file at ``path``, read once into a buffer of their
     own placed so that byte ``at`` starts on an ``align``-byte boundary, as
     a read-only view: no array made from it can be made writable."""

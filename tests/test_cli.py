@@ -624,15 +624,12 @@ class TestDeferredChecksums:
     (magic, then version, then checksum, file by file) reports it."""
 
     @staticmethod
-    def _retrieve(pipeline, bundle, tmp_path) -> int:
-        return main(["retrieve", "--bundle-dir", str(bundle),
-                     "--queries", str(pipeline["paths"]["queries"]),
-                     "--out", str(tmp_path / "r.jsonl")])
-
-    def _expect(self, pipeline, bundle, tmp_path, capsys, message: str) -> None:
+    def _expect(pipeline, bundle, tmp_path, capsys, message: str) -> None:
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             load_bundle(bundle)
-        assert self._retrieve(pipeline, bundle, tmp_path) == 2
+        assert main(["retrieve", "--bundle-dir", str(bundle),
+                     "--queries", str(pipeline["paths"]["queries"]),
+                     "--out", str(tmp_path / "r.jsonl")]) == 2
         err = capsys.readouterr().err.splitlines()
         assert [json.loads(line) for line in err] == [
             {"error": {"code": 2, "kind": "validation", "message": message}}]
@@ -650,7 +647,8 @@ class TestDeferredChecksums:
         if where == "magic":
             message = f"bad magic: expected {magic!r}"
         elif where == "version":
-            message = f"unsupported {FRAMED_PARTS[name]} version {struct.unpack_from('<I', data, 4)[0]}"
+            (version,) = struct.unpack_from("<I", data, 4)
+            message = f"unsupported {FRAMED_PARTS[name]} version {version}"
         else:
             message = "checksum mismatch"
         self._expect(pipeline, bundle, tmp_path, capsys, message)

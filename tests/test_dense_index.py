@@ -19,7 +19,7 @@ from unikw import (
 )
 
 from unikw import dense_index
-from unikw.fileio import sealed
+from unikw.fileio import read_only, sealed
 from unikw.dense_index import (
     EXACT, GRAPH, DenseIndex, _batch_bounds, _by_distance, _first_of_each, _graph_search,
     _robust_prune,
@@ -803,7 +803,7 @@ class TestPersistence:
         mine[:] = v
         given = {
             "writable": lambda: mine,
-            "read-only view": lambda: dense_index.read_only(mine),
+            "read-only view": lambda: read_only(mine),
             "read-only owner": lambda: _read_only_owner(mine),
             "read-only memoryview of a bytearray": lambda: np.frombuffer(
                 memoryview(raw).toreadonly()[start:start + v.nbytes], np.float32).reshape(v.shape),
