@@ -70,7 +70,6 @@ from .encoder import (  # noqa: F401 -- embed_batch is kept so the benchmark's t
 )
 from .errors import ConsistencyError, TrainingDiverged, ValidationError
 from .evaluation import compute_metrics, load_labels, token_overlap_scorer
-from .fileio import deferred_checksums
 from .retriever import (
     EngineBundle,
     chunk_size,
@@ -259,37 +258,33 @@ def load_bundle(
 ) -> EngineBundle:
     """The EngineBundle of a bundle directory, checked as it is built.
 
-    The framed parts' checksums are hashed on one worker thread while the
-    parts are parsed (``fileio.deferred_checksums``); every one is checked
-    before this returns or raises, and a mismatch is the error raised.
-    The index serves the embedding rows from the buffer ``load_embeddings``
-    read them into."""
+    Each framed part's checksum is checked as the part is read, before it
+    is parsed.  The index serves the embedding rows from the buffer
+    ``load_embeddings`` read them into."""
     d = Path(bundle_dir)
-    with deferred_checksums():
-        vocab = load_vocab(d / "vocab.txt")
-        catalog = load_keywords(d / "keywords.txt")
-        params = load_params(d / "encoder.kenc")
-        fwd = deserialize(d / "trie.fwd.ktri")
-        rev = deserialize(d / "trie.rev.ktri")
-        vectors, ids = load_embeddings(d / "embeddings.kemb")
-        graph_path = d / "graph.kgra"
-        if graph_path.exists():
-            index = load_graph(graph_path, vectors, ids)
-        else:
-            index = build_exact(vectors, ids)
-        reps_path = d / "reps.tsv"
-        return EngineBundle(
-            params=params,
-            vocab=vocab,
-            catalog=catalog,
-            forward_trie=fwd,
-            reversed_trie=rev,
-            index=index,
-            decode=DecodeConfig(beam_size=beam_size, prune_threshold=prune_threshold,
-                                orders=orders),
-            dense_k=dense_k,
-            groups=_load_groups(reps_path) if reps_path.exists() else None,
-        )
+    vocab = load_vocab(d / "vocab.txt")
+    catalog = load_keywords(d / "keywords.txt")
+    params = load_params(d / "encoder.kenc")
+    fwd = deserialize(d / "trie.fwd.ktri")
+    rev = deserialize(d / "trie.rev.ktri")
+    vectors, ids = load_embeddings(d / "embeddings.kemb")
+    graph_path = d / "graph.kgra"
+    if graph_path.exists():
+        index = load_graph(graph_path, vectors, ids)
+    else:
+        index = build_exact(vectors, ids)
+    reps_path = d / "reps.tsv"
+    return EngineBundle(
+        params=params,
+        vocab=vocab,
+        catalog=catalog,
+        forward_trie=fwd,
+        reversed_trie=rev,
+        index=index,
+        decode=DecodeConfig(beam_size=beam_size, prune_threshold=prune_threshold, orders=orders),
+        dense_k=dense_k,
+        groups=_load_groups(reps_path) if reps_path.exists() else None,
+    )
 
 
 def _parse_orders(text: str) -> tuple[str, ...]:

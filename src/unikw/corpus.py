@@ -101,7 +101,8 @@ class Vocab:
         return self.id_to_token[token_id]
 
     def checksum(self) -> int:
-        """BLAKE2b-64 of the non-reserved token list; ties files to one vocab."""
+        """SHA-256/64 (``fileio.checksum64``) of the non-reserved token list;
+        ties files to one vocab."""
         payload = "\n".join(self.id_to_token[3:]).encode("utf-8")
         return checksum64(payload)
 

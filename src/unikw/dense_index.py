@@ -67,11 +67,11 @@ EXACT = "exact"
 GRAPH = "graph"
 
 _EMB_MAGIC = b"KEMB"
-_EMB_VERSION = 2
+_EMB_VERSION = 3
 _EMB_ROWS_AT = 8 + struct.calcsize("<QI")  # the frame's magic and version, then the header
 _ROW_ALIGN = 64  # where loaded rows start: a cache line
 _GRAPH_MAGIC = b"KGRA"
-_GRAPH_VERSION = 3
+_GRAPH_VERSION = 4
 
 DEFAULT_MAX_DEGREE = 32
 DEFAULT_BUILD_WIDTH = 64
@@ -691,7 +691,7 @@ def cluster_keywords(vectors, ids, similarity_threshold: float) -> dict[int, int
 
 
 def save_embeddings(path, vectors: np.ndarray, ids: np.ndarray) -> None:
-    """KEMB file: a ``fileio`` frame (version 2, BLAKE2b-64 footer) around
+    """KEMB file: a ``fileio`` frame (version 3, SHA-256/64 footer) around
     u64 row count, u32 width, float32 row-major vectors and u64 ids."""
     vectors = np.ascontiguousarray(vectors, dtype="<f4")
     ids = np.ascontiguousarray(ids, dtype="<u8")
@@ -718,7 +718,7 @@ def load_embeddings(path) -> tuple[np.ndarray, np.ndarray]:
 
 
 def save_graph(path, index: DenseIndex) -> None:
-    """KGRA file: a ``fileio`` frame (version 3, BLAKE2b-64 footer) around
+    """KGRA file: a ``fileio`` frame (version 4, SHA-256/64 footer) around
     a ``<QIQ`` header (row count, max_degree, entry row), then the
     adjacency CSR: ``n + 1`` i64 offsets and the i32 neighbour rows."""
     if index.kind != GRAPH:

@@ -65,7 +65,7 @@ from .errors import TrainingDiverged, ValidationError, check_integer
 from .fileio import frame, read_file, take, unframe, unpack_at, write_file
 
 _MAGIC = b"KENC"
-_VERSION = 2
+_VERSION = 3
 
 #: Parameter tensors in canonical (checkpoint and gradient) order.
 PARAM_NAMES = (
@@ -681,7 +681,7 @@ def _check_checkpoint(params: EncoderParams, what: str) -> None:
 
 
 def save_params(params: EncoderParams, path) -> None:
-    """Checkpoint: a ``fileio`` frame (magic KENC, version 2, BLAKE2b-64
+    """Checkpoint: a ``fileio`` frame (magic KENC, version 3, SHA-256/64
     footer) around the shape header and float64 row-major tensors.  Params
     that ``load_params`` would reject raise before anything is written."""
     _check_checkpoint(params, "checkpoint not written")

@@ -4,35 +4,22 @@ parts hold.
 
 Every binary format in this package (KTRI, KENC, KEMB, KGRA) is one
 frame: a 4-byte magic, a little-endian u32 version, the format's body,
-and a u64 footer holding the BLAKE2b-64 digest of every byte before it.
-``frame`` writes it and ``unframe`` reads it, checking magic, then
-version, then checksum, so an old file reports its version rather than a
-checksum mismatch.  Varints are written and read as whole arrays
-(``encode_uvarints``, ``decode_uvarints``).
-
-Inside a ``deferred_checksums`` block (``cli.load_bundle`` runs in one),
-``unframe`` still checks magic and version at once, but hands the digest
-to the block's one worker thread and returns the body, so the hashing
-(``hashlib`` lets go of the GIL for it) runs while the caller parses.
-The block joins its worker on every way out, and a digest that differs
-raises ``checksum mismatch`` in place of any error the block raised: a
-corrupt file reports what it reports when checked inline.  The parsers
-bound every allocation by the size of the file they read, as they must
-anyway (a crafted file can carry a valid checksum), so parsing a body
-before its digest is known weakens no check.  The worker lives for one
-block, and nothing of it is kept at module level: a thread pool shared
-across loads would hang in a child forked after the parent used it.
+and a u64 footer holding SHA-256/64 (the first 8 bytes of the SHA-256
+digest) of every byte before it.  ``frame`` writes it and ``unframe``
+reads it, checking magic, then version, then checksum, so an old file
+reports its version rather than a checksum mismatch.  ``hashlib`` takes
+SHA-256 from OpenSSL, which runs it on the CPU's SHA instructions where
+there are any (``sha_ni`` on x86, the SHA2 extension on ARMv8), so the
+inline check costs a cold load little; without them it runs in software.
+Varints are written and read as whole arrays (``encode_uvarints``,
+``decode_uvarints``).
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-import queue
 import struct
-import threading
-from contextlib import contextmanager
-from contextvars import ContextVar
 
 import numpy as np
 
@@ -40,8 +27,8 @@ from .errors import ValidationError
 
 
 def checksum64(data: bytes) -> int:
-    """BLAKE2b with an 8-byte digest, as a little-endian u64."""
-    return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "little")
+    """The first 8 bytes of SHA-256, as a little-endian u64."""
+    return int.from_bytes(hashlib.sha256(data).digest()[:8], "little")
 
 
 crc64 = checksum64  # kept only so the benchmark's tracer can find it by name
@@ -133,8 +120,7 @@ def frame(magic: bytes, version: int, body: bytes) -> bytes:
 
 
 def unframe(data: bytes, magic: bytes, version: int, what: str) -> memoryview:
-    """Check magic, version and checksum of a framed file; return a view of its body.
-    Inside ``deferred_checksums`` the checksum is checked when the block ends."""
+    """Check magic, version and checksum of a framed file; return a view of its body."""
     view = memoryview(data)
     if view[: len(magic)] != magic:
         raise ValidationError(f"bad magic: expected {magic!r}")
@@ -142,77 +128,9 @@ def unframe(data: bytes, magic: bytes, version: int, what: str) -> memoryview:
     if found != version:
         raise ValidationError(f"unsupported {what} version {found}")
     (expected,) = struct.unpack("<Q", view[-8:])  # the header just read holds 8 bytes
-    verifier = _verifier.get()
-    if verifier is not None:
-        verifier.submit(view[:-8], expected)
-    elif checksum64(view[:-8]) != expected:  # hashes the view in place, no copy
+    if checksum64(view[:-8]) != expected:  # hashes the view in place, no copy
         raise ValidationError("checksum mismatch")
     return view[pos:-8]
-
-
-class _Verifier:
-    """One worker thread that hashes the frames handed to it, in order."""
-
-    def __init__(self) -> None:
-        self._jobs: queue.SimpleQueue = queue.SimpleQueue()
-        self._matches: list[bool] = []  # appended to by both threads: list.append is atomic
-        self._errors: list[BaseException] = []
-        self._thread = threading.Thread(target=self._run, name="unikw-checksums", daemon=True)
-        self._thread.start()
-
-    def _check(self, job: tuple[memoryview, int]) -> None:
-        try:
-            self._matches.append(checksum64(job[0]) == job[1])
-        except BaseException as exc:  # noqa: BLE001 -- raised again by join
-            self._errors.append(exc)
-
-    def _run(self) -> None:
-        while (job := self._jobs.get()) is not None:
-            self._check(job)
-            job = None  # let the file's bytes go while waiting for the next frame
-
-    def submit(self, data: memoryview, expected: int) -> None:
-        self._jobs.put((data, expected))
-
-    def join(self) -> None:
-        """Wait for every digest; raise if one differs.  Frames the worker
-        has not started are hashed here, beside the one it is hashing: a
-        worker that waits for the GIL to take its next frame waits up to
-        the interpreter's switch interval (5 ms)."""
-        while True:
-            try:
-                job = self._jobs.get_nowait()
-            except queue.Empty:
-                break
-            self._check(job)
-        self._jobs.put(None)
-        self._thread.join()
-        if self._errors:
-            raise self._errors[0]
-        if not all(self._matches):
-            raise ValidationError("checksum mismatch")
-
-
-_verifier: ContextVar[_Verifier | None] = ContextVar("unikw_checksum_verifier", default=None)
-
-
-@contextmanager
-def deferred_checksums():
-    """A block in which ``unframe`` leaves each checksum to one worker
-    thread.  The block ends once every digest is checked, and a mismatch
-    raises ``checksum mismatch`` in place of any error the block raised.
-    Where no thread can be started, the checks stay inline."""
-    try:
-        verifier = _Verifier()
-    except RuntimeError:  # "can't start new thread"
-        yield
-        return
-    token = _verifier.set(verifier)
-    try:
-        yield
-    finally:
-        _verifier.reset(token)
-        verifier.join()
 
 
 def read_file(path) -> bytes:

@@ -103,7 +103,8 @@ class EngineBundle:
 
     def validate(self) -> None:
         """Check what spans two components, each of which checks itself: one catalog
-        and vocab, keywords the encoder can score, every catalog id once per channel."""
+        and vocab, keywords the encoder can score, tries of one depth, every
+        catalog id once per channel."""
         check_integer("dense_k", self.dense_k, 0)  # 0 is legal: no dense channel
         if self.params.vocab_size != len(self.vocab):
             raise ValidationError(
@@ -121,6 +122,12 @@ class EngineBundle:
                     f"encoder's max_len {self.params.max_len}: build the tries with "
                     f"build-trie --max-len {self.params.max_len}")
             _check_covers(trie.node_keyword[trie.node_keyword >= 0], n, f"{direction} trie")
+        # Tries of one catalog cut at one length are equally deep; a shorter
+        # cut that shortened a keyword leaves it two paths, scored apart.
+        if (fwd := self.forward_trie.max_positions) != (rev := self.reversed_trie.max_positions):
+            raise ValidationError(
+                f"forward trie is {fwd} positions deep and reversed trie {rev}: build both "
+                f"tries with one build-trie --max-len")
         if (width := self.index.vectors.shape[1]) != self.params.dense_dim:
             raise ValidationError(
                 f"index vector width {width} != encoder dense_dim {self.params.dense_dim}")

@@ -25,8 +25,8 @@ fully reversed path beneath it: EOW first, then content tokens right to
 left.  The length partition lets a right-to-left decoder know which
 absolute position each depth corresponds to.
 
-Serialization.  One ``fileio`` frame (magic ``KTRI``, version u32 = 2,
-body, BLAKE2b-64 footer) whose little-endian body is: vocab checksum u64,
+Serialization.  One ``fileio`` frame (magic ``KTRI``, version u32 = 3,
+body, SHA-256/64 footer) whose little-endian body is: vocab checksum u64,
 node count u64, direction u8, terminal count u64; then one stream of
 LEB128 varints: per-node degrees, per-node delta-encoded edge labels,
 sorted delta-encoded terminal node ids each followed by its keyword id.
@@ -51,7 +51,7 @@ FORWARD = "forward"
 REVERSED = "reversed"
 
 _MAGIC = b"KTRI"
-_VERSION = 2
+_VERSION = 3
 _MAX_LABEL = 2**31 - 1  # labels are int32
 
 

@@ -14,6 +14,7 @@ from collections import Counter
 
 import numpy as np
 
+from unikw import dense_index, encoder, trie
 from unikw.errors import ValidationError
 from unikw.fileio import frame
 
@@ -84,7 +85,8 @@ def uvarint(value: int) -> bytes:
 
 
 def scalar_ktri_bytes(entries, reverse=False, vocab_checksum=0) -> bytes:
-    """A KTRI version-2 file of ``scalar_trie``, written one varint at a time."""
+    """A KTRI file of ``scalar_trie`` in the current version, written one
+    varint at a time, with a SHA-256/64 footer hashed here, not by ``fileio``."""
     offsets, labels, node_keyword = scalar_trie(entries, reverse)
     terminals = [(node, kid) for node, kid in enumerate(node_keyword) if kid >= 0]
     body = struct.pack("<QQBQ", vocab_checksum, len(node_keyword), int(reverse), len(terminals))
@@ -95,22 +97,22 @@ def scalar_ktri_bytes(entries, reverse=False, vocab_checksum=0) -> bytes:
     for node, kid in terminals:
         body += uvarint(node - previous) + uvarint(kid)
         previous = node
-    data = b"KTRI" + struct.pack("<I", 2) + body
-    return data + hashlib.blake2b(data, digest_size=8).digest()
+    data = b"KTRI" + struct.pack("<I", trie._VERSION) + body
+    return data + hashlib.sha256(data).digest()[:8]
 
 
 def unchecked_kenc_bytes(params) -> bytes:
-    """A KENC version-2 file of ``params`` as ``save_params`` lays it out,
+    """A KENC file of ``params`` as ``save_params`` lays it out,
     without its check: for checkpoints that ``load_params`` must reject."""
     body = struct.pack("<QIIII", params.vocab_size, params.dim, params.dense_dim,
                        params.hidden_dim, params.max_len)
     body += b"".join(np.ascontiguousarray(arr, dtype="<f8").tobytes()
                      for arr in params.arrays().values())
-    return frame(b"KENC", 2, body)
+    return frame(b"KENC", encoder._VERSION, body)
 
 
 def unchecked_kgra_bytes(index, **fields) -> bytes:
-    """A KGRA version-3 file of the graph ``index`` with ``fields`` (any of
+    """A KGRA file of the graph ``index`` with ``fields`` (any of
     ``offsets``, ``neighbors``, ``entry``, ``max_degree``) replaced, as
     ``save_graph`` lays it out, without the index's checks: for graphs
     that ``load_graph`` must reject."""
@@ -119,7 +121,7 @@ def unchecked_kgra_bytes(index, **fields) -> bytes:
     body = struct.pack("<QIQ", len(index), graph["max_degree"], graph["entry"])
     body += np.ascontiguousarray(graph["offsets"], dtype="<i8").tobytes()
     body += np.ascontiguousarray(graph["neighbors"], dtype="<i4").tobytes()
-    return frame(b"KGRA", 3, body)
+    return frame(b"KGRA", dense_index._GRAPH_VERSION, body)
 
 
 def reference_load_keywords(path) -> list[str]:

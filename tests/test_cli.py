@@ -1,6 +1,7 @@
 """End-to-end command-line pipeline on a small synthetic corpus."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -46,6 +47,7 @@ from unikw import (
     tokenize,
     train,
 )
+from unikw import dense_index
 from unikw.cli import load_bundle, main
 from unikw.fileio import frame
 from unikw.retriever import chunk_size, results_to_jsonl_line
@@ -389,6 +391,38 @@ class TestPipeline:
         assert not (tmp_path / "r.jsonl").exists()
         assert build_tries_and_retrieve("4") == 0
 
+    def test_tries_cut_at_different_lengths_are_validation_error(self, tmp_path, capsys):
+        # The bundle loaded, and every query then exited 4: the keyword the
+        # forward cut shortened was a different path in each trie, so the
+        # two orders scored it apart.
+        (tmp_path / "keywords.txt").write_text("red shoes\nblue running shoes\nred hat\nshoes\n",
+                                               encoding="utf-8")
+        (tmp_path / "pairs.tsv").write_text("red shoes\tred shoes\n", encoding="utf-8")
+        (tmp_path / "queries.txt").write_text("blue running shoes\n", encoding="utf-8")
+        assert main(["build-vocab", "--keywords", str(tmp_path / "keywords.txt"),
+                     "--pairs", str(tmp_path / "pairs.tsv"),
+                     "--out", str(tmp_path / "vocab.txt")]) == 0
+        vocab = load_vocab(tmp_path / "vocab.txt")
+        save_params(init_params(len(vocab), dim=8, dense_dim=4, hidden_dim=8, max_len=4, seed=1),
+                    tmp_path / "encoder.kenc")
+        for direction, max_len in (("fwd", ["--max-len", "3"]), ("rev", [])):
+            assert main(["build-trie", "--keywords", str(tmp_path / "keywords.txt"),
+                         "--vocab", str(tmp_path / "vocab.txt"), "--direction", direction,
+                         *max_len, "--out", str(tmp_path / f"trie.{direction}.ktri")]) == 0
+        assert main(["index", "--checkpoint", str(tmp_path / "encoder.kenc"),
+                     "--keywords", str(tmp_path / "keywords.txt"),
+                     "--vocab", str(tmp_path / "vocab.txt"), "--kind", "exact",
+                     "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert main(["retrieve", "--bundle-dir", str(tmp_path),
+                     "--queries", str(tmp_path / "queries.txt"),
+                     "--out", str(tmp_path / "r.jsonl")]) == 2
+        assert validation_message(capsys) == (
+            "forward trie is 3 positions deep and reversed trie 4: "
+            "build both tries with one build-trie --max-len"
+        )
+        assert not (tmp_path / "r.jsonl").exists()
+
     def test_a_keyword_added_after_the_build_is_validation_error(self, pipeline, tmp_path, capsys):
         # It served with exit 0, and the new keyword could never be a hit.
         bundle = tmp_path / "bundle"
@@ -618,10 +652,15 @@ def _flip(path: Path, where: str) -> bytes:
     return bytes(data)
 
 
-class TestDeferredChecksums:
-    """``load_bundle`` hashes the framed parts on a worker thread while it
-    parses them, and reports every corrupt bundle as the inline check
-    (magic, then version, then checksum, file by file) reports it."""
+#: The version of each framed part whose footer was BLAKE2b-64.
+BLAKE2B_VERSIONS = {"trie.fwd.ktri": 2, "trie.rev.ktri": 2, "encoder.kenc": 2,
+                    "embeddings.kemb": 2, "graph.kgra": 3}
+
+
+class TestInlineChecksumOrder:
+    """``load_bundle`` checks each framed part as it reads it (magic, then
+    version, then checksum, then the parse, file by file), on the calling
+    thread, and reports a corrupt bundle's first failing check."""
 
     @staticmethod
     def _expect(pipeline, bundle, tmp_path, capsys, message: str) -> None:
@@ -653,13 +692,27 @@ class TestDeferredChecksums:
             message = "checksum mismatch"
         self._expect(pipeline, bundle, tmp_path, capsys, message)
 
+    @pytest.mark.parametrize("name", list(FRAMED_PARTS))
+    def test_a_file_with_a_blake2b_footer_reports_its_version(
+        self, pipeline, tmp_path, capsys, name
+    ):
+        # The format before SHA-256/64: its version and its BLAKE2b-64 footer.
+        bundle = tmp_path / "bundle"
+        shutil.copytree(pipeline["bundle"], bundle)
+        data = (bundle / name).read_bytes()
+        head = data[:4] + struct.pack("<I", BLAKE2B_VERSIONS[name]) + data[8:-8]
+        (bundle / name).write_bytes(head + hashlib.blake2b(head, digest_size=8).digest())
+        self._expect(pipeline, bundle, tmp_path, capsys,
+                     f"unsupported {FRAMED_PARTS[name]} version {BLAKE2B_VERSIONS[name]}")
+
     def test_a_malformed_body_under_a_valid_checksum_reports_itself(
         self, pipeline, tmp_path, capsys
     ):
         bundle = tmp_path / "bundle"
         shutil.copytree(pipeline["bundle"], bundle)
         data = (bundle / "embeddings.kemb").read_bytes()
-        (bundle / "embeddings.kemb").write_bytes(frame(b"KEMB", 2, data[8:-8] + b"\0"))
+        (bundle / "embeddings.kemb").write_bytes(
+            frame(b"KEMB", dense_index._EMB_VERSION, data[8:-8] + b"\0"))
         self._expect(pipeline, bundle, tmp_path, capsys, "corrupt embeddings file: trailing bytes")
 
     @pytest.mark.parametrize("first, second, message", [
@@ -717,8 +770,8 @@ class TestDeferredChecksums:
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_a_child_forked_after_a_load_can_load(self, pipeline):
-        # A thread pool shared across loads hangs here: the child's pool
-        # thread does not exist, and its hashes never run.
+        # A thread pool shared across loads would hang here: the child's
+        # pool thread does not exist, and its hashes would never run.
         expected = [retrieve(load_bundle(pipeline["bundle"]), "red shoes")]
         pid = os.fork()
         if pid == 0:  # the child: exit 0 only if its own load serves the same

@@ -1,5 +1,6 @@
 """The file-frame contract shared by every binary format (KTRI, KEMB, KGRA, KENC)."""
 
+import hashlib
 import struct
 from dataclasses import replace
 
@@ -22,6 +23,7 @@ from unikw import (
     save_params,
     serialize,
 )
+from unikw.dense_index import _GRAPH_VERSION
 from unikw.fileio import checksum64, frame
 
 from oracles import unchecked_kenc_bytes
@@ -53,6 +55,19 @@ FORMATS = [
         lambda path: save_params(init_params(16, 4, 3, 6, 4, seed=0), path), load_params, id="KENC",
     ),
 ]
+
+
+#: Each format's version since its footer became SHA-256/64.
+VERSIONS = {b"KTRI": 3, b"KEMB": 3, b"KGRA": 4, b"KENC": 3}
+
+
+@pytest.mark.parametrize("magic, what, write, read", FORMATS)
+def test_footer_is_sha256_64(tmp_path, magic, what, write, read):
+    path = tmp_path / "file"
+    write(path)
+    data = path.read_bytes()
+    assert struct.unpack_from("<I", data, 4) == (VERSIONS[magic],)
+    assert data[-8:] == hashlib.sha256(data[:-8]).digest()[:8]
 
 
 def _corruptions(magic: bytes, what: str, data: bytes) -> dict[str, tuple[bytes, str]]:
@@ -102,13 +117,13 @@ def test_trailing_body_byte_rejected(tmp_path, magic, what, write, read):
 
 
 def test_kgra_format_pinned(tmp_path):
-    """KGRA version 3, byte by byte: magic, u32 version 3, a ``<QIQ``
-    header (rows, max_degree, entry row), ``n + 1`` i64 offsets, the i32
-    neighbour rows and the BLAKE2b-64 footer of every byte before it."""
+    """KGRA, byte by byte: magic, u32 version, a ``<QIQ`` header (rows,
+    max_degree, entry row), ``n + 1`` i64 offsets, the i32 neighbour rows
+    and the checksum footer of every byte before it."""
     index = replace(build_exact(_VECTORS[:3], _IDS[:3]), offsets=np.array([0, 2, 3, 4]),
                     neighbors=np.array([1, 2, 0, 1], dtype=np.int32), entry=2, max_degree=5)
     save_graph(tmp_path / "g.kgra", index)
-    head = b"".join((b"KGRA", struct.pack("<I", 3), struct.pack("<QIQ", 3, 5, 2),
+    head = b"".join((b"KGRA", struct.pack("<I", _GRAPH_VERSION), struct.pack("<QIQ", 3, 5, 2),
                      struct.pack("<4q", 0, 2, 3, 4), struct.pack("<4i", 1, 2, 0, 1)))
     assert (tmp_path / "g.kgra").read_bytes() == head + struct.pack("<Q", checksum64(head))
     back = load_graph(tmp_path / "g.kgra", _VECTORS[:3], _IDS[:3])
@@ -117,8 +132,8 @@ def test_kgra_format_pinned(tmp_path):
 
 
 def graph_version_2(data: bytes) -> bytes:
-    """A KGRA version 3 file in version 2's layout: its ``<QIIdQ`` header
-    also held build_width and prune_slack."""
+    """A current KGRA file rewritten as version 2, in that version's layout:
+    its ``<QIIdQ`` header also held build_width and prune_slack."""
     n, max_degree, entry = struct.unpack_from("<QIQ", data, 8)
     header = struct.pack("<QIIdQ", n, max_degree, 2 * max_degree, 1.2, entry)
     return frame(b"KGRA", 2, header + data[8 + struct.calcsize("<QIQ"):-8])

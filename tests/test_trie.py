@@ -26,7 +26,7 @@ from unikw import (
     walk,
 )
 from unikw.fileio import checksum64, encode_uvarints, frame, unframe
-from unikw.trie import from_bytes, to_bytes
+from unikw.trie import _VERSION, from_bytes, to_bytes
 
 from oracles import random_catalog, scalar_ktri_bytes, scalar_trie, uvarint
 from synthdata import make_prefix_heavy_catalog
@@ -291,11 +291,11 @@ class TestSerialization:
             gaps = np.diff(node_list, prepend=0)
             return encode_uvarints(np.column_stack((gaps, trie.term_ids)).ravel())
 
-        body = bytes(unframe(to_bytes(trie), b"KTRI", 2, "trie"))
+        body = bytes(unframe(to_bytes(trie), b"KTRI", _VERSION, "trie"))
         original = terminal_section(trie.term_nodes.tolist())
         assert body.endswith(original)
         corrupt = terminal_section(nodes(trie.term_nodes.tolist(), trie.node_count))
-        data = frame(b"KTRI", 2, body[: -len(original)] + corrupt)
+        data = frame(b"KTRI", _VERSION, body[: -len(original)] + corrupt)
         with pytest.raises(ValidationError, match="terminal nodes"):
             from_bytes(data)
 
@@ -399,7 +399,7 @@ class TestMemoryStats:
 def crafted_ktri(node_count, flag, term_count, varints=(), tail=b"") -> bytes:
     """A KTRI file with a good checksum around any header and varint body."""
     body = struct.pack("<QQBQ", 0, node_count, flag, term_count) + encode_uvarints(varints)
-    return frame(b"KTRI", 2, body + tail)
+    return frame(b"KTRI", _VERSION, body + tail)
 
 
 class TestCraftedFiles:
@@ -513,8 +513,8 @@ def test_ktri_format_pinned():
     vocab = Vocab.from_tokens(sorted({t for text in catalog for t in text.split()}))
     entries = [(tokenize(text, vocab, "keyword", max_len=8), kid) for kid, text in enumerate(catalog)]
     for direction, size, digest in (
-        (FORWARD, 793_632, 0x7D582DEA269812F8),
-        (REVERSED, 587_575, 0x0C4A5526B7D2BBF0),
+        (FORWARD, 793_632, 0xD108E08254D80F5D),
+        (REVERSED, 587_575, 0xF4F2F98E5E819A51),
     ):
         data = to_bytes(build_trie(entries, direction, vocab.checksum()))
         assert (len(data), checksum64(data)) == (size, digest), direction
