@@ -9,9 +9,8 @@ digest) of every byte before it.  ``frame`` writes it and ``unframe``
 reads it, checking magic, then version, then checksum, so an old file
 reports its version rather than a checksum mismatch.  ``hashlib`` takes
 SHA-256 from OpenSSL, which runs it on the CPU's SHA instructions where
-there are any (``sha_ni`` on x86, the SHA2 extension on ARMv8), so the
-inline check costs a cold load little; without them it runs in software.
-Varints are written and read as whole arrays (``encode_uvarints``,
+there are any (``sha_ni`` on x86, the SHA2 extension on ARMv8) and in
+software elsewhere.  Varints are written and read as whole arrays (``encode_uvarints``,
 ``decode_uvarints``).
 """
 
