@@ -28,14 +28,25 @@ BOTH and DR-only by lookup in the generative scores, followed by the
 generative hits the dense list lacks.  Callers that want channel-specific
 quality thresholds apply their own floors to the raw lists
 ``retrieve_channels`` returns.
+
+The merge yields a query's columns: the ids of each source, both score
+maps and the texts of one ``Catalog.texts`` call.  ``retrieve_batch``
+builds ``RetrievalResult`` rows from them; ``retrieve_lines``, which
+``unikw retrieve`` writes, builds each JSON line straight from them, with
+no rows and no per-hit dicts.  There is one JSON writer, and
+``results_to_jsonl_line`` writes rows through it: every line holds the
+bytes of ``json.dumps({"query": q, "results": [r.to_json_obj() for r in
+rows]}, ensure_ascii=False)``.
 """
 
 from __future__ import annotations
 
-import json
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
-from itertools import filterfalse
+from functools import cache
+from itertools import chain, compress, filterfalse, groupby
+from json.encoder import encode_basestring
+from math import isfinite
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -205,37 +216,69 @@ def retrieve_channels(
     return _channels(bundle, [query_text])[0]
 
 
-def _merge(
+class _Merged(NamedTuple):
+    """One query's merge as columns: the ids of each source in merged order,
+    both channels' scores by id, and the texts of ``both + dr + nlg``."""
+
+    both: list[int]
+    dr: list[int]
+    nlg: list[int]
+    nlg_scores: dict[int, float]
+    dr_scores: dict[int, float]
+    texts: list[str]
+
+
+def _partition(
     bundle: EngineBundle, nlg: list[tuple[int, float]], dr: list[tuple[int, float]]
-) -> list[RetrievalResult]:
-    """One query's channels as merged results (see the module docstring).
+) -> _Merged:
+    """One query's channels as merged columns (see the module docstring).
 
     Both channel lists arrive sorted by (-score, id), so the merged order
     is one stable partition of their ids: BOTH and DR-only in dense order,
-    then NLG-only in generative order.  One ``map`` builds all the rows.
+    then NLG-only in generative order.  One ``Catalog.texts`` call reads
+    every text.
     """
     nlg_scores, dr_scores = dict(nlg), dict(dr)
     both = list(filter(nlg_scores.__contains__, dr_scores))
     dr_only = list(filterfalse(nlg_scores.__contains__, dr_scores))
     nlg_only = list(filterfalse(dr_scores.__contains__, nlg_scores))
-    ids = both + dr_only + nlg_only
-    sources = [SOURCE_BOTH] * len(both) + [SOURCE_DR] * len(dr_only) + [SOURCE_NLG] * len(nlg_only)
-    return list(map(RetrievalResult, ids, bundle.catalog.texts(ids),
-                    map(nlg_scores.get, ids), map(dr_scores.get, ids), sources))
+    return _Merged(both, dr_only, nlg_only, nlg_scores, dr_scores,
+                   bundle.catalog.texts(both + dr_only + nlg_only))
+
+
+def _merge(merged: _Merged) -> list[RetrievalResult]:
+    """The library's rows of one query's merged columns; one ``map`` builds them."""
+    ids = merged.both + merged.dr + merged.nlg
+    sources = ([SOURCE_BOTH] * len(merged.both) + [SOURCE_DR] * len(merged.dr)
+               + [SOURCE_NLG] * len(merged.nlg))
+    return list(map(RetrievalResult, ids, merged.texts, map(merged.nlg_scores.get, ids),
+                    map(merged.dr_scores.get, ids), sources))
+
+
+def _merged(bundle: EngineBundle, queries: Sequence[str]) -> Iterator[_Merged]:
+    """The merged columns of each query, in order, ``chunk_size(bundle)``
+    queries at a time, so a chunk's tables stay within ``CHUNK_BYTES``
+    however many queries there are."""
+    size = chunk_size(bundle)
+    for lo in range(0, len(queries), size):
+        for nlg, dr in _channels(bundle, queries[lo:lo + size]):
+            yield _partition(bundle, nlg, dr)
 
 
 def retrieve_batch(bundle: EngineBundle, queries: Sequence[str]) -> list[list[RetrievalResult]]:
     """Merged results of both channels for each query, in order; exactly
     one encoder evaluation per query.
 
-    The queries are served ``chunk_size(bundle)`` at a time, so a chunk's
-    tables stay within ``CHUNK_BYTES`` however many queries there are.
     Each query's results equal what ``retrieve`` gives it alone.
     """
-    size = chunk_size(bundle)
-    return [_merge(bundle, nlg, dr)
-            for lo in range(0, len(queries), size)
-            for nlg, dr in _channels(bundle, queries[lo:lo + size])]
+    return list(map(_merge, _merged(bundle, queries)))
+
+
+def retrieve_lines(bundle: EngineBundle, queries: Sequence[str]) -> list[str]:
+    """The JSON line of each query's merged results, in order: the bytes of
+    ``results_to_jsonl_line(q, retrieve(bundle, q))``, written straight from
+    the merge's columns, with no rows and no per-hit dicts."""
+    return list(map(_columns_line, queries, _merged(bundle, queries)))
 
 
 def retrieve(bundle: EngineBundle, query_text: str) -> list[RetrievalResult]:
@@ -259,8 +302,71 @@ def overlap_stats(results_a, results_b) -> dict[str, float]:
     }
 
 
-def results_to_jsonl_line(query: str, results: list[RetrievalResult]) -> str:
-    return json.dumps(
-        {"query": query, "results": [r.to_json_obj() for r in results]},
-        ensure_ascii=False,
-    )
+# The JSON writer.  A line holds the bytes of ``json.dumps({"query": query,
+# "results": [r.to_json_obj() for r in rows]}, ensure_ascii=False)``, without
+# the dicts: each run of hits that share a source and the scores they hold
+# fills one template, whose keys are in ``to_json_obj``'s order, with one ``%``.
+# Texts go through ``encode_basestring``, the C escaper ``json.dumps`` uses
+# when ``ensure_ascii`` is off, and floats are written as ``json`` writes them.
+
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+@cache
+def _template(source: str, has_nlg: bool, has_dr: bool) -> str:
+    """One hit's JSON, with ``%`` slots for its escaped text, its id and the
+    reprs of the scores it holds."""
+    return ('{"keyword": %s, "id": %d, "source": ' + encode_basestring(source).replace("%", "%%")
+            + (', "nlg_score": %s' if has_nlg else "") + (', "dr_score": %s' if has_dr else "")
+            + "}")
+
+
+_BOTH = _template(SOURCE_BOTH, True, True)
+_DR = _template(SOURCE_DR, False, True)
+_NLG = _template(SOURCE_NLG, True, False)
+
+
+def _floats(scores: Sequence[float]) -> list[str]:
+    """Each score as ``json`` writes a float: ``float.__repr__`` if finite,
+    else ``NaN``, ``Infinity`` or ``-Infinity``.  A finite sum vouches for
+    every score; an overflowing one only takes the exact path."""
+    reprs = list(map(float.__repr__, scores))
+    return reprs if isfinite(sum(scores)) else [_NON_FINITE.get(r, r) for r in reprs]
+
+
+def _run(template: str, texts: Sequence[str], ids: Sequence[int], *scores: Sequence[float]) -> str:
+    """The JSON of ``len(ids)`` hits of one template, joined by ``", "``."""
+    columns = (map(encode_basestring, texts), ids, *map(_floats, scores))
+    return ", ".join([template] * len(ids)) % tuple(chain.from_iterable(zip(*columns)))
+
+
+def _line(query: str, runs: Iterable[str]) -> str:
+    return '{"query": %s, "results": [%s]}' % (encode_basestring(query),
+                                               ", ".join(filter(None, runs)))
+
+
+def _columns_line(query: str, merged: _Merged) -> str:
+    """The JSON line of one query's merged columns: one run per source."""
+    both, dr, nlg = merged.both, merged.dr, merged.nlg
+    nlg_of, dr_of = merged.nlg_scores.__getitem__, merged.dr_scores.__getitem__
+    a, b = len(both), len(both) + len(dr)
+    return _line(query, (
+        _run(_BOTH, merged.texts[:a], both, list(map(nlg_of, both)), list(map(dr_of, both))),
+        _run(_DR, merged.texts[a:b], dr, list(map(dr_of, dr))),
+        _run(_NLG, merged.texts[b:], nlg, list(map(nlg_of, nlg))),
+    ))
+
+
+def _shape(row: RetrievalResult) -> tuple[str, bool, bool]:
+    return row.source, row.nlg_score is not None, row.dr_score is not None
+
+
+def results_to_jsonl_line(query: str, results: Sequence[RetrievalResult]) -> str:
+    """The JSON line of ``query`` and its rows, in their order: one run per
+    stretch of rows that share a source and the scores they hold."""
+    runs = []
+    for (source, has_nlg, has_dr), rows in groupby(results, _shape):
+        ids, texts, nlg, dr, _ = zip(*rows)
+        runs.append(_run(_template(source, has_nlg, has_dr), texts, ids,
+                         *compress((nlg, dr), (has_nlg, has_dr))))
+    return _line(query, runs)

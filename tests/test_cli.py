@@ -524,16 +524,16 @@ class TestPipeline:
         queries = tmp_path / "queries.txt"  # two chunks and one query more
         queries.write_text("".join(texts[i % len(texts)] + "\n" for i in range(2 * size + 1)),
                            encoding="utf-8")
-        served, retrieve_batch = [], cli.retrieve_batch
+        served, retrieve_lines = [], cli.retrieve_lines
 
         def fail_in_second_chunk(bundle, chunk):
             served.append(len(chunk))
-            results = retrieve_batch(bundle, chunk)
+            lines = retrieve_lines(bundle, chunk)
             if len(served) == 2:
                 raise ConsistencyError("decoding orders disagree")
-            return results
+            return lines
 
-        monkeypatch.setattr(cli, "retrieve_batch", fail_in_second_chunk)
+        monkeypatch.setattr(cli, "retrieve_lines", fail_in_second_chunk)
         out = tmp_path / "out"
         out.mkdir()
         code = main([
