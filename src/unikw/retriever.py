@@ -43,10 +43,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
-from functools import cache
 from itertools import chain, compress, filterfalse, groupby
 from json.encoder import encode_basestring
-from math import isfinite
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -216,7 +214,7 @@ def retrieve_channels(
     return _channels(bundle, [query_text])[0]
 
 
-class _Merged(NamedTuple):
+class _Columns(NamedTuple):
     """One query's merge as columns: the ids of each source in merged order,
     both channels' scores by id, and the texts of ``both + dr + nlg``."""
 
@@ -230,7 +228,7 @@ class _Merged(NamedTuple):
 
 def _partition(
     bundle: EngineBundle, nlg: list[tuple[int, float]], dr: list[tuple[int, float]]
-) -> _Merged:
+) -> _Columns:
     """One query's channels as merged columns (see the module docstring).
 
     Both channel lists arrive sorted by (-score, id), so the merged order
@@ -242,20 +240,20 @@ def _partition(
     both = list(filter(nlg_scores.__contains__, dr_scores))
     dr_only = list(filterfalse(nlg_scores.__contains__, dr_scores))
     nlg_only = list(filterfalse(dr_scores.__contains__, nlg_scores))
-    return _Merged(both, dr_only, nlg_only, nlg_scores, dr_scores,
-                   bundle.catalog.texts(both + dr_only + nlg_only))
+    return _Columns(both, dr_only, nlg_only, nlg_scores, dr_scores,
+                    bundle.catalog.texts(both + dr_only + nlg_only))
 
 
-def _merge(merged: _Merged) -> list[RetrievalResult]:
+def _merge(columns: _Columns) -> list[RetrievalResult]:
     """The library's rows of one query's merged columns; one ``map`` builds them."""
-    ids = merged.both + merged.dr + merged.nlg
-    sources = ([SOURCE_BOTH] * len(merged.both) + [SOURCE_DR] * len(merged.dr)
-               + [SOURCE_NLG] * len(merged.nlg))
-    return list(map(RetrievalResult, ids, merged.texts, map(merged.nlg_scores.get, ids),
-                    map(merged.dr_scores.get, ids), sources))
+    ids = columns.both + columns.dr + columns.nlg
+    sources = ([SOURCE_BOTH] * len(columns.both) + [SOURCE_DR] * len(columns.dr)
+               + [SOURCE_NLG] * len(columns.nlg))
+    return list(map(RetrievalResult, ids, columns.texts, map(columns.nlg_scores.get, ids),
+                    map(columns.dr_scores.get, ids), sources))
 
 
-def _merged(bundle: EngineBundle, queries: Sequence[str]) -> Iterator[_Merged]:
+def _columns(bundle: EngineBundle, queries: Sequence[str]) -> Iterator[_Columns]:
     """The merged columns of each query, in order, ``chunk_size(bundle)``
     queries at a time, so a chunk's tables stay within ``CHUNK_BYTES``
     however many queries there are."""
@@ -271,14 +269,14 @@ def retrieve_batch(bundle: EngineBundle, queries: Sequence[str]) -> list[list[Re
 
     Each query's results equal what ``retrieve`` gives it alone.
     """
-    return list(map(_merge, _merged(bundle, queries)))
+    return list(map(_merge, _columns(bundle, queries)))
 
 
 def retrieve_lines(bundle: EngineBundle, queries: Sequence[str]) -> list[str]:
     """The JSON line of each query's merged results, in order: the bytes of
     ``results_to_jsonl_line(q, retrieve(bundle, q))``, written straight from
     the merge's columns, with no rows and no per-hit dicts."""
-    return list(map(_columns_line, queries, _merged(bundle, queries)))
+    return list(map(_columns_line, queries, _columns(bundle, queries)))
 
 
 def retrieve(bundle: EngineBundle, query_text: str) -> list[RetrievalResult]:
@@ -312,7 +310,6 @@ def overlap_stats(results_a, results_b) -> dict[str, float]:
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-@cache
 def _template(source: str, has_nlg: bool, has_dr: bool) -> str:
     """One hit's JSON, with ``%`` slots for its escaped text, its id and the
     reprs of the scores it holds."""
@@ -326,15 +323,14 @@ _DR = _template(SOURCE_DR, False, True)
 _NLG = _template(SOURCE_NLG, True, False)
 
 
-def _floats(scores: Sequence[float]) -> list[str]:
+def _floats(scores: Iterable[float]) -> list[str]:
     """Each score as ``json`` writes a float: ``float.__repr__`` if finite,
-    else ``NaN``, ``Infinity`` or ``-Infinity``.  A finite sum vouches for
-    every score; an overflowing one only takes the exact path."""
+    else ``NaN``, ``Infinity`` or ``-Infinity``."""
     reprs = list(map(float.__repr__, scores))
-    return reprs if isfinite(sum(scores)) else [_NON_FINITE.get(r, r) for r in reprs]
+    return reprs if _NON_FINITE.keys().isdisjoint(reprs) else [_NON_FINITE.get(r, r) for r in reprs]
 
 
-def _run(template: str, texts: Sequence[str], ids: Sequence[int], *scores: Sequence[float]) -> str:
+def _run(template: str, texts: Sequence[str], ids: Sequence[int], *scores: Iterable[float]) -> str:
     """The JSON of ``len(ids)`` hits of one template, joined by ``", "``."""
     columns = (map(encode_basestring, texts), ids, *map(_floats, scores))
     return ", ".join([template] * len(ids)) % tuple(chain.from_iterable(zip(*columns)))
@@ -345,15 +341,15 @@ def _line(query: str, runs: Iterable[str]) -> str:
                                                ", ".join(filter(None, runs)))
 
 
-def _columns_line(query: str, merged: _Merged) -> str:
+def _columns_line(query: str, columns: _Columns) -> str:
     """The JSON line of one query's merged columns: one run per source."""
-    both, dr, nlg = merged.both, merged.dr, merged.nlg
-    nlg_of, dr_of = merged.nlg_scores.__getitem__, merged.dr_scores.__getitem__
+    both, dr, nlg, texts = columns.both, columns.dr, columns.nlg, columns.texts
+    nlg_of, dr_of = columns.nlg_scores.__getitem__, columns.dr_scores.__getitem__
     a, b = len(both), len(both) + len(dr)
     return _line(query, (
-        _run(_BOTH, merged.texts[:a], both, list(map(nlg_of, both)), list(map(dr_of, both))),
-        _run(_DR, merged.texts[a:b], dr, list(map(dr_of, dr))),
-        _run(_NLG, merged.texts[b:], nlg, list(map(nlg_of, nlg))),
+        _run(_BOTH, texts[:a], both, map(nlg_of, both), map(dr_of, both)),
+        _run(_DR, texts[a:b], dr, map(dr_of, dr)),
+        _run(_NLG, texts[b:], nlg, map(nlg_of, nlg)),
     ))
 
 

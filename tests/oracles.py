@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import json
 import math
 import struct
 from collections import Counter
@@ -232,6 +233,13 @@ def sorted_merge(nlg, dr, catalog):
         rows.append((kid, catalog[kid], nlg_scores.get(kid), dr_scores.get(kid), source))
     rows.sort(key=lambda r: (rank[r[4]], -(r[3] if r[3] is not None else r[2]), r[0]))
     return rows
+
+
+def reference_jsonl_line(query, rows):
+    """The JSON line of ``query`` and its result rows: one dict per hit,
+    walked by ``json.dumps``."""
+    return json.dumps({"query": query, "results": [r.to_json_obj() for r in rows]},
+                      ensure_ascii=False)
 
 
 def keyword_token_logprobs(prob_table: np.ndarray, tokens) -> list[float]:

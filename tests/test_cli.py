@@ -54,7 +54,8 @@ from unikw.retriever import chunk_size, results_to_jsonl_line
 from unikw.trie import to_bytes
 
 from oracles import (
-    reference_load_keywords, reference_normalize, scalar_trie, unchecked_kenc_bytes,
+    reference_jsonl_line, reference_load_keywords, reference_normalize, scalar_trie,
+    unchecked_kenc_bytes,
 )
 from synthdata import make_training_corpus, write_corpus_files
 from test_formats import graph_version_2
@@ -808,6 +809,42 @@ class TestChunkedRetrieve:
                      "--out", str(out)]) == 0
         want = [results_to_jsonl_line(q, retrieve(bundle, q)) for q in queries]
         assert out.read_text(encoding="utf-8").splitlines() == want
+
+    def test_lines_are_the_reference_for_texts_that_need_escaping(self, tmp_path):
+        """Quotes, backslashes and control characters are escaped, and
+        non-ASCII is written as itself, as ``json.dumps(..., ensure_ascii=False)``
+        writes them."""
+        keywords = ['say "cheese"', 'c:\\temp "dir"', "naïve café", "日本 茶", "back\\slash 😀",
+                    '12" pan\x7f', "tab\tsep", '", "']
+        (tmp_path / "keywords.txt").write_text("".join(k + "\n" for k in keywords),
+                                               encoding="utf-8")
+        (tmp_path / "pairs.tsv").write_text('say cheese\tsay "cheese"\n', encoding="utf-8")
+        queries = keywords + ["say cheese", "naïve", "zzz"]
+        (tmp_path / "queries.txt").write_text("".join(q + "\n" for q in queries),
+                                              encoding="utf-8")
+        assert main(["build-vocab", "--keywords", str(tmp_path / "keywords.txt"),
+                     "--pairs", str(tmp_path / "pairs.tsv"),
+                     "--out", str(tmp_path / "vocab.txt")]) == 0
+        vocab = load_vocab(tmp_path / "vocab.txt")
+        save_params(init_params(len(vocab), dim=8, dense_dim=4, hidden_dim=8, max_len=4, seed=1),
+                    tmp_path / "encoder.kenc")
+        for direction in ("fwd", "rev"):
+            assert main(["build-trie", "--keywords", str(tmp_path / "keywords.txt"),
+                         "--vocab", str(tmp_path / "vocab.txt"), "--direction", direction,
+                         "--max-len", "4", "--out", str(tmp_path / f"trie.{direction}.ktri")]) == 0
+        assert main(["index", "--checkpoint", str(tmp_path / "encoder.kenc"),
+                     "--keywords", str(tmp_path / "keywords.txt"),
+                     "--vocab", str(tmp_path / "vocab.txt"), "--kind", "exact",
+                     "--out", str(tmp_path)]) == 0
+        out = tmp_path / "r.jsonl"
+        assert main(["retrieve", "--bundle-dir", str(tmp_path),
+                     "--queries", str(tmp_path / "queries.txt"), "--out", str(out)]) == 0
+        bundle = load_bundle(tmp_path)
+        text = out.read_text(encoding="utf-8")
+        assert text.split("\n") == [reference_jsonl_line(q, retrieve(bundle, q))
+                                    for q in queries] + [""]
+        for written in ('say \\"cheese\\"', "c:\\\\temp", "naïve café", "😀", "\x7f", "tab\\tsep"):
+            assert written in text, written
 
 
 class TestLibraryParity:

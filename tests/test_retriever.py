@@ -2,11 +2,11 @@ import json
 from collections.abc import Mapping
 from functools import cache
 from dataclasses import FrozenInstanceError, is_dataclass, replace
-from types import MappingProxyType
+from types import MappingProxyType, SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from unikw import (
@@ -29,11 +29,13 @@ from unikw import (
 )
 from unikw.cli import load_bundle, main
 from unikw.encoder import PARAM_NAMES
-from unikw.retriever import SOURCE_BOTH, SOURCE_DR, SOURCE_NLG, results_to_jsonl_line
+from unikw.retriever import (
+    SOURCE_BOTH, SOURCE_DR, SOURCE_NLG, RetrievalResult, results_to_jsonl_line,
+)
 
 import unikw.retriever as retriever_module
 from conftest import bundle_from_catalog
-from oracles import sorted_merge
+from oracles import reference_jsonl_line, sorted_merge
 from synthdata import make_training_corpus, write_corpus_files
 
 CATALOG = [
@@ -426,6 +428,62 @@ class TestJsonOutput:
             assert obj["source"] in ("NLG", "DR", "BOTH")
             if obj["source"] == "BOTH":
                 assert "nlg_score" in obj and "dr_score" in obj
+
+
+# Texts that exercise every escape ``json.dumps`` makes with ensure_ascii
+# off, and what it leaves alone: quotes, backslashes, control characters,
+# DEL, a line separator, non-ASCII, astral code points, the separator
+# between two hits, and the writer's own ``%``.
+LINE_TEXTS = st.lists(
+    st.one_of(st.sampled_from(['"', "\\", "\x00", "\n", "\x1f", "\x7f", "\u2028", "é",
+                               "\U0001F600", '", "', "%s", "%"]),
+              st.text(max_size=3)),
+    max_size=5).map("".join)
+LINE_SCORES = st.one_of(
+    st.sampled_from([float("-inf"), float("inf"), float("nan"), -0.0, 5e-324,
+                     2.2250738585072014e-308, np.float64(0.1), np.float64("nan"),
+                     np.float64("-inf")]),
+    st.floats(),
+    st.floats().map(np.float64),
+)
+
+
+class TestLineBytes:
+    """The one JSON writer gives the bytes of ``json.dumps`` over per-hit dicts."""
+
+    @given(query=LINE_TEXTS, rows=st.lists(st.builds(
+        RetrievalResult, st.integers(0, 2**63), LINE_TEXTS, st.none() | LINE_SCORES,
+        st.none() | LINE_SCORES, st.sampled_from([SOURCE_BOTH, SOURCE_DR, SOURCE_NLG]))))
+    @example(query="", rows=[])
+    @settings(max_examples=300, deadline=None)
+    def test_rows_line_is_the_reference(self, query, rows):
+        assert results_to_jsonl_line(query, rows) == reference_jsonl_line(query, rows)
+
+    @given(query=LINE_TEXTS, texts=st.lists(LINE_TEXTS, min_size=1, max_size=12),
+           data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_columns_line_is_the_reference(self, query, texts, data):
+        ids = st.lists(st.integers(0, len(texts) - 1), unique=True)
+        nlg = [(kid, data.draw(LINE_SCORES)) for kid in data.draw(ids)]
+        dr = [(kid, data.draw(LINE_SCORES)) for kid in data.draw(ids)]
+        catalog = SimpleNamespace(texts=lambda wanted: [texts[kid] for kid in wanted])
+        columns = retriever_module._partition(SimpleNamespace(catalog=catalog), nlg, dr)
+        rows = retriever_module._merge(columns)
+        assert retriever_module._columns_line(query, columns) == reference_jsonl_line(query, rows)
+
+    def test_every_source_and_no_hits(self):
+        columns = retriever_module._partition(
+            SimpleNamespace(catalog=Catalog.from_texts(['say "hi"', "a\\b", "naïve"])),
+            [(0, -1.5), (1, float("-inf"))], [(2, float("nan")), (0, 0.25)])
+        assert retriever_module._columns_line("q", columns) == (
+            '{"query": "q", "results": ['
+            '{"keyword": "say \\"hi\\"", "id": 0, "source": "BOTH", "nlg_score": -1.5, '
+            '"dr_score": 0.25}, '
+            '{"keyword": "naïve", "id": 2, "source": "DR", "dr_score": NaN}, '
+            '{"keyword": "a\\\\b", "id": 1, "source": "NLG", "nlg_score": -Infinity}]}')
+        empty = retriever_module._partition(SimpleNamespace(catalog=Catalog.from_texts(["x"])),
+                                            [], [])
+        assert retriever_module._columns_line("", empty) == '{"query": "", "results": []}'
 
 
 class TestRepresentativeGroups:
