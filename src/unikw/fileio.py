@@ -1,6 +1,5 @@
-"""Binary file plumbing: the checksummed file frame, LEB128 varints, safe
-reads, and the read-only views (``read_only``, ``read_sealed``) the served
-parts hold.
+"""Binary file plumbing: the checksummed file frame, safe reads, and the
+read-only views (``read_only``, ``read_sealed``) the served parts hold.
 
 Every binary format in this package (KTRI, KENC, KEMB, KGRA) is one
 frame: a 4-byte magic, a little-endian u32 version, the format's body,
@@ -10,8 +9,8 @@ reads it, checking magic, then version, then checksum, so an old file
 reports its version rather than a checksum mismatch.  ``hashlib`` takes
 SHA-256 from OpenSSL, which runs it on the CPU's SHA instructions where
 there are any (``sha_ni`` on x86, the SHA2 extension on ARMv8) and in
-software elsewhere.  Varints are written and read as whole arrays (``encode_uvarints``,
-``decode_uvarints``).
+software elsewhere.  Each body holds fixed-width little-endian arrays
+that its reader views with ``np.frombuffer``.
 """
 
 from __future__ import annotations
@@ -31,58 +30,6 @@ def checksum64(data: bytes) -> int:
 
 
 crc64 = checksum64  # kept only so the benchmark's tracer can find it by name
-
-
-# 2**7, 2**14, ..., 2**56: a value needs one byte more than the steps it reaches.
-_SEVEN_BIT_STEPS = np.left_shift(1, np.arange(7, 63, 7, dtype=np.int64))
-
-
-def encode_uvarints(values) -> bytes:
-    """LEB128 varints of non-negative int64 ``values``, back to back."""
-    values = np.asarray(values, dtype=np.int64)
-    if values.size and values.min() < 0:
-        raise ValidationError("varint value must be non-negative")
-    sizes = 1 + np.searchsorted(_SEVEN_BIT_STEPS, values, side="right")
-    ends = np.cumsum(sizes)
-    owner = np.repeat(np.arange(len(values)), sizes)
-    shift = 7 * (np.arange(len(owner)) - np.repeat(ends - sizes, sizes))
-    out = ((values[owner] >> shift) & 0x7F | 0x80).astype(np.uint8)
-    out[ends - 1] &= 0x7F  # the last byte of a varint has no continuation bit
-    return out.tobytes()
-
-
-def decode_uvarints(data, count: int) -> np.ndarray:
-    """The ``count`` LEB128 varints that make up ``data`` exactly, as int64; a
-    varint of over nine bytes (63 bits) is an error.
-
-    One pass over the bytes marks where varints end and takes each one's
-    last byte; only the multi-byte varints are then looped over, one pass
-    per further byte.  Nothing but the result is as long as the stream in
-    int64 (page faults on a bundle load)."""
-    raw = np.frombuffer(data, dtype=np.uint8)
-    last = raw < 0x80  # the last byte of a varint
-    found = np.count_nonzero(last)
-    if found < count:
-        raise ValidationError("truncated file: varint runs past end of data")
-    if found > count or (raw.size and not last[-1]):
-        raise ValidationError("corrupt file: trailing bytes after the last varint")
-    values = raw[last].astype(np.int64)
-    at = np.flatnonzero(last[1:] & ~last[:-1])  # each multi-byte varint's last continuation byte
-    ends = at + 1
-    tops = raw[ends].astype(np.int64) << 7 | raw[at] & 0x7F
-    conts = np.ones(len(at), dtype=np.int64)  # continuation bytes per multi-byte varint
-    rows = np.flatnonzero(raw[at - 1] >= 0x80)  # raw[-1] ends a varint: safe at 0
-    for back in range(1, 8):
-        if not rows.size:
-            break
-        conts[rows] += 1
-        tops[rows] = tops[rows] << 7 | raw[at[rows] - back] & 0x7F
-        rows = rows[raw[at[rows] - back - 1] >= 0x80]
-    if rows.size:
-        raise ValidationError("varint too long")
-    # A varint's index is the bytes before its end less the continuation bytes.
-    values[ends - np.cumsum(conts)] = tops
-    return values
 
 
 def take(data: bytes, pos: int, count: int) -> tuple[bytes, int]:

@@ -25,13 +25,15 @@ fully reversed path beneath it: EOW first, then content tokens right to
 left.  The length partition lets a right-to-left decoder know which
 absolute position each depth corresponds to.
 
-Serialization.  One ``fileio`` frame (magic ``KTRI``, version u32 = 3,
-body, SHA-256/64 footer) whose little-endian body is: vocab checksum u64,
-node count u64, direction u8, terminal count u64; then one stream of
-LEB128 varints: per-node degrees, per-node delta-encoded edge labels,
-sorted delta-encoded terminal node ids each followed by its keyword id.
-Each direction is one ``fileio`` array call; the bytes are a pure
-function of the trie contents.
+Serialization.  One ``fileio`` frame (magic ``KTRI``, version u32 = 4,
+body, SHA-256/64 footer) whose little-endian body numpy reads in place:
+a ``<QQBQBB`` header (vocab checksum, node count n, direction, keyword
+count t, label width, id width); each node's degree in unary, in BFS
+order (that many 1 bits, then a 0 bit: 2n - 1 bits, packed MSB first and
+padded with zeros); the n - 1 edge labels; and one keyword id per
+non-root leaf, in BFS order, so no terminal node is stored.  Labels and
+ids are unsigned, each array in the smallest of 1, 2, 4 and 8 bytes that
+holds its maximum, so the bytes are a pure function of the trie contents.
 """
 
 from __future__ import annotations
@@ -43,16 +45,16 @@ import numpy as np
 
 from .corpus import EOW_ID, TokenSeq, _flatten
 from .errors import ValidationError
-from .fileio import (
-    decode_uvarints, encode_uvarints, frame, read_file, read_only, unframe, unpack_at, write_file,
-)
+from .fileio import frame, read_file, read_only, unframe, unpack_at, write_file
 
 FORWARD = "forward"
 REVERSED = "reversed"
 
 _MAGIC = b"KTRI"
-_VERSION = 3
+_VERSION = 4
+_HEADER = "<QQBQBB"
 _MAX_LABEL = 2**31 - 1  # labels are int32
+_WIDTHS = {1: "<u1", 2: "<u2", 4: "<u4", 8: "<u8"}  # bytes per stored label or id
 
 
 @dataclass(frozen=True)
@@ -71,7 +73,7 @@ class KeywordTrie:
             raise ValidationError(f"unknown trie direction: {self.direction!r}")
         offsets, labels = np.asarray(self.offsets, dtype=np.int64), np.asarray(self.labels)
         keywords = np.asarray(self.node_keyword, dtype=np.int64)
-        n = len(keywords)  # no int64 temporaries below: a load runs these beside its stream
+        n = len(keywords)  # no int64 temporaries below: they would add to a load's peak RSS
         if ((len(offsets), len(labels)) != (n + 1, n - 1) or offsets[0] != 0
                 or offsets[-1] != n - 1 or np.any(offsets[1:] < offsets[:-1])):
             raise ValidationError(f"a trie of {n} nodes has {n + 1} offsets, from 0 up to its "
@@ -240,48 +242,56 @@ def length_partitions(trie: KeywordTrie) -> list[tuple[int, int]]:
     return children(trie, 0)
 
 
+def _width(values: np.ndarray) -> int:
+    """The fewest bytes, of 1, 2, 4 and 8, that hold every one of ``values`` (>= 0)."""
+    top = int(values.max(initial=0))
+    return next(width for width in _WIDTHS if top >> 8 * width == 0)
+
+
 def to_bytes(trie: KeywordTrie) -> bytes:
     """Deterministic binary serialization (see module docstring)."""
+    n = trie.node_count
+    ids = trie.node_keyword[trie.node_keyword >= 0]  # the non-root leaves, in BFS order
+    label_width, id_width = _width(trie.labels), _width(ids)
     flag = int(trie.direction == REVERSED)
-    header = struct.pack("<QQBQ", trie.vocab_checksum, trie.node_count, flag, trie.keyword_count)
-    degrees = np.diff(trie.offsets)
-    deltas = np.diff(trie.labels, prepend=0)
-    firsts = trie.offsets[:-1][degrees > 0]
-    deltas[firsts] = trie.labels[firsts]  # each node's labels count up from 0
-    terminals = np.stack([np.diff(trie.term_nodes, prepend=0), trie.term_ids], axis=1)
-    body = encode_uvarints(np.concatenate([degrees, deltas, terminals.ravel()]))
-    return frame(_MAGIC, _VERSION, header + body)
+    header = struct.pack(_HEADER, trie.vocab_checksum, n, flag, len(ids), label_width, id_width)
+    bits = np.ones(2 * n - 1, dtype=bool)
+    bits[trie.offsets[1:] + np.arange(n)] = False  # node i's 0 bit follows i 0s and its edges
+    return frame(_MAGIC, _VERSION, b"".join((
+        header, np.packbits(bits).tobytes(), trie.labels.astype(_WIDTHS[label_width]).tobytes(),
+        ids.astype(_WIDTHS[id_width]).tobytes())))
 
 
 def from_bytes(data: bytes) -> KeywordTrie:
     payload = unframe(data, _MAGIC, _VERSION, "trie")
-    (vocab_checksum, n, flag, term_count), pos = unpack_at("<QQBQ", payload, 0)
-    # Degrees, label deltas and terminal pairs take one byte each at least.
-    if flag > 1 or n == 0 or 2 * n - 1 + 2 * term_count > len(payload) - pos:
-        raise ValidationError(f"corrupt trie header: flag {flag}, {n} nodes, {term_count} terminals")
-    # Kept arrays first, so the temporaries sit above them in the heap (peak
-    # RSS).  An int64 sum that wraps turns negative; the range checks see it.
+    (vocab_checksum, n, flag, t, label_width, id_width), pos = unpack_at(_HEADER, payload, 0)
+    if flag > 1 or n == 0 or label_width not in _WIDTHS or id_width not in _WIDTHS:
+        raise ValidationError(f"corrupt trie header: flag {flag}, {n} nodes, "
+                              f"label width {label_width}, id width {id_width}")
+    bit_bytes = (2 * n + 6) // 8  # 2n - 1 bits, rounded up to whole bytes
+    size = bit_bytes + (n - 1) * label_width + t * id_width
+    if len(payload) - pos < size:
+        raise ValidationError(f"truncated trie: {n} nodes and {t} keywords need {size} body "
+                              f"bytes, not {len(payload) - pos}")
+    if len(payload) - pos > size:
+        raise ValidationError("corrupt trie: trailing bytes")
+    # Kept arrays first, so the temporaries sit above them in the heap (peak RSS).
     offsets = np.zeros(n + 1, dtype=np.int64)
-    labels = np.empty(n - 1, dtype=np.int32)
     node_keyword = np.full(n, -1, dtype=np.int64)
-    stream = decode_uvarints(payload[pos:], 2 * n - 1 + 2 * term_count)
-    degrees, deltas, terminals = stream[:n], stream[n:2 * n - 1], stream[2 * n - 1:]
-    np.cumsum(degrees, out=offsets[1:])
-    if offsets[-1] != n - 1 or offsets.min() < 0:
-        raise ValidationError("corrupt trie: edge count does not match node count")
-
-    firsts = offsets[:-1][degrees > 0]  # each inner node's first edge
-    deltas[firsts[1:]] -= np.add.reduceat(deltas, firsts)[:-1]  # restart the sum per node
-    np.cumsum(deltas, out=deltas)
-    # The int32 store would hide a sum past int32; as uint64, a wrapped one is past it.
-    if deltas.size and deltas.view(np.uint64).max() > _MAX_LABEL:
-        raise ValidationError("corrupt trie: an edge label sum wraps or passes the int32 range")
-    labels[:] = deltas
-
-    nodes = np.cumsum(terminals[0::2])
-    if term_count and (terminals[0::2].min() < 1 or nodes.min() < 1 or nodes[-1] >= n):
-        raise ValidationError("corrupt trie: terminal nodes out of order or range")
-    node_keyword[nodes] = terminals[1::2]
+    bits = np.frombuffer(payload, np.uint8, bit_bytes, pos)
+    if bits[-1] & (0xFF >> (2 * n - 1) % 8):  # the bits past the last node
+        raise ValidationError("corrupt trie: a padding bit is set")
+    ends = np.flatnonzero(np.unpackbits(~bits, count=2 * n - 1))  # each node's 0 bit
+    if len(ends) != n:
+        raise ValidationError(f"corrupt trie: {len(ends)} degree ends for {n} nodes")
+    np.subtract(ends, np.arange(n), out=offsets[1:])  # the 1 bits before each node's 0 bit
+    pos += bit_bytes
+    labels = np.frombuffer(payload, _WIDTHS[label_width], n - 1, pos)
+    leaves = 1 + np.flatnonzero(offsets[2:] == offsets[1:-1])
+    if len(leaves) != t:
+        raise ValidationError(f"corrupt trie: {t} keyword ids for {len(leaves)} leaves")
+    # An id past int64 wraps negative here, and the layout check rejects it.
+    node_keyword[leaves] = np.frombuffer(payload, _WIDTHS[id_width], t, pos + labels.nbytes)
     return KeywordTrie(offsets, labels, node_keyword, REVERSED if flag else FORWARD, vocab_checksum)
 
 

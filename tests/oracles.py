@@ -75,29 +75,20 @@ def scalar_trie(entries, reverse=False):
     return offsets, labels, [terminal.get(old, -1) for old in order]
 
 
-def uvarint(value: int) -> bytes:
-    """One non-negative integer, of any size, as an unsigned LEB128 varint."""
-    out = bytearray()
-    while value >= 0x80:
-        out.append(value & 0x7F | 0x80)
-        value >>= 7
-    out.append(value)
-    return bytes(out)
-
-
 def scalar_ktri_bytes(entries, reverse=False, vocab_checksum=0) -> bytes:
     """A KTRI file of ``scalar_trie`` in the current version, written one
-    varint at a time, with a SHA-256/64 footer hashed here, not by ``fileio``."""
+    value at a time with ``struct``, with a SHA-256/64 footer hashed here,
+    not by ``fileio``."""
     offsets, labels, node_keyword = scalar_trie(entries, reverse)
-    terminals = [(node, kid) for node, kid in enumerate(node_keyword) if kid >= 0]
-    body = struct.pack("<QQBQ", vocab_checksum, len(node_keyword), int(reverse), len(terminals))
-    body += b"".join(uvarint(end - start) for start, end in zip(offsets, offsets[1:]))
-    for start, end in zip(offsets, offsets[1:]):
-        body += b"".join(uvarint(b - a) for a, b in zip([0] + labels[start:end], labels[start:end]))
-    previous = 0
-    for node, kid in terminals:
-        body += uvarint(node - previous) + uvarint(kid)
-        previous = node
+    ids = [kid for kid in node_keyword if kid >= 0]  # the non-root leaves, in BFS order
+    codes = {1: "B", 2: "H", 4: "I", 8: "Q"}
+    widths = [min(w for w in codes if max(values, default=0) < 256**w) for values in (labels, ids)]
+    bits = "".join("1" * (end - start) + "0" for start, end in zip(offsets, offsets[1:]))
+    bits += "0" * (-len(bits) % 8)
+    body = struct.pack("<QQBQBB", vocab_checksum, len(node_keyword), int(reverse), len(ids), *widths)
+    body += bytes(int(bits[i:i + 8], 2) for i in range(0, len(bits), 8))
+    for values, width in zip((labels, ids), widths):
+        body += b"".join(struct.pack("<" + codes[width], value) for value in values)
     data = b"KTRI" + struct.pack("<I", trie._VERSION) + body
     return data + hashlib.sha256(data).digest()[:8]
 

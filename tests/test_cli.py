@@ -706,6 +706,14 @@ class TestInlineChecksumOrder:
         self._expect(pipeline, bundle, tmp_path, capsys,
                      f"unsupported {FRAMED_PARTS[name]} version {BLAKE2B_VERSIONS[name]}")
 
+    def test_a_version_3_trie_reports_its_version(self, pipeline, tmp_path, capsys):
+        # Version 3 framed a varint body under the same SHA-256/64 footer.
+        bundle = tmp_path / "bundle"
+        shutil.copytree(pipeline["bundle"], bundle)
+        data = (bundle / "trie.rev.ktri").read_bytes()
+        (bundle / "trie.rev.ktri").write_bytes(frame(b"KTRI", 3, data[8:-8]))
+        self._expect(pipeline, bundle, tmp_path, capsys, "unsupported trie version 3")
+
     def test_a_malformed_body_under_a_valid_checksum_reports_itself(
         self, pipeline, tmp_path, capsys
     ):

@@ -57,8 +57,8 @@ FORMATS = [
 ]
 
 
-#: Each format's version since its footer became SHA-256/64.
-VERSIONS = {b"KTRI": 3, b"KEMB": 3, b"KGRA": 4, b"KENC": 3}
+#: Each format's current version: every one has the SHA-256/64 footer.
+VERSIONS = {b"KTRI": 4, b"KEMB": 3, b"KGRA": 4, b"KENC": 3}
 
 
 @pytest.mark.parametrize("magic, what, write, read", FORMATS)
@@ -103,10 +103,9 @@ def test_frame_rejects(tmp_path, magic, what, write, read, case):
         read(path)
 
 
-@pytest.mark.parametrize("magic, what, write, read", [f for f in FORMATS if f.id != "KTRI"])
+@pytest.mark.parametrize("magic, what, write, read", FORMATS)
 def test_trailing_body_byte_rejected(tmp_path, magic, what, write, read):
-    # A byte past the last array, under a checksum that still holds.  (A
-    # trie's body is a varint stream, whose count check rejects it first.)
+    # A byte past the last array, under a checksum that still holds.
     path = tmp_path / "file"
     write(path)
     data = path.read_bytes()

@@ -21,14 +21,14 @@ from unikw import (
     serialize,
     deserialize,
     terminal_id,
-    tokenize,
+    tokenize_batch,
     Vocab,
     walk,
 )
-from unikw.fileio import checksum64, encode_uvarints, frame, unframe
+from unikw.fileio import checksum64, frame
 from unikw.trie import _VERSION, from_bytes, to_bytes
 
-from oracles import random_catalog, scalar_ktri_bytes, scalar_trie, uvarint
+from oracles import random_catalog, scalar_ktri_bytes, scalar_trie
 from synthdata import make_prefix_heavy_catalog
 
 A, B, C = 3, 4, 5
@@ -276,29 +276,6 @@ class TestSerialization:
         with pytest.raises(ValidationError, match="checksum mismatch"):
             from_bytes(bytes(data))
 
-    @pytest.mark.parametrize(
-        "nodes",
-        [
-            pytest.param(lambda ns, n: [ns[0], ns[0]] + ns[2:], id="repeated"),
-            pytest.param(lambda ns, n: [0] + ns[1:], id="root"),
-            pytest.param(lambda ns, n: ns[:-1] + [n], id="past-last-node"),
-        ],
-    )
-    def test_corrupt_terminal_nodes(self, nodes):
-        trie = build_trie([((A, EOW_ID), 0), ((A, B, EOW_ID), 1), ((C, EOW_ID), 2)])
-
-        def terminal_section(node_list):
-            gaps = np.diff(node_list, prepend=0)
-            return encode_uvarints(np.column_stack((gaps, trie.term_ids)).ravel())
-
-        body = bytes(unframe(to_bytes(trie), b"KTRI", _VERSION, "trie"))
-        original = terminal_section(trie.term_nodes.tolist())
-        assert body.endswith(original)
-        corrupt = terminal_section(nodes(trie.term_nodes.tolist(), trie.node_count))
-        data = frame(b"KTRI", _VERSION, body[: -len(original)] + corrupt)
-        with pytest.raises(ValidationError, match="terminal nodes"):
-            from_bytes(data)
-
     @settings(max_examples=25, deadline=None)
     @given(st.data())
     def test_roundtrip_behavior_preserving(self, data):
@@ -396,75 +373,99 @@ class TestMemoryStats:
         assert stats["bytes_per_keyword"] is None
 
 
-def crafted_ktri(node_count, flag, term_count, varints=(), tail=b"") -> bytes:
-    """A KTRI file with a good checksum around any header and varint body."""
-    body = struct.pack("<QQBQ", 0, node_count, flag, term_count) + encode_uvarints(varints)
-    return frame(b"KTRI", _VERSION, body + tail)
+THREE_KEYWORDS = [((A, EOW_ID), 0), ((A, B, EOW_ID), 1), ((C, EOW_ID), 2)]
+# TestLayoutChecks' trie as a KTRI body: degrees 2, 2, 1, 0, 1, 0, 0 in unary
+# (1101101001000, then three padding bits), the labels, then the keyword ids
+# of leaves 3, 5 and 6, one byte each.
+BITS = bytes([0b11011010, 0b01000000])
+LABELS = bytes([A, C, EOW_ID, B, EOW_ID, EOW_ID])
+IDS = bytes([0, 2, 1])
+
+
+def crafted_ktri(nodes, keywords, body, flag=0, label_width=1, id_width=1) -> bytes:
+    """A KTRI file with a good checksum around any header and body."""
+    header = struct.pack("<QQBQBB", 0, nodes, flag, keywords, label_width, id_width)
+    return frame(b"KTRI", _VERSION, header + body)
 
 
 class TestCraftedFiles:
+    def test_the_reference_body_is_to_bytes(self):
+        assert crafted_ktri(7, 3, BITS + LABELS + IDS) == to_bytes(build_trie(THREE_KEYWORDS))
+
     def test_boundary_values_load(self):
         # root -> node 1 along label 2**31 - 1, keyword id 2**63 - 1 ends there
-        trie = from_bytes(crafted_ktri(2, 0, 1, [1, 0, 2**31 - 1, 1, 2**63 - 1]))
+        body = bytes([0b10000000]) + struct.pack("<I", 2**31 - 1) + struct.pack("<Q", 2**63 - 1)
+        trie = from_bytes(crafted_ktri(2, 1, body, label_width=4, id_width=8))
         assert trie.labels.tolist() == [2**31 - 1]
         assert terminal_id(trie, 1) == 2**63 - 1
 
     @pytest.mark.parametrize(
-        "data",
+        "data, message",
         [
-            pytest.param(crafted_ktri(2, 7, 1, [1, 0, 5, 1, 0]), id="direction-flag-7"),
-            pytest.param(crafted_ktri(0, 0, 0), id="no-nodes"),
-            pytest.param(crafted_ktri(2**50, 0, 0, [0]), id="nodes-beyond-body"),
+            pytest.param(crafted_ktri(7, 3, BITS + LABELS + IDS, flag=7), "corrupt trie header",
+                         id="direction-flag-7"),
+            pytest.param(crafted_ktri(0, 0, b""), "corrupt trie header", id="no-nodes"),
+            pytest.param(crafted_ktri(7, 3, BITS + LABELS * 3 + IDS, label_width=3),
+                         "corrupt trie header", id="label-width-3"),
+            pytest.param(crafted_ktri(7, 3, BITS + LABELS + IDS * 3, id_width=3),
+                         "corrupt trie header", id="id-width-3"),
+            pytest.param(crafted_ktri(2**50, 0, b"\0"), "^truncated trie: 1125899906842624 nodes",
+                         id="nodes-beyond-body"),
+            pytest.param(crafted_ktri(7, 2**50, BITS + LABELS + IDS), "^truncated trie",
+                         id="keywords-beyond-body"),
+            pytest.param(crafted_ktri(7, 3, BITS + LABELS + IDS[:-1]), "^truncated trie",
+                         id="body-one-byte-short"),
+            pytest.param(crafted_ktri(7, 3, BITS + LABELS + IDS + b"\0"),
+                         "^corrupt trie: trailing bytes$", id="body-one-byte-long"),
         ],
     )
-    def test_bad_header_rejected_before_allocating(self, data):
-        with pytest.raises(ValidationError, match="corrupt trie header"):
+    def test_header_that_does_not_fit_its_body_rejected_before_allocating(self, data, message):
+        with pytest.raises(ValidationError, match=message):
             from_bytes(data)
 
     @pytest.mark.parametrize(
-        "varints, nodes, terms, tail",
+        "bits, message",
         [
-            pytest.param([1, 0, 2**31, 1, 0], 2, 1, b"", id="label-2^31"),
-            # 2**63 is past int64, so the scalar oracle writes its varint
-            pytest.param([1, 0, 5, 1], 2, 1, uvarint(2**63), id="keyword-id-2^63"),
-            pytest.param([2, 0, 0, 5, 0, 1, 0, 1, 1], 3, 2, b"", id="repeated-label"),
+            pytest.param(bytes([0b11011010, 0b01000001]), "^corrupt trie: a padding bit is set$",
+                         id="padding-bit"),
+            pytest.param(bytes([0b01011010, 0b01000000]), "^corrupt trie: 8 degree ends for 7",
+                         id="one-0-bit-too-many"),
+            pytest.param(bytes([0b11111010, 0b01000000]), "^corrupt trie: 6 degree ends for 7",
+                         id="one-0-bit-too-few"),
+            # degrees 2, 1, 0, 0, 0, 1, 1 and then a 1 bit that no 0 bit ends
+            pytest.param(bytes([0b11010000, 0b10101000]), "from 0 up to its edge count",
+                         id="last-node-unterminated"),
         ],
     )
-    def test_out_of_range_values_rejected(self, varints, nodes, terms, tail):
-        with pytest.raises(ValidationError, match="label|varint too long"):
-            from_bytes(crafted_ktri(nodes, 0, terms, varints, tail))
+    def test_corrupt_degree_bits_rejected(self, bits, message):
+        with pytest.raises(ValidationError, match=message):
+            from_bytes(crafted_ktri(7, 3, bits + LABELS + IDS))
+
+    @pytest.mark.parametrize("ids", [IDS[:2], IDS + b"\3"], ids=["fewer", "more"])
+    def test_keyword_count_other_than_the_leaf_count_rejected(self, ids):
+        with pytest.raises(ValidationError, match=f"^corrupt trie: {len(ids)} keyword ids for 3 "):
+            from_bytes(crafted_ktri(7, len(ids), BITS + LABELS + ids))
 
     @pytest.mark.parametrize(
-        "varints, nodes, terms, message",
+        "body, label_width, id_width, message",
         [
-            # int64 sums that wrap back into range
-            pytest.param([2**63 - 1, 2**63 - 1, 5, 0, 1, 2, 3], 4, 0, "edge count",
-                         id="degrees-wrap"),
-            pytest.param([4, 0, 0, 0, 0, 5, 2**63 - 1, 2**63 - 1, 4], 5, 0, "label",
-                         id="labels-wrap"),
-            pytest.param([3, 0, 0, 0, 3, 1, 1, 2**63 - 1, 0, 2**63 - 1, 1, 4, 2], 4, 3,
-                         "terminal nodes", id="terminals-wrap"),
-            pytest.param([2, 0, 0, 5, 6, 1, 0, 300], 3, 2, "truncated", id="missing-varint"),
-            pytest.param([1, 0, 5, 1, 0, 9], 2, 1, "trailing", id="extra-varint"),
-            pytest.param([1, 1, 5, 1, 0], 2, 1, "edge count", id="edge-count"),
+            pytest.param(bytes([0b10000000]) + struct.pack("<IB", 2**31, 0), 4, 1, "label range",
+                         id="label-2^31"),
+            # as int64 the stored id reads -2**63: no id is negative but -1
+            pytest.param(bytes([0b10000000, 5]) + struct.pack("<Q", 2**63), 1, 8, "ids >= -1",
+                         id="keyword-id-2^63"),
+            pytest.param(bytes([0b11000000, 5, 5, 0, 1]), 1, 1, "labels must increase",
+                         id="repeated-label"),
         ],
     )
-    def test_corrupt_varint_stream_rejected(self, varints, nodes, terms, message):
+    def test_out_of_range_values_rejected(self, body, label_width, id_width, message):
+        nodes = 3 if body[0] == 0b11000000 else 2
         with pytest.raises(ValidationError, match=message):
-            from_bytes(crafted_ktri(nodes, 0, terms, varints))
-
-    @pytest.mark.parametrize(
-        "varints, message",
-        [([1, 0, 5, 1], "truncated"), ([1, 0, 5, 1, 0], "trailing")],
-        ids=["in-last-varint", "after-last-varint"],
-    )
-    def test_unterminated_varint_rejected(self, varints, message):
-        with pytest.raises(ValidationError, match=message):
-            from_bytes(crafted_ktri(2, 0, 1, varints, tail=b"\x80"))
+            from_bytes(crafted_ktri(nodes, nodes - 1, body, 0, label_width, id_width))
 
 
-# Keyword ids where varints grow a byte, up to the largest int64 (nine bytes).
-BOUNDARY_IDS = [0, 127, 128, 16383, 16384, 2**21, 2**28, 2**35, 2**42, 2**49, 2**56, 2**63 - 1]
+# Keyword ids where the id width grows, up to the largest int64 (eight bytes).
+BOUNDARY_IDS = [0, 255, 256, 2**16 - 1, 2**16, 2**32 - 1, 2**32, 2**63 - 1]
 
 
 class TestScalarOracle:
@@ -490,6 +491,12 @@ class TestScalarOracle:
     def test_edge_catalogs(self, entries, direction):
         self.check(entries, direction)
 
+    @pytest.mark.parametrize("direction", [FORWARD, REVERSED])
+    @pytest.mark.parametrize("top", BOUNDARY_IDS)
+    def test_each_width(self, top, direction):
+        # ``top`` is the largest id and, capped at int32, the largest label
+        self.check([((A, EOW_ID), 1), ((B, min(top, 2**31 - 1), EOW_ID), top)], direction)
+
     @staticmethod
     def check(entries, direction):
         reverse = direction == REVERSED
@@ -507,14 +514,26 @@ class TestScalarOracle:
 
 
 def test_ktri_format_pinned():
-    """The KTRI bytes of test_10's 100k prefix catalog are fixed: a change
-    to the format must show here, not pass through round trips."""
+    """KTRI, byte by byte: magic, u32 version, a ``<QQBQBB`` header (vocab
+    checksum, nodes, direction, keywords, label width, id width), the unary
+    degree bits, the u1 labels, the u2 keyword ids and the checksum footer
+    of every byte before it.  The bytes of test_10's 100k prefix catalog
+    are pinned too: a change to the format must show here, not pass
+    through round trips."""
+    entries = [(seq, kid) for (seq, _), kid in zip(THREE_KEYWORDS, (0, 300, 2))]
+    head = b"".join((b"KTRI", struct.pack("<I", _VERSION),
+                     struct.pack("<QQBQBB", 0x0123456789ABCDEF, 7, 0, 3, 1, 2), BITS, LABELS,
+                     struct.pack("<3H", 0, 2, 300)))
+    data = to_bytes(build_trie(entries, vocab_checksum=0x0123456789ABCDEF))
+    assert data == head + struct.pack("<Q", checksum64(head))
+
     catalog = make_prefix_heavy_catalog()
     vocab = Vocab.from_tokens(sorted({t for text in catalog for t in text.split()}))
-    entries = [(tokenize(text, vocab, "keyword", max_len=8), kid) for kid, text in enumerate(catalog)]
+    tokens, lengths = tokenize_batch(catalog, vocab, "keyword", max_len=8)
+    ids = np.arange(len(catalog))
     for direction, size, digest in (
-        (FORWARD, 793_632, 0xD108E08254D80F5D),
-        (REVERSED, 587_575, 0xF4F2F98E5E819A51),
+        (FORWARD, 656_356, 0x2DE4379CD9C37E4E),
+        (REVERSED, 527_571, 0x6484A0BD54B1FFAB),
     ):
-        data = to_bytes(build_trie(entries, direction, vocab.checksum()))
+        data = to_bytes(build_trie_arrays(tokens, lengths, ids, direction, vocab.checksum()))
         assert (len(data), checksum64(data)) == (size, digest), direction
