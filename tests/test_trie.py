@@ -419,7 +419,7 @@ class TestCraftedFiles:
                          "^corrupt trie: trailing bytes$", id="body-one-byte-long"),
         ],
     )
-    def test_header_that_does_not_fit_its_body_rejected_before_allocating(self, data, message):
+    def test_bad_header_rejected_before_allocating(self, data, message):
         with pytest.raises(ValidationError, match=message):
             from_bytes(data)
 
@@ -447,19 +447,18 @@ class TestCraftedFiles:
             from_bytes(crafted_ktri(7, len(ids), BITS + LABELS + ids))
 
     @pytest.mark.parametrize(
-        "body, label_width, id_width, message",
+        "nodes, body, label_width, id_width, message",
         [
-            pytest.param(bytes([0b10000000]) + struct.pack("<IB", 2**31, 0), 4, 1, "label range",
-                         id="label-2^31"),
+            pytest.param(2, bytes([0b10000000]) + struct.pack("<IB", 2**31, 0), 4, 1,
+                         "label range", id="label-2^31"),
             # as int64 the stored id reads -2**63: no id is negative but -1
-            pytest.param(bytes([0b10000000, 5]) + struct.pack("<Q", 2**63), 1, 8, "ids >= -1",
+            pytest.param(2, bytes([0b10000000, 5]) + struct.pack("<Q", 2**63), 1, 8, "ids >= -1",
                          id="keyword-id-2^63"),
-            pytest.param(bytes([0b11000000, 5, 5, 0, 1]), 1, 1, "labels must increase",
+            pytest.param(3, bytes([0b11000000, 5, 5, 0, 1]), 1, 1, "labels must increase",
                          id="repeated-label"),
         ],
     )
-    def test_out_of_range_values_rejected(self, body, label_width, id_width, message):
-        nodes = 3 if body[0] == 0b11000000 else 2
+    def test_out_of_range_values_rejected(self, nodes, body, label_width, id_width, message):
         with pytest.raises(ValidationError, match=message):
             from_bytes(crafted_ktri(nodes, nodes - 1, body, 0, label_width, id_width))
 
