@@ -18,7 +18,8 @@ Conventions shared by every command:
 Bundle directories use fixed file names: ``vocab.txt``, ``keywords.txt``,
 ``encoder.kenc``, ``trie.fwd.ktri``, ``trie.rev.ktri``,
 ``embeddings.kemb`` and, for graph indexes, ``graph.kgra`` (plus
-``reps.tsv`` when keyword clustering was applied).
+``reps.tsv`` when keyword clustering was applied).  ``index --kind graph``
+takes no graph settings but ``--seed``: ``dense_index`` fixes the rest.
 """
 
 from __future__ import annotations
@@ -47,9 +48,6 @@ from .corpus import (
 )
 from .decoder import DecodeConfig, permutation_decode
 from .dense_index import (
-    DEFAULT_BUILD_WIDTH,
-    DEFAULT_MAX_DEGREE,
-    DEFAULT_PRUNE_SLACK,
     build_exact,
     build_graph,
     cluster_keywords,
@@ -212,11 +210,7 @@ def cmd_index(args) -> int:
         vectors, ids = vectors[reps], reps
         rep_note = f" ({len(reps)} representatives of {len(keywords)})"
     if args.kind == "graph":
-        graph = build_graph(
-            vectors, ids,
-            max_degree=args.max_degree, build_width=args.build_width,
-            prune_slack=args.prune_slack, seed=args.seed,
-        )
+        graph = build_graph(vectors, ids, seed=args.seed)
 
     # Only now, with everything built, is the bundle touched: a bad flag
     # leaves it as it was.  Drop what an earlier index run wrote and this
@@ -468,9 +462,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab", required=True)
     p.add_argument("--kind", choices=("exact", "graph"), default="exact")
     p.add_argument("--cluster-threshold", type=float, default=None)
-    p.add_argument("--max-degree", type=int, default=DEFAULT_MAX_DEGREE)
-    p.add_argument("--build-width", type=int, default=DEFAULT_BUILD_WIDTH)
-    p.add_argument("--prune-slack", type=float, default=DEFAULT_PRUNE_SLACK)
     p.add_argument("--out", required=True, help="bundle directory")
     p.set_defaults(handler=cmd_index)
 

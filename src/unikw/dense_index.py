@@ -7,9 +7,9 @@ adds an adjacency, and ``DenseIndex.kind`` follows from whether it has one.
 
 The graph index is a flat navigable graph in the manner of Vamana/DiskANN
 (Subramanya et al., NeurIPS 2019): every point keeps at most
-``max_degree`` diverse out-neighbors chosen by beam search plus robust
+``_MAX_DEGREE`` diverse out-neighbors chosen by beam search plus robust
 pruning, with reciprocal edges re-pruned on overflow.  Construction is one
-pass at the configured slack over a seeded random order, without DiskANN's
+pass at slack ``_PRUNE_SLACK`` over a seeded random order, without DiskANN's
 first pass at slack 1.0: on graph5k's trained rows that cut the build by a
 third to a half and kept recall against the exact scan (recall@10 1.0,
 recall@100 0.99927 over its 150 queries; 0.99913 with the first pass).
@@ -39,7 +39,7 @@ took 16.7-17.0 s against 26.2-27.0 s with the full sorts (2-vCPU VM,
 BLAS on one thread, in alternation).
 
 The robust-prune rule keeps the closest remaining candidate ``c`` and
-then discards every candidate ``v`` with ``slack * dist(c, v) <=
+then discards every candidate ``v`` with ``_PRUNE_SLACK * dist(c, v) <=
 dist(point, v)``: neighbors must either be close to the point or point in
 a direction not already covered.  Rows with identical vectors cannot be
 told apart by that rule (a copy of the point covers every direction), so
@@ -71,12 +71,7 @@ _EMB_VERSION = 3
 _EMB_ROWS_AT = 8 + struct.calcsize("<QI")  # the frame's magic and version, then the header
 _ROW_ALIGN = 64  # where loaded rows start: a cache line
 _GRAPH_MAGIC = b"KGRA"
-_GRAPH_VERSION = 4
-
-DEFAULT_MAX_DEGREE = 32
-DEFAULT_BUILD_WIDTH = 64
-DEFAULT_SEARCH_WIDTH = 100
-DEFAULT_PRUNE_SLACK = 1.2
+_GRAPH_VERSION = 5
 
 
 @dataclass(frozen=True)
@@ -92,7 +87,6 @@ class DenseIndex:
     offsets: np.ndarray | None = None    # graph CSR offsets, int64 (N+1,)
     neighbors: np.ndarray | None = None  # graph CSR neighbor rows, int32
     entry: int = 0
-    max_degree: int = DEFAULT_MAX_DEGREE
 
     def __post_init__(self) -> None:
         vectors, ids = _normalize(self.vectors), np.asarray(self.ids, dtype=np.int64)
@@ -110,13 +104,10 @@ class DenseIndex:
         if self.offsets is None or self.neighbors is None:
             raise ValidationError("a graph needs both offsets and neighbors")
         n, offsets, neighbors = len(vectors), self.offsets, self.neighbors
-        degrees = np.diff(offsets)
-        if (len(offsets) != n + 1 or offsets[0] != 0 or np.any(degrees < 0)
+        if (len(offsets) != n + 1 or offsets[0] != 0 or np.any(offsets[1:] < offsets[:-1])
                 or offsets[-1] != len(neighbors)):
             raise ValidationError(f"graph offsets must start at 0 and not decrease, from {n} "
                                   f"rows to their {len(neighbors)} neighbors")
-        if len(degrees) and degrees.max() > self.max_degree:
-            raise ValidationError(f"a graph node has more than {self.max_degree} neighbors")
         if not 0 <= self.entry < max(n, 1):  # an empty graph keeps entry 0
             raise ValidationError(f"graph entry point {self.entry} outside {n} nodes")
         if len(neighbors) and (neighbors.min() < 0 or neighbors.max() >= n):
@@ -125,7 +116,6 @@ class DenseIndex:
         falls = np.flatnonzero(neighbors[1:] <= neighbors[:-1]) + 1
         if np.any(offsets[np.searchsorted(offsets, falls)] != falls):
             raise ValidationError("graph neighbors must ascend within each row")
-        _check_max_degree(self.max_degree)
         object.__setattr__(self, "offsets", read_only(offsets))
         object.__setattr__(self, "neighbors", read_only(neighbors))
 
@@ -181,11 +171,18 @@ def build_exact(vectors, ids) -> DenseIndex:
     return DenseIndex(vectors, ids)
 
 
+# The graph's settings, fixed: every graph is built and searched at these.
+_MAX_DEGREE = 32             # out-neighbours a row keeps
+_BUILD_WIDTH = 64            # the candidate list of a point's build search
+_PRUNE_SLACK = 1.2           # the robust prune's slack, >= 1
+_SEARCH_WIDTH = 100          # the candidate list of a query's search, widened to k
 _BEAM_WIDTH = 4              # candidates each point expands per build search step
 _SEARCH_BEAM = 32            # candidates a query expands per search step
 _MAX_BATCH_FRACTION = 0.02   # the largest insertion batch, as a share of the rows
 _PRUNE_BLOCK = 1 << 21       # pairwise distances per prune chunk: 8 MiB of float32
 _MASK_BYTES = 1 << 22        # the unseen mask of one group of graph-search queries: 4 MiB
+_CLUSTER_ROWS = 1024         # the most rows a clustering block takes
+_CLUSTER_BLOCK = 1 << 20     # similarities per clustering block: 4 MiB of float32
 
 
 def _row_distances(vectors: np.ndarray, rows: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -243,7 +240,6 @@ def _robust_prune(
     points: np.ndarray,
     owners: np.ndarray,
     candidates: np.ndarray,
-    slack: float,
     limits: np.ndarray,
     groups: np.ndarray,
 ) -> np.ndarray:
@@ -255,7 +251,7 @@ def _robust_prune(
     point: drop repeats and every row whose ``groups`` label is the point's
     (the point itself included), order the rest by (distance, row), then keep the
     closest survivor ``c`` and drop every ``v`` with
-    ``slack * dist(c, v) <= dist(point, v)``, until none survive or the
+    ``_PRUNE_SLACK * dist(c, v) <= dist(point, v)``, until none survive or the
     limit is reached.  One sort of the (owner, candidate) cells drops the
     repeats and one stable sort of a one-word key (``_by_distance``) puts
     them in that order.  The candidate lists are padded to one width and
@@ -305,7 +301,7 @@ def _robust_prune(
             best = alive[live].argmax(axis=1)
             out[lo + live, kept[live]] = rows[live, best]
             kept[live] += 1
-            alive[live] &= slack * pairwise[live, best] > dist[lo + live]
+            alive[live] &= _PRUNE_SLACK * pairwise[live, best] > dist[lo + live]
             alive[live, best] = False
     return out
 
@@ -319,7 +315,6 @@ def _add_reverse_edges(
     vectors: np.ndarray,
     adj: np.ndarray,
     points: np.ndarray,
-    slack: float,
     limits: np.ndarray,
     groups: np.ndarray,
 ) -> None:
@@ -350,7 +345,7 @@ def _add_reverse_edges(
         owner_of = np.repeat(np.arange(len(over)), count[~fits])
         owners = np.concatenate([np.nonzero(keep)[0], owner_of])
         cands = np.concatenate([old[keep], sources[~pair_fits]])
-        _set_rows(adj, over, _robust_prune(vectors, over, owners, cands, slack, limits[over], groups))
+        _set_rows(adj, over, _robust_prune(vectors, over, owners, cands, limits[over], groups))
 
 
 def _batch_bounds(n: int) -> list[int]:
@@ -364,33 +359,12 @@ def _batch_bounds(n: int) -> list[int]:
     return bounds
 
 
-def _check_max_degree(max_degree: int) -> None:
-    if not 2 <= max_degree < 2**32:  # the KGRA header holds it as u32
-        raise ValidationError(f"max_degree must be >= 2 and < 2**32, not {max_degree}")
-
-
-def _check_graph_params(max_degree: int, build_width: int, prune_slack: float) -> None:
-    _check_max_degree(max_degree)
-    if build_width < max_degree:
-        raise ValidationError(f"build_width must be >= max_degree, not {build_width}")
-    if not (prune_slack >= 1.0 and np.isfinite(prune_slack)):
-        raise ValidationError(f"prune_slack must be a finite number >= 1, not {prune_slack}")
-
-
-def build_graph(
-    vectors,
-    ids,
-    max_degree: int = DEFAULT_MAX_DEGREE,
-    build_width: int = DEFAULT_BUILD_WIDTH,
-    prune_slack: float = DEFAULT_PRUNE_SLACK,
-    seed: int = 0,
-) -> DenseIndex:
+def build_graph(vectors, ids, seed: int = 0) -> DenseIndex:
     """One-pass batched graph construction (see module docstring).
 
-    The same vectors, parameters and ``seed`` give the same graph.  Beyond
-    the graph itself, a batch's work arrays grow with the batch size times
-    ``build_width`` times ``max_degree``, never with the number of rows."""
-    _check_graph_params(max_degree, build_width, prune_slack)
+    The same vectors and ``seed`` give the same graph.  Beyond the graph
+    itself, a batch's work arrays grow with the batch size times
+    ``_BUILD_WIDTH`` times ``_MAX_DEGREE``, never with the number of rows."""
     exact = build_exact(vectors, ids)
     vectors, n = exact.vectors, len(exact)
     order = np.random.default_rng(seed).permutation(n)
@@ -400,7 +374,7 @@ def build_graph(
     groups = groups.ravel()
     copies = np.bincount(groups)[groups] > 1
     # Arrays wider than n rows would only hold padding.
-    degree, width = min(max_degree, n), min(build_width, n)
+    degree, width = min(_MAX_DEGREE, n), min(_BUILD_WIDTH, n)
     limits = degree - copies.astype(np.int64)  # a slot for the ring edge
 
     adj = np.full((n, degree), -1, dtype=np.int32)
@@ -412,9 +386,9 @@ def build_graph(
         points = order[lo:hi]
         _, owners, expanded = _graph_search(vectors, slots, adj.ravel(), int(order[0]),
                                             vectors[points], width, _BEAM_WIDTH)
-        kept = _robust_prune(vectors, points, owners, expanded, prune_slack, limits[points], groups)
+        kept = _robust_prune(vectors, points, owners, expanded, limits[points], groups)
         _set_rows(adj, points, kept)
-        _add_reverse_edges(vectors, adj, points, prune_slack, limits, groups)
+        _add_reverse_edges(vectors, adj, points, limits, groups)
 
     # Each row of a group links to the next row of its group, cyclically.
     by_group = np.argsort(groups, kind="stable")
@@ -432,8 +406,7 @@ def build_graph(
     degrees = (adj < n).sum(axis=1)
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(degrees, out=offsets[1:])
-    return replace(exact, offsets=offsets, neighbors=adj[adj < n].astype(np.int32),
-                   entry=medoid, max_degree=max_degree)
+    return replace(exact, offsets=offsets, neighbors=adj[adj < n].astype(np.int32), entry=medoid)
 
 
 def _row_bits(n: int) -> int:
@@ -590,12 +563,7 @@ def _rescore(
     return list(zip(ids[top].tolist(), scores[top].tolist()))
 
 
-def search_batch(
-    index: DenseIndex,
-    queries,
-    k: int,
-    search_width: int = DEFAULT_SEARCH_WIDTH,
-) -> list[list[tuple[int, float]]]:
+def search_batch(index: DenseIndex, queries, k: int) -> list[list[tuple[int, float]]]:
     """Top-k ``(keyword id, inner-product score)`` of every row of
     ``queries``, ties broken by id; a query's hits do not depend on the
     other queries.
@@ -603,7 +571,7 @@ def search_batch(
     Empty indexes return no results; otherwise ``k`` may not exceed the
     index size.  Each query is scaled by its own ``np.linalg.norm``, as a
     lone query is; a row norm taken along an axis can differ in the last
-    bit.  For graph indexes ``search_width`` bounds each best-first
+    bit.  For graph indexes ``_SEARCH_WIDTH`` bounds each best-first
     candidate list, and is widened to ``k`` if smaller.
 
     Both kinds report float64 scores from ``_rescore``, one query at a
@@ -646,18 +614,13 @@ def search_batch(
         return hits
 
     rows, _, _ = _graph_search(index.vectors, index.offsets, index.neighbors, index.entry,
-                               unit.astype(np.float32), max(search_width, k), _SEARCH_BEAM)
+                               unit.astype(np.float32), max(_SEARCH_WIDTH, k), _SEARCH_BEAM)
     return [_rescore(index, r, query, k) for r, query in zip(rows, unit)]
 
 
-def search(
-    index: DenseIndex,
-    query: np.ndarray,
-    k: int,
-    search_width: int = DEFAULT_SEARCH_WIDTH,
-) -> list[tuple[int, float]]:
+def search(index: DenseIndex, query: np.ndarray, k: int) -> list[tuple[int, float]]:
     """``search_batch`` of one query: its top-k ``(keyword id, score)``."""
-    return search_batch(index, np.asarray(query, dtype=np.float64).ravel()[None], k, search_width)[0]
+    return search_batch(index, np.asarray(query, dtype=np.float64).ravel()[None], k)[0]
 
 
 def cluster_keywords(vectors, ids, similarity_threshold: float) -> dict[int, int]:
@@ -667,27 +630,67 @@ def cluster_keywords(vectors, ids, similarity_threshold: float) -> dict[int, int
     inner product reaches the threshold, else becomes a representative
     itself.  Representatives map to themselves; the map is total and
     idempotent.
+
+    A block of rows is scored by one GEMM against the representatives made
+    before it and one against itself; only rows that reach an earlier row of
+    their block are decided one at a time.  Two float32 sums of one dot
+    product differ by at most ``2 * _float32_dot_error(d)``, so a row that
+    near the threshold is decided by the GEMV that scoring one row at a time
+    runs, and the map is that loop's.
     """
     if not 0.0 < similarity_threshold <= 1.0:
         raise ValidationError("similarity_threshold must be in (0, 1]")
     index = build_exact(vectors, ids)
     vectors, ids = index.vectors, index.ids
     order = np.argsort(ids)
-    rep_rows = np.empty((len(vectors), vectors.shape[1]), dtype=np.float32)
-    rep_ids: list[int] = []
-    mapping: dict[int, int] = {}
-    for row in order:
-        vec = vectors[row]
-        if rep_ids:
-            sims = rep_rows[: len(rep_ids)] @ vec
-            hit = np.flatnonzero(sims >= similarity_threshold)
-            if len(hit):
-                mapping[int(ids[row])] = rep_ids[int(hit[0])]
-                continue
-        rep_rows[len(rep_ids)] = vec
-        rep_ids.append(int(ids[row]))
-        mapping[int(ids[row])] = int(ids[row])
-    return mapping
+    (n, dim), count, lo = vectors.shape, 0, 0
+    threshold = np.float32(similarity_threshold)  # the float32 similarities compare with it so
+    # Where a GEMM and a GEMV can round a similarity to either side, in float64: exact compares.
+    low, high = np.float64(threshold) + np.float64([-2, 2]) * _float32_dot_error(dim)
+    reps = np.empty((n, dim), dtype=np.float32)  # the representatives' rows, in order made
+    rep_ids = np.empty(n, dtype=np.int64)
+    rep_of = np.empty(n, dtype=np.int64)  # the representative of each row of ``order``
+    while lo < n:
+        block = order[lo:lo + max(1, min(_CLUSTER_ROWS, _CLUSTER_BLOCK // (count + _CLUSTER_ROWS)))]
+        rows, size = vectors[block], len(block)
+        earlier = rows @ reps[:count].T
+        # Only a row with a similarity of at least ``low`` can join or be near.
+        close = np.flatnonzero(earlier.max(axis=1, initial=-np.inf) >= low)
+        scores = earlier[close]
+        near, joins = np.zeros(size, dtype=bool), np.zeros(size, dtype=bool)
+        near[close] = ((scores >= low) & (scores <= high)).any(axis=1)
+        hit = scores >= threshold
+        joins[close] = hit.any(axis=1) & ~near[close]
+        if count:  # an argmax needs a representative to point at
+            rep_of[lo + np.flatnonzero(joins)] = rep_ids[hit[joins[close]].argmax(axis=1)]
+        own = rows @ rows.T
+        reach = (own >= low) & np.tri(size, k=-1, dtype=bool) & ~joins  # earlier open rows
+        tangled = ~joins & (near | reach.any(axis=1))
+        made = ~joins & ~tangled  # the block's representatives
+
+        def place(stop: int) -> None:
+            """Append the block's representatives before row ``stop``."""
+            nonlocal count, placed
+            new = placed + np.flatnonzero(made[placed:stop])
+            end = count + len(new)
+            reps[count:end], rep_ids[count:end] = rows[new], ids[block[new]]
+            count, placed = end, stop
+
+        placed = 0
+        for i in np.flatnonzero(tangled):
+            before = np.flatnonzero(made[:i])
+            sims = own[i, before]
+            if near[i] or ((sims >= low) & (sims <= high)).any():
+                place(i)
+                first = rep_ids[np.flatnonzero(reps[:count] @ vectors[block[i]] >= threshold)[:1]]
+            else:
+                first = ids[block[before[sims >= threshold][:1]]]
+            rep_of[lo + i] = np.r_[first, ids[block[i]]][0]  # the first reached, else itself
+            made[i] = not len(first)
+        place(size)
+        rep_of[lo + np.flatnonzero(made)] = ids[block[made]]
+        lo += size
+    return dict(zip(ids[order].tolist(), rep_of.tolist()))
 
 
 def save_embeddings(path, vectors: np.ndarray, ids: np.ndarray) -> None:
@@ -718,12 +721,12 @@ def load_embeddings(path) -> tuple[np.ndarray, np.ndarray]:
 
 
 def save_graph(path, index: DenseIndex) -> None:
-    """KGRA file: a ``fileio`` frame (version 4, SHA-256/64 footer) around
-    a ``<QIQ`` header (row count, max_degree, entry row), then the
-    adjacency CSR: ``n + 1`` i64 offsets and the i32 neighbour rows."""
+    """KGRA file: a ``fileio`` frame (version 5, SHA-256/64 footer) around
+    a ``<QQ`` header (row count, entry row), then the adjacency CSR:
+    ``n + 1`` i64 offsets and the i32 neighbour rows."""
     if index.kind != GRAPH:
         raise ValidationError("only graph indexes have a graph file")
-    header = struct.pack("<QIQ", len(index), index.max_degree, index.entry)
+    header = struct.pack("<QQ", len(index), index.entry)
     offsets = np.ascontiguousarray(index.offsets, dtype="<i8").tobytes()
     neighbors = np.ascontiguousarray(index.neighbors, dtype="<i4").tobytes()
     write_file(path, frame(_GRAPH_MAGIC, _GRAPH_VERSION, header + offsets + neighbors))
@@ -733,7 +736,7 @@ def load_graph(path, vectors: np.ndarray, ids: np.ndarray) -> DenseIndex:
     """The graph ``DenseIndex`` of the embeddings and the graph file, which is
     checked here against the rows and for truncation and trailing bytes."""
     payload = unframe(read_file(path), _GRAPH_MAGIC, _GRAPH_VERSION, "graph")
-    (n, max_degree, entry), pos = unpack_at("<QIQ", payload, 0)
+    (n, entry), pos = unpack_at("<QQ", payload, 0)
     if n != len(vectors):
         raise ValidationError("graph file does not match embeddings")
     raw, pos = take(payload, pos, (n + 1) * 8)
@@ -742,4 +745,4 @@ def load_graph(path, vectors: np.ndarray, ids: np.ndarray) -> DenseIndex:
     neighbors = np.frombuffer(raw, dtype="<i4").astype(np.int32)
     if pos != len(payload):
         raise ValidationError("corrupt graph file: trailing bytes")
-    return DenseIndex(vectors, ids, offsets, neighbors, int(entry), max_degree)
+    return DenseIndex(vectors, ids, offsets, neighbors, int(entry))

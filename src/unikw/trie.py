@@ -78,6 +78,11 @@ class KeywordTrie:
                 or offsets[-1] != n - 1 or np.any(offsets[1:] < offsets[:-1])):
             raise ValidationError(f"a trie of {n} nodes has {n + 1} offsets, from 0 up to its "
                                   f"edge count, and {n - 1} edge labels")
+        # BFS order: node i's edges start at edge i or later, so each node hangs off an
+        # earlier one and so off the root; node numbers kept narrow (no int64 temporary).
+        if np.any(offsets[1:-1] < np.arange(1, n, dtype=np.min_scalar_type(n))):
+            raise ValidationError("trie nodes must be in BFS order: a node owns an edge to "
+                                  "itself or to an earlier node")
         if n > 1 and (labels.min() < 0 or labels.max() > _MAX_LABEL):
             raise ValidationError("trie edge label outside the int32 label range")
         labels = labels.astype(np.int32, copy=False)

@@ -105,12 +105,12 @@ def unchecked_kenc_bytes(params) -> bytes:
 
 def unchecked_kgra_bytes(index, **fields) -> bytes:
     """A KGRA file of the graph ``index`` with ``fields`` (any of
-    ``offsets``, ``neighbors``, ``entry``, ``max_degree``) replaced, as
-    ``save_graph`` lays it out, without the index's checks: for graphs
-    that ``load_graph`` must reject."""
-    graph = {name: getattr(index, name) for name in ("offsets", "neighbors", "entry", "max_degree")}
+    ``offsets``, ``neighbors``, ``entry``) replaced, as ``save_graph``
+    lays it out, without the index's checks: for graphs that
+    ``load_graph`` must reject."""
+    graph = {name: getattr(index, name) for name in ("offsets", "neighbors", "entry")}
     graph.update(fields)
-    body = struct.pack("<QIQ", len(index), graph["max_degree"], graph["entry"])
+    body = struct.pack("<QQ", len(index), graph["entry"])
     body += np.ascontiguousarray(graph["offsets"], dtype="<i8").tobytes()
     body += np.ascontiguousarray(graph["neighbors"], dtype="<i4").tobytes()
     return frame(b"KGRA", dense_index._GRAPH_VERSION, body)
@@ -341,6 +341,30 @@ def scalar_robust_prune(vectors: np.ndarray, point: int, candidates, max_degree:
             break
         alive &= slack * pairwise[i] > dists  # kills i itself: pairwise[i,i]=0
     return sorted(kept)
+
+
+def loop_cluster_keywords(vectors, ids, similarity_threshold: float) -> dict[int, int]:
+    """Greedy leader clustering, one row at a time in ascending id order:
+    one float32 GEMV of the row against every representative made so far,
+    and the row joins the first that reaches the threshold, else becomes
+    one.  The rows are the index's (``build_exact``)."""
+    index = dense_index.build_exact(vectors, ids)
+    vectors, ids = index.vectors, index.ids
+    rep_rows = np.empty((len(vectors), vectors.shape[1]), dtype=np.float32)
+    rep_ids: list[int] = []
+    mapping: dict[int, int] = {}
+    for row in np.argsort(ids):
+        vec = vectors[row]
+        if rep_ids:
+            sims = rep_rows[: len(rep_ids)] @ vec
+            hit = np.flatnonzero(sims >= similarity_threshold)
+            if len(hit):
+                mapping[int(ids[row])] = rep_ids[int(hit[0])]
+                continue
+        rep_rows[len(rep_ids)] = vec
+        rep_ids.append(int(ids[row]))
+        mapping[int(ids[row])] = int(ids[row])
+    return mapping
 
 
 def finite_difference_grads(loss_fn, arrays: dict, eps: float = 1e-6) -> dict:

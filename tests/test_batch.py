@@ -68,7 +68,7 @@ def engines():
     for grouped, rows, ids in ((False, np.arange(n), np.arange(n)), (True, reps, reps)):
         for kind in ("exact", "graph"):
             index = (build_exact(vectors[rows], ids) if kind == "exact" else
-                     build_graph(vectors[rows], ids, max_degree=6, build_width=12, seed=1))
+                     build_graph(vectors[rows], ids, seed=1))
             out[kind, grouped] = replace(base, index=index, groups=groups if grouped else None)
     return out
 
@@ -195,12 +195,12 @@ class TestGraphSearchBatch:
         v = rng.normal(size=(300, 8))
         v[:40] = v[0]
         index = (build_exact(v, np.arange(300)) if kind == "exact"
-                 else build_graph(v, np.arange(300), max_degree=8, build_width=16, seed=0))
+                 else build_graph(v, np.arange(300), seed=0))
         queries = rng.normal(size=(17, 8)) * rng.uniform(0.1, 10, size=(17, 1))
         queries[::4] = v[0]
         for k in (1, 10, 300):
-            got = search_batch(index, queries, k, search_width=20)
-            assert got == [search(index, q, k, search_width=20) for q in queries]
+            got = search_batch(index, queries, k)
+            assert got == [search(index, q, k) for q in queries]
         assert search_batch(index, np.empty((0, 8)), 5) == []
         assert search_batch(build_exact(np.empty((0, 8)), []), queries, 5) == [[]] * 17
 
@@ -211,7 +211,7 @@ class TestGraphSearchBatch:
         3 and 1.  Either way each query searches as it would alone."""
         rng = np.random.default_rng(34)
         v = rng.normal(size=(120, 8))
-        index = build_graph(v, np.arange(120), max_degree=8, build_width=16, seed=0)
+        index = build_graph(v, np.arange(120), seed=0)
         queries = rng.normal(size=(10, 8))
         unit = (queries / np.linalg.norm(queries, axis=1, keepdims=True)).astype(np.float32)
         alone = [graph_search(index, unit[q:q + 1], 7, dense_index._SEARCH_BEAM) for q in range(10)]
@@ -242,7 +242,7 @@ class TestGraphSearchBatch:
         rng = np.random.default_rng(33)
         v = rng.normal(size=(200, 16))
         index = (build_exact(v, np.arange(200)) if kind == "exact"
-                 else build_graph(v, np.arange(200), max_degree=8, build_width=16, seed=0))
+                 else build_graph(v, np.arange(200), seed=0))
         queries = rng.normal(size=(300, 16)) * rng.uniform(0.01, 100, size=(300, 1))
         for query, hits in zip(queries, search_batch(index, queries, 5)):
             ids = [kid for kid, _ in hits]
@@ -276,7 +276,7 @@ _SAVE_BUNDLE = textwrap.dedent("""
     vectors = embed_flat(params, flat, lengths)
     save_embeddings(out / "embeddings.kemb", vectors, ids)
     if kind == "graph":
-        save_graph(out / "graph.kgra", build_graph(vectors, ids, max_degree=16, build_width=32))
+        save_graph(out / "graph.kgra", build_graph(vectors, ids))
     rng.shuffle(catalog)
     (out / "queries.txt").write_text("".join(t + "\\n" for t in catalog[:60]), encoding="utf-8")
 """)

@@ -54,11 +54,11 @@ from unikw.retriever import chunk_size, results_to_jsonl_line
 from unikw.trie import to_bytes
 
 from oracles import (
-    reference_jsonl_line, reference_load_keywords, reference_normalize, scalar_trie,
-    unchecked_kenc_bytes,
+    loop_cluster_keywords, reference_jsonl_line, reference_load_keywords, reference_normalize,
+    scalar_trie, unchecked_kenc_bytes,
 )
 from synthdata import make_training_corpus, write_corpus_files
-from test_formats import graph_version_2
+from test_formats import graph_version_2, graph_version_4
 
 TRAIN_CONFIG = {
     "epochs": 4,
@@ -105,8 +105,7 @@ def pipeline(tmp_path_factory):
     assert main([
         "index", "--checkpoint", str(bundle / "encoder.kenc"),
         "--keywords", str(paths["keywords"]), "--vocab", str(bundle / "vocab.txt"),
-        "--kind", "graph", "--max-degree", "8", "--build-width", "16",
-        "--out", str(bundle),
+        "--kind", "graph", "--out", str(bundle),
     ]) == 0
     return {"root": root, "bundle": bundle, "paths": paths, "corpus": corpus}
 
@@ -281,7 +280,6 @@ class TestPipeline:
         assert not (bundle / "reps.tsv").exists()
 
     @pytest.mark.parametrize("flags", [
-        ["--max-degree", "0"], ["--build-width", "1"], ["--prune-slack", "0.5"],
         ["--cluster-threshold", "1.5"],
     ], ids=lambda flags: flags[0])
     def test_failed_index_leaves_the_bundle_untouched(self, pipeline, tmp_path, capsys, flags):
@@ -290,8 +288,7 @@ class TestPipeline:
         index = [
             "index", "--checkpoint", str(bundle / "encoder.kenc"),
             "--keywords", str(pipeline["paths"]["keywords"]), "--vocab", str(bundle / "vocab.txt"),
-            "--kind", "graph", "--max-degree", "4", "--build-width", "8",
-            "--cluster-threshold", "0.3", "--out", str(bundle),
+            "--kind", "graph", "--cluster-threshold", "0.3", "--out", str(bundle),
         ]
         assert main(index) == 0  # a clustered graph bundle: reps.tsv and graph.kgra
         before = {f.name: f.read_bytes() for f in bundle.iterdir()}
@@ -368,7 +365,7 @@ class TestPipeline:
         assert main([  # the index holds it too: only the tries differ below
             "index", "--checkpoint", str(bundle / "encoder.kenc"),
             "--keywords", str(bundle / "keywords.txt"), "--vocab", str(bundle / "vocab.txt"),
-            "--kind", "graph", "--max-degree", "8", "--build-width", "16", "--out", str(bundle),
+            "--kind", "graph", "--out", str(bundle),
         ]) == 0
 
         def build_tries_and_retrieve(max_len):
@@ -464,6 +461,14 @@ class TestPipeline:
         ])
         assert code == 2
         assert "prune_threshold" in validation_message(capsys)
+
+    def test_clustered_map_is_the_row_at_a_time_loops(self, pipeline, clustered):
+        bundle = clustered["bundle"]
+        params, vocab = load_params(bundle / "encoder.kenc"), load_vocab(bundle / "vocab.txt")
+        catalog = load_keywords(pipeline["paths"]["keywords"])
+        vectors = embed_batch(params, [tokenize(text, vocab, "keyword", params.max_len)
+                                       for text in catalog])
+        assert clustered["reps"] == loop_cluster_keywords(vectors, np.arange(len(catalog)), 0.3)
 
     def test_clustered_bundle_returns_every_keyword_by_its_own_text(self, clustered, tmp_path):
         bundle, reps = clustered["bundle"], clustered["reps"]
@@ -568,17 +573,6 @@ class TestPipeline:
         assert code == 2
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"]["kind"] == "validation" and message in err["error"]["message"]
-
-    def test_prune_slack_nan_is_validation_error(self, pipeline, tmp_path, capsys):
-        code = main([
-            "index", "--checkpoint", str(pipeline["bundle"] / "encoder.kenc"),
-            "--keywords", str(pipeline["paths"]["keywords"]),
-            "--vocab", str(pipeline["bundle"] / "vocab.txt"),
-            "--kind", "graph", "--prune-slack", "nan", "--out", str(tmp_path / "bundle"),
-        ])
-        assert code == 2
-        err = json.loads(capsys.readouterr().err.strip())
-        assert err["error"]["kind"] == "validation" and "prune_slack" in err["error"]["message"]
 
     def test_overlap_identical_files_json(self, pipeline):
         results = pipeline["root"] / "results.jsonl"
@@ -713,6 +707,14 @@ class TestInlineChecksumOrder:
         data = (bundle / "trie.rev.ktri").read_bytes()
         (bundle / "trie.rev.ktri").write_bytes(frame(b"KTRI", 3, data[8:-8]))
         self._expect(pipeline, bundle, tmp_path, capsys, "unsupported trie version 3")
+
+    def test_a_version_4_graph_reports_its_version(self, pipeline, tmp_path, capsys):
+        # Version 4's header also held the max degree.
+        bundle = tmp_path / "bundle"
+        shutil.copytree(pipeline["bundle"], bundle)
+        graph = bundle / "graph.kgra"
+        graph.write_bytes(graph_version_4(graph.read_bytes()))
+        self._expect(pipeline, bundle, tmp_path, capsys, "unsupported graph version 4")
 
     def test_a_malformed_body_under_a_valid_checksum_reports_itself(
         self, pipeline, tmp_path, capsys
@@ -873,8 +875,7 @@ class TestLibraryParity:
         vectors = embed_batch(params, [seq for seq, _ in entries])
         ids = np.arange(len(catalog))
         save_embeddings(tmp_path / "embeddings.kemb", vectors, ids)
-        save_graph(tmp_path / "graph.kgra", build_graph(
-            vectors, ids, max_degree=8, build_width=16, prune_slack=1.2, seed=0))
+        save_graph(tmp_path / "graph.kgra", build_graph(vectors, ids, seed=0))
         for name in ("vocab.txt", "trie.fwd.ktri", "trie.rev.ktri", "encoder.kenc",
                      "embeddings.kemb", "graph.kgra"):
             assert (tmp_path / name).read_bytes() == (pipeline["bundle"] / name).read_bytes(), name
@@ -1082,7 +1083,10 @@ class TestErrorHandling:
         (["index", "--checkpoint", "c", "--keywords", "k", "--vocab", "v", "--out", "o",
           "--kind", "tree"], "invalid choice: 'tree'"),
         ([], "required: command"),
-    ], ids=["bad-int", "missing-flag", "bad-choice", "no-command"])
+        # The graph takes no settings: its degree is a constant.
+        (["index", "--checkpoint", "c", "--keywords", "k", "--vocab", "v", "--out", "o",
+          "--kind", "graph", "--max-degree", "4"], "unrecognized arguments: --max-degree 4"),
+    ], ids=["bad-int", "missing-flag", "bad-choice", "no-command", "graph-setting"])
     def test_usage_errors_print_the_error_json(self, capsys, argv, message):
         assert main(argv) == 2
         assert message in validation_message(capsys)
@@ -1258,17 +1262,6 @@ class TestErrorHandling:
         assert main(argv) == 2
         assert "recursion" in validation_message(capsys)
 
-    def test_widths_beyond_the_graph_header_are_validation_error(self, pipeline, tmp_path, capsys):
-        huge = str(10**20)  # was an OverflowError traceback
-        assert main([
-            "index", "--checkpoint", str(pipeline["bundle"] / "encoder.kenc"),
-            "--keywords", str(pipeline["paths"]["keywords"]),
-            "--vocab", str(pipeline["bundle"] / "vocab.txt"), "--kind", "graph",
-            "--max-degree", huge, "--build-width", huge, "--out", str(tmp_path / "bundle"),
-        ]) == 2
-        assert "2**32" in validation_message(capsys)
-        assert not (tmp_path / "bundle").exists()
-
     def test_eval_row_without_results_is_validation_error(self, tmp_path, capsys):
         results = tmp_path / "results.jsonl"
         results.write_text(json.dumps({"query": "red shoes"}) + "\n", encoding="utf-8")
@@ -1384,8 +1377,8 @@ FUZZ_COMMANDS = [
     (["train", "--pairs", "pairs.tsv", "--vocab", "b/vocab.txt", "--config-file", "train.json",
       "--out", "e.kenc"], ["pairs.tsv", "b/vocab.txt", "train.json"]),
     (["index", "--checkpoint", "b/encoder.kenc", "--keywords", "keywords.txt",
-      "--vocab", "b/vocab.txt", "--kind", "graph", "--max-degree", "4", "--build-width", "8",
-      "--prune-slack", "1.2", "--cluster-threshold", "0.3", "--seed", "1", "--out", "b"],
+      "--vocab", "b/vocab.txt", "--kind", "graph", "--cluster-threshold", "0.3", "--seed", "1",
+      "--out", "b"],
      ["b/encoder.kenc", "keywords.txt", "b/vocab.txt"]),
     (["retrieve", "--bundle-dir", "b", "--queries", "queries.txt", "--beam", "5",
       "--orders", "l2r,r2l", "--prune", "-9", "--topk", "5", "--out", "r.jsonl"],

@@ -1,7 +1,5 @@
 """The demos run to completion: no other test runs them, and they build
-the library's records (``TrainingPair``, ``RetrievalResult``) by keyword.
-
-Demo 04 is left out: it builds graphs of up to 64k rows."""
+the library's records (``TrainingPair``, ``RetrievalResult``) by keyword."""
 
 import os
 import subprocess
@@ -17,6 +15,7 @@ ROOT = Path(__file__).resolve().parents[1]
     "01_corpus_and_trie",
     "02_constrained_decoding",
     "03_train_unified_encoder",
+    "04_ann_graph_search",
     "05_evaluation_metrics",
 ])
 def test_demo_exits_0(tmp_path, name):

@@ -26,6 +26,7 @@ from unikw.dense_index import (
 )
 
 from oracles import (
+    loop_cluster_keywords,
     naive_topk,
     reference_normalize,
     scalar_build_search,
@@ -184,33 +185,20 @@ class TestGraph:
     def test_three_equidistant_points_keep_each_other(self):
         # Mutually equidistant: pruning has no grounds to drop anything.
         v = np.array([[1.0, 0.0], [-0.5, np.sqrt(3) / 2], [-0.5, -np.sqrt(3) / 2]])
-        index = build_graph(v, np.arange(3), max_degree=2, build_width=4)
+        index = build_graph(v, np.arange(3))
         for row in range(3):
             s, e = index.offsets[row], index.offsets[row + 1]
             assert set(index.neighbors[s:e].tolist()) == {0, 1, 2} - {row}
 
-    def test_widths_beyond_the_row_count_build_the_same_graph(self, rng):
+    def test_widths_beyond_the_row_count_build_the_same_graph(self, rng, monkeypatch):
         # No row can have n neighbours, nor a search list hold more than n
         # rows, so wider build arrays would only hold padding.
         v = unit_vectors(rng, 12, 4)
         v[1] = v[0]  # a group of copies, with its ring edge
-        want = build_graph(v, np.arange(12), max_degree=12, build_width=12)
-        got = build_graph(v, np.arange(12), max_degree=40, build_width=1000)
-        assert np.array_equal(got.offsets, want.offsets)
-        assert np.array_equal(got.neighbors, want.neighbors) and got.entry == want.entry
-
-    @pytest.mark.parametrize("widths", [(2**32, 4), (2**32, 2**32), (10**20, 10**20)])
-    def test_widths_beyond_the_graph_header_rejected(self, widths):
-        # The header holds max_degree as u32; checked before any array is
-        # sized by it, and before build_width.
-        with pytest.raises(ValidationError, match=r"2\*\*32"):
-            dense_index._check_graph_params(*widths, 1.2)
-
-    def test_build_width_beyond_the_graph_header_builds_as_width_n(self, rng):
-        # The graph file does not hold build_width, so no u32 bounds it.
-        v = unit_vectors(rng, 12, 4)
-        want = build_graph(v, np.arange(12), max_degree=4, build_width=12)
-        got = build_graph(v, np.arange(12), max_degree=4, build_width=2**32)
+        got = build_graph(v, np.arange(12))  # degree 32 and build width 64 over 12 rows
+        monkeypatch.setattr(dense_index, "_MAX_DEGREE", 12)
+        monkeypatch.setattr(dense_index, "_BUILD_WIDTH", 12)
+        want = build_graph(v, np.arange(12))
         assert np.array_equal(got.offsets, want.offsets)
         assert np.array_equal(got.neighbors, want.neighbors) and got.entry == want.entry
 
@@ -222,53 +210,43 @@ class TestGraph:
         loaded = load_graph(tmp_path / "g.kgra", index.vectors, index.ids)
         assert loaded.offsets.tolist() == [0] and search(loaded, np.ones(4), 5) == []
 
-    def test_degree_bound(self, rng):
+    def test_degree_bound(self, rng, monkeypatch):
+        # At 300 rows of width 16 the reverse edges overflow some rows, which
+        # _add_reverse_edges prunes again: more prunes than the one per batch.
+        prune, calls = dense_index._robust_prune, []
+        monkeypatch.setattr(dense_index, "_robust_prune",
+                            lambda *args: calls.append(1) or prune(*args))
         v = unit_vectors(rng, 300, 16)
-        index = build_graph(v, np.arange(300), max_degree=8, build_width=16)
+        index = build_graph(v, np.arange(300))
+        assert len(calls) > len(_batch_bounds(300)) - 1
         degrees = np.diff(index.offsets)
-        assert degrees.max() <= 8
+        assert degrees.max() <= dense_index._MAX_DEGREE
 
     def test_recall_against_exact_oracle(self, rng):
         v = unit_vectors(rng, 2000, 16)
         ids = np.arange(2000)
         exact = build_exact(v, ids)
-        graph = build_graph(v, ids, max_degree=16, build_width=32, seed=1)
+        graph = build_graph(v, ids, seed=1)
         hits = total = 0
         for _ in range(50):
             q = rng.normal(size=16)
             want = {kid for kid, _ in search(exact, q, 10)}
-            got = {kid for kid, _ in search(graph, q, 10, search_width=64)}
+            got = {kid for kid, _ in search(graph, q, 10)}
             hits += len(want & got)
             total += 10
         assert hits / total >= 0.95
 
     def test_full_width_search_is_exhaustive(self, rng):
-        v = unit_vectors(rng, 120, 8)
-        ids = np.arange(120)
+        n = dense_index._SEARCH_WIDTH  # a search list as wide as the graph
+        v = unit_vectors(rng, n, 8)
+        ids = np.arange(n)
         exact = build_exact(v, ids)
-        graph = build_graph(v, ids, max_degree=8, build_width=16, seed=2)
+        graph = build_graph(v, ids, seed=2)
         for _ in range(10):
             q = rng.normal(size=8)
             want = [kid for kid, _ in search(exact, q, 5)]
-            got = [kid for kid, _ in search(graph, q, 5, search_width=120)]
+            got = [kid for kid, _ in search(graph, q, 5)]
             assert got == want
-
-    def test_recall_nondecreasing_in_search_width(self, rng):
-        v = unit_vectors(rng, 600, 16)
-        ids = np.arange(600)
-        exact = build_exact(v, ids)
-        graph = build_graph(v, ids, max_degree=12, build_width=24, seed=3)
-        queries = [rng.normal(size=16) for _ in range(30)]
-        recalls = []
-        for width in (10, 30, 90, 270):
-            hits = 0
-            for q in queries:
-                want = {kid for kid, _ in search(exact, q, 10)}
-                got = {kid for kid, _ in search(graph, q, 10, search_width=width)}
-                hits += len(want & got)
-            recalls.append(hits)
-        assert all(a <= b + 3 for a, b in zip(recalls, recalls[1:]))  # noise margin
-        assert recalls[-1] >= recalls[0]
 
     @pytest.mark.parametrize("seed", range(10))
     def test_cut_inside_identical_rows_follows_ids(self, seed):
@@ -278,31 +256,18 @@ class TestGraph:
         v = np.vstack([unit_vectors(rng, 200, 8), np.tile(unit_vectors(rng, 1, 8), (20, 1))])
         ids = rng.permutation(220)
         exact = build_exact(v, ids)
-        graph = build_graph(v, ids, max_degree=8, build_width=16, seed=seed)
+        graph = build_graph(v, ids, seed=seed)
         query = v[-1] + rng.normal(0, 1e-3, 8)
         for k in (5, 10, 15):
-            assert search(graph, query, k, search_width=40) == search(exact, query, k)
+            assert search(graph, query, k) == search(exact, query, k)
 
     def test_build_determinism(self, rng):
         v = unit_vectors(rng, 200, 8)
-        a = build_graph(v, np.arange(200), max_degree=8, build_width=16, seed=9)
-        b = build_graph(v, np.arange(200), max_degree=8, build_width=16, seed=9)
+        a = build_graph(v, np.arange(200), seed=9)
+        b = build_graph(v, np.arange(200), seed=9)
         assert np.array_equal(a.offsets, b.offsets)
         assert np.array_equal(a.neighbors, b.neighbors)
         assert a.entry == b.entry
-
-    def test_parameter_validation(self, rng):
-        v = unit_vectors(rng, 10, 4)
-        with pytest.raises(ValidationError, match="max_degree"):
-            build_graph(v, np.arange(10), max_degree=1)
-        with pytest.raises(ValidationError, match="build_width"):
-            build_graph(v, np.arange(10), max_degree=8, build_width=4)
-
-    @pytest.mark.parametrize("slack", [np.nan, np.inf, 0.99])
-    def test_slack_not_finite_and_at_least_one_rejected(self, rng, slack):
-        v = unit_vectors(rng, 10, 4)
-        with pytest.raises(ValidationError, match="prune_slack"):
-            build_graph(v, np.arange(10), max_degree=4, build_width=8, prune_slack=slack)
 
 
 class TestKind:
@@ -310,20 +275,20 @@ class TestKind:
 
     def test_fields_are_what_search_reads(self):
         assert [f.name for f in fields(DenseIndex)] == [
-            "vectors", "ids", "offsets", "neighbors", "entry", "max_degree"]
+            "vectors", "ids", "offsets", "neighbors", "entry"]
 
     def test_exact_index_plus_a_csr_searches_as_the_graph(self, rng):
         v = unit_vectors(rng, 300, 8)
-        graph = build_graph(v, np.arange(300), max_degree=8, build_width=16, seed=0)
+        graph = build_graph(v, np.arange(300), seed=0)
         joined = replace(build_exact(v, np.arange(300)), offsets=graph.offsets,
                          neighbors=graph.neighbors, entry=graph.entry)
         queries = rng.normal(size=(20, 8))
         assert (joined.kind, graph.kind) == (GRAPH, GRAPH)
-        assert search_batch(joined, queries, 10, 12) == search_batch(graph, queries, 10, 12)
+        assert search_batch(joined, queries, 10) == search_batch(graph, queries, 10)
 
     def test_graph_without_its_csr_searches_as_build_exact(self, rng):
         v = unit_vectors(rng, 300, 8)
-        graph = build_graph(v, np.arange(300), max_degree=8, build_width=16, seed=0)
+        graph = build_graph(v, np.arange(300), seed=0)
         bare = replace(graph, offsets=None, neighbors=None)
         queries = rng.normal(size=(20, 8))
         assert bare.kind == EXACT
@@ -332,14 +297,14 @@ class TestKind:
 
 
 def assert_graph_invariants(index):
-    """Rows sorted and unique, no self-loop, at most max_degree neighbours,
-    every node reachable from the entry point."""
+    """Rows sorted and unique, no self-loop, at most ``_MAX_DEGREE``
+    neighbours, every node reachable from the entry point."""
     n = len(index)
     rows = [index.neighbors[index.offsets[r]:index.offsets[r + 1]] for r in range(n)]
     for row, nbrs in enumerate(rows):
         assert np.all(np.diff(nbrs) > 0), row
         assert row not in nbrs
-        assert len(nbrs) <= index.max_degree
+        assert len(nbrs) <= dense_index._MAX_DEGREE
     reached = {index.entry}
     stack = [index.entry]
     while stack:
@@ -353,12 +318,12 @@ def assert_graph_invariants(index):
 class TestGraphInvariants:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_tiny_catalogs(self, rng, n):
-        index = build_graph(unit_vectors(rng, n, 8), np.arange(n), max_degree=4, build_width=8)
+        index = build_graph(unit_vectors(rng, n, 8), np.arange(n))
         assert_graph_invariants(index)
 
     def test_catalog_of_twenty_identical_rows(self, rng):
         v = np.tile(unit_vectors(rng, 1, 8), (20, 1))
-        index = build_graph(v, np.arange(20), max_degree=8, build_width=16)
+        index = build_graph(v, np.arange(20))
         assert_graph_invariants(index)
 
     @pytest.mark.parametrize("seed", range(3))
@@ -366,33 +331,32 @@ class TestGraphInvariants:
         v = unit_vectors(rng, 220, 8)
         copies = rng.choice(220, 20, replace=False)
         v[copies] = v[copies[0]]
-        index = build_graph(v, np.arange(220) * 2, max_degree=8, build_width=16, seed=seed)
+        index = build_graph(v, np.arange(220) * 2, seed=seed)
         assert_graph_invariants(index)
         # The graph search finds every copy, in id order.
-        got = search(index, v[copies[0]] + rng.normal(0, 1e-3, 8), 20, search_width=40)
+        got = search(index, v[copies[0]] + rng.normal(0, 1e-3, 8), 20)
         assert [kid for kid, _ in got] == sorted((copies * 2).tolist())
 
     def test_more_rows_than_one_full_batch(self, rng):
-        index = build_graph(unit_vectors(rng, 700, 8), np.arange(700), max_degree=8,
-                            build_width=16, seed=5)
+        index = build_graph(unit_vectors(rng, 700, 8), np.arange(700), seed=5)
         assert_graph_invariants(index)
 
 
-def random_graph_index(rng, n, dim, max_degree=8):
+def random_graph_index(rng, n, dim, max_neighbors=8):
     """Random rows, the first third of them copies of row 0, joined by a
-    random CSR graph of up to ``max_degree`` neighbours per row."""
+    random CSR graph of up to ``max_neighbors`` neighbours per row."""
     v = unit_vectors(rng, n, dim)
     v[:n // 3] = v[0]
     rows = []
     for row in range(n):
-        degree = int(rng.integers(0, min(max_degree, n - 1) + 1))
+        degree = int(rng.integers(0, min(max_neighbors, n - 1) + 1))
         nbrs = rng.choice(n - 1, degree, replace=False)
         rows.append(np.sort(nbrs + (nbrs >= row)))
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum([len(r) for r in rows], out=offsets[1:])
     neighbors = np.concatenate(rows).astype(np.int32)
     return replace(build_exact(v, np.arange(n)), offsets=offsets,
-                   neighbors=neighbors, entry=int(rng.integers(n)), max_degree=max_degree)
+                   neighbors=neighbors, entry=int(rng.integers(n)))
 
 
 def graph_search(index, queries, width, beam):
@@ -424,7 +388,7 @@ class TestGraphSearch:
         rng = np.random.default_rng(18)
         for _ in range(200):
             n = int(rng.integers(1, 200))
-            index = random_graph_index(rng, n, dim=4, max_degree=int(rng.integers(2, 40)))
+            index = random_graph_index(rng, n, dim=4, max_neighbors=int(rng.integers(2, 40)))
             query = rng.normal(size=4)
             query /= np.linalg.norm(query)
             (rows,), _, expanded = graph_search(index, query.astype(np.float32)[None], n,
@@ -441,15 +405,15 @@ class TestGraphSearch:
         v = unit_vectors(rng, 2000, 16)
         ids = np.arange(2000)
         exact = build_exact(v, ids)
-        graph = build_graph(v, ids, max_degree=16, build_width=32, seed=1)
+        graph = build_graph(v, ids, seed=1)
         hits = oracle_hits = 0
         for _ in range(50):
             q = rng.normal(size=16)
             want = {kid for kid, _ in search(exact, q, 10)}
-            got = {kid for kid, _ in search(graph, q, 10, search_width=64)}
-            rows, _ = scalar_greedy_search(
-                graph.vectors, graph.offsets, graph.neighbors, graph.entry, q / np.linalg.norm(q), 64
-            )
+            got = {kid for kid, _ in search(graph, q, 10)}
+            rows, _ = scalar_greedy_search(graph.vectors, graph.offsets, graph.neighbors,
+                                           graph.entry, q / np.linalg.norm(q),
+                                           dense_index._SEARCH_WIDTH)
             found = naive_topk(graph.vectors[rows], graph.ids[rows], q, 10)
             hits += len(want & got)
             oracle_hits += len(want & {kid for kid, _ in found})
@@ -488,7 +452,7 @@ class TestBuildSearch:
         rng = np.random.default_rng(20)
         v = unit_vectors(rng, 600, 8)
         v[:40] = v[0]
-        want = build_graph(v, np.arange(600), max_degree=8, build_width=16, seed=3)
+        want = build_graph(v, np.arange(600), seed=3)
         groups = []
         search_group = dense_index._search_group
 
@@ -498,7 +462,7 @@ class TestBuildSearch:
 
         monkeypatch.setattr(dense_index, "_search_group", spy)
         monkeypatch.setattr(dense_index, "_MASK_BYTES", 1)
-        got = build_graph(v, np.arange(600), max_degree=8, build_width=16, seed=3)
+        got = build_graph(v, np.arange(600), seed=3)
         assert groups == [1] * 600  # batches of up to 12 points, searched one by one
         assert np.array_equal(got.offsets, want.offsets)
         assert np.array_equal(got.neighbors, want.neighbors)
@@ -569,7 +533,8 @@ class TestBatchBounds:
 class TestBatchedPrune:
     @pytest.mark.parametrize("width", [6, 32, 64])
     @pytest.mark.parametrize("slack", [1.0, 1.2])
-    def test_keeps_the_scalar_oracles_neighbours(self, slack, width):
+    def test_keeps_the_scalar_oracles_neighbours(self, monkeypatch, slack, width):
+        monkeypatch.setattr(dense_index, "_PRUNE_SLACK", slack)
         rng = np.random.default_rng(17)
         vectors = build_exact(unit_vectors(rng, 400, width), np.arange(400)).vectors
         max_degree = 6
@@ -583,7 +548,7 @@ class TestBatchedPrune:
                 offered = np.r_[point, offered, point]
             lists.append(rng.permutation(offered))
         owners = np.repeat(np.arange(len(points)), [len(c) for c in lists])
-        got = _robust_prune(vectors, points, owners, np.concatenate(lists), slack,
+        got = _robust_prune(vectors, points, owners, np.concatenate(lists),
                             np.full(len(points), max_degree), np.arange(400))
         sizes = []
         for point, offered, row in zip(points, lists, got):
@@ -596,18 +561,60 @@ class TestBatchedPrune:
     def test_offers_of_the_point_alone_keep_nothing(self, rng):
         vectors = unit_vectors(rng, 5, 4).astype(np.float32)
         got = _robust_prune(vectors, np.array([1, 3]), np.array([0, 0, 1]), np.array([1, 1, 3]),
-                            1.2, np.array([2, 2]), np.arange(5))
+                            np.array([2, 2]), np.arange(5))
         assert got.tolist() == [[-1, -1], [-1, -1]]
 
     @pytest.mark.parametrize("slack, kept", [(1.0, [1]), (1.2, [1, 2])])
-    def test_exact_tie_is_killed(self, slack, kept):
+    def test_exact_tie_is_killed(self, monkeypatch, slack, kept):
         # Row 2 is orthogonal to the point and to row 1, so dist(1, 2) and
         # dist(0, 2) are both exactly 1: slack 1.0 drops row 2, 1.2 keeps it.
+        monkeypatch.setattr(dense_index, "_PRUNE_SLACK", slack)
         vectors = np.array([[1, 0, 0], [0.6, 0.8, 0], [0, 0, 1]], dtype=np.float32)
         got = _robust_prune(vectors, np.array([0]), np.zeros(3, dtype=np.int64),
-                            np.array([2, 1, 0]), slack, np.array([3]), np.arange(3))
+                            np.array([2, 1, 0]), np.array([3]), np.arange(3))
         assert got.tolist() == [kept + [-1] * (3 - len(kept))]
         assert scalar_robust_prune(vectors, 0, [2, 1, 0], 3, slack) == kept
+
+
+def _planted(rng, n, dim, copies):
+    """``n`` unit rows, then near-copies of the first ``copies`` of them."""
+    base = unit_vectors(rng, n, dim)
+    return np.vstack([base, base[:copies] + rng.normal(0, 1e-4, (copies, dim))])
+
+
+def _random_cluster_inputs():
+    """Random rows with exact copies, under shuffled ids, at thresholds from
+    1.0, where a row's similarity to its copy rounds to either side of the
+    threshold, down to 0.3; some rows on a coarse grid, whose dot products tie."""
+    rng = np.random.default_rng(21)
+    for trial in range(60):
+        n, dim = int(rng.integers(1, 300)), int(rng.choice([2, 4, 16, 33]))
+        v = rng.normal(size=(n, dim))
+        if trial % 4 == 0:
+            v = np.round(v)
+            v[np.all(v == 0, axis=1), 0] = 1.0
+        copies = rng.integers(0, n, int(rng.integers(0, n + 1)))
+        v[rng.integers(0, n, len(copies))] = v[copies]
+        yield v, rng.permutation(n) * 3 + 1, float(rng.choice([1.0, 1.0, 0.999, 0.95, 0.6, 0.3]))
+
+
+#: Every input ``cluster_keywords`` is run on in the tests and demos, as
+#: (vectors, ids, threshold): the ``rng`` fixture's rows of TestClustering,
+#: test_acceptance's and demo 04's planted near-duplicates, and random rows.
+CLUSTER_INPUTS = {
+    "distinct": lambda: [(unit_vectors(np.random.default_rng(20240801), 20, 8), np.arange(20),
+                          1.0)],
+    "identical": lambda: [(np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.array([5, 9, 11]),
+                           0.99)],
+    "fifty": lambda: [(unit_vectors(np.random.default_rng(20240801), 50, 8), np.arange(50), 0.9)],
+    "planted": lambda: [(_planted(np.random.default_rng(20240801), 90, 16, 10), np.arange(100),
+                         0.999)],
+    "acceptance": lambda: [(_planted(np.random.default_rng(1212), 1000, 16, 100), np.arange(1100),
+                            0.999)],
+    "demo-04": lambda: [(_planted(np.random.default_rng(0), 4000, 32, 400), np.arange(4400),
+                         0.999)],
+    "random": _random_cluster_inputs,
+}
 
 
 class TestClustering:
@@ -643,6 +650,18 @@ class TestClustering:
         v = unit_vectors(rng, 3, 4)
         with pytest.raises(ValidationError):
             cluster_keywords(v, np.arange(3), 0.0)
+
+    @pytest.mark.parametrize("name", list(CLUSTER_INPUTS))
+    @pytest.mark.parametrize("blocks", ["whole", "small"])
+    def test_the_map_is_the_row_at_a_time_loops(self, monkeypatch, name, blocks):
+        # Small blocks split the inputs over many GEMMs and leave rows that
+        # reach an earlier row of their block to the loop over the block.
+        if blocks == "small":
+            monkeypatch.setattr(dense_index, "_CLUSTER_ROWS", 7)
+            monkeypatch.setattr(dense_index, "_CLUSTER_BLOCK", 300)
+        for vectors, ids, threshold in CLUSTER_INPUTS[name]():
+            assert cluster_keywords(vectors, ids, threshold) == \
+                loop_cluster_keywords(vectors, ids, threshold)
 
 
 class TestRowRule:
@@ -698,7 +717,6 @@ CORRUPT_GRAPHS = [
         lambda g: {"offsets": np.r_[0, g.offsets[2], g.offsets[1], g.offsets[3:]]},
         "offsets", id="offsets-decrease",
     ),
-    pytest.param(lambda g: {"max_degree": 1}, "more than 1 neighbors", id="degree"),
 ]
 
 
@@ -707,17 +725,12 @@ class TestGraphChecks:
 
     @pytest.mark.parametrize("corrupt, message", CORRUPT_GRAPHS)
     def test_corrupt_graph_rejected(self, rng, corrupt, message):
-        index = build_graph(unit_vectors(rng, 20, 4), np.arange(20), max_degree=4, build_width=8)
+        index = build_graph(unit_vectors(rng, 20, 4), np.arange(20))
         with pytest.raises(ValidationError, match=message):
             replace(index, **corrupt(index))
 
-    def test_bad_max_degree_rejected(self, rng):
-        index = build_graph(unit_vectors(rng, 2, 4), np.arange(2), max_degree=2, build_width=2)
-        with pytest.raises(ValidationError, match="max_degree must be >= 2"):
-            replace(index, max_degree=1)
-
     def test_offsets_without_neighbors_rejected(self, rng):
-        index = build_graph(unit_vectors(rng, 20, 4), np.arange(20), max_degree=4, build_width=8)
+        index = build_graph(unit_vectors(rng, 20, 4), np.arange(20))
         with pytest.raises(ValidationError, match="both offsets and neighbors"):
             replace(index, neighbors=None)
 
@@ -727,7 +740,7 @@ class TestGraphChecks:
             index.ids = np.arange(20) + 100
 
     def test_arrays_are_read_only_views(self, rng):
-        graph = build_graph(unit_vectors(rng, 20, 4), np.arange(20), max_degree=4, build_width=8)
+        graph = build_graph(unit_vectors(rng, 20, 4), np.arange(20))
         ids, offsets, neighbors = np.arange(20), graph.offsets.copy(), graph.neighbors.copy()
         index = replace(graph, ids=ids, offsets=offsets, neighbors=neighbors)
         for name in ("vectors", "ids", "offsets", "neighbors"):
@@ -754,7 +767,7 @@ class TestPersistence:
     def test_graph_roundtrip(self, tmp_path, rng):
         v = unit_vectors(rng, 60, 8)
         ids = np.arange(60)
-        index = build_graph(v, ids, max_degree=8, build_width=16, seed=4)
+        index = build_graph(v, ids, seed=4)
         save_embeddings(tmp_path / "e.kemb", index.vectors, index.ids)
         save_graph(tmp_path / "g.kgra", index)
         back_v, back_ids = load_embeddings(tmp_path / "e.kemb")
@@ -765,7 +778,7 @@ class TestPersistence:
     @pytest.mark.parametrize("kind", [EXACT, GRAPH])
     def test_loaded_rows_and_ids_view_one_sealed_buffer(self, tmp_path, rng, kind):
         v = unit_vectors(rng, 21, 5).astype(np.float32)  # odd widths: the ids start unaligned
-        index = build_graph(v, np.arange(21) * 3, max_degree=4, build_width=8)
+        index = build_graph(v, np.arange(21) * 3)
         save_embeddings(tmp_path / "e.kemb", index.vectors, index.ids)
         save_graph(tmp_path / "g.kgra", index)
         vectors, ids = load_embeddings(tmp_path / "e.kemb")
@@ -829,7 +842,7 @@ class TestPersistence:
 
     def test_graph_embeddings_mismatch(self, tmp_path, rng):
         v = unit_vectors(rng, 10, 4)
-        index = build_graph(v, np.arange(10), max_degree=4, build_width=8)
+        index = build_graph(v, np.arange(10))
         save_graph(tmp_path / "g.kgra", index)
         with pytest.raises(ValidationError, match="match"):
             load_graph(tmp_path / "g.kgra", v[:5], np.arange(5))
@@ -837,29 +850,15 @@ class TestPersistence:
     @pytest.mark.parametrize("corrupt, message", CORRUPT_GRAPHS)
     def test_corrupt_graph_rejected_at_load(self, tmp_path, rng, corrupt, message):
         v = unit_vectors(rng, 20, 4)
-        index = build_graph(v, np.arange(20), max_degree=4, build_width=8)
+        index = build_graph(v, np.arange(20))
         (tmp_path / "g.kgra").write_bytes(unchecked_kgra_bytes(index, **corrupt(index)))
         with pytest.raises(ValidationError, match=message):
             load_graph(tmp_path / "g.kgra", v, np.arange(20))
 
     def test_negative_edge_count_rejected_at_load(self, tmp_path, rng):
         v = unit_vectors(rng, 20, 4)
-        index = build_graph(v, np.arange(20), max_degree=4, build_width=8)
+        index = build_graph(v, np.arange(20))
         offsets = np.r_[index.offsets[:-1], -3]  # a negative edge count
         (tmp_path / "g.kgra").write_bytes(unchecked_kgra_bytes(index, offsets=offsets))
         with pytest.raises(ValidationError, match="byte count -12 is negative"):
             load_graph(tmp_path / "g.kgra", v, np.arange(20))
-
-    @pytest.mark.parametrize(
-        "header, message",
-        [
-            pytest.param({"max_degree": 1}, "max_degree must be >= 2", id="max-degree"),
-        ],
-    )
-    def test_bad_build_parameters_rejected_at_load(self, tmp_path, rng, header, message):
-        # Two rows: one neighbour each, so a max_degree of 1 fits the rows.
-        v = unit_vectors(rng, 2, 4)
-        index = build_graph(v, np.arange(2), max_degree=2, build_width=2)
-        (tmp_path / "g.kgra").write_bytes(unchecked_kgra_bytes(index, **header))
-        with pytest.raises(ValidationError, match=message):
-            load_graph(tmp_path / "g.kgra", v, np.arange(2))

@@ -23,7 +23,6 @@ from unikw import (
     save_params,
     serialize,
 )
-from unikw.dense_index import _GRAPH_VERSION
 from unikw.fileio import checksum64, frame
 
 from oracles import unchecked_kenc_bytes
@@ -38,7 +37,7 @@ def _write_trie(path):
 
 
 def _write_graph(path):
-    save_graph(path, build_graph(_VECTORS, _IDS, max_degree=4, build_width=8))
+    save_graph(path, build_graph(_VECTORS, _IDS))
 
 
 FORMATS = [
@@ -58,7 +57,7 @@ FORMATS = [
 
 
 #: Each format's current version: every one has the SHA-256/64 footer.
-VERSIONS = {b"KTRI": 4, b"KEMB": 3, b"KGRA": 4, b"KENC": 3}
+VERSIONS = {b"KTRI": 4, b"KEMB": 3, b"KGRA": 5, b"KENC": 3}
 
 
 @pytest.mark.parametrize("magic, what, write, read", FORMATS)
@@ -116,33 +115,42 @@ def test_trailing_body_byte_rejected(tmp_path, magic, what, write, read):
 
 
 def test_kgra_format_pinned(tmp_path):
-    """KGRA, byte by byte: magic, u32 version, a ``<QIQ`` header (rows,
-    max_degree, entry row), ``n + 1`` i64 offsets, the i32 neighbour rows
-    and the checksum footer of every byte before it."""
+    """KGRA, byte by byte: magic, u32 version 5, a ``<QQ`` header (rows,
+    entry row), ``n + 1`` i64 offsets, the i32 neighbour rows and the
+    checksum footer of every byte before it."""
     index = replace(build_exact(_VECTORS[:3], _IDS[:3]), offsets=np.array([0, 2, 3, 4]),
-                    neighbors=np.array([1, 2, 0, 1], dtype=np.int32), entry=2, max_degree=5)
+                    neighbors=np.array([1, 2, 0, 1], dtype=np.int32), entry=2)
     save_graph(tmp_path / "g.kgra", index)
-    head = b"".join((b"KGRA", struct.pack("<I", _GRAPH_VERSION), struct.pack("<QIQ", 3, 5, 2),
+    head = b"".join((b"KGRA", struct.pack("<I", 5), struct.pack("<QQ", 3, 2),
                      struct.pack("<4q", 0, 2, 3, 4), struct.pack("<4i", 1, 2, 0, 1)))
     assert (tmp_path / "g.kgra").read_bytes() == head + struct.pack("<Q", checksum64(head))
     back = load_graph(tmp_path / "g.kgra", _VECTORS[:3], _IDS[:3])
     assert (back.offsets.tolist(), back.neighbors.tolist()) == ([0, 2, 3, 4], [1, 2, 0, 1])
-    assert (back.entry, back.max_degree) == (2, 5)
+    assert back.entry == 2
 
 
 def graph_version_2(data: bytes) -> bytes:
     """A current KGRA file rewritten as version 2, in that version's layout:
-    its ``<QIIdQ`` header also held build_width and prune_slack."""
-    n, max_degree, entry = struct.unpack_from("<QIQ", data, 8)
-    header = struct.pack("<QIIdQ", n, max_degree, 2 * max_degree, 1.2, entry)
-    return frame(b"KGRA", 2, header + data[8 + struct.calcsize("<QIQ"):-8])
+    its ``<QIIdQ`` header held max_degree, build_width and prune_slack."""
+    n, entry = struct.unpack_from("<QQ", data, 8)
+    header = struct.pack("<QIIdQ", n, 32, 64, 1.2, entry)
+    return frame(b"KGRA", 2, header + data[8 + struct.calcsize("<QQ"):-8])
 
 
-def test_graph_version_2_rejected(tmp_path):
+def graph_version_4(data: bytes) -> bytes:
+    """A current KGRA file rewritten as version 4, in that version's layout:
+    its ``<QIQ`` header held max_degree."""
+    n, entry = struct.unpack_from("<QQ", data, 8)
+    header = struct.pack("<QIQ", n, 32, entry)
+    return frame(b"KGRA", 4, header + data[8 + struct.calcsize("<QQ"):-8])
+
+
+@pytest.mark.parametrize("version, rewrite", [(2, graph_version_2), (4, graph_version_4)])
+def test_old_graph_version_rejected(tmp_path, version, rewrite):
     path = tmp_path / "g.kgra"
     _write_graph(path)
-    path.write_bytes(graph_version_2(path.read_bytes()))
-    with pytest.raises(ValidationError, match="unsupported graph version 2"):
+    path.write_bytes(rewrite(path.read_bytes()))
+    with pytest.raises(ValidationError, match=f"unsupported graph version {version}"):
         load_graph(path, _VECTORS, _IDS)
 
 

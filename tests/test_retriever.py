@@ -341,8 +341,7 @@ def loaded(tmp_path_factory):
                 bundle / "encoder.kenc")
     assert main(["index", "--checkpoint", str(bundle / "encoder.kenc"),
                  "--keywords", str(paths["keywords"]), "--vocab", str(vocab),
-                 "--kind", "graph", "--max-degree", "4", "--build-width", "8",
-                 "--cluster-threshold", "0.3", "--out", str(bundle)]) == 0
+                 "--kind", "graph", "--cluster-threshold", "0.3", "--out", str(bundle)]) == 0
     return load_bundle(bundle)
 
 

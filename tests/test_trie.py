@@ -336,6 +336,7 @@ class TestLayoutChecks:
             ("node_keyword", [7, -1, -1, 0, -1, 2, 1], "terminal nodes must be leaves, not the root"),
             ("node_keyword", [-1, 7, -1, 0, -1, 2, 1], "terminal nodes must be leaves"),
             ("node_keyword", [-1, -1, -1, 0, -1, 2, -1], "every other leaf a terminal"),
+            ("offsets", [0, 0, 2, 4, 5, 6, 6, 6], "BFS order"),  # node 1 owns the edge to itself
         ],
     )
     def test_bad_layout_rejected(self, field, value, message):
@@ -440,6 +441,13 @@ class TestCraftedFiles:
     def test_corrupt_degree_bits_rejected(self, bits, message):
         with pytest.raises(ValidationError, match=message):
             from_bytes(crafted_ktri(7, 3, bits + LABELS + IDS))
+
+    def test_a_node_that_owns_the_edge_to_itself_rejected(self):
+        # Degrees 0, 2, 0 (bits 01100): node 1 owns edges 0 and 1, which lead
+        # to nodes 1 and 2, so node 1 is its own child and no edge leaves the root.
+        data = crafted_ktri(3, 1, bytes([0b01100000, 5, 6, 0]))
+        with pytest.raises(ValidationError, match="BFS order"):
+            from_bytes(data)
 
     @pytest.mark.parametrize("ids", [IDS[:2], IDS + b"\3"], ids=["fewer", "more"])
     def test_keyword_count_other_than_the_leaf_count_rejected(self, ids):
