@@ -70,7 +70,6 @@ from .errors import ConsistencyError, TrainingDiverged, ValidationError
 from .evaluation import compute_metrics, load_labels, token_overlap_scorer
 from .retriever import (
     EngineBundle,
-    chunk_size,
     overlap_stats,
     results_to_jsonl_line,  # noqa: F401 -- kept so the benchmark's tracer finds it
     retrieve,
@@ -295,16 +294,15 @@ def cmd_retrieve(args) -> int:
         dense_k=args.topk,
     )
     queries = _read_queries(args.queries)
-    # Each chunk's lines are written, and its results freed, before the
-    # next chunk runs, into a temporary file beside --out that replaces it
-    # only once every chunk has succeeded.
+    # retrieve_lines serves the queries a chunk at a time as its lines are
+    # taken, so each chunk's lines are written, and its results freed, before
+    # the next chunk runs.  They go to a temporary file beside --out that
+    # replaces it only once every chunk has succeeded.
     out = Path(args.out)
     partial = out.with_name(f".{out.name}.{os.getpid()}.partial")
-    size = chunk_size(bundle)
     try:
         with open(partial, "w", encoding="utf-8") as f:
-            for lo in range(0, len(queries), size):
-                f.writelines(map("{}\n".format, retrieve_lines(bundle, queries[lo:lo + size])))
+            f.writelines(map("{}\n".format, retrieve_lines(bundle, queries)))
         os.replace(partial, out)
     finally:
         partial.unlink(missing_ok=True)

@@ -33,17 +33,18 @@ The merge yields a query's columns: the ids of each source, both score
 maps and the texts of one ``Catalog.texts`` call.  ``retrieve_batch``
 builds ``RetrievalResult`` rows from them; ``retrieve_lines``, which
 ``unikw retrieve`` writes, builds each JSON line straight from them, with
-no rows and no per-hit dicts.  There is one JSON writer, and
-``results_to_jsonl_line`` writes rows through it: every line holds the
-bytes of ``json.dumps({"query": q, "results": [r.to_json_obj() for r in
-rows]}, ensure_ascii=False)``.
+no rows and no per-hit dicts.  That column writer is the one fast JSON
+writer.  ``results_to_jsonl_line`` is its reference: ``json.dumps({"query":
+q, "results": [r.to_json_obj() for r in rows]}, ensure_ascii=False)``, whose
+bytes every line of ``retrieve_lines`` holds.
 """
 
 from __future__ import annotations
 
+import json
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
-from itertools import chain, compress, filterfalse, groupby
+from itertools import chain, filterfalse
 from json.encoder import encode_basestring
 from types import MappingProxyType
 from typing import NamedTuple
@@ -272,11 +273,12 @@ def retrieve_batch(bundle: EngineBundle, queries: Sequence[str]) -> list[list[Re
     return list(map(_merge, _columns(bundle, queries)))
 
 
-def retrieve_lines(bundle: EngineBundle, queries: Sequence[str]) -> list[str]:
-    """The JSON line of each query's merged results, in order: the bytes of
-    ``results_to_jsonl_line(q, retrieve(bundle, q))``, written straight from
-    the merge's columns, with no rows and no per-hit dicts."""
-    return list(map(_columns_line, queries, _columns(bundle, queries)))
+def retrieve_lines(bundle: EngineBundle, queries: Sequence[str]) -> Iterator[str]:
+    """An iterator over the JSON line of each query's merged results, in
+    order: the bytes of ``results_to_jsonl_line(q, retrieve(bundle, q))``,
+    written straight from the merge's columns, with no rows and no per-hit
+    dicts.  It serves a chunk at a time, as its lines are taken."""
+    return map(_columns_line, queries, _columns(bundle, queries))
 
 
 def retrieve(bundle: EngineBundle, query_text: str) -> list[RetrievalResult]:
@@ -300,10 +302,10 @@ def overlap_stats(results_a, results_b) -> dict[str, float]:
     }
 
 
-# The JSON writer.  A line holds the bytes of ``json.dumps({"query": query,
-# "results": [r.to_json_obj() for r in rows]}, ensure_ascii=False)``, without
-# the dicts: each run of hits that share a source and the scores they hold
-# fills one template, whose keys are in ``to_json_obj``'s order, with one ``%``.
+# The column writer.  A line holds the bytes of ``results_to_jsonl_line``, the
+# ``json.dumps`` reference at the end of this module, without the dicts: each
+# run of hits that share a source and the scores they hold fills one template,
+# whose keys are in ``to_json_obj``'s order, with one ``%``.
 # Texts go through ``encode_basestring``, the C escaper ``json.dumps`` uses
 # when ``ensure_ascii`` is off, and floats are written as ``json`` writes them.
 
@@ -353,16 +355,7 @@ def _columns_line(query: str, columns: _Columns) -> str:
     ))
 
 
-def _shape(row: RetrievalResult) -> tuple[str, bool, bool]:
-    return row.source, row.nlg_score is not None, row.dr_score is not None
-
-
 def results_to_jsonl_line(query: str, results: Sequence[RetrievalResult]) -> str:
-    """The JSON line of ``query`` and its rows, in their order: one run per
-    stretch of rows that share a source and the scores they hold."""
-    runs = []
-    for (source, has_nlg, has_dr), rows in groupby(results, _shape):
-        ids, texts, nlg, dr, _ = zip(*rows)
-        runs.append(_run(_template(source, has_nlg, has_dr), texts, ids,
-                         *compress((nlg, dr), (has_nlg, has_dr))))
-    return _line(query, runs)
+    """The JSON line of ``query`` and its rows, in their order."""
+    return json.dumps({"query": query, "results": [r.to_json_obj() for r in results]},
+                      ensure_ascii=False)

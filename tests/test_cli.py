@@ -523,23 +523,22 @@ class TestPipeline:
         assert err["error"]["kind"] == "validation" and message in err["error"]["message"]
 
     def test_failing_query_leaves_no_out_file(self, pipeline, tmp_path, capsys, monkeypatch):
-        from unikw import cli
+        from unikw import retriever
 
-        size = cli.chunk_size(load_bundle(pipeline["bundle"]))
+        size = retriever.chunk_size(load_bundle(pipeline["bundle"]))
         texts = pipeline["paths"]["queries"].read_text(encoding="utf-8").splitlines()
         queries = tmp_path / "queries.txt"  # two chunks and one query more
         queries.write_text("".join(texts[i % len(texts)] + "\n" for i in range(2 * size + 1)),
                            encoding="utf-8")
-        served, retrieve_lines = [], cli.retrieve_lines
+        served, channels = [], retriever._channels
 
         def fail_in_second_chunk(bundle, chunk):
             served.append(len(chunk))
-            lines = retrieve_lines(bundle, chunk)
             if len(served) == 2:
                 raise ConsistencyError("decoding orders disagree")
-            return lines
+            return channels(bundle, chunk)
 
-        monkeypatch.setattr(cli, "retrieve_lines", fail_in_second_chunk)
+        monkeypatch.setattr(retriever, "_channels", fail_in_second_chunk)
         out = tmp_path / "out"
         out.mkdir()
         code = main([
@@ -819,6 +818,28 @@ class TestChunkedRetrieve:
                      "--out", str(out)]) == 0
         want = [results_to_jsonl_line(q, retrieve(bundle, q)) for q in queries]
         assert out.read_text(encoding="utf-8").splitlines() == want
+
+    def test_lines_are_served_a_chunk_at_a_time(self, pipeline, monkeypatch):
+        """`retrieve_lines` serves a chunk only when its lines are taken, so
+        `unikw retrieve` writes each chunk before it serves the next."""
+        from unikw import retriever
+
+        bundle = load_bundle(pipeline["bundle"])
+        texts = pipeline["paths"]["queries"].read_text(encoding="utf-8").splitlines()
+        queries = [texts[i % len(texts)] for i in range(2 * chunk_size(bundle) + 1)]
+        served, channels = [], retriever._channels
+
+        def count(bundle, chunk):
+            served.append(len(chunk))
+            return channels(bundle, chunk)
+
+        monkeypatch.setattr(retriever, "_channels", count)
+        lines = iter(retriever.retrieve_lines(bundle, queries))
+        first = next(lines)
+        assert served == [chunk_size(bundle)]
+        got = [first, *lines]
+        assert served == [chunk_size(bundle)] * 2 + [1]
+        assert got == [results_to_jsonl_line(q, retrieve(bundle, q)) for q in queries]
 
     def test_lines_are_the_reference_for_texts_that_need_escaping(self, tmp_path):
         """Quotes, backslashes and control characters are escaped, and
