@@ -275,10 +275,11 @@ _LINE_BREAKS = np.array([0x0A, 0x0B, 0x0C, 0x0D, 0x1C, 0x1D, 0x1E, 0x85, 0x2028,
 
 @dataclass(frozen=True, repr=False)
 class Catalog(Sequence):
-    """The keyword catalog as one string and one read-only offsets array.
-    Frozen; construction finds the text's lines, as ``str.splitlines`` gives
-    them, by array operations on the code points (the bytes of ASCII text,
-    else its UTF-32) and rejects a blank line.  Each ``\\r\\n`` is held as
+    """The keyword catalog as one string and one read-only offsets array,
+    int32 (int64 for a text of 2**31 - 1 characters or more).  Frozen;
+    construction finds the text's lines, as ``str.splitlines`` gives them,
+    by array operations on the code points (the bytes of ASCII text, else
+    its UTF-32) and rejects a blank line.  Each ``\\r\\n`` is held as
     ``\\n``, so keyword i is ``text[starts[i]:starts[i + 1] - 1]``; no string
     is made per keyword until ``texts`` fetches many at once."""
 
@@ -302,7 +303,8 @@ class Catalog(Sequence):
             codes = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
             near = np.flatnonzero((codes < 0x1F) | (codes == 0x85) | ((codes | 1) == 0x2029))
         breaks = near[np.isin(codes[near], _LINE_BREAKS)]
-        starts = np.empty(len(breaks) + 2, dtype=np.int64)  # last: end of an unbroken last line
+        # int32 unless the text is too long for it; the last: end of an unbroken last line.
+        starts = np.empty(len(breaks) + 2, dtype=np.int32 if len(text) < 2**31 - 1 else np.int64)
         starts[0], starts[-1] = 0, len(text) + 1
         np.add(breaks, 1, out=starts[1:-1])
         starts = starts[:-1] if starts[-2] == len(text) else starts

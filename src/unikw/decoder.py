@@ -47,6 +47,7 @@ holding NaN (or +inf, which meets -inf on a path as NaN) is rejected;
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from operator import sub
 
 import numpy as np
 
@@ -148,15 +149,16 @@ def beam_search(
         node, row, row_step = parts[:, 1], parts[:, 0] - 1, -1
     score = np.zeros(len(node))
     rank = np.zeros(len(node), dtype=np.int64)
-    done_ids, done_scores = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
+    done_ids, done_scores = [np.zeros(0, dtype=trie.node_keyword.dtype)], [np.zeros(0)]
 
     while len(node):
         fits = (row >= 0) & (row < max_len)
         node, score, row, rank = node[fits], score[fits], row[fits], rank[fits]
         # Every edge of the frontier, parent by parent in beam order.
-        degree = offsets[node + 1] - offsets[node]
+        start = offsets[node].astype(np.intp)  # int32 offsets would make each step's sums mixed
+        degree = offsets[node + 1] - start
         parent = np.repeat(np.arange(len(node)), degree)
-        edge = np.repeat(offsets[node] - np.cumsum(degree) + degree, degree) + np.arange(len(parent))
+        edge = np.repeat(start - np.cumsum(degree) + degree, degree) + np.arange(len(parent))
         label = labels[edge]
         if len(label) and label.max() >= vocab_size:
             in_vocab = label < vocab_size
@@ -205,23 +207,30 @@ def permutation_decode(
 ) -> list[tuple[int, float]]:
     """Beam search per configured order, union by keyword id, rank by score.
 
-    One ``setdefault`` pass merges the orders' hits.  A keyword reached by
-    several orders must score identically (the sum of the same table
-    entries); any larger disagreement means the two tries were not built
-    over the same catalog and raises ConsistencyError.
+    The first order's hits seed the union, and each later order's hits go
+    in through one ``map`` of ``dict.setdefault``, which keeps the first
+    score of a keyword and hands it back.  A keyword reached by several
+    orders must score identically (the sum of the same table entries); any
+    larger disagreement means the two tries were not built over the same
+    catalog and raises ConsistencyError, naming the first such hit.  When
+    no later order adds a keyword, the first order's list, already ranked,
+    is the result; only otherwise is the union sorted.
     """
     tries = {FORWARD: forward_trie, REVERSED: reversed_trie}  # ``beam_search`` checks each
-    merged: dict[int, float] = {}
-    for order in config.orders:
-        trie = tries[_ORDER_DIRECTION[order]]
-        for keyword_id, score in beam_search(
-            prob_table, trie, replace(config, orders=(order,))
-        ):
-            if abs(merged.setdefault(keyword_id, score) - score) > SCORE_AGREEMENT_TOL:
-                raise ConsistencyError(
-                    f"keyword {keyword_id} scored {merged[keyword_id]!r} and "
-                    f"{score!r} under different orders"
-                )
-
+    first, *rest = [
+        beam_search(prob_table, tries[_ORDER_DIRECTION[order]], replace(config, orders=(order,)))
+        for order in config.orders
+    ]
+    merged = dict(first)
+    for later in filter(None, rest):
+        ids, scores = zip(*later)
+        kept = list(map(merged.setdefault, ids, scores))
+        if any(map(SCORE_AGREEMENT_TOL.__lt__, map(abs, map(sub, kept, scores)))):
+            at = next(i for i, (a, b) in enumerate(zip(kept, scores))
+                      if abs(a - b) > SCORE_AGREEMENT_TOL)
+            raise ConsistencyError(f"keyword {ids[at]} scored {kept[at]!r} and "
+                                   f"{scores[at]!r} under different orders")
+    if len(merged) == len(first):
+        return first  # sorted by (-score, id), one hit per id, at most beam_size
     ranked = sorted(merged.items(), key=lambda item: (-item[1], item[0]))
     return ranked[: config.beam_size]

@@ -19,6 +19,27 @@ encoder's rows and the dense hits are the same bits in any batch, so
 holds as many queries as keep their M x V tables within ``CHUNK_BYTES``;
 the dense search bounds its own scratch.
 
+Two channels side by side.  The channels share nothing after the encoder
+pass, so a chunk's exact dense search may run on a worker thread while
+the calling thread decodes the chunk; the call then waits for the search.
+It does so only when the index is exact, its float32 rows span at least
+``OVERLAP_BYTES`` (4 MiB, 65,536 rows at width 16) and the process may
+run on two CPUs or more (``os.sched_getaffinity``).  The scan's float32
+GEMV releases the GIL, so it runs beside the decode; below ~2 MiB of rows
+the scan is short and most of it is Python holding the GIL, so the
+hand-off costs more than it hides, and a graph search holds the GIL
+throughout.  Measured beside prefix100k's decode (2 vCPUs, numpy 2.4,
+OpenBLAS on one thread), a chunk's time as a share of its time in turn
+was 1.12-1.22 at 10k random unit rows of width 16 (0.61 MiB), 1.04-1.09
+at 35k (2.14 MiB), 0.91-0.98 at 50k and 0.73-0.77 at 100k (README,
+*Serving in chunks*); graph5k's ``retrieve`` got slower side by side,
+on its graph and with its rows served exactly.
+Every other bundle, and a process that cannot start a thread, serves the
+channels in turn.  The searches run on one pool of one thread, made on
+first use and dropped in a forked child.  The search runs before the
+decode in turn and its error is raised first side by side, so the
+results and the errors are the same either way.
+
 Merged ordering is a convention, not a model output: keywords found by
 both channels come first, then dense-only results, both by (-dense score,
 id), then generative-only results by (-generative score, id).  Since
@@ -42,12 +63,14 @@ bytes every line of ``retrieve_lines`` holds.
 from __future__ import annotations
 
 import json
+import os
+import threading
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from itertools import chain, filterfalse
 from json.encoder import encode_basestring
 from types import MappingProxyType
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -55,14 +78,25 @@ import numpy as np
 # module calls, are imported only so the benchmark's tracer finds them here.
 from .corpus import Catalog, Vocab, tokenize, tokenize_batch  # noqa: F401
 from .decoder import DecodeConfig, permutation_decode
-from .dense_index import DenseIndex, search, search_batch  # noqa: F401
+from .dense_index import EXACT, DenseIndex, search, search_batch  # noqa: F401
 from .encoder import EncoderParams, encode, encode_batch  # noqa: F401
 from .errors import ValidationError, check_integer
 from .trie import FORWARD, REVERSED, KeywordTrie
 
+if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
+
 #: The most bytes a chunk's M x V tables may take.  256 KiB is ~10 graph5k
 #: and ~23 prefix100k queries per chunk.
 CHUNK_BYTES = 256 * 1024
+
+#: The least bytes of float32 rows an exact index needs for its scan to run
+#: beside the decode: 4 MiB is 65,536 rows at width 16.
+OVERLAP_BYTES = 4 * 1024 * 1024
+
+#: CPUs this process may run on; the overlap needs two.
+_USABLE_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
 
 SOURCE_NLG = "NLG"
 SOURCE_DR = "DR"
@@ -175,24 +209,69 @@ def chunk_size(bundle: EngineBundle) -> int:
     return max(1, CHUNK_BYTES // (bundle.params.max_len * bundle.params.vocab_size * 8))
 
 
+_pool: ThreadPoolExecutor | None = None  # one per process, made on first use
+_pool_lock = threading.Lock()
+
+
+def _drop_pool() -> None:
+    # A forked child holds a copy of the pool but not its thread.
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_pool)
+
+
+def _overlap_pool(bundle: EngineBundle) -> ThreadPoolExecutor | None:
+    """The one-thread pool to run the chunk's dense search on beside the
+    decode, or None to run both in turn: see "Two channels side by side"."""
+    if (bundle.index.kind != EXACT or bundle.index.vectors.nbytes < OVERLAP_BYTES
+            or _USABLE_CPUS < 2):
+        return None
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            # Imported here: with the logging it imports, ~0.5 MiB and ~10 ms
+            # that a process serving in turn does not pay.
+            from concurrent.futures import ThreadPoolExecutor
+
+            pool = ThreadPoolExecutor(1, thread_name_prefix="unikw-dense")
+            try:
+                pool.submit(int).result()  # its thread starts now, or cannot
+            except RuntimeError:  # no thread can start: serve in turn
+                return None
+            _pool = pool
+        return _pool
+
+
 def _channels(
     bundle: EngineBundle, queries: Sequence[str]
 ) -> list[tuple[list[tuple[int, float]], list[tuple[int, float]]]]:
     """``retrieve_channels`` of every query of one chunk: one tokenize, one
-    encoder forward and one dense search for the chunk, then the decode
-    and the group expansion per query."""
+    encoder forward and one dense search for the chunk, the decode per
+    query beside that search or after it, then the group expansion."""
     flat_ids, lengths = tokenize_batch(queries, bundle.vocab, "query", bundle.params.max_len)
     output = encode_batch(bundle.params, flat_ids, lengths)
     k = min(bundle.dense_k, len(bundle.index))
-    hits = search_batch(bundle.index, output.dr_embedding, k) if k else [[] for _ in queries]
-    channels = []
-    for table, dr in zip(output.nar_logprobs, hits):
-        nlg = permutation_decode(table, bundle.forward_trie, bundle.reversed_trie, bundle.decode)
-        if bundle.groups is not None:
-            members = [(kid, score) for rep, score in dr for kid in bundle.groups[rep]]
-            dr = sorted(members, key=lambda hit: (-hit[1], hit[0]))[: bundle.dense_k]
-        channels.append((nlg, dr))
-    return channels
+
+    def decode() -> list[list[tuple[int, float]]]:
+        return [permutation_decode(table, bundle.forward_trie, bundle.reversed_trie, bundle.decode)
+                for table in output.nar_logprobs]
+
+    if (pool := _overlap_pool(bundle) if k else None) is None:
+        hits = search_batch(bundle.index, output.dr_embedding, k) if k else [[] for _ in queries]
+        nlgs = decode()
+    else:
+        pending = pool.submit(search_batch, bundle.index, output.dr_embedding, k)
+        try:
+            nlgs = decode()
+        finally:  # the search's error, if any, is raised first, as in turn
+            hits = pending.result()
+    if bundle.groups is not None:
+        hits = [sorted([(kid, score) for rep, score in dr for kid in bundle.groups[rep]],
+                       key=lambda hit: (-hit[1], hit[0]))[: bundle.dense_k] for dr in hits]
+    return list(zip(nlgs, hits))
 
 
 def retrieve_channels(

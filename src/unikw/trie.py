@@ -53,8 +53,21 @@ REVERSED = "reversed"
 _MAGIC = b"KTRI"
 _VERSION = 4
 _HEADER = "<QQBQBB"
-_MAX_LABEL = 2**31 - 1  # labels are int32
 _WIDTHS = {1: "<u1", 2: "<u2", 4: "<u4", 8: "<u8"}  # bytes per stored label or id
+_UNSIGNED = (np.uint8, np.uint16, np.uint32)  # label widths held as read
+_INT32_MAX = 2**31 - 1  # also the largest label
+
+
+def _narrow(values) -> np.ndarray:
+    """``values`` as int32 if every one fits, else as int64; an int32 array
+    is held as it is, with no pass over it."""
+    array = np.asarray(values)
+    if array.dtype == np.int32:
+        return array
+    array = array.astype(np.int64, copy=False)
+    if len(array) == 0 or (array.min() >= -_INT32_MAX - 1 and array.max() <= _INT32_MAX):
+        return array.astype(np.int32)
+    return array
 
 
 @dataclass(frozen=True)
@@ -62,30 +75,33 @@ class KeywordTrie:
     """Read-only trie, safe for concurrent readers: construction and every
     ``replace`` check the layout and hold the arrays as read-only views."""
 
-    offsets: np.ndarray       # int64 (n+1,); edges of node i at offsets[i]:offsets[i+1]
-    labels: np.ndarray        # int32 (n-1,); edge e leads to node e+1
-    node_keyword: np.ndarray  # int64 (n,); keyword id completed at each node, -1 if none
+    # Index arrays are int32, or int64 only when a value needs it (``_narrow``).
+    offsets: np.ndarray       # (n+1,); edges of node i at offsets[i]:offsets[i+1]
+    labels: np.ndarray        # (n-1,) int32, or as a file stored them: u1, u2 or u4;
+                              # edge e leads to node e+1
+    node_keyword: np.ndarray  # (n,); keyword id completed at each node, -1 if none
     direction: str
     vocab_checksum: int
 
     def __post_init__(self) -> None:
         if self.direction not in (FORWARD, REVERSED):
             raise ValidationError(f"unknown trie direction: {self.direction!r}")
-        offsets, labels = np.asarray(self.offsets, dtype=np.int64), np.asarray(self.labels)
-        keywords = np.asarray(self.node_keyword, dtype=np.int64)
+        offsets, labels = _narrow(self.offsets), np.asarray(self.labels)
+        keywords = _narrow(self.node_keyword)
         n = len(keywords)  # no int64 temporaries below: they would add to a load's peak RSS
         if ((len(offsets), len(labels)) != (n + 1, n - 1) or offsets[0] != 0
                 or offsets[-1] != n - 1 or np.any(offsets[1:] < offsets[:-1])):
             raise ValidationError(f"a trie of {n} nodes has {n + 1} offsets, from 0 up to its "
                                   f"edge count, and {n - 1} edge labels")
         # BFS order: node i's edges start at edge i or later, so each node hangs off an
-        # earlier one and so off the root; node numbers kept narrow (no int64 temporary).
-        if np.any(offsets[1:-1] < np.arange(1, n, dtype=np.min_scalar_type(n))):
+        # earlier one and so off the root; node numbers in the offsets' dtype, which holds n.
+        if np.any(offsets[1:-1] < np.arange(1, n, dtype=offsets.dtype)):
             raise ValidationError("trie nodes must be in BFS order: a node owns an edge to "
                                   "itself or to an earlier node")
-        if n > 1 and (labels.min() < 0 or labels.max() > _MAX_LABEL):
+        if n > 1 and (labels.min() < 0 or labels.max() > _INT32_MAX):
             raise ValidationError("trie edge label outside the int32 label range")
-        labels = labels.astype(np.int32, copy=False)
+        if labels.dtype not in _UNSIGNED:  # else held at the width a file stored them in
+            labels = labels.astype(np.int32, copy=False)
         first = np.zeros(n, dtype=bool)  # True at each node's first edge, and past the last
         first[offsets] = True
         if not np.all((labels[1:] > labels[:-1]) | first[1:-1]):
@@ -280,23 +296,26 @@ def from_bytes(data: bytes) -> KeywordTrie:
                               f"bytes, not {len(payload) - pos}")
     if len(payload) - pos > size:
         raise ValidationError("corrupt trie: trailing bytes")
-    # Kept arrays first, so the temporaries sit above them in the heap (peak RSS).
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    node_keyword = np.full(n, -1, dtype=np.int64)
     bits = np.frombuffer(payload, np.uint8, bit_bytes, pos)
+    ids = np.frombuffer(payload, _WIDTHS[id_width], t, pos + bit_bytes + (n - 1) * label_width)
+    # Kept arrays first, so the temporaries sit above them in the heap (peak RSS):
+    # offsets and ids int32 unless a value needs int64, as ``KeywordTrie`` holds
+    # them, and the labels a copy at their stored width, so no view holds the file.
+    offsets = np.zeros(n + 1, dtype=np.int32 if n - 1 <= _INT32_MAX else np.int64)
+    node_keyword = np.full(n, -1, dtype=np.int32 if int(ids.max(initial=0)) <= _INT32_MAX
+                           else np.int64)
+    labels = np.frombuffer(payload, _WIDTHS[label_width], n - 1, pos + bit_bytes).copy()
     if bits[-1] & (0xFF >> (2 * n - 1) % 8):  # the bits past the last node
         raise ValidationError("corrupt trie: a padding bit is set")
     ends = np.flatnonzero(np.unpackbits(~bits, count=2 * n - 1))  # each node's 0 bit
     if len(ends) != n:
         raise ValidationError(f"corrupt trie: {len(ends)} degree ends for {n} nodes")
     np.subtract(ends, np.arange(n), out=offsets[1:])  # the 1 bits before each node's 0 bit
-    pos += bit_bytes
-    labels = np.frombuffer(payload, _WIDTHS[label_width], n - 1, pos)
     leaves = 1 + np.flatnonzero(offsets[2:] == offsets[1:-1])
     if len(leaves) != t:
         raise ValidationError(f"corrupt trie: {t} keyword ids for {len(leaves)} leaves")
     # An id past int64 wraps negative here, and the layout check rejects it.
-    node_keyword[leaves] = np.frombuffer(payload, _WIDTHS[id_width], t, pos + labels.nbytes)
+    node_keyword[leaves] = ids
     return KeywordTrie(offsets, labels, node_keyword, REVERSED if flag else FORWARD, vocab_checksum)
 
 

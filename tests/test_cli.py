@@ -47,7 +47,7 @@ from unikw import (
     tokenize,
     train,
 )
-from unikw import dense_index
+from unikw import dense_index, retriever
 from unikw.cli import load_bundle, main
 from unikw.fileio import frame
 from unikw.retriever import chunk_size, results_to_jsonl_line
@@ -779,16 +779,25 @@ class TestInlineChecksumOrder:
             load_bundle(bundle)
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    def test_a_child_forked_after_a_load_can_load(self, pipeline):
+    def test_a_child_forked_after_a_load_can_load(self, pipeline, clustered, monkeypatch):
         # A thread pool shared across loads would hang here: the child's
         # pool thread does not exist, and its hashes would never run.
-        expected = [retrieve(load_bundle(pipeline["bundle"]), "red shoes")]
+        self._a_forked_child_serves(pipeline["bundle"])
+        # Side by side, the parent's retrieve makes the dense search's worker;
+        # the child holds a copy without its thread, which it must drop.
+        monkeypatch.setattr(retriever, "OVERLAP_BYTES", 0)
+        monkeypatch.setattr(retriever, "_USABLE_CPUS", 2)
+        self._a_forked_child_serves(clustered["bundle"])
+        assert retriever._pool is not None
+
+    @staticmethod
+    def _a_forked_child_serves(bundle_dir: Path) -> None:
+        expected = [retrieve(load_bundle(bundle_dir), "red shoes")]
         pid = os.fork()
         if pid == 0:  # the child: exit 0 only if its own load serves the same
             code = 1
             try:
-                code = 0 if [retrieve(load_bundle(pipeline["bundle"]), "red shoes")] == expected \
-                    else 1
+                code = 0 if [retrieve(load_bundle(bundle_dir), "red shoes")] == expected else 1
             finally:
                 os._exit(code)
         deadline = time.monotonic() + 60
@@ -818,6 +827,57 @@ class TestChunkedRetrieve:
                      "--out", str(out)]) == 0
         want = [results_to_jsonl_line(q, retrieve(bundle, q)) for q in queries]
         assert out.read_text(encoding="utf-8").splitlines() == want
+
+    def test_side_by_side_the_file_and_exit_codes_are_those_in_turn(
+        self, pipeline, clustered, tmp_path, capsys, monkeypatch
+    ):
+        """``unikw retrieve`` with the dense search beside the decode writes
+        the bytes it writes in turn, and a failing channel exits with the code
+        it has in turn: the search's error first when both fail."""
+        texts = pipeline["paths"]["queries"].read_text(encoding="utf-8").splitlines()
+        queries = tmp_path / "queries.txt"
+        queries.write_text("".join(texts[i % len(texts)] + "\n" for i in range(50)),
+                           encoding="utf-8")
+        monkeypatch.setattr(retriever, "_USABLE_CPUS", 2)
+        search_batch, caller, handed = retriever.search_batch, threading.get_ident(), []
+        searches = [search_batch]  # the last is what the next runs call
+
+        def search(*args):
+            handed.append(threading.get_ident() != caller)
+            return searches[-1](*args)
+
+        monkeypatch.setattr(retriever, "search_batch", search)
+
+        def run(overlap: int, name: str) -> tuple[int, str, bytes]:
+            """Exit code, error kind and output of one ``unikw retrieve``."""
+            monkeypatch.setattr(retriever, "OVERLAP_BYTES", overlap)
+            handed.clear()
+            out = tmp_path / name
+            code = main(["retrieve", "--bundle-dir", str(clustered["bundle"]),
+                         "--queries", str(queries), "--out", str(out)])
+            assert any(handed) == (overlap == 0)  # searched off this thread, or not
+            err = capsys.readouterr().err
+            return code, err and json.loads(err)["error"]["kind"], out.read_bytes() if code == 0 \
+                else b""
+
+        decode = retriever.permutation_decode
+
+        def search_fails(*args):
+            raise ValidationError("the search failed")
+
+        def decode_fails(*args):
+            raise ConsistencyError("the decode failed")
+
+        for search_fn, decode_fn, want in [
+            (search_batch, decode, (0, "")),
+            (search_fails, decode, (2, "validation")),
+            (search_batch, decode_fails, (4, "consistency")),
+            (search_fails, decode_fails, (2, "validation")),
+        ]:
+            searches.append(search_fn)
+            monkeypatch.setattr(retriever, "permutation_decode", decode_fn)
+            in_turn, side_by_side = run(2**62, "turn.jsonl"), run(0, "side.jsonl")
+            assert in_turn[:2] == want and side_by_side == in_turn
 
     def test_lines_are_served_a_chunk_at_a_time(self, pipeline, monkeypatch):
         """`retrieve_lines` serves a chunk only when its lines are taken, so

@@ -436,6 +436,7 @@ class TestLoadKeywords:
         by_file = load_keywords(path)
         assert by_file.text == by_text.text
         assert by_file._starts.tolist() == by_text._starts.tolist()
+        assert by_file._starts.dtype == by_text._starts.dtype == np.int32
         assert list(by_file) == list(by_text) == by_text.text.splitlines()
 
     def test_reading_a_catalog_does_not_import_numpy_ma(self, tmp_path):

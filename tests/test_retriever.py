@@ -1,4 +1,9 @@
+import concurrent.futures
+import gc
 import json
+import sys
+import threading
+import weakref
 from collections.abc import Mapping
 from functools import cache
 from dataclasses import FrozenInstanceError, is_dataclass, replace
@@ -6,16 +11,18 @@ from types import MappingProxyType, SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unikw import (
     FORWARD,
     REVERSED,
     Catalog,
+    ConsistencyError,
     ValidationError,
     Vocab,
     build_exact,
+    build_graph,
     build_trie,
     encode,
     init_params,
@@ -30,7 +37,7 @@ from unikw import (
 from unikw.cli import load_bundle, main
 from unikw.encoder import PARAM_NAMES
 from unikw.retriever import (
-    SOURCE_BOTH, SOURCE_DR, SOURCE_NLG, RetrievalResult, results_to_jsonl_line,
+    SOURCE_BOTH, SOURCE_DR, SOURCE_NLG, results_to_jsonl_line,
 )
 
 import unikw.retriever as retriever_module
@@ -450,14 +457,6 @@ LINE_SCORES = st.one_of(
 class TestLineBytes:
     """The one JSON writer gives the bytes of ``json.dumps`` over per-hit dicts."""
 
-    @given(query=LINE_TEXTS, rows=st.lists(st.builds(
-        RetrievalResult, st.integers(0, 2**63), LINE_TEXTS, st.none() | LINE_SCORES,
-        st.none() | LINE_SCORES, st.sampled_from([SOURCE_BOTH, SOURCE_DR, SOURCE_NLG]))))
-    @example(query="", rows=[])
-    @settings(max_examples=300, deadline=None)
-    def test_rows_line_is_the_reference(self, query, rows):
-        assert results_to_jsonl_line(query, rows) == reference_jsonl_line(query, rows)
-
     @given(query=LINE_TEXTS, texts=st.lists(LINE_TEXTS, min_size=1, max_size=12),
            data=st.data())
     @settings(max_examples=300, deadline=None)
@@ -553,6 +552,138 @@ class TestRepresentativeGroups:
         with pytest.raises(ValidationError, match=(
                 f"^dense index holds keyword id {member}, outside the catalog of 6$")):
             replace(self.clustered(bundle, 20), groups={0: (0, 3), 1: (1, 2), 4: (4, 5, member)})
+
+
+def _searches_off_thread(monkeypatch, search_batch) -> list[int]:
+    """Put ``search_batch`` in the retriever's place; the returned list
+    gets the thread id of each call made off the calling thread."""
+    caller, off = threading.get_ident(), []
+
+    def recorded(*args):
+        if threading.get_ident() != caller:
+            off.append(threading.get_ident())
+        return search_batch(*args)
+
+    monkeypatch.setattr(retriever_module, "search_batch", recorded)
+    return off
+
+
+class TestSideBySide:
+    """The dense search on the pool's thread beside the decode gives what
+    the channels in turn give, and only the bundles the gate names use it."""
+
+    QUERIES = CATALOG + ["shoes kettle", "zzz", "ink", "red red red shoes"]
+
+    @pytest.fixture
+    def side_by_side(self, monkeypatch):
+        """Every exact index overlaps, on two CPUs; returns the searches run
+        off the calling thread."""
+        monkeypatch.setattr(retriever_module, "OVERLAP_BYTES", 0)
+        monkeypatch.setattr(retriever_module, "_USABLE_CPUS", 2)
+        return _searches_off_thread(monkeypatch, retriever_module.search_batch)
+
+    @staticmethod
+    def served(bundle):
+        queries = TestSideBySide.QUERIES
+        return ([retrieve(bundle, q) for q in queries], retriever_module.retrieve_batch(bundle, queries),
+                list(retriever_module.retrieve_lines(bundle, queries)))
+
+    @pytest.mark.parametrize("grouped", [False, True], ids=["plain", "groups"])
+    def test_the_results_are_those_in_turn(self, bundle, grouped, monkeypatch, side_by_side):
+        if grouped:
+            bundle = TestRepresentativeGroups().clustered(bundle, 4)
+        monkeypatch.setattr(retriever_module, "CHUNK_BYTES", 3 * bundle.params.max_len
+                            * bundle.params.vocab_size * 8)  # three queries a chunk
+        monkeypatch.setattr(retriever_module, "OVERLAP_BYTES", 2**62)
+        in_turn = self.served(bundle)
+        assert side_by_side == []
+        monkeypatch.setattr(retriever_module, "OVERLAP_BYTES", 0)
+        assert self.served(bundle) == in_turn
+        assert len(side_by_side) == len(self.QUERIES) + 2 * 4  # each query alone, 4 chunks twice
+
+    def test_a_search_error_is_raised_first(self, bundle, monkeypatch, side_by_side):
+        search_batch = retriever_module.search_batch
+
+        def search_fails(*args):
+            raise ValidationError("the search failed")
+
+        def decode_fails(*args):
+            raise ConsistencyError("the decode failed")
+
+        off = _searches_off_thread(monkeypatch, search_fails)
+        monkeypatch.setattr(retriever_module, "permutation_decode", decode_fails)
+        for overlap in (2**62, 0):  # in turn, then side by side
+            monkeypatch.setattr(retriever_module, "OVERLAP_BYTES", overlap)
+            with pytest.raises(ValidationError, match="^the search failed$"):
+                retrieve(bundle, "red shoes")
+            assert len(off) == (overlap == 0)
+        monkeypatch.setattr(retriever_module, "search_batch", search_batch)  # the decode's own
+        with pytest.raises(ConsistencyError, match="^the decode failed$"):
+            retrieve(bundle, "red shoes")
+        assert len(side_by_side) == 1
+
+    def test_without_a_thread_the_channels_run_in_turn(self, bundle, monkeypatch, side_by_side):
+        want = [retrieve(bundle, q) for q in self.QUERIES]
+        side_by_side.clear()
+
+        def refuse(thread):
+            raise RuntimeError("can't start new thread")
+
+        monkeypatch.setattr(retriever_module, "_pool", None)
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        assert [retrieve(bundle, q) for q in self.QUERIES] == want
+        assert retriever_module._pool is None and side_by_side == []
+
+    def test_only_a_large_exact_index_on_two_cpus_overlaps(self, bundle, monkeypatch):
+        monkeypatch.setattr(retriever_module, "_pool", None)
+        monkeypatch.setattr(retriever_module, "_USABLE_CPUS", 2)
+        graph = replace(bundle, index=build_graph(bundle.index.vectors, bundle.index.ids))
+        threads = threading.active_count()
+        retrieve(bundle, "red shoes")  # small and exact
+        monkeypatch.setattr(retriever_module, "OVERLAP_BYTES", 0)
+        retrieve(graph, "red shoes")
+        monkeypatch.setattr(retriever_module, "_USABLE_CPUS", 1)
+        retrieve(bundle, "red shoes")
+        assert threading.active_count() == threads and retriever_module._pool is None
+        # The gate's own bound: 4 MiB of float32 rows, 65,536 rows at width 16.
+        monkeypatch.setattr(retriever_module, "OVERLAP_BYTES", 4 * 1024 * 1024)
+        monkeypatch.setattr(retriever_module, "_USABLE_CPUS", 2)
+        rows = np.random.default_rng(5).standard_normal((65_536, 16))
+        gate = retriever_module._overlap_pool
+        assert gate(SimpleNamespace(index=build_exact(rows[:-1], np.arange(65_535)))) is None
+        assert gate(SimpleNamespace(index=build_exact(rows, np.arange(65_536)))) is not None
+
+    def test_an_idle_pool_holds_no_bundle(self, side_by_side):
+        held = bundle_from_catalog(CATALOG)
+        retrieve(held, "red shoes")
+        index = weakref.ref(held.index)
+        del held
+        gc.collect()
+        assert index() is None and side_by_side
+
+    def test_concurrent_callers_share_one_pool(self, bundle, monkeypatch, side_by_side):
+        want = [retrieve(bundle, q) for q in self.QUERIES]
+        made, pool = [], concurrent.futures.ThreadPoolExecutor
+        monkeypatch.setattr(retriever_module, "_pool", None)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                            lambda *args, **kwargs: made.append(1) or pool(*args, **kwargs))
+        got = [None] * 6
+
+        def serve(i):
+            got[i] = [[retrieve(bundle, q) for q in self.QUERIES] for _ in range(5)]
+
+        callers = [threading.Thread(target=serve, args=(i,)) for i in range(len(got))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert got == [[want] * 5] * len(got) and made == [1]
 
 
 class TestCoverage:
@@ -653,7 +784,7 @@ def _small_bundle(n):
 
 def _relabelled(trie, ids):
     """``trie`` with keyword k's terminal holding ``ids[k]`` in its place."""
-    node_keyword = trie.node_keyword.copy()
+    node_keyword = trie.node_keyword.astype(np.int64)  # a trie holds ids as int32 if they fit
     held = node_keyword >= 0
     node_keyword[held] = [ids[kid] for kid in node_keyword[held].tolist()]
     return replace(trie, node_keyword=node_keyword)

@@ -361,6 +361,22 @@ class TestLayoutChecks:
         trie = _layout(self.OFFSETS, np.array(self.LABELS, dtype=np.int64), self.NODE_KEYWORD)
         assert trie.labels.dtype == np.int32 and trie.labels.tolist() == self.LABELS
 
+    @pytest.mark.parametrize("top, label_dtype, id_dtype", [
+        (255, np.uint8, np.int32), (2**16, np.uint32, np.int32),
+        (2**31 - 1, np.uint32, np.int32), (2**31, np.uint32, np.int64),
+    ])
+    def test_arrays_are_held_narrow(self, top, label_dtype, id_dtype):
+        # Offsets and ids are int32 unless a value needs int64; a loaded trie
+        # keeps the labels at the width its file stored, a built one int32.
+        built = build_trie([((A, EOW_ID), 0), ((B, min(top, 2**31 - 1), EOW_ID), top)])
+        loaded = from_bytes(to_bytes(built))
+        assert (built.offsets.dtype, built.labels.dtype, built.node_keyword.dtype) == (
+            np.int32, np.int32, id_dtype)
+        assert (loaded.offsets.dtype, loaded.labels.dtype, loaded.node_keyword.dtype) == (
+            np.int32, label_dtype, id_dtype)
+        for name in ("offsets", "labels", "node_keyword"):
+            assert getattr(loaded, name).tolist() == getattr(built, name).tolist()
+
 
 class TestMemoryStats:
     def test_single_keyword(self):
