@@ -259,7 +259,8 @@ def _channels(
         return [permutation_decode(table, bundle.forward_trie, bundle.reversed_trie, bundle.decode)
                 for table in output.nar_logprobs]
 
-    if (pool := _overlap_pool(bundle) if k else None) is None:
+    pool = _overlap_pool(bundle) if k else None
+    if pool is None:
         hits = search_batch(bundle.index, output.dr_embedding, k) if k else [[] for _ in queries]
         nlgs = decode()
     else:
