@@ -48,6 +48,7 @@ from .corpus import (
 )
 from .decoder import DecodeConfig, permutation_decode
 from .dense_index import (
+    DenseIndex,
     build_exact,
     build_graph,
     cluster_keywords,
@@ -56,6 +57,7 @@ from .dense_index import (
     save_embeddings,
     save_graph,
     search,
+    stored_row_bytes,
 )
 from .encoder import (  # noqa: F401 -- embed_batch is kept so the benchmark's tracer finds it
     TrainConfig,
@@ -74,6 +76,7 @@ from .retriever import (
     results_to_jsonl_line,  # noqa: F401 -- kept so the benchmark's tracer finds it
     retrieve,
     retrieve_lines,
+    worker_pool,
 )
 from .trie import (  # noqa: F401 -- build_trie is kept so the benchmark's tracer finds it
     FORWARD,
@@ -252,20 +255,39 @@ def load_bundle(
     """The EngineBundle of a bundle directory, checked as it is built.
 
     Each framed part's checksum is checked as the part is read, before it
-    is parsed.  The index serves the embedding rows from the buffer
-    ``load_embeddings`` read them into."""
+    is parsed, by the thread that reads it.  The index serves the embedding
+    rows from the buffer ``load_embeddings`` read them into.
+
+    When the rows the KEMB header names pass ``retriever.worker_pool``'s
+    gate, the dense index (``load_embeddings``, then ``load_graph`` or
+    ``build_exact``) loads on the retriever's worker while this thread
+    loads the vocab, the catalog, the encoder and the tries; otherwise it
+    loads after them.  A failure is reported as in turn: this thread's
+    first, the worker's only once every earlier part has loaded, then the
+    groups' and ``EngineBundle.validate``'s."""
     d = Path(bundle_dir)
-    vocab = load_vocab(d / "vocab.txt")
-    catalog = load_keywords(d / "keywords.txt")
-    params = load_params(d / "encoder.kenc")
-    fwd = deserialize(d / "trie.fwd.ktri")
-    rev = deserialize(d / "trie.rev.ktri")
-    vectors, ids = load_embeddings(d / "embeddings.kemb")
-    graph_path = d / "graph.kgra"
-    if graph_path.exists():
-        index = load_graph(graph_path, vectors, ids)
+    pool = worker_pool(stored_row_bytes(d / "embeddings.kemb"))
+    held: list[DenseIndex] = []  # the worker's index, taken out so that the pool keeps none
+    pending = pool.submit(lambda: held.append(_load_index(d))) if pool else None
+    try:
+        vocab = load_vocab(d / "vocab.txt")
+        catalog = load_keywords(d / "keywords.txt")
+        params = load_params(d / "encoder.kenc")
+        fwd = deserialize(d / "trie.fwd.ktri")
+        rev = deserialize(d / "trie.rev.ktri")
+    except BaseException:
+        if pending is not None:  # this error came first: wait, and drop the worker's outcome
+            pending.exception()
+            pending = held = None
+        raise
+    if pending is None:
+        index = _load_index(d)
     else:
-        index = build_exact(vectors, ids)
+        try:
+            pending.result()  # the index's error, now that every earlier part has loaded
+        finally:
+            pending = None
+        index = held.pop()
     reps_path = d / "reps.tsv"
     return EngineBundle(
         params=params,
@@ -278,6 +300,16 @@ def load_bundle(
         dense_k=dense_k,
         groups=_load_groups(reps_path) if reps_path.exists() else None,
     )
+
+
+def _load_index(d: Path) -> DenseIndex:
+    """The dense index of bundle directory ``d``: its rows, and its graph
+    when it has one."""
+    vectors, ids = load_embeddings(d / "embeddings.kemb")
+    graph_path = d / "graph.kgra"
+    if graph_path.exists():
+        return load_graph(graph_path, vectors, ids)
+    return build_exact(vectors, ids)
 
 
 def _parse_orders(text: str) -> tuple[str, ...]:

@@ -87,6 +87,10 @@ class DecodeConfig:
                 raise ValidationError(f"unknown decoding order: {order!r}")
         if len(set(self.orders)) != len(self.orders):
             raise ValidationError(f"repeated decoding order in {','.join(self.orders)}")
+        # The single-order config of each order, made once for permutation_decode
+        # (none when there is one order: the config is its own).
+        object.__setattr__(self, "_singles", () if len(self.orders) == 1 else
+                           tuple(replace(self, orders=(order,)) for order in self.orders))
 
 
 def constrained_logprob(
@@ -218,8 +222,8 @@ def permutation_decode(
     """
     tries = {FORWARD: forward_trie, REVERSED: reversed_trie}  # ``beam_search`` checks each
     first, *rest = [
-        beam_search(prob_table, tries[_ORDER_DIRECTION[order]], replace(config, orders=(order,)))
-        for order in config.orders
+        beam_search(prob_table, tries[_ORDER_DIRECTION[single.orders[0]]], single)
+        for single in config._singles or (config,)
     ]
     merged = dict(first)
     for later in filter(None, rest):

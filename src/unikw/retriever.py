@@ -35,10 +35,16 @@ at 35k (2.14 MiB), 0.91-0.98 at 50k and 0.73-0.77 at 100k (README,
 *Serving in chunks*); graph5k's ``retrieve`` got slower side by side,
 on its graph and with its rows served exactly.
 Every other bundle, and a process that cannot start a thread, serves the
-channels in turn.  The searches run on one pool of one thread, made on
-first use and dropped in a forked child.  The search runs before the
-decode in turn and its error is raised first side by side, so the
-results and the errors are the same either way.
+channels in turn.  The search runs before the decode in turn and its
+error is raised first side by side, so the results and the errors are
+the same either way.
+
+One worker serves both the load and the search: one pool of one thread
+(``worker_pool``), made on first use and dropped in a forked child.
+``cli.load_bundle`` reads, checks and builds the dense index on it when
+the index's rows pass the same gate (its size read from the KEMB header,
+the index's kind aside), while the calling thread loads the vocab, the
+catalog, the encoder and the tries.
 
 Merged ordering is a convention, not a model output: keywords found by
 both channels come first, then dense-only results, both by (-dense score,
@@ -226,8 +232,16 @@ if hasattr(os, "register_at_fork"):
 def _overlap_pool(bundle: EngineBundle) -> ThreadPoolExecutor | None:
     """The one-thread pool to run the chunk's dense search on beside the
     decode, or None to run both in turn: see "Two channels side by side"."""
-    if (bundle.index.kind != EXACT or bundle.index.vectors.nbytes < OVERLAP_BYTES
-            or _USABLE_CPUS < 2):
+    return worker_pool(bundle.index.vectors.nbytes) if bundle.index.kind == EXACT else None
+
+
+def worker_pool(row_bytes: int) -> ThreadPoolExecutor | None:
+    """The process's one-thread pool, to run work over ``row_bytes`` of
+    float32 dense rows beside the calling thread, or None to run it in turn:
+    below ``OVERLAP_BYTES`` of rows, on one CPU, or when no thread can start.
+    ``cli.load_bundle`` loads a dense index on it, and each chunk's exact
+    search runs on it."""
+    if row_bytes < OVERLAP_BYTES or _USABLE_CPUS < 2:
         return None
     global _pool
     with _pool_lock:
@@ -239,7 +253,7 @@ def _overlap_pool(bundle: EngineBundle) -> ThreadPoolExecutor | None:
             pool = ThreadPoolExecutor(1, thread_name_prefix="unikw-dense")
             try:
                 pool.submit(int).result()  # its thread starts now, or cannot
-            except RuntimeError:  # no thread can start: serve in turn
+            except RuntimeError:  # no thread can start: run in turn
                 return None
             _pool = pool
         return _pool

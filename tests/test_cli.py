@@ -1,6 +1,8 @@
 """End-to-end command-line pipeline on a small synthetic corpus."""
 
 import contextlib
+import dataclasses
+import gc
 import hashlib
 import io
 import json
@@ -12,6 +14,7 @@ import struct
 import tempfile
 import threading
 import time
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -47,9 +50,9 @@ from unikw import (
     tokenize,
     train,
 )
-from unikw import dense_index, retriever
+from unikw import cli, dense_index, retriever
 from unikw.cli import load_bundle, main
-from unikw.fileio import frame
+from unikw.fileio import frame, sealed
 from unikw.retriever import chunk_size, results_to_jsonl_line
 from unikw.trie import to_bytes
 
@@ -808,6 +811,131 @@ class TestInlineChecksumOrder:
                 pytest.fail("the forked child's load did not finish in 60 s")
             time.sleep(0.02)
         assert os.waitstatus_to_exitcode(done[1]) == 0
+
+
+def _assert_same_parts(a, b, where: str = "bundle") -> None:
+    """``a`` and ``b`` hold equal compared fields, recursively: arrays of one
+    dtype and equal values, everything else equal."""
+    if dataclasses.is_dataclass(a):
+        assert type(a) is type(b), where
+        for f in dataclasses.fields(a):
+            if f.compare:
+                _assert_same_parts(getattr(a, f.name), getattr(b, f.name), f"{where}.{f.name}")
+    elif isinstance(a, np.ndarray):
+        assert a.dtype == b.dtype and np.array_equal(a, b), where
+    else:
+        assert a == b, where
+
+
+class TestIndexOnTheWorker:
+    """With the gate forced open, ``load_bundle`` loads the dense index on the
+    retriever's worker beside the rest, and gives the bundle, the errors and
+    the exit codes of a load in turn."""
+
+    @pytest.fixture
+    def on_worker(self, monkeypatch):
+        """Every index loads on the worker, on two CPUs; returns the thread id
+        of each ``load_embeddings`` call made off the calling thread."""
+        monkeypatch.setattr(retriever, "OVERLAP_BYTES", 0)
+        monkeypatch.setattr(retriever, "_USABLE_CPUS", 2)
+        caller, off, load = threading.get_ident(), [], cli.load_embeddings
+
+        def recorded(path):
+            if threading.get_ident() != caller:
+                off.append(threading.get_ident())
+            return load(path)
+
+        monkeypatch.setattr(cli, "load_embeddings", recorded)
+        return off
+
+    @pytest.mark.parametrize("which", ["graph", "clustered"])
+    def test_the_bundle_is_the_one_loaded_in_turn(
+        self, pipeline, clustered, which, monkeypatch, on_worker
+    ):
+        bundle_dir = pipeline["bundle"] if which == "graph" else clustered["bundle"]
+        monkeypatch.setattr(retriever, "OVERLAP_BYTES", 2**62)
+        in_turn = load_bundle(bundle_dir)
+        assert on_worker == []
+        monkeypatch.setattr(retriever, "OVERLAP_BYTES", 0)
+        beside = load_bundle(bundle_dir)
+        assert len(on_worker) == 1
+        _assert_same_parts(beside, in_turn)
+        assert sealed(beside.index.vectors) and sealed(beside.index.ids)
+        assert [retrieve(beside, "red shoes")] == [retrieve(in_turn, "red shoes")]
+
+    @pytest.mark.parametrize("where", list(FLIP_AT))
+    @pytest.mark.parametrize("name", list(FRAMED_PARTS))
+    def test_one_flipped_byte_reports_what_in_turn_reports(
+        self, pipeline, tmp_path, capsys, name, where, on_worker
+    ):
+        TestInlineChecksumOrder().test_one_flipped_byte_reports_what_the_inline_check_reports(
+            pipeline, tmp_path, capsys, name, where)
+        assert len(on_worker) == 2  # the library's load, then the CLI's
+
+    @pytest.mark.parametrize("first, second, message", [
+        ("body", "body-header", "checksum mismatch"),
+        ("body", "magic", "checksum mismatch"),  # the encoder's error, not the graph's
+        ("magic", "body", "bad magic: expected b'KENC'"),
+    ])
+    def test_two_corrupt_files_report_the_first_failing_check(
+        self, pipeline, tmp_path, capsys, first, second, message, on_worker
+    ):
+        TestInlineChecksumOrder().test_two_corrupt_files_report_the_first_failing_check(
+            pipeline, tmp_path, capsys, first, second, message)
+        assert len(on_worker) == 2
+
+    def test_a_mismatch_outranks_a_missing_kemb(self, pipeline, tmp_path, capsys, on_worker):
+        # The worker's FileNotFoundError (exit 3) waits for the trie's mismatch (exit 2).
+        TestInlineChecksumOrder().test_a_mismatch_outranks_a_later_missing_file(
+            pipeline, tmp_path, capsys)
+        assert len(on_worker) == 2
+
+    def test_without_a_thread_the_load_runs_in_turn(
+        self, pipeline, clustered, monkeypatch, on_worker
+    ):
+        in_turn = load_bundle(clustered["bundle"])
+        on_worker.clear()
+
+        def refuse(thread):
+            raise RuntimeError("can't start new thread")
+
+        monkeypatch.setattr(retriever, "_pool", None)
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        _assert_same_parts(load_bundle(clustered["bundle"]), in_turn)
+        assert on_worker == [] and retriever._pool is None
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_child_forked_after_a_load_can_load(self, pipeline, monkeypatch, on_worker):
+        # The graph bundle's search runs in turn, so only its load makes the
+        # worker; the child holds a copy of the pool without its thread.
+        monkeypatch.setattr(retriever, "_pool", None)
+        TestInlineChecksumOrder._a_forked_child_serves(pipeline["bundle"])
+        assert on_worker and retriever._pool is not None
+
+    def test_the_pool_holds_no_index_once_a_load_returns(
+        self, pipeline, tmp_path, monkeypatch, on_worker
+    ):
+        made, build = [], cli.load_graph
+
+        def recorded(*args):
+            index = build(*args)
+            made.append(weakref.ref(index))
+            return index
+
+        monkeypatch.setattr(cli, "load_graph", recorded)
+        held = load_bundle(pipeline["bundle"])
+        del held
+        gc.collect()
+        # When this thread's part fails, the worker's index is dropped, and the
+        # error's traceback, which holds the load's frame, keeps none alive.
+        bundle = tmp_path / "bundle"
+        shutil.copytree(pipeline["bundle"], bundle)
+        _flip(bundle / "encoder.kenc", "body")
+        with pytest.raises(ValidationError, match="^checksum mismatch$") as caught:
+            load_bundle(bundle)
+        gc.collect()
+        assert caught.value and len(made) == 2 and [ref() for ref in made] == [None, None]
+        assert len(on_worker) == 2
 
 
 class TestChunkedRetrieve:

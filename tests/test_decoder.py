@@ -14,6 +14,7 @@ from unikw import (
     constrained_logprob,
     permutation_decode,
 )
+from unikw import decoder as decoder_module
 from unikw.decoder import NEG_INF
 
 from oracles import (
@@ -285,6 +286,26 @@ class TestPermutationDecode:
         assert l2r_only[0][0] == 0
         assert merged[0][0] == 1
         assert merged[0][1] > l2r_only[0][1]
+
+    def test_each_single_order_config_is_made_once(self, rng, monkeypatch):
+        # Each query used to make and check a single-order config per order.
+        entries, vocab_size = random_catalog(rng, max_keywords=30)
+        fwd, rev = build_trie(entries, FORWARD), build_trie(entries, REVERSED)
+        table = random_prob_table(rng, 6, vocab_size)
+        config = DecodeConfig(beam_size=8, prune_threshold=-9.0)
+        want = permutation_decode(table, fwd, rev, config)
+        made, seen, search = [], [], decoder_module.beam_search
+        post_init = DecodeConfig.__post_init__
+        monkeypatch.setattr(DecodeConfig, "__post_init__", lambda c: made.append(c) or post_init(c))
+        monkeypatch.setattr(decoder_module, "beam_search",
+                            lambda t, trie, c: seen.append(c) or search(t, trie, c))
+        for _ in range(3):
+            assert permutation_decode(table, fwd, rev, config) == want
+        assert made == [] and seen[0] is seen[2] is seen[4] and seen[1] is seen[3] is seen[5]
+        assert seen[:2] == [DecodeConfig(8, -9.0, ("l2r",)), DecodeConfig(8, -9.0, ("r2l",))]
+        one = DecodeConfig(beam_size=8, orders=("r2l",))
+        permutation_decode(table, fwd, rev, one)
+        assert seen[-1] is one
 
     def test_catalog_mismatch_raises_consistency_error(self):
         fwd = build_trie([((A, EOW), 0)], FORWARD)
