@@ -283,10 +283,7 @@ def load_bundle(
     if pending is None:
         index = _load_index(d)
     else:
-        try:
-            pending.result()  # the index's error, now that every earlier part has loaded
-        finally:
-            pending = None
+        pending.result()  # the index's error, now that every earlier part has loaded
         index = held.pop()
     reps_path = d / "reps.tsv"
     return EngineBundle(

@@ -47,6 +47,7 @@ holding NaN (or +inf, which meets -inf on a path as NaN) is rejected;
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from operator import sub
 
 import numpy as np
@@ -87,10 +88,12 @@ class DecodeConfig:
                 raise ValidationError(f"unknown decoding order: {order!r}")
         if len(set(self.orders)) != len(self.orders):
             raise ValidationError(f"repeated decoding order in {','.join(self.orders)}")
-        # The single-order config of each order, made once for permutation_decode
-        # (none when there is one order: the config is its own).
-        object.__setattr__(self, "_singles", () if len(self.orders) == 1 else
-                           tuple(replace(self, orders=(order,)) for order in self.orders))
+
+    @cached_property
+    def _singles(self) -> tuple[DecodeConfig, ...]:
+        """The single-order config of each order, which ``permutation_decode``
+        hands to ``beam_search``: made once, on the first decode."""
+        return tuple(replace(self, orders=(order,)) for order in self.orders)
 
 
 def constrained_logprob(
@@ -223,7 +226,7 @@ def permutation_decode(
     tries = {FORWARD: forward_trie, REVERSED: reversed_trie}  # ``beam_search`` checks each
     first, *rest = [
         beam_search(prob_table, tries[_ORDER_DIRECTION[single.orders[0]]], single)
-        for single in config._singles or (config,)
+        for single in config._singles
     ]
     merged = dict(first)
     for later in filter(None, rest):

@@ -11,6 +11,7 @@ import re
 import shutil
 import signal
 import struct
+import sys
 import tempfile
 import threading
 import time
@@ -656,8 +657,10 @@ BLAKE2B_VERSIONS = {"trie.fwd.ktri": 2, "trie.rev.ktri": 2, "encoder.kenc": 2,
 
 class TestInlineChecksumOrder:
     """``load_bundle`` checks each framed part as it reads it (magic, then
-    version, then checksum, then the parse, file by file), on the calling
-    thread, and reports a corrupt bundle's first failing check."""
+    version, then checksum, then the parse, file by file), each on the thread
+    that reads it, and reports the first failing check of a load in turn.
+    These bundles load in turn; ``TestIndexOnTheWorker`` repeats the cases
+    with the dense index loaded on the worker."""
 
     @staticmethod
     def _expect(pipeline, bundle, tmp_path, capsys, message: str) -> None:
@@ -911,6 +914,29 @@ class TestIndexOnTheWorker:
         monkeypatch.setattr(retriever, "_pool", None)
         TestInlineChecksumOrder._a_forked_child_serves(pipeline["bundle"])
         assert on_worker and retriever._pool is not None
+
+    def test_concurrent_loads_share_one_worker(self, clustered, monkeypatch, on_worker):
+        monkeypatch.setattr(retriever, "_pool", None)
+        want = load_bundle(clustered["bundle"])
+        got = [None] * 6
+
+        def load(i):
+            got[i] = [load_bundle(clustered["bundle"]) for _ in range(3)]
+
+        callers = [threading.Thread(target=load, args=(i,)) for i in range(len(got))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        for bundle in (b for loads in got for b in loads):
+            _assert_same_parts(bundle, want)
+        assert len(set(on_worker)) == 1 and len(on_worker) == 1 + 3 * len(got)
 
     def test_the_pool_holds_no_index_once_a_load_returns(
         self, pipeline, tmp_path, monkeypatch, on_worker

@@ -303,9 +303,6 @@ class TestPermutationDecode:
             assert permutation_decode(table, fwd, rev, config) == want
         assert made == [] and seen[0] is seen[2] is seen[4] and seen[1] is seen[3] is seen[5]
         assert seen[:2] == [DecodeConfig(8, -9.0, ("l2r",)), DecodeConfig(8, -9.0, ("r2l",))]
-        one = DecodeConfig(beam_size=8, orders=("r2l",))
-        permutation_decode(table, fwd, rev, one)
-        assert seen[-1] is one
 
     def test_catalog_mismatch_raises_consistency_error(self):
         fwd = build_trie([((A, EOW), 0)], FORWARD)
