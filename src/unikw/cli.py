@@ -57,7 +57,6 @@ from .dense_index import (
     save_embeddings,
     save_graph,
     search,
-    stored_row_bytes,
 )
 from .encoder import (  # noqa: F401 -- embed_batch is kept so the benchmark's tracer finds it
     TrainConfig,
@@ -258,15 +257,21 @@ def load_bundle(
     is parsed, by the thread that reads it.  The index serves the embedding
     rows from the buffer ``load_embeddings`` read them into.
 
-    When the rows the KEMB header names pass ``retriever.worker_pool``'s
-    gate, the dense index (``load_embeddings``, then ``load_graph`` or
-    ``build_exact``) loads on the retriever's worker while this thread
-    loads the vocab, the catalog, the encoder and the tries; otherwise it
-    loads after them.  A failure is reported as in turn: this thread's
+    When the KEMB file's size passes ``retriever.worker_pool``'s gate (the
+    read, its hash and the row check all scale with it), the dense index
+    (``load_embeddings``, then ``load_graph`` or ``build_exact``) loads on
+    the retriever's worker while this thread loads the vocab, the catalog,
+    the encoder and the tries; otherwise it loads after them.  A file that
+    cannot be stat'ed weighs 0, so its load runs in turn and reports the
+    file's own error.  A failure is reported as in turn: this thread's
     first, the worker's only once every earlier part has loaded, then the
     groups' and ``EngineBundle.validate``'s."""
     d = Path(bundle_dir)
-    pool = worker_pool(stored_row_bytes(d / "embeddings.kemb"))
+    try:
+        kemb_bytes = os.stat(d / "embeddings.kemb").st_size
+    except OSError:
+        kemb_bytes = 0
+    pool = worker_pool(kemb_bytes)
     held: list[DenseIndex] = []  # the worker's index, taken out so that the pool keeps none
     pending = pool.submit(lambda: held.append(_load_index(d))) if pool else None
     try:

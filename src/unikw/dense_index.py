@@ -720,21 +720,6 @@ def load_embeddings(path) -> tuple[np.ndarray, np.ndarray]:
     return vectors, ids
 
 
-def stored_row_bytes(path) -> int:
-    """The bytes of float32 rows a KEMB file's header names, read before the
-    file is and checked against nothing, or 0 when the file has no header to
-    read: a size to plan its load by, never a check of the file."""
-    try:
-        with open(path, "rb") as f:
-            head = f.read(_EMB_ROWS_AT)
-    except OSError:
-        return 0
-    if len(head) < _EMB_ROWS_AT:
-        return 0
-    n, dim = struct.unpack_from("<QI", head, 8)
-    return n * dim * 4
-
-
 def save_graph(path, index: DenseIndex) -> None:
     """KGRA file: a ``fileio`` frame (version 5, SHA-256/64 footer) around
     a ``<QQ`` header (row count, entry row), then the adjacency CSR:

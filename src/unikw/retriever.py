@@ -42,8 +42,8 @@ the same either way.
 One worker serves both the load and the search: one pool of one thread
 (``worker_pool``), made on first use and dropped in a forked child.
 ``cli.load_bundle`` reads, checks and builds the dense index on it when
-the index's rows pass the same gate (its size read from the KEMB header,
-the index's kind aside), while the calling thread loads the vocab, the
+the KEMB file passes the same gate (its size from one ``os.stat``, the
+index's kind aside), while the calling thread loads the vocab, the
 catalog, the encoder and the tries.
 
 Merged ordering is a convention, not a model output: keywords found by
@@ -96,8 +96,9 @@ if TYPE_CHECKING:
 #: and ~23 prefix100k queries per chunk.
 CHUNK_BYTES = 256 * 1024
 
-#: The least bytes of float32 rows an exact index needs for its scan to run
-#: beside the decode: 4 MiB is 65,536 rows at width 16.
+#: The least bytes of dense data a job must touch to run on the worker: an
+#: exact scan's float32 rows (4 MiB is 65,536 rows at width 16), or the KEMB
+#: file a load reads, hashes and checks.
 OVERLAP_BYTES = 4 * 1024 * 1024
 
 #: CPUs this process may run on; the overlap needs two.
@@ -235,13 +236,14 @@ def _overlap_pool(bundle: EngineBundle) -> ThreadPoolExecutor | None:
     return worker_pool(bundle.index.vectors.nbytes) if bundle.index.kind == EXACT else None
 
 
-def worker_pool(row_bytes: int) -> ThreadPoolExecutor | None:
-    """The process's one-thread pool, to run work over ``row_bytes`` of
-    float32 dense rows beside the calling thread, or None to run it in turn:
-    below ``OVERLAP_BYTES`` of rows, on one CPU, or when no thread can start.
-    ``cli.load_bundle`` loads a dense index on it, and each chunk's exact
-    search runs on it."""
-    if row_bytes < OVERLAP_BYTES or _USABLE_CPUS < 2:
+def worker_pool(job_bytes: int) -> ThreadPoolExecutor | None:
+    """The process's one-thread pool, to run a job that touches ``job_bytes``
+    of dense data beside the calling thread, or None to run it in turn:
+    below ``OVERLAP_BYTES``, on one CPU, or when no thread can start.  Each
+    chunk's exact search runs on it, weighed by the index's float32 rows,
+    and ``cli.load_bundle`` loads a dense index on it, weighed by the KEMB
+    file's size."""
+    if job_bytes < OVERLAP_BYTES or _USABLE_CPUS < 2:
         return None
     global _pool
     with _pool_lock:

@@ -893,6 +893,42 @@ class TestIndexOnTheWorker:
             pipeline, tmp_path, capsys)
         assert len(on_worker) == 2
 
+    @staticmethod
+    def _twice_the_rows(path: Path) -> None:
+        """Re-frame the KEMB file under a header that names twice its rows."""
+        body = path.read_bytes()[8:-8]
+        n, dim = struct.unpack_from("<QI", body)
+        path.write_bytes(frame(b"KEMB", dense_index._EMB_VERSION,
+                               struct.pack("<QI", 2 * n, dim) + body[12:]))
+
+    @pytest.mark.parametrize("breaks, error, message, code", [
+        (lambda p: p.write_bytes(p.read_bytes()[:12]), ValidationError,
+         "checksum mismatch", 2),  # shorter than its 20-byte header
+        (_twice_the_rows, ValidationError, "truncated file: unexpected end of data", 2),
+        (lambda p: (p.unlink(), p.mkdir()), IsADirectoryError, None, 3),
+    ], ids=["cut-to-12-bytes", "twice-the-rows", "a-directory"])
+    def test_a_broken_kemb_fails_alike_through_either_gate(
+        self, pipeline, tmp_path, capsys, monkeypatch, on_worker, breaks, error, message, code
+    ):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(pipeline["bundle"], bundle)
+        breaks(bundle / "embeddings.kemb")
+        seen = []
+        for overlap in (0, 2**62):  # the gate forced open, then closed
+            monkeypatch.setattr(retriever, "OVERLAP_BYTES", overlap)
+            on_worker.clear()
+            with pytest.raises(error) as caught:
+                load_bundle(bundle)
+            exit_code = main(["retrieve", "--bundle-dir", str(bundle),
+                              "--queries", str(pipeline["paths"]["queries"]),
+                              "--out", str(tmp_path / "r.jsonl")])
+            assert len(on_worker) == (2 if overlap == 0 else 0)
+            seen.append((type(caught.value), str(caught.value), exit_code,
+                         capsys.readouterr().err))
+        assert seen[0] == seen[1]
+        assert seen[0][2] == code and (message is None or seen[0][1] == message)
+        assert not (tmp_path / "r.jsonl").exists()
+
     def test_without_a_thread_the_load_runs_in_turn(
         self, pipeline, clustered, monkeypatch, on_worker
     ):
