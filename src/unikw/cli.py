@@ -71,11 +71,11 @@ from .errors import ConsistencyError, TrainingDiverged, ValidationError
 from .evaluation import compute_metrics, load_labels, token_overlap_scorer
 from .retriever import (
     EngineBundle,
+    beside,
     overlap_stats,
     results_to_jsonl_line,  # noqa: F401 -- kept so the benchmark's tracer finds it
     retrieve,
     retrieve_lines,
-    worker_pool,
 )
 from .trie import (  # noqa: F401 -- build_trie is kept so the benchmark's tracer finds it
     FORWARD,
@@ -263,33 +263,21 @@ def load_bundle(
     the retriever's worker while this thread loads the vocab, the catalog,
     the encoder and the tries; otherwise it loads after them.  A file that
     cannot be stat'ed weighs 0, so its load runs in turn and reports the
-    file's own error.  A failure is reported as in turn: this thread's
-    first, the worker's only once every earlier part has loaded, then the
-    groups' and ``EngineBundle.validate``'s."""
+    file's own error.  A failure is reported as in turn (``retriever.beside``):
+    this thread's parts first, then the index, the groups and
+    ``EngineBundle.validate``."""
     d = Path(bundle_dir)
     try:
         kemb_bytes = os.stat(d / "embeddings.kemb").st_size
     except OSError:
         kemb_bytes = 0
-    pool = worker_pool(kemb_bytes)
-    held: list[DenseIndex] = []  # the worker's index, taken out so that the pool keeps none
-    pending = pool.submit(lambda: held.append(_load_index(d))) if pool else None
-    try:
-        vocab = load_vocab(d / "vocab.txt")
-        catalog = load_keywords(d / "keywords.txt")
-        params = load_params(d / "encoder.kenc")
-        fwd = deserialize(d / "trie.fwd.ktri")
-        rev = deserialize(d / "trie.rev.ktri")
-    except BaseException:
-        if pending is not None:  # this error came first: wait, and drop the worker's outcome
-            pending.exception()
-            pending = held = None
-        raise
-    if pending is None:
-        index = _load_index(d)
-    else:
-        pending.result()  # the index's error, now that every earlier part has loaded
-        index = held.pop()
+
+    def parts() -> tuple:
+        return (load_vocab(d / "vocab.txt"), load_keywords(d / "keywords.txt"),
+                load_params(d / "encoder.kenc"), deserialize(d / "trie.fwd.ktri"),
+                deserialize(d / "trie.rev.ktri"))
+
+    index, (vocab, catalog, params, fwd, rev) = beside(kemb_bytes, _load_index, (d,), parts)
     reps_path = d / "reps.tsv"
     return EngineBundle(
         params=params,

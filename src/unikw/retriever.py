@@ -35,12 +35,13 @@ at 35k (2.14 MiB), 0.91-0.98 at 50k and 0.73-0.77 at 100k (README,
 *Serving in chunks*); graph5k's ``retrieve`` got slower side by side,
 on its graph and with its rows served exactly.
 Every other bundle, and a process that cannot start a thread, serves the
-channels in turn.  The search runs before the decode in turn and its
-error is raised first side by side, so the results and the errors are
-the same either way.
+channels in turn.  The calling thread's work first; its error first: the
+decode runs before the search in turn, and its error is raised first side
+by side, so the results and the errors are the same either way.
 
 One worker serves both the load and the search: one pool of one thread
-(``worker_pool``), made on first use and dropped in a forked child.
+(``worker_pool``), made on first use and dropped in a forked child, and
+one hand-off to it, ``beside``, under the rule above.
 ``cli.load_bundle`` reads, checks and builds the dense index on it when
 the KEMB file passes the same gate (its size from one ``os.stat``, the
 index's kind aside), while the calling thread loads the vocab, the
@@ -71,7 +72,7 @@ from __future__ import annotations
 import json
 import os
 import threading
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from itertools import chain, filterfalse
 from json.encoder import encode_basestring
@@ -230,19 +231,13 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_drop_pool)
 
 
-def _overlap_pool(bundle: EngineBundle) -> ThreadPoolExecutor | None:
-    """The one-thread pool to run the chunk's dense search on beside the
-    decode, or None to run both in turn: see "Two channels side by side"."""
-    return worker_pool(bundle.index.vectors.nbytes) if bundle.index.kind == EXACT else None
-
-
 def worker_pool(job_bytes: int) -> ThreadPoolExecutor | None:
     """The process's one-thread pool, to run a job that touches ``job_bytes``
     of dense data beside the calling thread, or None to run it in turn:
-    below ``OVERLAP_BYTES``, on one CPU, or when no thread can start.  Each
-    chunk's exact search runs on it, weighed by the index's float32 rows,
-    and ``cli.load_bundle`` loads a dense index on it, weighed by the KEMB
-    file's size."""
+    below ``OVERLAP_BYTES``, on one CPU, or when no thread can start.
+    ``beside`` runs each chunk's exact search on it, weighed by the index's
+    float32 rows, and ``cli.load_bundle``'s dense index load, weighed by the
+    KEMB file's size."""
     if job_bytes < OVERLAP_BYTES or _USABLE_CPUS < 2:
         return None
     global _pool
@@ -261,12 +256,35 @@ def worker_pool(job_bytes: int) -> ThreadPoolExecutor | None:
         return _pool
 
 
+def beside(job_bytes: int, job: Callable, args: tuple, work: Callable[[], object]) -> tuple:
+    """``(job(*args), work())``: the job on the worker while this thread does
+    the work when ``worker_pool(job_bytes)`` gives the pool, else the work
+    first and then the job.  The calling thread's work first; its error
+    first: when the work fails, the job is waited for and its result
+    dropped with its future, so neither the pool nor the error's traceback
+    keeps it.  The one hand-off to the worker, for ``_channels`` and
+    ``cli.load_bundle``."""
+    pool = worker_pool(job_bytes)
+    if pool is None:
+        done = work()
+        return job(*args), done
+    pending = pool.submit(job, *args)
+    try:
+        done = work()
+    except BaseException:
+        pending.exception()
+        del pending
+        raise
+    return pending.result(), done
+
+
 def _channels(
     bundle: EngineBundle, queries: Sequence[str]
 ) -> list[tuple[list[tuple[int, float]], list[tuple[int, float]]]]:
     """``retrieve_channels`` of every query of one chunk: one tokenize, one
     encoder forward and one dense search for the chunk, the decode per
-    query beside that search or after it, then the group expansion."""
+    query beside that search or before it (``beside``), then the group
+    expansion."""
     flat_ids, lengths = tokenize_batch(queries, bundle.vocab, "query", bundle.params.max_len)
     output = encode_batch(bundle.params, flat_ids, lengths)
     k = min(bundle.dense_k, len(bundle.index))
@@ -275,16 +293,11 @@ def _channels(
         return [permutation_decode(table, bundle.forward_trie, bundle.reversed_trie, bundle.decode)
                 for table in output.nar_logprobs]
 
-    pool = _overlap_pool(bundle) if k else None
-    if pool is None:
-        hits = search_batch(bundle.index, output.dr_embedding, k) if k else [[] for _ in queries]
-        nlgs = decode()
+    if k:
+        rows = bundle.index.vectors.nbytes if bundle.index.kind == EXACT else 0
+        hits, nlgs = beside(rows, search_batch, (bundle.index, output.dr_embedding, k), decode)
     else:
-        pending = pool.submit(search_batch, bundle.index, output.dr_embedding, k)
-        try:
-            nlgs = decode()
-        finally:  # the search's error, if any, is raised first, as in turn
-            hits = pending.result()
+        hits, nlgs = [[] for _ in queries], decode()
     if bundle.groups is not None:
         hits = [sorted([(kid, score) for rep, score in dr for kid in bundle.groups[rep]],
                        key=lambda hit: (-hit[1], hit[0]))[: bundle.dense_k] for dr in hits]

@@ -126,10 +126,6 @@ class KeywordTrie:
         return np.flatnonzero(self.node_keyword >= 0)
 
     @property
-    def term_ids(self) -> np.ndarray:  # keyword id per entry of term_nodes
-        return self.node_keyword[self.term_nodes]
-
-    @property
     def max_positions(self) -> int:
         """Table rows the longest keyword takes; a reversed trie's length edge
         takes none.  BFS puts the level after nodes lo..hi-1 at hi..offsets[hi]."""

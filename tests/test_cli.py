@@ -1023,7 +1023,7 @@ class TestChunkedRetrieve:
     ):
         """``unikw retrieve`` with the dense search beside the decode writes
         the bytes it writes in turn, and a failing channel exits with the code
-        it has in turn: the search's error first when both fail."""
+        it has in turn: the decode's error first when both fail."""
         texts = pipeline["paths"]["queries"].read_text(encoding="utf-8").splitlines()
         queries = tmp_path / "queries.txt"
         queries.write_text("".join(texts[i % len(texts)] + "\n" for i in range(50)),
@@ -1062,7 +1062,7 @@ class TestChunkedRetrieve:
             (search_batch, decode, (0, "")),
             (search_fails, decode, (2, "validation")),
             (search_batch, decode_fails, (4, "consistency")),
-            (search_fails, decode_fails, (2, "validation")),
+            (search_fails, decode_fails, (4, "consistency")),
         ]:
             searches.append(search_fn)
             monkeypatch.setattr(retriever, "permutation_decode", decode_fn)

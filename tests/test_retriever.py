@@ -3,6 +3,7 @@ import gc
 import json
 import sys
 import threading
+import time
 import weakref
 from collections.abc import Mapping
 from functools import cache
@@ -601,8 +602,8 @@ class TestSideBySide:
         assert self.served(bundle) == in_turn
         assert len(side_by_side) == len(self.QUERIES) + 2 * 4  # each query alone, 4 chunks twice
 
-    def test_a_search_error_is_raised_first(self, bundle, monkeypatch, side_by_side):
-        search_batch = retriever_module.search_batch
+    def test_a_decode_error_is_raised_first(self, bundle, monkeypatch, side_by_side):
+        decode = retriever_module.permutation_decode
 
         def search_fails(*args):
             raise ValidationError("the search failed")
@@ -614,13 +615,13 @@ class TestSideBySide:
         monkeypatch.setattr(retriever_module, "permutation_decode", decode_fails)
         for overlap in (2**62, 0):  # in turn, then side by side
             monkeypatch.setattr(retriever_module, "OVERLAP_BYTES", overlap)
-            with pytest.raises(ValidationError, match="^the search failed$"):
+            with pytest.raises(ConsistencyError, match="^the decode failed$"):
                 retrieve(bundle, "red shoes")
             assert len(off) == (overlap == 0)
-        monkeypatch.setattr(retriever_module, "search_batch", search_batch)  # the decode's own
-        with pytest.raises(ConsistencyError, match="^the decode failed$"):
+        monkeypatch.setattr(retriever_module, "permutation_decode", decode)  # the search's own
+        with pytest.raises(ValidationError, match="^the search failed$"):
             retrieve(bundle, "red shoes")
-        assert len(side_by_side) == 1
+        assert len(off) == 2
 
     def test_without_a_thread_the_channels_run_in_turn(self, bundle, monkeypatch, side_by_side):
         want = [retrieve(bundle, q) for q in self.QUERIES]
@@ -640,7 +641,7 @@ class TestSideBySide:
         graph = replace(bundle, index=build_graph(bundle.index.vectors, bundle.index.ids))
         threads = threading.active_count()
         retrieve(bundle, "red shoes")  # small and exact
-        monkeypatch.setattr(retriever_module, "OVERLAP_BYTES", 0)
+        monkeypatch.setattr(retriever_module, "OVERLAP_BYTES", 1)  # a graph search weighs 0 bytes
         retrieve(graph, "red shoes")
         monkeypatch.setattr(retriever_module, "_USABLE_CPUS", 1)
         retrieve(bundle, "red shoes")
@@ -649,9 +650,9 @@ class TestSideBySide:
         monkeypatch.setattr(retriever_module, "OVERLAP_BYTES", 4 * 1024 * 1024)
         monkeypatch.setattr(retriever_module, "_USABLE_CPUS", 2)
         rows = np.random.default_rng(5).standard_normal((65_536, 16))
-        gate = retriever_module._overlap_pool
-        assert gate(SimpleNamespace(index=build_exact(rows[:-1], np.arange(65_535)))) is None
-        assert gate(SimpleNamespace(index=build_exact(rows, np.arange(65_536)))) is not None
+        gate = retriever_module.worker_pool
+        assert gate(build_exact(rows[:-1], np.arange(65_535)).vectors.nbytes) is None
+        assert gate(build_exact(rows, np.arange(65_536)).vectors.nbytes) is not None
 
     def test_an_idle_pool_holds_no_bundle(self, side_by_side):
         held = bundle_from_catalog(CATALOG)
@@ -684,6 +685,89 @@ class TestSideBySide:
             sys.setswitchinterval(interval)
         assert not any(caller.is_alive() for caller in callers)
         assert got == [[want] * 5] * len(got) and made == [1]
+
+
+class TestBeside:
+    """``beside(job_bytes, job, args, work)`` gives ``(job(*args), work())``:
+    the calling thread's work first, and its error first."""
+
+    @pytest.fixture(params=["in turn", "side by side"])
+    def side_by_side(self, request, monkeypatch):
+        """The gate closed, or forced open on two CPUs; True when open."""
+        monkeypatch.setattr(retriever_module, "OVERLAP_BYTES",
+                            0 if request.param == "side by side" else 2**62)
+        monkeypatch.setattr(retriever_module, "_USABLE_CPUS", 2)
+        return request.param == "side by side"
+
+    @staticmethod
+    def slow_job(ran: list, outcome):
+        """A job that sleeps, then notes that it ran and returns or raises ``outcome``."""
+
+        def job(*args):
+            time.sleep(0.05)
+            ran.append(threading.get_ident())
+            if isinstance(outcome, BaseException):
+                raise outcome
+            return outcome
+
+        return job
+
+    def test_in_turn_the_work_runs_first_on_this_thread(self, monkeypatch):
+        monkeypatch.setattr(retriever_module, "OVERLAP_BYTES", 2**62)
+        seen = []
+
+        def job(a, b):
+            seen.append(("job", threading.get_ident()))
+            return a + b
+
+        def work():
+            seen.append(("work", threading.get_ident()))
+            return "worked"
+
+        assert retriever_module.beside(2**40, job, (1, 2), work) == (3, "worked")
+        assert seen == [("work", threading.get_ident()), ("job", threading.get_ident())]
+
+    def test_side_by_side_the_job_runs_on_another_thread(self, side_by_side):
+        ran, worked = [], []
+        got = retriever_module.beside(0, self.slow_job(ran, "done"), (),
+                                      lambda: worked.append(threading.get_ident()) or "worked")
+        assert got == ("done", "worked") and worked == [threading.get_ident()]
+        assert len(ran) == 1 and (ran[0] != threading.get_ident()) == side_by_side
+
+    def test_the_work_error_wins_once_the_job_has_finished(self, side_by_side):
+        def work():
+            raise ConsistencyError("the work failed")
+
+        for outcome in ("done", ValidationError("the job failed")):
+            ran = []
+            with pytest.raises(ConsistencyError, match="^the work failed$"):
+                retriever_module.beside(0, self.slow_job(ran, outcome), (), work)
+            assert len(ran) == side_by_side  # in turn the job never starts
+
+    def test_the_job_error_is_raised_when_the_work_succeeds(self, side_by_side):
+        ran = []
+        with pytest.raises(ValidationError, match="^the job failed$"):
+            retriever_module.beside(0, self.slow_job(ran, ValidationError("the job failed")), (),
+                                    lambda: "worked")
+        assert len(ran) == 1
+
+    def test_a_failed_work_frees_the_job_result_while_its_error_is_held(self, side_by_side):
+        made = []
+
+        def job():
+            result = np.zeros(4)
+            made.append(weakref.ref(result))
+            return result
+
+        def work():
+            time.sleep(0.05)  # the job has returned by now
+            raise ConsistencyError("the work failed")
+
+        with pytest.raises(ConsistencyError) as caught:
+            retriever_module.beside(0, job, (), work)
+        gc.collect()
+        assert caught.value.__traceback__ is not None
+        assert len(made) == side_by_side and [ref() for ref in made] == [None] * len(made)
 
 
 class TestCoverage:

@@ -246,7 +246,7 @@ class TestSerialization:
         assert np.array_equal(back.offsets, trie.offsets)
         assert np.array_equal(back.labels, trie.labels)
         assert np.array_equal(back.term_nodes, trie.term_nodes)
-        assert np.array_equal(back.term_ids, trie.term_ids)
+        assert np.array_equal(back.node_keyword, trie.node_keyword)
         assert back.direction == trie.direction
         assert back.vocab_checksum == 123456789
         assert to_bytes(back) == data  # determinism
